@@ -4,25 +4,18 @@
      dune exec bench/check.exe \
        [-- PIPELINE.json [FAULTS.json [PARALLEL.json [ASYNC.json
             [MONITOR.json [SERVE.json]]]]]]
-   Re-runs the Pipeline_cases matrix and compares every deterministic
-   field — instance shape, congestion, makespan, pipeline counters —
-   against the committed BENCH_pipeline.json. Wall times ("phases"
-   totals) and the environment header ("meta") are noise and are
-   ignored, but phase names and call counts are behaviour, so they are
-   checked too. Then re-runs the Fault_cases matrix the same way against
-   BENCH_faults.json (the "micro" wall-clock note is ignored), and
-   statically validates BENCH_parallel.json's deterministic fields
-   (schema, the identical flag, chunk-scheduling arithmetic), re-runs
-   the Async_cases matrix — the same traffic simulated under each
-   per-level link model — against BENCH_async.json, and re-runs the
-   Monitor_cases matrix — synthetic drift workloads through the
-   streaming detectors — against BENCH_monitor.json (the "micro"
-   wall-clock note is ignored), and re-runs the Serve_cases matrix —
-   the drift generators through the epoch-based adaptive serving
-   tier — against BENCH_serve.json. Exits 1 listing every divergence:
-   a diff here means a code change altered what the pipeline (or the
-   fault recovery, the drift detection, or the serving adaptation)
-   computes, not just how fast. *)
+   Re-runs the pipeline, fault-recovery, async-simulation, drift-detection
+   and adaptive-serving case matrices, renders every fresh case through
+   the same writer that produced the committed BENCH_*.json, and walks
+   the two JSON trees side by side. Every deterministic field must match
+   exactly; the only noise is wall time (the pipeline phases' "total_ns"),
+   and the environment header ("meta") and "micro" wall-clock notes sit
+   outside the compared "cases". BENCH_parallel.json is validated
+   statically (schema, the identical flag, chunk-scheduling arithmetic).
+   Exits 1 naming every divergence by its path, e.g.
+   pipeline[4].counters.sim.packets: a diff here means a code change
+   altered what the pipeline (or the fault recovery, the drift detection,
+   or the serving adaptation) computes, not just how fast. *)
 
 module Json = Hbn_obs.Json
 module PC = Pipeline_cases
@@ -45,219 +38,57 @@ let get name conv j =
   | Some v -> v
   | None -> raise (Json.Parse (Printf.sprintf "missing or mistyped %S" name))
 
-(* Committed congestion went through %.3f; render the fresh value the
-   same way so the comparison is exact, not epsilon-based. *)
-let fmt_congestion c = Printf.sprintf "%.3f" c
+(* Keys holding host noise, skipped wherever they occur in a case. *)
+let ignored_keys schema = if schema = PC.schema then [ "total_ns" ] else []
 
-let check_case baseline fresh =
-  let label = Printf.sprintf "%s/%s" fresh.PC.topology fresh.PC.workload in
-  let want_str name v = get name Json.to_string baseline = v in
-  if not (want_str "topology" fresh.PC.topology)
-     || not (want_str "workload" fresh.PC.workload)
-  then
-    fail "case order diverged at %s (baseline has %s/%s)" label
-      (get "topology" Json.to_string baseline)
-      (get "workload" Json.to_string baseline)
-  else begin
-    let check_int name v =
-      let b = get name Json.to_int baseline in
-      if b <> v then fail "%s: %s %d (baseline) <> %d (fresh)" label name b v
-    in
-    check_int "nodes" fresh.PC.nodes;
-    check_int "leaves" fresh.PC.leaves;
-    check_int "objects" fresh.PC.objects;
-    check_int "requests" fresh.PC.requests;
-    check_int "makespan" fresh.PC.makespan;
-    let b_congestion =
-      fmt_congestion (get "congestion" Json.to_float baseline)
-    in
-    let f_congestion = fmt_congestion fresh.PC.congestion in
-    if b_congestion <> f_congestion then
-      fail "%s: congestion %s (baseline) <> %s (fresh)" label b_congestion
-        f_congestion;
-    (* Counters: exact same name set and totals. *)
-    let b_counters =
-      match Json.member "counters" baseline with
-      | Some (Json.Obj kvs) ->
-        List.map
-          (fun (k, v) ->
-            match Json.to_int v with
-            | Some n -> (k, n)
-            | None -> raise (Json.Parse ("counter " ^ k ^ " not an int")))
-          kvs
-        |> List.sort compare
-      | _ -> raise (Json.Parse "missing counters object")
-    in
-    if b_counters <> fresh.PC.counters then begin
-      let show kvs =
-        String.concat ", "
-          (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) kvs)
-      in
-      fail "%s: counters {%s} (baseline) <> {%s} (fresh)" label
-        (show b_counters)
-        (show fresh.PC.counters)
-    end;
-    (* Phase names and call counts are deterministic; durations are not. *)
-    let b_phases =
-      match Json.member "phases" baseline with
-      | Some (Json.Obj kvs) ->
-        List.map (fun (k, v) -> (k, get "calls" Json.to_int v)) kvs
-      | _ -> raise (Json.Parse "missing phases object")
-    in
-    let f_phases =
-      List.map (fun (name, calls, _ns) -> (name, calls)) fresh.PC.phases
-    in
-    if List.sort compare b_phases <> List.sort compare f_phases then
-      fail "%s: phase names/call counts diverged from baseline" label
-  end
+let show = function
+  | Json.Null -> "null"
+  | Json.Bool b -> string_of_bool b
+  | Json.Int n -> string_of_int n
+  | Json.Float x ->
+    let buf = Buffer.create 16 in
+    Json.float_to_string buf x;
+    Buffer.contents buf
+  | Json.Str s -> Printf.sprintf "%S" s
+  | Json.List _ -> "a list"
+  | Json.Obj _ -> "an object"
 
-(* Fault-recovery baseline: every field of a case is deterministic, so
-   the comparison is exact (congestion through the same %.3f the writer
-   used). *)
-let check_fault_case baseline fresh =
-  let label = Printf.sprintf "%s under %s" fresh.FC.topology fresh.FC.plan in
-  if
-    get "topology" Json.to_string baseline <> fresh.FC.topology
-    || get "plan" Json.to_string baseline <> fresh.FC.plan
-  then
-    fail "fault case order diverged at %s (baseline has %s under %s)" label
-      (get "topology" Json.to_string baseline)
-      (get "plan" Json.to_string baseline)
-  else begin
-    let check_str name v =
-      let b = get name Json.to_string baseline in
-      if b <> v then fail "%s: %s %S (baseline) <> %S (fresh)" label name b v
+(* Objects compare as key sets in any order, lists element by element,
+   scalars by equality. Both sides went through the same writer, so
+   floats already share its rounding and compare exactly. *)
+let rec diff ~ignored path baseline fresh =
+  match (baseline, fresh) with
+  | Json.Obj b, Json.Obj f ->
+    let keys kvs =
+      List.filter (fun k -> not (List.mem k ignored)) (List.map fst kvs)
     in
-    let check_int name v =
-      let b = get name Json.to_int baseline in
-      if b <> v then fail "%s: %s %d (baseline) <> %d (fresh)" label name b v
+    List.iter
+      (fun k ->
+        if not (List.mem_assoc k f) then
+          fail "%s.%s: in the baseline, missing from the fresh run" path k)
+      (keys b);
+    List.iter
+      (fun k ->
+        match List.assoc_opt k b with
+        | None ->
+          fail "%s.%s: in the fresh run, missing from the baseline" path k
+        | Some bv -> diff ~ignored (path ^ "." ^ k) bv (List.assoc k f))
+      (keys f)
+  | Json.List b, Json.List f ->
+    if List.length b <> List.length f then
+      fail "%s: %d elements (baseline) <> %d (fresh)" path (List.length b)
+        (List.length f);
+    let rec pairs i b f =
+      match (b, f) with
+      | bv :: b, fv :: f ->
+        diff ~ignored (Printf.sprintf "%s[%d]" path i) bv fv;
+        pairs (i + 1) b f
+      | _ -> ()
     in
-    check_str "outcome" fresh.FC.outcome;
-    check_int "rounds" fresh.FC.rounds;
-    check_int "messages" fresh.FC.messages;
-    check_int "retransmissions" fresh.FC.retransmissions;
-    check_int "duplicates" fresh.FC.duplicates;
-    check_int "pure_acks" fresh.FC.pure_acks;
-    check_int "fault_events" fresh.FC.fault_events;
-    check_int "dropped" fresh.FC.dropped;
-    check_int "undecided" fresh.FC.undecided;
-    check_int "tel_points" fresh.FC.tel_points;
-    check_int "tel_sent" fresh.FC.tel_sent;
-    check_int "tel_bytes" fresh.FC.tel_bytes;
-    check_int "tel_peak_sent" fresh.FC.tel_peak_sent;
-    let b_congestion = fmt_congestion (get "congestion" Json.to_float baseline) in
-    let f_congestion = fmt_congestion fresh.FC.congestion in
-    if b_congestion <> f_congestion then
-      fail "%s: congestion %s (baseline) <> %s (fresh)" label b_congestion
-        f_congestion
-  end
-
-(* Async-simulation baseline: every field is deterministic (the event
-   engine is bit-identical across reruns); floats went through the
-   writer's %.3f, so render the fresh values the same way and compare
-   exactly. *)
-let check_async_case baseline fresh =
-  let label = Printf.sprintf "%s over %s" fresh.AC.topology fresh.AC.link in
-  if
-    get "topology" Json.to_string baseline <> fresh.AC.topology
-    || get "link" Json.to_string baseline <> fresh.AC.link
-  then
-    fail "async case order diverged at %s (baseline has %s over %s)" label
-      (get "topology" Json.to_string baseline)
-      (get "link" Json.to_string baseline)
-  else begin
-    let check_int name v =
-      let b = get name Json.to_int baseline in
-      if b <> v then fail "%s: %s %d (baseline) <> %d (fresh)" label name b v
-    in
-    let check_float name v =
-      let b = fmt_congestion (get name Json.to_float baseline) in
-      let f = fmt_congestion v in
-      if b <> f then fail "%s: %s %s (baseline) <> %s (fresh)" label name b f
-    in
-    check_int "makespan" fresh.AC.makespan;
-    check_int "packets" fresh.AC.packets;
-    check_int "transmissions" fresh.AC.transmissions;
-    check_int "max_dilation" fresh.AC.max_dilation;
-    check_float "completion" fresh.AC.completion;
-    check_float "congestion" fresh.AC.congestion
-  end
-
-(* Drift-detection baseline: the synthetic workloads, the jitter hash
-   and the detectors are all deterministic, so every field compares
-   exactly (the estimator floats through the writer's %.3f). *)
-let check_monitor_case baseline fresh =
-  let label = fresh.MC.workload in
-  if get "workload" Json.to_string baseline <> fresh.MC.workload then
-    fail "monitor case order diverged at %s (baseline has %s)" label
-      (get "workload" Json.to_string baseline)
-  else begin
-    let check_int name v =
-      let b = get name Json.to_int baseline in
-      if b <> v then fail "%s: %s %d (baseline) <> %d (fresh)" label name b v
-    in
-    let check_float name v =
-      let b = fmt_congestion (get name Json.to_float baseline) in
-      let f = fmt_congestion v in
-      if b <> f then fail "%s: %s %s (baseline) <> %s (fresh)" label name b f
-    in
-    check_int "rounds" fresh.MC.rounds;
-    check_int "points" fresh.MC.points;
-    check_int "alerts" fresh.MC.alerts;
-    check_int "cusum_alerts" fresh.MC.cusum_alerts;
-    check_int "ph_alerts" fresh.MC.ph_alerts;
-    check_int "first_alert_round" fresh.MC.first_alert_round;
-    let b_verdict = get "verdict" Json.to_string baseline in
-    if b_verdict <> fresh.MC.verdict then
-      fail "%s: verdict %S (baseline) <> %S (fresh)" label b_verdict
-        fresh.MC.verdict;
-    check_float "sent_p50" fresh.MC.sent_p50;
-    check_float "sent_p95" fresh.MC.sent_p95;
-    check_float "sent_mean" fresh.MC.sent_mean
-  end
-
-(* Serving-tier baseline: generators, epoch arithmetic, the climb PRNG
-   and the hysteresis gate are all deterministic, so every field
-   compares exactly (floats through the writer's %.3f). *)
-let check_serve_case baseline fresh =
-  let label = fresh.SC.workload in
-  if get "workload" Json.to_string baseline <> fresh.SC.workload then
-    fail "serve case order diverged at %s (baseline has %s)" label
-      (get "workload" Json.to_string baseline)
-  else begin
-    let check_int name v =
-      let b = get name Json.to_int baseline in
-      if b <> v then fail "%s: %s %d (baseline) <> %d (fresh)" label name b v
-    in
-    let check_float name v =
-      let b = fmt_congestion (get name Json.to_float baseline) in
-      let f = fmt_congestion v in
-      if b <> f then fail "%s: %s %s (baseline) <> %s (fresh)" label name b f
-    in
-    check_int "epochs" fresh.SC.epochs;
-    check_int "requests" fresh.SC.requests;
-    check_int "alerts" fresh.SC.alerts;
-    check_int "reoptimized" fresh.SC.reoptimized;
-    check_int "bytes_migrated" fresh.SC.bytes_migrated;
-    check_int "max_epoch_bytes" fresh.SC.max_epoch_bytes;
-    (match Json.member "budget_ok" baseline with
-    | Some (Json.Bool b) ->
-      if b <> fresh.SC.budget_ok then
-        fail "%s: budget_ok %b (baseline) <> %b (fresh)" label b
-          fresh.SC.budget_ok
-    | _ -> fail "%s: missing budget_ok" label);
-    check_int "replications" fresh.SC.replications;
-    check_int "migrations" fresh.SC.migrations;
-    check_int "contractions" fresh.SC.contractions;
-    let b_verdict = get "verdict" Json.to_string baseline in
-    if b_verdict <> fresh.SC.verdict then
-      fail "%s: verdict %S (baseline) <> %S (fresh)" label b_verdict
-        fresh.SC.verdict;
-    check_float "mean_serve" fresh.SC.mean_serve;
-    check_float "mean_stale" fresh.SC.mean_stale;
-    check_float "mean_oracle" fresh.SC.mean_oracle;
-    check_float "recovered" fresh.SC.recovered
-  end
+    pairs 0 b f
+  | _ ->
+    if baseline <> fresh then
+      fail "%s: %s (baseline) <> %s (fresh)" path (show baseline) (show fresh)
 
 let load_doc ~path ~schema =
   let doc =
@@ -279,10 +110,10 @@ let load_doc ~path ~schema =
     exit 1);
   doc
 
-let load_baseline ~path ~schema =
-  match Option.bind (Json.member "cases" (load_doc ~path ~schema)) Json.to_list with
-  | Some l -> l
-  | None ->
+let load_cases ~path ~schema =
+  match Json.member "cases" (load_doc ~path ~schema) with
+  | Some (Json.List _ as cases) -> cases
+  | _ ->
     Printf.eprintf "bench/check: %s has no cases array\n" path;
     exit 1
 
@@ -328,44 +159,36 @@ let check_parallel ~path =
    with Json.Parse m -> fail "malformed run in %s: %s" path m);
   List.length runs
 
-let check_matrix ~what ~path baseline_cases fresh check_one =
-  if List.length baseline_cases <> List.length fresh then
-    fail "%s case count %d (baseline) <> %d (fresh)" what
-      (List.length baseline_cases) (List.length fresh)
-  else begin
-    try List.iter2 check_one baseline_cases fresh
-    with Json.Parse m -> fail "malformed baseline case in %s: %s" path m
-  end
-
 let () =
   let arg i default = if Array.length Sys.argv > i then Sys.argv.(i) else default in
-  let pipeline_path = arg 1 "BENCH_pipeline.json" in
-  let faults_path = arg 2 "BENCH_faults.json" in
+  let render json_of_case all () =
+    List.map (fun c -> Json.parse (json_of_case c)) (all ())
+  in
+  let matrices =
+    [
+      ("pipeline", PC.schema, arg 1 "BENCH_pipeline.json",
+       render PC.json_of_case PC.all);
+      ("fault", FC.schema, arg 2 "BENCH_faults.json",
+       render FC.json_of_case FC.all);
+      ("async", AC.schema, arg 4 "BENCH_async.json",
+       render AC.json_of_case AC.all);
+      ("monitor", MC.schema, arg 5 "BENCH_monitor.json",
+       render MC.json_of_case MC.all);
+      ("serve", SC.schema, arg 6 "BENCH_serve.json",
+       render SC.json_of_case SC.all);
+    ]
+  in
+  let matched =
+    List.map
+      (fun (name, schema, path, fresh) ->
+        let baseline = load_cases ~path ~schema in
+        let fresh = fresh () in
+        diff ~ignored:(ignored_keys schema) name baseline (Json.List fresh);
+        Printf.sprintf "%d %s cases match %s" (List.length fresh) name path)
+      matrices
+  in
   let parallel_path = arg 3 "BENCH_parallel.json" in
-  let async_path = arg 4 "BENCH_async.json" in
-  let monitor_path = arg 5 "BENCH_monitor.json" in
-  let serve_path = arg 6 "BENCH_serve.json" in
-  let pipeline_baseline = load_baseline ~path:pipeline_path ~schema:PC.schema in
-  let faults_baseline = load_baseline ~path:faults_path ~schema:FC.schema in
-  let async_baseline = load_baseline ~path:async_path ~schema:AC.schema in
-  let monitor_baseline = load_baseline ~path:monitor_path ~schema:MC.schema in
-  let serve_baseline = load_baseline ~path:serve_path ~schema:SC.schema in
-  let pipeline_fresh = PC.all () in
-  check_matrix ~what:"pipeline" ~path:pipeline_path pipeline_baseline
-    pipeline_fresh check_case;
-  let faults_fresh = FC.all () in
-  check_matrix ~what:"faults" ~path:faults_path faults_baseline faults_fresh
-    check_fault_case;
   let parallel_runs = check_parallel ~path:parallel_path in
-  let async_fresh = AC.all () in
-  check_matrix ~what:"async" ~path:async_path async_baseline async_fresh
-    check_async_case;
-  let monitor_fresh = MC.all () in
-  check_matrix ~what:"monitor" ~path:monitor_path monitor_baseline
-    monitor_fresh check_monitor_case;
-  let serve_fresh = SC.all () in
-  check_matrix ~what:"serve" ~path:serve_path serve_baseline serve_fresh
-    check_serve_case;
   if !failures > 0 then begin
     Printf.eprintf
       "bench/check: %d divergence(s) from the committed baselines — a code \
@@ -375,11 +198,6 @@ let () =
       !failures;
     exit 1
   end;
-  Printf.printf
-    "bench/check: %d pipeline cases match %s, %d fault cases match %s, %d \
-     parallel runs consistent in %s, %d async cases match %s, %d monitor \
-     cases match %s, %d serve cases match %s (deterministic fields)\n"
-    (List.length pipeline_fresh) pipeline_path (List.length faults_fresh)
-    faults_path parallel_runs parallel_path (List.length async_fresh)
-    async_path (List.length monitor_fresh) monitor_path
-    (List.length serve_fresh) serve_path
+  Printf.printf "bench/check: %s, %d parallel runs consistent in %s \
+                 (deterministic fields)\n"
+    (String.concat ", " matched) parallel_runs parallel_path

@@ -63,7 +63,6 @@ let flat_instance () =
 let flat_tests =
   let tree, fl, pairs, steiner_sets = flat_instance () in
   let ix = Tree.flat_index tree in
-  let lix = Tree.lca_index (Tree.rooting tree) in
   let r = Tree.rooting tree in
   let scratch = Flat.Scratch.create fl in
   Test.make_grouped ~name:"flat"
@@ -92,12 +91,7 @@ let flat_tests =
              let acc = ref 0 in
              Array.iter (fun (u, v) -> acc := !acc + Tree.lca_flat ix u v) pairs;
              ignore !acc));
-      Test.make ~name:"F2' batched LCA (lca_fast, O(log n))"
-        (Staged.stage (fun () ->
-             let acc = ref 0 in
-             Array.iter (fun (u, v) -> acc := !acc + Tree.lca_fast lix u v) pairs;
-             ignore !acc));
-      Test.make ~name:"F2'' batched LCA (rooted walk)"
+      Test.make ~name:"F2' batched LCA (rooted walk)"
         (Staged.stage (fun () ->
              let acc = ref 0 in
              Array.iter (fun (u, v) -> acc := !acc + Tree.lca r u v) pairs;
@@ -220,14 +214,12 @@ let run_event () =
 let smoke_flat () =
   let tree, fl, pairs, steiner_sets = flat_instance () in
   let ix = Tree.flat_index tree in
-  let lix = Tree.lca_index (Tree.rooting tree) in
   let r = Tree.rooting tree in
   let scratch = Flat.Scratch.create fl in
   let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
   Array.iter
     (fun (u, v) ->
-      let a = Tree.lca r u v in
-      if Tree.lca_flat ix u v <> a || Tree.lca_fast lix u v <> a then
+      if Tree.lca_flat ix u v <> Tree.lca r u v then
         fail "bench/micro --smoke: LCA mismatch at (%d,%d)" u v;
       let path = ref [] in
       Flat.iter_path fl scratch u v (fun e -> path := e :: !path);

@@ -24,8 +24,8 @@ module Json = Hbn_obs.Json
 let seed = 20260806
 let job_counts = [ 1; 2; 4 ]
 
-(* Fresh instance per run so every job count pays the same view-cache
-   warm-up; the generators are deterministic in the seed. *)
+(* Fresh instance per run so every job count pays the same flat-cache
+   warm-up (workload rows and tree index); the generators are deterministic in the seed. *)
 let instance ~arity ~height ~objects () =
   let tree = Builders.balanced ~arity ~height ~profile:(Builders.Uniform 2) in
   let w =

@@ -349,16 +349,11 @@ let run_robust ?(max_rounds = 100_000) ?(timeout = 4) ?(faults = Faults.none)
     (st, sends)
   in
   let out =
-    (* The stop-and-wait timers count rounds; the async engine keeps its
-       ticks on the integer virtual times, so [timeout] means the same
-       thing under both entry points. *)
-    match link with
-    | None ->
-      Runtime.run ~max_rounds ~quiet_rounds:(timeout + 1) ~faults ?telemetry
-        ?monitor ~msg_bytes:frame_bytes tree ~init ~step
-    | Some link ->
-      Runtime.run_async ~max_rounds ~quiet_rounds:(timeout + 1) ~faults
-        ?telemetry ?monitor ~msg_bytes:frame_bytes ~link tree ~init ~step
+    (* The stop-and-wait timers count rounds; a link model keeps the
+       engine's ticks on the integer virtual times, so [timeout] means
+       the same thing with or without one. *)
+    Runtime.run ~max_rounds ~quiet_rounds:(timeout + 1) ~faults ?telemetry
+      ?monitor ~msg_bytes:frame_bytes ?link tree ~init ~step
   in
   let placement, undecided =
     collect_result tree objects out.Runtime.states

@@ -86,10 +86,9 @@ val run_robust :
     caller-owned {!Hbn_obs.Monitor} ingests the folded series at end of
     run and can then be asked for alerts and a health verdict.
 
-    [link] runs the protocol on the event-driven engine
-    ({!Runtime.run_async}) instead of the synchronous one: frames take
-    [bytes/B + D] virtual time per their level's clause and serialize on
-    busy links, while the stop-and-wait timers keep counting integer
-    ticks, so [timeout] retains its meaning. Passing
-    [Hbn_event.Link.sync] — or nothing — reproduces the synchronous run
-    bit for bit. *)
+    [link] is handed to {!Runtime.run} as its link model, replacing the
+    synchronous one: frames take [bytes/B + D] virtual time per their
+    level's clause and serialize on busy links, while the stop-and-wait
+    timers keep counting integer ticks, so [timeout] retains its
+    meaning. Passing [Hbn_event.Link.sync] — or nothing — reproduces the
+    synchronous run bit for bit. *)

@@ -30,7 +30,7 @@ let check_window what (id, a, b) =
 
 let make ?(seed = 0) ?(drop = 0.) ?(drop_until = 64) ?(crashes = [])
     ?(cuts = []) () =
-  if drop < 0. || drop > 1. then
+  if not (drop >= 0. && drop <= 1.) then
     invalid_arg "Faults.make: drop probability must be in [0, 1]";
   if drop_until < 0 then invalid_arg "Faults.make: negative drop horizon";
   List.iter (check_window "node") crashes;
@@ -60,7 +60,7 @@ let node_down p ~round ~node =
 let edge_cut p ~round ~edge =
   List.exists (fun ((e, _, _) as w) -> e = edge && in_window round w) p.cuts
 
-(* -- virtual-time shims --------------------------------------------------- *)
+(* -- virtual-time shim ---------------------------------------------------- *)
 
 let round_of_time time =
   if Float.is_nan time || time < 0. then
@@ -68,11 +68,7 @@ let round_of_time time =
   let c = Float.ceil time in
   if c >= float_of_int max_int then max_int else int_of_float c
 
-let drops_at p ~time ~edge ~src = drops p ~round:(round_of_time time) ~edge ~src
-
 let node_down_at p ~time ~node = node_down p ~round:(round_of_time time) ~node
-
-let edge_cut_at p ~time ~edge = edge_cut p ~round:(round_of_time time) ~edge
 
 (* -- spec grammar -------------------------------------------------------- *)
 

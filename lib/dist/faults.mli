@@ -53,7 +53,7 @@ val make :
     [(node, from_round, to_round)] and [cuts] are
     [(edge, from_round, to_round)] inclusive windows; [to_round =
     max_int] means "forever". Raises [Invalid_argument] on malformed
-    windows or probabilities. *)
+    windows or probabilities (NaN included). *)
 
 val of_spec : ?seed:int -> string -> (plan, string) result
 (** Parses the CLI fault-spec grammar: comma-separated clauses
@@ -99,23 +99,21 @@ val edge_cut : plan -> round:int -> edge:int -> bool
 
 (** {1 Virtual-time queries}
 
-    The event-driven runtime ({!Runtime.run_async}) measures time on a
-    continuous virtual axis whose integer ticks are the rounds of the
-    synchronous engine. Plans keep their round-window semantics on that
-    axis: a window [A..B] covers the half-open virtual-time interval
-    [(A-1, B]], so [round_of_time] is [ceil], integer times land in
-    their own round, and on the synchronous regime (all times integral)
-    the shims below are bit-identical to the round queries. *)
+    Under a link model ({!Runtime.run} with [~link]) the runtime measures
+    time on a continuous virtual axis whose integer ticks are the rounds
+    of the synchronous engine. Drop and cut schedules are queried at the
+    send round; only the target-down check uses the message's arrival
+    time. Plans keep their round-window semantics on that axis: a window
+    [A..B] covers the half-open virtual-time interval [(A-1, B]], so
+    [round_of_time] is [ceil], integer times land in their own round, and
+    on the synchronous regime (all times integral) {!node_down_at} is
+    bit-identical to {!node_down}. *)
 
 val round_of_time : float -> int
 (** [ceil time] as a round number ([max_int] on overflow). Raises
     [Invalid_argument] on NaN or negative times. *)
 
-val drops_at : plan -> time:float -> edge:int -> src:int -> bool
-
 val node_down_at : plan -> time:float -> node:int -> bool
-
-val edge_cut_at : plan -> time:float -> edge:int -> bool
 
 (** {1 Rendering} *)
 

@@ -30,7 +30,7 @@ type 'state outcome = {
   health : Monitor.verdict option;
 }
 
-(* The engine-driven core behind both entry points. Nodes step at the
+(* One engine-driven core for both timing models. Nodes step at the
    integer ticks of a discrete-event engine; a message granted at tick
    [r] is a delivery event at its arrival time (rank 0, so it lands
    before the tick that consumes it) and is read at the first tick at or
@@ -41,8 +41,8 @@ type 'state outcome = {
    timers in step functions keep counting rounds — so the round axis
    {e is} the virtual-time axis and the outcome type needs no second
    clock. *)
-let run_core ~max_rounds ~quiet_rounds ~faults ~telemetry ~monitor ~msg_bytes
-    ~link tree ~init ~step =
+let run ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry ?monitor
+    ?(msg_bytes = fun _ -> 1) ?link tree ~init ~step =
   if quiet_rounds < 1 then invalid_arg "Runtime.run: quiet_rounds must be >= 1";
   let n = Tree.n tree in
   (* A monitor needs a series to watch: with no caller-owned collector,
@@ -268,13 +268,3 @@ let run_core ~max_rounds ~quiet_rounds ~faults ~telemetry ~monitor ~msg_bytes
       monitor
   in
   { states; stats; termination = !termination; faults = faults_log; health }
-
-let run ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry ?monitor
-    ?(msg_bytes = fun _ -> 1) tree ~init ~step =
-  run_core ~max_rounds ~quiet_rounds ~faults ~telemetry ~monitor ~msg_bytes
-    ~link:None tree ~init ~step
-
-let run_async ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry
-    ?monitor ?(msg_bytes = fun _ -> 1) ~link tree ~init ~step =
-  run_core ~max_rounds ~quiet_rounds ~faults ~telemetry ~monitor ~msg_bytes
-    ~link:(Some link) tree ~init ~step

@@ -20,13 +20,13 @@
     Every fault is logged. With no plan — or an empty one — the run is
     bit-identical to the fault-free engine.
 
-    Both entry points share one discrete-event core driven by
-    {!Hbn_event.Engine}: nodes step at integer ticks of a virtual clock
-    and every message is a timestamped delivery event. {!run} gives
-    every delivery latency exactly 1 — the classic synchronous
-    semantics, round for round — while {!run_async} draws arrival times
-    from a per-level {!Hbn_event.Link} model, so messages cross slow
-    levels over several ticks and serialize on busy links. *)
+    {!run} is one discrete-event core driven by {!Hbn_event.Engine}:
+    nodes step at integer ticks of a virtual clock and every message is
+    a timestamped delivery event. By default every delivery has latency
+    exactly 1 — the classic synchronous semantics, round for round —
+    while [~link] draws arrival times from a per-level {!Hbn_event.Link}
+    model, so messages cross slow levels over several ticks and
+    serialize on busy links. *)
 
 module Tree = Hbn_tree.Tree
 
@@ -71,6 +71,7 @@ val run :
   ?telemetry:Hbn_obs.Telemetry.t ->
   ?monitor:Hbn_obs.Monitor.t ->
   ?msg_bytes:('msg -> int) ->
+  ?link:Hbn_event.Link.config ->
   Tree.t ->
   init:(int -> 'state) ->
   step:('state, 'msg) node_fn ->
@@ -117,21 +118,10 @@ val run :
     [runtime.messages] / [runtime.rounds] counters and a final
     [runtime.quiescent] (or [runtime.round_limit]) event; under a
     non-empty plan it additionally emits one [fault] event per log entry
-    and a [runtime.dropped] counter when any message was lost. *)
+    and a [runtime.dropped] counter when any message was lost.
 
-val run_async :
-  ?max_rounds:int ->
-  ?quiet_rounds:int ->
-  ?faults:Faults.plan ->
-  ?telemetry:Hbn_obs.Telemetry.t ->
-  ?monitor:Hbn_obs.Monitor.t ->
-  ?msg_bytes:('msg -> int) ->
-  link:Hbn_event.Link.config ->
-  Tree.t ->
-  init:(int -> 'state) ->
-  step:('state, 'msg) node_fn ->
-  'state outcome
-(** {!run} over a per-level link model. A message granted in round [r]
+    [link] runs the same protocol over a per-level link model (default:
+    none, the synchronous model above). A message granted in round [r]
     over edge [e] transmits on the serialized directed link
     ({!Hbn_event.Link.transmit}, sized by [msg_bytes]) and is consumed
     at the first tick at or after its arrival — ticks remain the
@@ -142,8 +132,9 @@ val run_async :
 
     Under [link = Hbn_event.Link.sync] every arrival is exactly one tick
     after the send and the outcome — states, stats, termination, fault
-    log, telemetry — is bit-identical to {!run}; the test suite pins
-    this equivalence over random topologies, workloads and fault plans.
+    log, telemetry — is bit-identical to the run without [link]; the
+    test suite pins this equivalence over random topologies, workloads
+    and fault plans.
 
     Fault windows keep their round semantics on the virtual-time axis
     (see {!Faults.round_of_time}): drop and cut schedules apply at the

@@ -48,7 +48,7 @@ val nearest : ?exec:Hbn_exec.Exec.t -> Workload.t -> copies:int list array -> t
 val nearest_object : Workload.t -> obj:int -> copies:int list -> obj_placement
 (** One object's nearest-copy assignment — the pure per-object unit
     {!nearest} maps over. Safe to call concurrently once
-    [Workload.views] has been forced. *)
+    [Workload.flat] and [Tree.flat_index] have been forced. *)
 
 val single : Workload.t -> (int * int) list -> t
 (** [single w obj_to_node] places exactly one copy per object as listed

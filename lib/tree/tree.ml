@@ -41,7 +41,7 @@ type t = {
   bus_arr : int array;
   (* Built on first use. Writes of a fully-constructed record are atomic
      in OCaml, so a benign race between domains at most duplicates the
-     construction work (same pattern as the workload's view cache);
+     construction work (same pattern as the workload's flat cache);
      sequential phases force it before fanning out. *)
   mutable flat : flat_index option;
 }
@@ -229,56 +229,6 @@ let lca r u v =
     v := r.parent.(!v)
   done;
   !u
-
-type lca_index = {
-  idepth : int array;
-  up : int array array; (* up.(k).(v) = 2^k-th ancestor (root maps to itself) *)
-}
-
-let lca_index r =
-  let n = Array.length r.parent in
-  let max_depth = Array.fold_left max 0 r.depth in
-  let levels =
-    let rec go k = if 1 lsl k > max_depth then k + 1 else go (k + 1) in
-    go 0
-  in
-  let up = Array.make levels [||] in
-  up.(0) <- Array.init n (fun v -> if r.parent.(v) < 0 then v else r.parent.(v));
-  for k = 1 to levels - 1 do
-    let prev = up.(k - 1) in
-    up.(k) <- Array.init n (fun v -> prev.(prev.(v)))
-  done;
-  { idepth = r.depth; up }
-
-let lca_fast ix u v =
-  let levels = Array.length ix.up in
-  let lift x delta =
-    let x = ref x and d = ref delta in
-    let k = ref 0 in
-    while !d > 0 do
-      if !d land 1 = 1 then x := ix.up.(!k).(!x);
-      d := !d lsr 1;
-      incr k
-    done;
-    !x
-  in
-  let du = ix.idepth.(u) and dv = ix.idepth.(v) in
-  let u = if du > dv then lift u (du - dv) else u in
-  let v = if dv > du then lift v (dv - du) else v in
-  if u = v then u
-  else begin
-    let u = ref u and v = ref v in
-    for k = levels - 1 downto 0 do
-      if ix.up.(k).(!u) <> ix.up.(k).(!v) then begin
-        u := ix.up.(k).(!u);
-        v := ix.up.(k).(!v)
-      end
-    done;
-    ix.up.(0).(!u)
-  end
-
-let distance ix u v =
-  ix.idepth.(u) + ix.idepth.(v) - (2 * ix.idepth.(lca_fast ix u v))
 
 (* Euler tour of the canonical rooting plus a sparse table of depth
    minima: LCA(u, v) is the node of minimal depth between the first

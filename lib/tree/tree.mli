@@ -114,21 +114,6 @@ val lca : rooted -> int -> int -> int
 (** Lowest common ancestor in the given rooting, by walking parent
     pointers — O(depth) per query, no preprocessing. *)
 
-type lca_index
-(** Binary-lifting ancestor tables over one {!rooted} view: O(n log n)
-    preprocessing, O(log n) {!lca_fast}/{!distance} queries. Built by the
-    load-accounting engine so nearest-copy distances stop being linear
-    walks. *)
-
-val lca_index : rooted -> lca_index
-
-val lca_fast : lca_index -> int -> int -> int
-(** Same answer as {!lca} on the rooting the index was built from. *)
-
-val distance : lca_index -> int -> int -> int
-(** [distance ix u v] is the number of edges on the [u]–[v] path
-    (equals {!path_length} on the canonical rooting). *)
-
 (** Structure-of-arrays index over the {e canonical} rooting: preorder
     positions, the Euler tour, and a sparse table of depth minima giving
     O(1) LCA queries. Built once per tree on first use and cached (a

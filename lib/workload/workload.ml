@@ -27,28 +27,10 @@ module Flat = struct
     done
 end
 
-module View = struct
-  type t = {
-    obj : int;
-    kappa : int;
-    total_reads : int;
-    total_writes : int;
-    requesting : int list;
-    weights : int array;
-  }
-
-  let total_weight v = v.total_reads + v.total_writes
-end
-
 type t = {
   tree : Tree.t;
   reads : int array array;
   writes : int array array;
-  (* Per-object instance views, computed on first use and invalidated by
-     [set_read]/[set_write]. Slots hold immutable records, so a forced
-     cache can be read from several domains at once; [views] forces every
-     slot before a parallel phase starts. *)
-  view_cache : View.t option array;
   (* The SoA mirror of [reads]/[writes] consumed by the hot pipeline:
      weight rows, per-object totals and the requesting-leaf CSR in shared
      flat arrays. Built on first use, invalidated wholesale by
@@ -87,7 +69,6 @@ let make tree ~reads ~writes =
     tree;
     reads;
     writes;
-    view_cache = Array.make (Array.length reads) None;
     flat = None;
   }
 
@@ -97,7 +78,6 @@ let empty tree ~objects =
     tree;
     reads = Array.init objects (fun _ -> Array.make (Tree.n tree) 0);
     writes = Array.init objects (fun _ -> Array.make (Tree.n tree) 0);
-    view_cache = Array.make objects None;
     flat = None;
   }
 
@@ -159,36 +139,6 @@ let flat t =
     t.flat <- Some f;
     f
 
-(* Views are now a boxed materialization of the flat arrays, kept for
-   consumers that want one object's data as a standalone record (tests,
-   attribution); the pipeline's hot loops read [Flat] directly. *)
-let compute_view t obj =
-  let f = flat t in
-  let n = f.Flat.nodes in
-  let base = obj * n in
-  let requesting = ref [] in
-  for i = f.Flat.req_off.(obj + 1) - 1 downto f.Flat.req_off.(obj) do
-    requesting := f.Flat.req_leaf.(i) :: !requesting
-  done;
-  {
-    View.obj;
-    kappa = f.Flat.kappa.(obj);
-    total_reads = f.Flat.total_reads.(obj);
-    total_writes = f.Flat.kappa.(obj);
-    requesting = !requesting;
-    weights = Array.sub f.Flat.weights base n;
-  }
-
-let view t ~obj =
-  match t.view_cache.(obj) with
-  | Some v -> v
-  | None ->
-    let v = compute_view t obj in
-    t.view_cache.(obj) <- Some v;
-    v
-
-let views t = Array.init (num_objects t) (fun obj -> view t ~obj)
-
 let check_update t v rate =
   if rate < 0 then invalid_arg "Workload.set: negative rate";
   if not (Tree.is_leaf t.tree v) then
@@ -197,13 +147,11 @@ let check_update t v rate =
 let set_read t ~obj v rate =
   check_update t v rate;
   t.reads.(obj).(v) <- rate;
-  t.view_cache.(obj) <- None;
   t.flat <- None
 
 let set_write t ~obj v rate =
   check_update t v rate;
   t.writes.(obj).(v) <- rate;
-  t.view_cache.(obj) <- None;
   t.flat <- None
 
 let write_contention t ~obj = Flat.kappa (flat t) ~obj
@@ -221,7 +169,9 @@ let read_vector t ~obj = Array.copy t.reads.(obj)
 
 let write_vector t ~obj = Array.copy t.writes.(obj)
 
-let weight_vector t ~obj = Array.copy (view t ~obj).View.weights
+let weight_vector t ~obj =
+  let f = flat t in
+  Array.sub f.Flat.weights (Flat.row_base f ~obj) f.Flat.nodes
 
 let requesting_leaves t ~obj =
   let f = flat t in

@@ -48,39 +48,6 @@ end
 val flat : t -> Flat.t
 (** The (cached) flat representation. *)
 
-(** {1 Per-object instance views}
-
-    Everything the per-object pipeline stages need — the write contention
-    [κ_x], read/write totals, the requesting processors, and the weight
-    vector that feeds the center-of-gravity computation — gathered in one
-    O(n) scan per object instead of one scan per consumer. Views are
-    cached on first access and invalidated by {!set_read}/{!set_write};
-    the records themselves are immutable, so a forced cache ({!views})
-    can be read concurrently from several domains. *)
-
-module View : sig
-  type t = {
-    obj : int;
-    kappa : int;  (** write contention [κ_x = Σ_P h_w(P, x)] *)
-    total_reads : int;
-    total_writes : int;  (** equals [kappa] *)
-    requesting : int list;  (** leaves with nonzero weight, ascending *)
-    weights : int array;
-        (** [h_r + h_w] per node — a materialized copy of the object's
-            {!Flat} row; treat as read-only *)
-  }
-
-  val total_weight : t -> int
-  (** [total_reads + total_writes]. *)
-end
-
-val view : t -> obj:int -> View.t
-(** The (cached) instance view of one object. *)
-
-val views : t -> View.t array
-(** All views, forcing every cache slot — call before handing the
-    workload to concurrent readers ({!Hbn_exec.Exec} tasks). *)
-
 val make : Hbn_tree.Tree.t -> reads:int array array -> writes:int array array -> t
 (** [make tree ~reads ~writes] with [reads.(x).(v)] the read frequency of
     node [v] for object [x] (same shape for [writes]). Raises
@@ -123,6 +90,7 @@ val read_vector : t -> obj:int -> int array
 val write_vector : t -> obj:int -> int array
 
 val weight_vector : t -> obj:int -> int array
+(** Per-node [h_r + h_w] (a fresh copy of the object's {!Flat} row). *)
 
 val requesting_leaves : t -> obj:int -> int list
 (** Leaves with nonzero weight for the object, ascending. *)

@@ -67,6 +67,20 @@ let test_spec_errors_carry_position () =
   check "crash=1:2-4,cut=-1:3-9" "clause 2 at char 12";
   check "drop=nan" "clause 1 at char 0"
 
+(* [make] enforces the same [0, 1] range as the spec grammar; a NaN
+   plan would be non-empty yet never drop, and render as "drop=0". *)
+let test_make_rejects_bad_drop () =
+  List.iter
+    (fun drop ->
+      Alcotest.(check bool)
+        (Printf.sprintf "drop=%f rejected" drop)
+        true
+        (try
+           ignore (Faults.make ~drop ());
+           false
+         with Invalid_argument _ -> true))
+    [ -0.1; 1.5; Float.nan ]
+
 (* of_spec ∘ to_spec = id over arbitrary valid plans. Drop
    probabilities come from a 1/16 grid (exact in binary, so the %g
    rendering is lossless); windows mix finite and "-inf" right ends.
@@ -120,7 +134,7 @@ let prop_plan_spec_round_trip (drop16, until, crashes, cuts) =
              (List.init 10 Fun.id))
          (List.init 60 (fun r -> r + 1))
 
-(* -- virtual-time shims -------------------------------------------------- *)
+(* -- virtual-time shim --------------------------------------------------- *)
 
 let test_round_of_time () =
   Alcotest.(check int) "interior of a tick" 4 (Faults.round_of_time 3.2);
@@ -159,13 +173,7 @@ let test_time_queries_match_round_queries () =
     let t = float_of_int r in
     Alcotest.(check bool) "node_down_at = node_down at integer times"
       (Faults.node_down p ~round:r ~node:2)
-      (Faults.node_down_at p ~time:t ~node:2);
-    Alcotest.(check bool) "edge_cut_at = edge_cut at integer times"
-      (Faults.edge_cut p ~round:r ~edge:1)
-      (Faults.edge_cut_at p ~time:t ~edge:1);
-    Alcotest.(check bool) "drops_at = drops at integer times"
-      (Faults.drops p ~round:r ~edge:0 ~src:1)
-      (Faults.drops_at p ~time:t ~edge:0 ~src:1)
+      (Faults.node_down_at p ~time:t ~node:2)
   done
 
 let test_windows_inclusive () =
@@ -422,6 +430,7 @@ let suite =
       prop_plan_spec_round_trip;
     Helpers.tc "spec errors" test_spec_errors;
     Helpers.tc "spec errors carry positions" test_spec_errors_carry_position;
+    Helpers.tc "make rejects bad drop probabilities" test_make_rejects_bad_drop;
     Helpers.tc "round_of_time quantization" test_round_of_time;
     Helpers.tc "virtual-time queries match round queries"
       test_time_queries_match_round_queries;

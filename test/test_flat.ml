@@ -11,20 +11,17 @@ module Workload = Hbn_workload.Workload
 let random_nodes prng tree k =
   Array.init k (fun _ -> Prng.int prng (Tree.n tree))
 
-(* LCA and distance against both the rooted walk and the O(log n) index. *)
+(* LCA and distance against the rooted walk and the path length. *)
 let prop_lca_distance_agree seed =
   let prng = Prng.create seed in
   let tree = Helpers.random_tree prng in
   let fl = Flat.of_tree tree in
   let r = Tree.rooting tree in
-  let lix = Tree.lca_index r in
   Array.for_all
     (fun u ->
       let v = Prng.int prng (Tree.n tree) in
-      let a = Tree.lca r u v in
-      Flat.lca fl u v = a
-      && Tree.lca_fast lix u v = a
-      && Flat.distance fl u v = Tree.distance lix u v
+      Flat.lca fl u v = Tree.lca r u v
+      && Flat.distance fl u v = Tree.path_length tree u v
       && Flat.distance fl u v = List.length (Tree.path_edges tree u v))
     (random_nodes prng tree 40)
 
@@ -126,30 +123,34 @@ let prop_scratch_reuse_deterministic seed =
   in
   run (fun () -> shared) = run (fun () -> Flat.Scratch.create fl)
 
-(* The workload's flat rows against the boxed per-object views. *)
-let prop_workload_flat_agrees_with_views seed =
+(* The workload's flat rows against the raw read/write matrices. *)
+let prop_workload_flat_agrees_with_matrices seed =
   let prng = Prng.create seed in
   let tree = Helpers.random_tree prng in
   let w = Helpers.random_workload prng tree in
   let f = Workload.flat w in
-  let n = Tree.n tree in
+  let nodes = List.init (Tree.n tree) Fun.id in
+  let sum g = List.fold_left (fun acc v -> acc + g v) 0 nodes in
   List.for_all
     (fun obj ->
-      let v = Workload.view w ~obj in
-      let row =
-        Array.init n (fun node -> Workload.Flat.weight f ~obj node)
+      let reads = Workload.reads w ~obj and writes = Workload.writes w ~obj in
+      let requesting =
+        List.filter
+          (fun v -> Tree.is_leaf tree v && reads v + writes v > 0)
+          nodes
       in
       let req = ref [] in
       Workload.Flat.iter_requesting f ~obj (fun leaf -> req := leaf :: !req);
-      row = v.Workload.View.weights
-      && Workload.Flat.kappa f ~obj = v.Workload.View.kappa
-      && Workload.Flat.total_weight f ~obj = Workload.View.total_weight v
-      && Workload.Flat.num_requesting f ~obj
-         = List.length v.Workload.View.requesting
-      && List.rev !req = v.Workload.View.requesting)
+      List.for_all
+        (fun v -> Workload.Flat.weight f ~obj v = reads v + writes v)
+        nodes
+      && Workload.Flat.kappa f ~obj = sum writes
+      && Workload.Flat.total_weight f ~obj = sum reads + sum writes
+      && Workload.Flat.num_requesting f ~obj = List.length requesting
+      && List.rev !req = requesting)
     (List.init (Workload.num_objects w) Fun.id)
 
-(* Mutation invalidates the flat cache like it invalidates views. *)
+(* Mutation invalidates the flat cache. *)
 let test_flat_invalidated_on_write () =
   let tree = Hbn_tree.Builders.star ~leaves:4 ~profile:(Hbn_tree.Builders.Uniform 1) in
   let w = Workload.empty tree ~objects:1 in
@@ -166,7 +167,7 @@ let test_flat_invalidated_on_write () =
 
 let suite =
   [
-    Helpers.qt ~count:60 "flat LCA/distance agree with rooted walk + index"
+    Helpers.qt ~count:60 "flat LCA/distance agree with rooted walk"
       Helpers.seed_arb prop_lca_distance_agree;
     Helpers.qt ~count:60 "iter_path replays Tree.path_edges order"
       Helpers.seed_arb prop_path_iteration_agrees;
@@ -178,8 +179,8 @@ let suite =
       Helpers.seed_arb prop_subtree_sums_agree;
     Helpers.qt ~count:40 "shared scratch gives fresh-buffer answers"
       Helpers.seed_arb prop_scratch_reuse_deterministic;
-    Helpers.qt ~count:60 "Workload.Flat rows agree with cached views"
-      Helpers.seed_arb prop_workload_flat_agrees_with_views;
+    Helpers.qt ~count:60 "Workload.Flat rows agree with read/write matrices"
+      Helpers.seed_arb prop_workload_flat_agrees_with_matrices;
     Helpers.tc "flat cache invalidated by set_read/set_write"
       test_flat_invalidated_on_write;
   ]

@@ -159,20 +159,7 @@ let test_small_example () =
     (Loads.copies eng ~obj:0);
   ignore c_single
 
-(* --- Marks / LCA support structures ------------------------------------ *)
-
-let prop_lca_index_matches_walk seed =
-  let tree, _ = Helpers.instance seed in
-  let r = Tree.rooting tree in
-  let ix = Tree.lca_index r in
-  let prng = Prng.create (seed + 5) in
-  let n = Tree.n tree in
-  List.for_all
-    (fun _ ->
-      let u = Prng.int prng n and v = Prng.int prng n in
-      Tree.lca_fast ix u v = Tree.lca r u v
-      && Tree.distance ix u v = Tree.path_length tree u v)
-    (List.init 40 Fun.id)
+(* --- Marks support structure ------------------------------------------- *)
 
 let prop_nearest_marked_matches_scan seed =
   let tree, _ = Helpers.instance seed in
@@ -221,8 +208,6 @@ let suite =
       prop_reassign_matches_scratch;
     Helpers.qt ~count:60 "checkpoint/rollback restores the state exactly"
       Helpers.seed_arb prop_rollback_roundtrip;
-    Helpers.qt ~count:60 "lca index agrees with the pointer walk"
-      Helpers.seed_arb prop_lca_index_matches_walk;
     Helpers.qt ~count:60 "nearest-marked agrees with exhaustive scan"
       Helpers.seed_arb prop_nearest_marked_matches_scan;
   ]

@@ -126,7 +126,7 @@ module Telemetry = Hbn_obs.Telemetry
 (* The same convergecast on slow serialized links: the result is
    unchanged (the protocol is self-clocking — nodes wait for their
    children), only the round count stretches. *)
-let test_run_async_convergecast () =
+let test_link_convergecast () =
   let t = Builders.balanced ~arity:2 ~height:3 ~profile:(Builders.Uniform 1) in
   let r = Tree.rooting t in
   let init v = (Array.length r.Tree.children.(v), 0, false) in
@@ -141,7 +141,7 @@ let test_run_async_convergecast () =
     else ((missing, acc, sent), [])
   in
   let sync = Runtime.run t ~init ~step in
-  let slow = Runtime.run_async ~link:(Link.v [| (2., 1.) |]) t ~init ~step in
+  let slow = Runtime.run ~link:(Link.v [| (2., 1.) |]) t ~init ~step in
   let _, root_acc, _ = slow.Runtime.states.(r.Tree.root) in
   Alcotest.(check int) "root still counts the leaves" (Tree.num_leaves t)
     root_acc;
@@ -208,8 +208,7 @@ let suite =
       Helpers.seed_arb prop_matches_sequential;
     Helpers.qt "rounds are pipelined" Helpers.seed_arb prop_rounds_pipelined;
     Helpers.qt "message bound" Helpers.seed_arb prop_message_bound;
-    Helpers.tc "run_async convergecast on slow links"
-      test_run_async_convergecast;
+    Helpers.tc "run ~link convergecast on slow links" test_link_convergecast;
     Helpers.qt ~count:60 "Link.sync runtime is bit-identical to synchronous"
       Helpers.seed_arb prop_async_sync_bit_identical;
     Helpers.tc "robust nibble completes on slow links"

@@ -57,8 +57,16 @@ let test_vectors_are_copies () =
   let v = Workload.read_vector w ~obj:0 in
   v.(1) <- 99;
   Alcotest.(check int) "copy" 4 (Workload.reads w ~obj:0 1);
+  Workload.set_write w ~obj:0 2 3;
+  let f = Workload.flat w in
   let wv = Workload.weight_vector w ~obj:0 in
-  Alcotest.(check int) "weight vector" 4 wv.(1)
+  Alcotest.(check (array int)) "weight vector is the flat row"
+    (Array.init (Tree.n t) (fun v -> Workload.Flat.weight f ~obj:0 v))
+    wv;
+  wv.(1) <- 99;
+  Alcotest.(check int) "weight vector is a copy" 4 (Workload.weight w ~obj:0 1);
+  Alcotest.(check int) "flat row untouched" 4
+    (Workload.Flat.weight (Workload.flat w) ~obj:0 1)
 
 let test_uniform_generator () =
   let prng = Prng.create 1 in
