@@ -27,8 +27,7 @@ test:
 # and requires completion to rise while the traffic stays pinned; the
 # simulate --faults/--link line exercises the same machinery end to end
 # through the CLI; bench-quick cross-checks the Tree.Flat kernels against
-# their list-returning Tree counterparts and the event engine's pairing
-# heap against a stable sort; the monitor smoke replays the synthetic
+# each other and the event engine's pairing heap against a stable sort; the monitor smoke replays the synthetic
 # drift matrix and requires steady traffic to stay silent while every
 # drift shape fires; report-smoke drives --trace/--telemetry recording,
 # the report command's three renderers, and a --diff of a trace against
@@ -144,13 +143,13 @@ serve-smoke:
 	@echo "serve-smoke: record/replay identical + telemetry round-trip ok"
 
 # Bechamel timings of the Tree.Flat primitive kernels (path folds,
-# batched LCA, scratch reuse) next to their list-returning Tree
-# counterparts. No JSON written; ns/run estimates print as a table.
+# batched LCA, Steiner scans with a reused and a fresh scratch). No JSON
+# written; ns/run estimates print as a table.
 bench-micro:
 	dune exec bench/micro_main.exe
 
-# Fast agreement pass over the same kernels — no timing, exit 1 on any
-# flat/Tree divergence. Part of `make check`.
+# Fast self-consistency pass over the same kernels — no timing, exit 1 on
+# any divergence. Part of `make check`.
 bench-quick:
 	dune exec bench/micro_main.exe -- --smoke
 

@@ -1,6 +1,7 @@
 (* Bechamel microbenchmarks: B1-B4 cover per-phase cost of the strategy
    on a fixed mid-size instance; F1-F3 cover the Tree.Flat primitives the
-   hot path is built from (path folds, batched LCA, scratch reuse);
+   hot path is built from (path folds, batched LCA, Steiner scans with a
+   reused and a fresh scratch);
    E1-E2 cover the discrete-event substrate the asynchronous simulators
    run on (pairing-heap churn, engine tick chains). Results print as
    ns/run estimated by OLS. *)
@@ -58,12 +59,10 @@ let flat_instance () =
     Array.init 64 (fun _ ->
         List.init (2 + Prng.int prng 6) (fun _ -> leaves.(Prng.int prng nl)))
   in
-  (tree, fl, pairs, steiner_sets)
+  (fl, pairs, steiner_sets)
 
 let flat_tests =
-  let tree, fl, pairs, steiner_sets = flat_instance () in
-  let ix = Tree.flat_index tree in
-  let r = Tree.rooting tree in
+  let fl, pairs, steiner_sets = flat_instance () in
   let scratch = Flat.Scratch.create fl in
   Test.make_grouped ~name:"flat"
     [
@@ -77,24 +76,10 @@ let flat_tests =
                        a + e))
                pairs;
              ignore !acc));
-      Test.make ~name:"F1' path fold (Tree.path_edges lists)"
-        (Staged.stage (fun () ->
-             let acc = ref 0 in
-             Array.iter
-               (fun (u, v) ->
-                 acc :=
-                   List.fold_left ( + ) !acc (Tree.path_edges tree u v))
-               pairs;
-             ignore !acc));
       Test.make ~name:"F2 batched LCA (flat O(1))"
         (Staged.stage (fun () ->
              let acc = ref 0 in
-             Array.iter (fun (u, v) -> acc := !acc + Tree.lca_flat ix u v) pairs;
-             ignore !acc));
-      Test.make ~name:"F2' batched LCA (rooted walk)"
-        (Staged.stage (fun () ->
-             let acc = ref 0 in
-             Array.iter (fun (u, v) -> acc := !acc + Tree.lca r u v) pairs;
+             Array.iter (fun (u, v) -> acc := !acc + Flat.lca fl u v) pairs;
              ignore !acc));
       Test.make ~name:"F3 steiner scan (scratch reuse)"
         (Staged.stage (fun () ->
@@ -115,15 +100,6 @@ let flat_tests =
                  Flat.iter_steiner fl fresh
                    ~nodes:(fun mark -> List.iter mark nodes)
                    (fun e -> acc := !acc + e))
-               steiner_sets;
-             ignore !acc));
-      Test.make ~name:"F3'' steiner scan (Tree.steiner_edges lists)"
-        (Staged.stage (fun () ->
-             let acc = ref 0 in
-             Array.iter
-               (fun nodes ->
-                 acc :=
-                   List.fold_left ( + ) !acc (Tree.steiner_edges tree nodes))
                steiner_sets;
              ignore !acc));
     ]
@@ -208,35 +184,41 @@ let run_event () =
   run_group ~banner:"\n=== E1-E2: discrete-event engine kernels ===" event_tests
 
 (* Fast correctness pass over the same kernels, for `make bench-quick`:
-   every flat primitive is cross-checked against its list-returning
-   counterpart on the bench instance, with one shared scratch to exercise
-   the reuse discipline. No timing claims. *)
+   the flat kernels are checked against each other on the bench instance
+   (distance = ordered path length, unordered path = same edge multiset,
+   Steiner tree of a pair = its path), and every Steiner set through one
+   shared scratch against a fresh one, to exercise the reuse discipline.
+   No timing claims. *)
 let smoke_flat () =
-  let tree, fl, pairs, steiner_sets = flat_instance () in
-  let ix = Tree.flat_index tree in
-  let r = Tree.rooting tree in
+  let fl, pairs, steiner_sets = flat_instance () in
   let scratch = Flat.Scratch.create fl in
   let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
+  let collect iter =
+    let edges = ref [] in
+    iter (fun e -> edges := e :: !edges);
+    List.rev !edges
+  in
+  let steiner scratch nodes =
+    collect (Flat.iter_steiner fl scratch ~nodes:(fun mark -> List.iter mark nodes))
+  in
   Array.iter
     (fun (u, v) ->
-      if Tree.lca_flat ix u v <> Tree.lca r u v then
-        fail "bench/micro --smoke: LCA mismatch at (%d,%d)" u v;
-      let path = ref [] in
-      Flat.iter_path fl scratch u v (fun e -> path := e :: !path);
-      if List.rev !path <> Tree.path_edges tree u v then
-        fail "bench/micro --smoke: path order mismatch at (%d,%d)" u v)
+      let path = collect (Flat.iter_path fl scratch u v) in
+      if Flat.distance fl u v <> List.length path then
+        fail "bench/micro --smoke: distance/path length mismatch at (%d,%d)" u v;
+      let sorted = List.sort compare path in
+      if List.sort compare (collect (Flat.iter_path_unordered fl u v)) <> sorted
+      then fail "bench/micro --smoke: unordered path mismatch at (%d,%d)" u v;
+      if List.sort compare (steiner scratch [ u; v ]) <> sorted then
+        fail "bench/micro --smoke: steiner of pair <> path at (%d,%d)" u v)
     pairs;
   Array.iter
     (fun nodes ->
-      let edges = ref [] in
-      Flat.iter_steiner fl scratch
-        ~nodes:(fun mark -> List.iter mark nodes)
-        (fun e -> edges := e :: !edges);
-      if List.rev !edges <> Tree.steiner_edges tree nodes then
-        fail "bench/micro --smoke: steiner order mismatch")
+      if steiner scratch nodes <> steiner (Flat.Scratch.create fl) nodes then
+        fail "bench/micro --smoke: shared scratch diverged from a fresh one")
     steiner_sets;
   Printf.printf
-    "bench/micro --smoke: flat kernels agree with Tree on %d paths, %d \
+    "bench/micro --smoke: flat kernels self-consistent on %d paths, %d \
      steiner sets (shared scratch)\n"
     (Array.length pairs)
     (Array.length steiner_sets)

@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Nibble = Hbn_nibble.Nibble
@@ -29,13 +30,14 @@ let owner w =
 
 let gravity_leaf w =
   let tree = Workload.tree w in
+  let fl = Flat.of_tree tree in
   single_copy_per_object w (fun obj leaves ->
       let weights = Workload.weight_vector w ~obj in
       let g = Nibble.gravity_center tree ~weights in
       let best = ref (-1) and best_d = ref max_int in
       List.iter
         (fun leaf ->
-          let d = Tree.path_length tree leaf g in
+          let d = Flat.distance fl leaf g in
           if d < !best_d then begin
             best := leaf;
             best_d := d

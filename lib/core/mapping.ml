@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Nibble = Hbn_nibble.Nibble
 module Heap = Hbn_util.Heap
 module Trace = Hbn_obs.Trace
@@ -22,7 +23,8 @@ exception No_free_edge of { node : int; copy : Copy.t }
 let basic_loads tree copies =
   let m = max 1 (Tree.num_edges tree) in
   let up = Array.make m 0 and down = Array.make m 0 in
-  let r = Tree.rooting tree in
+  let fl = Flat.of_tree tree in
+  let r = fl.Flat.r in
   List.iter
     (fun c ->
       List.iter
@@ -32,7 +34,7 @@ let basic_loads tree copies =
           if amount > 0 && server <> leaf then begin
             (* The serving path runs from the copy to the requesting leaf:
                up from the server to the LCA, then down to the leaf. *)
-            let a = Tree.lca r server leaf in
+            let a = Flat.lca fl server leaf in
             let v = ref server in
             while !v <> a do
               let e = r.Tree.parent_edge.(!v) in

@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Prng = Hbn_prng.Prng
@@ -32,7 +33,7 @@ type outcome = {
      opposite pressure. *)
 type state = {
   tree : Tree.t;
-  rooted : Tree.rooted;
+  fl : Flat.t;  (* O(1) LCA over the canonical rooting *)
   size : int;  (* object size: transfer cost per edge, cf. [12] *)
   repl_threshold : int;
   migr_threshold : int;
@@ -56,8 +57,8 @@ type state = {
 let path_to_set st v =
   if st.in_set.(v) then [ v ]
   else begin
-    let r = st.rooted in
-    let a = Tree.lca r v st.anchor in
+    let r = st.fl.Flat.r in
+    let a = Flat.lca st.fl v st.anchor in
     let climb x stop =
       let rec go x acc =
         if x = stop then List.rev acc else go r.Tree.parent.(x) (x :: acc)
@@ -74,24 +75,16 @@ let path_to_set st v =
   end
 
 let edge_between st a b =
-  let r = st.rooted in
+  let r = st.fl.Flat.r in
   if r.Tree.parent.(a) = b then r.Tree.parent_edge.(a)
   else if r.Tree.parent.(b) = a then r.Tree.parent_edge.(b)
   else invalid_arg "Online.edge_between: nodes not adjacent"
 
-(* The side of [v] for edge [e]'s migration counter. *)
+(* The side of [v] for edge [e]'s migration counter: [v] is on the child
+   side iff the child endpoint [c] is an ancestor-or-self of [v]. *)
 let migr_counter_towards st e v =
   let c = st.below.(e) in
-  let r = st.rooted in
-  (* v is on the child side iff c is an ancestor-or-self of v; use depths
-     by walking up from v at most depth difference — cheap via the
-     preorder test would need arrays; walk instead. *)
-  let rec ancestor x =
-    if x = c then true
-    else if x = r.Tree.root || r.Tree.depth.(x) <= r.Tree.depth.(c) then false
-    else ancestor r.Tree.parent.(x)
-  in
-  if ancestor v then (st.migr_child, st.migr_parent)
+  if Flat.lca st.fl c v = c then (st.migr_child, st.migr_parent)
   else (st.migr_parent, st.migr_child)
 
 let add_node st v =
@@ -210,15 +203,9 @@ let serve st (req : Request.t) =
           let towards, _ = migr_counter_towards st e v in
           if towards.(e) >= st.migr_threshold then begin
             (* Collapse the set to the far endpoint. *)
-            for x = 0 to Tree.n st.tree - 1 do
-              if st.in_set.(x) then begin
-                st.in_set.(x) <- false;
-                st.set_size <- st.set_size - 1
-              end
-            done;
+            Array.fill st.in_set 0 (Array.length st.in_set) false;
             st.set_size <- 0;
             add_node st b;
-            st.set_size <- 1;
             st.anchor <- b;
             Raw.add st.loads e st.size;
             st.migrations <- st.migrations + 1;
@@ -255,7 +242,8 @@ let run ?(size = 1) ?threshold ?(validate = false) ?(obj = -1) tree ~initial
   let threshold = match threshold with Some t -> t | None -> size in
   if threshold < 1 then invalid_arg "Online.run: threshold must be >= 1";
   let m = max 1 (Tree.num_edges tree) in
-  let r = Tree.rooting tree in
+  let fl = Flat.of_tree tree in
+  let r = fl.Flat.r in
   let n = Tree.n tree in
   let below = Array.make m (-1) in
   for v = 0 to n - 1 do
@@ -264,7 +252,7 @@ let run ?(size = 1) ?threshold ?(validate = false) ?(obj = -1) tree ~initial
   let st =
     {
       tree;
-      rooted = r;
+      fl;
       size;
       repl_threshold = threshold;
       migr_threshold = 2 * threshold;

@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 
@@ -33,10 +34,14 @@ let object_vectors ?(budget = default_budget) w ~obj ~candidates =
     let nc = Array.length cand in
     if nc > 20 then raise (Too_large "more than 20 candidate nodes");
     let kappa = Workload.write_contention w ~obj in
+    let fl = Flat.of_tree tree in
+    let scratch = Flat.Scratch.create fl in
     (* Path edge lists between every requesting leaf and every candidate. *)
     let paths =
       Array.init nl (fun i ->
-          Array.init nc (fun j -> Tree.path_edges tree leaves.(i) cand.(j)))
+          Array.init nc (fun j ->
+              Flat.fold_path fl scratch leaves.(i) cand.(j) ~init:[]
+                ~f:(fun acc e -> e :: acc)))
     in
     let weights =
       Array.map (fun leaf -> Workload.weight w ~obj leaf) leaves
@@ -53,10 +58,9 @@ let object_vectors ?(budget = default_budget) w ~obj ~candidates =
       let k = Array.length px in
       let base = Array.make m 0 in
       if kappa > 0 then
-        List.iter
-          (fun e -> base.(e) <- base.(e) + kappa)
-          (Tree.steiner_edges tree
-             (Array.to_list (Array.map (fun j -> cand.(j)) px)));
+        Flat.iter_steiner fl scratch
+          ~nodes:(fun mark -> Array.iter (fun j -> mark cand.(j)) px)
+          (fun e -> base.(e) <- base.(e) + kappa);
       (* Every assignment of the nl requesting leaves to the k copies. *)
       let assign = Array.make nl 0 in
       let continue = ref true in

@@ -88,7 +88,6 @@ type hook =
 type t = {
   w : Workload.t;
   tree : Tree.t;
-  rooted : Tree.rooted;
   fl : Flat.t;  (* O(1) LCA/distance over the canonical rooting *)
   raw : Raw.t;
   objs : obj_state array;
@@ -105,7 +104,6 @@ type checkpoint = int
 
 let create w =
   let tree = Workload.tree w in
-  let rooted = Tree.rooting tree in
   let m = max 1 (Tree.num_edges tree) in
   let n = Tree.n tree in
   let objs =
@@ -113,7 +111,7 @@ let create w =
         let reads = Workload.read_vector w ~obj in
         let writes = Workload.write_vector w ~obj in
         {
-          marks = Marks.create rooted;
+          marks = Marks.create (Tree.rooting tree);
           below = Array.make m 0;
           server = Array.make n (-1);
           sdist = Array.make n (-1);
@@ -129,7 +127,6 @@ let create w =
   {
     w;
     tree;
-    rooted;
     fl = Flat.of_tree tree;
     raw = Raw.create tree;
     objs;
@@ -153,18 +150,6 @@ let obj_state t obj =
 
 let check_node t v =
   if v < 0 || v >= Tree.n t.tree then invalid_arg "Loads: node out of range"
-
-(* {2 Path walks} *)
-
-let iter_root_path t v f =
-  let r = t.rooted in
-  let x = ref v in
-  while !x <> r.Tree.root do
-    f r.Tree.parent_edge.(!x);
-    x := r.Tree.parent.(!x)
-  done
-
-let iter_path_edges t u v f = Flat.iter_path_unordered t.fl u v f
 
 (* {2 Steiner-tree accounting}
 
@@ -198,8 +183,8 @@ let affected_edges t ~node ~other =
       t.esp <- t.esp + 1
     end
   in
-  iter_root_path t node visit;
-  if other >= 0 then iter_root_path t other visit
+  Flat.iter_path_to_root t.fl node visit;
+  if other >= 0 then Flat.iter_path_to_root t.fl other visit
 
 let iter_affected t f =
   (* Reversed fill order: the order the list-building implementation
@@ -218,12 +203,12 @@ let steiner_add t o c =
     let wts = os.total_writes in
     iter_affected t (fun e ->
         if member os e os.ncopies then steiner_load t o e (-wts));
-    iter_root_path t c (fun e -> os.below.(e) <- os.below.(e) + 1);
+    Flat.iter_path_to_root t.fl c (fun e -> os.below.(e) <- os.below.(e) + 1);
     os.ncopies <- n_new;
     iter_affected t (fun e -> if member os e n_new then steiner_load t o e wts)
   end
   else begin
-    iter_root_path t c (fun e -> os.below.(e) <- os.below.(e) + 1);
+    Flat.iter_path_to_root t.fl c (fun e -> os.below.(e) <- os.below.(e) + 1);
     os.ncopies <- n_new
   end;
   Marks.mark os.marks c;
@@ -245,12 +230,12 @@ let steiner_remove t o c =
     let wts = os.total_writes in
     iter_affected t (fun e ->
         if member os e os.ncopies then steiner_load t o e (-wts));
-    iter_root_path t c (fun e -> os.below.(e) <- os.below.(e) - 1);
+    Flat.iter_path_to_root t.fl c (fun e -> os.below.(e) <- os.below.(e) - 1);
     os.ncopies <- n_new;
     iter_affected t (fun e -> if member os e n_new then steiner_load t o e wts)
   end
   else begin
-    iter_root_path t c (fun e -> os.below.(e) <- os.below.(e) - 1);
+    Flat.iter_path_to_root t.fl c (fun e -> os.below.(e) <- os.below.(e) - 1);
     os.ncopies <- n_new
   end;
   os.anchor <- new_anchor
@@ -264,7 +249,7 @@ let set_server t o leaf ~server ~dist =
   let rd = os.reads.(leaf) and wr = os.writes.(leaf) in
   let apply target sign =
     if target >= 0 && amt <> 0 then
-      iter_path_edges t leaf target (fun e ->
+      Flat.iter_path_unordered t.fl leaf target (fun e ->
           Raw.add t.raw e (sign * amt);
           match t.hook with
           | None -> ()

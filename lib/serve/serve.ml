@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Prng = Hbn_prng.Prng
@@ -143,10 +144,11 @@ let climb cfg tree leaves eng ~prng ~hot =
   let cp0 = Loads.checkpoint eng in
   let c0 = Loads.congestion eng in
   let current = ref c0 in
+  let fl = Flat.of_tree tree in
   let bytes = ref 0 and repl = ref 0 and migr = ref 0 and contr = ref 0 in
   let nearest_dist obj l =
     List.fold_left
-      (fun acc c -> min acc (Tree.path_length tree l c))
+      (fun acc c -> min acc (Flat.distance fl l c))
       max_int
       (Loads.copies eng ~obj)
   in
@@ -166,7 +168,7 @@ let climb cfg tree leaves eng ~prng ~hot =
           let src = List.nth copies (Prng.int prng k) in
           let dst = leaves.(Prng.int prng num_leaves) in
           if Loads.has_copy eng ~obj dst then None
-          else Some (Move (src, dst), cfg.obj_size * Tree.path_length tree src dst)
+          else Some (Move (src, dst), cfg.obj_size * Flat.distance fl src dst)
         | _ ->
           if k < 2 then None
           else Some (Remove (List.nth copies (Prng.int prng k)), 0)

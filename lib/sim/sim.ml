@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Trace = Hbn_obs.Trace
@@ -18,10 +19,6 @@ type outcome = {
   health : Monitor.verdict option;
 }
 
-(* One edge traversal of one packet. [dep] is the index (into the global
-   transmission array) of the traversal that must complete first, or -1. *)
-type hop = { edge : int; dep : int }
-
 let scale_up amount scale = if amount = 0 then 0 else ((amount - 1) / scale) + 1
 
 type policy = Fifo | Round_robin | Reversed
@@ -39,50 +36,71 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
     | _ -> telemetry
   in
   let m = max 1 (Tree.num_edges tree) in
-  let hops_rev = ref [] in
+  let fl = Flat.of_tree tree in
+  let scratch = Flat.Scratch.create fl in
+  (* One edge traversal of one packet per hop, as two growable parallel
+     arrays: [hop_edge.(i)] is the edge, [hop_dep.(i)] the index of the
+     hop that must complete first, or -1. *)
+  let hop_edge = ref (Array.make 64 0) and hop_dep = ref (Array.make 64 0) in
   let count = ref 0 in
   let packets = ref 0 in
   let push edge dep =
-    hops_rev := { edge; dep } :: !hops_rev;
+    if !count = Array.length !hop_edge then begin
+      let grow a = Array.append a (Array.make (Array.length a) 0) in
+      hop_edge := grow !hop_edge;
+      hop_dep := grow !hop_dep
+    end;
+    !hop_edge.(!count) <- edge;
+    !hop_dep.(!count) <- dep;
     incr count;
     !count - 1
   in
   let add_unicast ~from ~target =
     let last = ref (-1) in
-    List.iter
-      (fun edge -> last := push edge !last)
-      (Tree.path_edges tree from target);
+    Flat.iter_path fl scratch from target (fun edge -> last := push edge !last);
     !last
   in
   (* Multicast from [source] over the Steiner tree of [nodes], gated on
-     [dep]: BFS orientation away from the source. *)
+     [dep]: BFS orientation away from the source. Each dequeued node sends
+     over its Steiner child edges in reverse [children] order, then over
+     its parent edge; the arrival edge is skipped because its far end is
+     already stamped. The Steiner edges carry the scan's stamp in
+     [estamp], the visited nodes a fresh one in [nstamp], and [acc] holds
+     the index of the hop that reached each queued node. *)
   let add_multicast ~source ~nodes ~dep =
-    let steiner = Tree.steiner_edges tree nodes in
-    if steiner <> [] then begin
-      let incident = Hashtbl.create 16 in
-      List.iter
-        (fun e ->
-          let u, v = Tree.edge_endpoints tree e in
-          Hashtbl.replace incident u
-            (e :: (try Hashtbl.find incident u with Not_found -> []));
-          Hashtbl.replace incident v
-            (e :: (try Hashtbl.find incident v with Not_found -> [])))
-        steiner;
-      let visited_edge = Hashtbl.create 16 in
-      let queue = Queue.create () in
-      Queue.add (source, dep) queue;
-      while not (Queue.is_empty queue) do
-        let node, d = Queue.pop queue in
-        List.iter
-          (fun e ->
-            if not (Hashtbl.mem visited_edge e) then begin
-              Hashtbl.add visited_edge e ();
-              let u, v = Tree.edge_endpoints tree e in
-              let next = if u = node then v else u in
-              let idx = push e d in
-              Queue.add (next, idx) queue
-            end)
-          (try Hashtbl.find incident node with Not_found -> [])
+    let open Flat.Scratch in
+    let r = fl.Flat.r and sc = scratch in
+    let spanned = ref false in
+    Flat.iter_steiner fl sc
+      ~nodes:(fun mark -> List.iter mark nodes)
+      (fun e ->
+        sc.estamp.(e) <- sc.stamp;
+        spanned := true);
+    if !spanned then begin
+      let in_tree = sc.stamp in
+      let seen = in_tree + 1 in
+      sc.stamp <- seen;
+      let head = ref 0 and tail = ref 1 in
+      sc.queue.(0) <- source;
+      sc.acc.(source) <- dep;
+      sc.nstamp.(source) <- seen;
+      let send node e next =
+        if sc.estamp.(e) = in_tree && sc.nstamp.(next) <> seen then begin
+          sc.nstamp.(next) <- seen;
+          sc.acc.(next) <- push e sc.acc.(node);
+          sc.queue.(!tail) <- next;
+          incr tail
+        end
+      in
+      while !head < !tail do
+        let node = sc.queue.(!head) in
+        incr head;
+        let cs = r.Tree.children.(node) in
+        for i = Array.length cs - 1 downto 0 do
+          send node r.Tree.parent_edge.(cs.(i)) cs.(i)
+        done;
+        if node <> r.Tree.root then
+          send node r.Tree.parent_edge.(node) r.Tree.parent.(node)
       done
     end
   in
@@ -106,18 +124,19 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
           done)
         op.Placement.assigns)
     placement;
-  let hops = Array.of_list (List.rev !hops_rev) in
-  let n_hops = Array.length hops in
+  let n_hops = !count in
+  let hop_edge = !hop_edge and hop_dep = !hop_dep in
   let edge_traffic = Array.make m 0 in
-  Array.iter (fun h -> edge_traffic.(h.edge) <- edge_traffic.(h.edge) + 1) hops;
+  for i = 0 to n_hops - 1 do
+    edge_traffic.(hop_edge.(i)) <- edge_traffic.(hop_edge.(i)) + 1
+  done;
   (* Dependency depth = packet dilation. *)
   let depth = Array.make (max 1 n_hops) 0 in
   let max_dilation = ref 0 in
-  Array.iteri
-    (fun i h ->
-      depth.(i) <- (if h.dep >= 0 then depth.(h.dep) + 1 else 1);
-      if depth.(i) > !max_dilation then max_dilation := depth.(i))
-    hops;
+  for i = 0 to n_hops - 1 do
+    depth.(i) <- (if hop_dep.(i) >= 0 then depth.(hop_dep.(i)) + 1 else 1);
+    if depth.(i) > !max_dilation then max_dilation := depth.(i)
+  done;
   (* Event-driven greedy scheduling over virtual time. The allocator
      wakes at integer ticks of the {!Hbn_event.Engine} and serves the
      ready hops under per-tick capacity; a granted hop occupies its link
@@ -158,9 +177,9 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
      order (FIFO by injection). *)
   let blocked_children = Array.make (max 1 n_hops) [] in
   for i = n_hops - 1 downto 0 do
-    let h = hops.(i) in
-    if h.dep < 0 then frontier := i :: !frontier
-    else blocked_children.(h.dep) <- i :: blocked_children.(h.dep)
+    let d = hop_dep.(i) in
+    if d < 0 then frontier := i :: !frontier
+    else blocked_children.(d) <- i :: blocked_children.(d)
   done;
   let remaining = ref n_hops in
   let rounds = ref 0 in
@@ -217,18 +236,18 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
     in
     List.iter
       (fun i ->
-        let h = hops.(i) in
-        let u, v = Tree.edge_endpoints tree h.edge in
+        let edge = hop_edge.(i) in
+        let u, v = Tree.edge_endpoints tree edge in
         let bus_ok b = (not is_bus.(b)) || bus_left.(b) > 0 in
-        if credit.(h.edge) >= 1. && bus_ok u && bus_ok v then begin
+        if credit.(edge) >= 1. && bus_ok u && bus_ok v then begin
           (match telemetry with
           | None -> ()
-          | Some tel -> Telemetry.send tel ~edge:h.edge ~bytes:1);
-          credit.(h.edge) <- credit.(h.edge) -. 1.;
+          | Some tel -> Telemetry.send tel ~edge ~bytes:1);
+          credit.(edge) <- credit.(edge) -. 1.;
           if is_bus.(u) then bus_left.(u) <- bus_left.(u) - 1;
           if is_bus.(v) then bus_left.(v) <- bus_left.(v) - 1;
           decr remaining;
-          let arrival = now +. hop_latency.(h.edge) in
+          let arrival = now +. hop_latency.(edge) in
           if arrival > !completion then completion := arrival;
           (* Children become ready at the first tick after the hop has
              fully arrived (store-and-forward: next round under sync). *)

@@ -1,7 +1,8 @@
-(* The flat kernels reproduce the iteration orders of [Tree.path_edges]
-   and [Tree.steiner_edges] exactly: the pipeline's outputs are gated to
-   be bit-identical across representations and job counts, so order is
-   part of the contract here, not an accident. *)
+(* Iteration orders are part of the contract, not an accident: a path
+   runs u up to the LCA, then down to v; a Steiner tree is emitted in
+   ascending preorder of each edge's lower endpoint. The pipeline's
+   outputs (loads, simulated schedules) are gated to be bit-identical,
+   and they depend on these orders. *)
 
 type t = {
   tree : Tree.t;
@@ -45,8 +46,6 @@ end
 
 let lca fl u v = Tree.lca_flat fl.ix u v
 
-let depth fl v = fl.r.Tree.depth.(v)
-
 let distance fl u v =
   let d = fl.r.Tree.depth in
   d.(u) + d.(v) - (2 * d.(lca fl u v))
@@ -58,15 +57,6 @@ let iter_path_to_root fl v f =
     f r.Tree.parent_edge.(!x);
     x := r.Tree.parent.(!x)
   done
-
-let fold_path_to_root fl v ~init ~f =
-  let r = fl.r in
-  let acc = ref init and x = ref v in
-  while !x <> r.Tree.root do
-    acc := f !acc r.Tree.parent_edge.(!x);
-    x := r.Tree.parent.(!x)
-  done;
-  !acc
 
 let iter_path fl (scratch : Scratch.t) u v f =
   if u <> v then begin
@@ -134,8 +124,6 @@ let iter_steiner fl (scratch : Scratch.t) ~nodes f =
       acc.(parent.(v)) <- acc.(parent.(v)) + acc.(v)
     done;
     let total = !total in
-    (* Ascending preorder scan: the emission order of
-       [Tree.steiner_edges]. *)
     let parent_edge = r.Tree.parent_edge in
     for i = 1 to fl.n - 1 do
       let v = pre.(i) in

@@ -3,11 +3,10 @@
     [Flat.t] packages the canonical {!Tree.rooted} arrays with the cached
     Euler-tour index ({!Tree.flat_index}) so the pipeline's inner loops —
     leaf→server path walks, Steiner-tree scans, subtree aggregations — run
-    over plain [int array]s with O(1) LCA and allocate nothing. All
-    iteration orders are bit-identical to the list-returning functions in
-    {!Tree} ([path_edges], [steiner_edges]), which is what lets the
-    per-object pipeline swap representations without changing a single
-    output.
+    over plain [int array]s with O(1) LCA and allocate nothing. It is the
+    only path, LCA and Steiner implementation of the library, and its
+    iteration orders are fixed (see each kernel): loads and simulated
+    schedules depend on them and are gated to be bit-identical.
 
     Mutable state lives exclusively in {!Scratch.t} buffers. A scratch is
     single-owner: each domain (or each worker slot of an
@@ -55,13 +54,11 @@ end
 (** {1 O(1) queries} *)
 
 val lca : t -> int -> int -> int
-(** Lowest common ancestor on the canonical rooting; same node as
-    [Tree.lca (Tree.rooting tree)]. *)
+(** Lowest common ancestor on the canonical rooting. [c] is an
+    ancestor-or-self of [v] iff [lca fl c v = c]. *)
 
 val distance : t -> int -> int -> int
-(** Edge count of the [u]–[v] path; same integer as [Tree.path_length]. *)
-
-val depth : t -> int -> int
+(** Edge count of the [u]–[v] path: [depth u + depth v - 2 depth (lca u v)]. *)
 
 (** {1 Path iteration}
 
@@ -71,13 +68,10 @@ val depth : t -> int -> int
 val iter_path_to_root : t -> int -> (int -> unit) -> unit
 (** Edges from [v] up to the canonical root, bottom-up. *)
 
-val fold_path_to_root : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
-
 val iter_path : t -> Scratch.t -> int -> int -> (int -> unit) -> unit
-(** [iter_path fl scratch u v f] visits the [u]–[v] path edges in exactly
-    [Tree.path_edges]'s traversal order: [u] up to the LCA, then LCA down
-    to [v] (the descent is replayed from [scratch.stack]). Empty when
-    [u = v]. *)
+(** [iter_path fl scratch u v f] visits the [u]–[v] path edges in
+    traversal order: [u] up to the LCA, then LCA down to [v] (the descent
+    is replayed from [scratch.stack]). Empty when [u = v]. *)
 
 val fold_path : t -> Scratch.t -> int -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** Folding flavor of {!iter_path}, same order. *)
@@ -95,7 +89,7 @@ val iter_steiner : t -> Scratch.t -> nodes:((int -> unit) -> unit) -> (int -> un
     subtree spanning the nodes produced by the [nodes] iterator
     (duplicates welcome; fewer than two distinct nodes yield no edges).
     Edges are emitted in ascending preorder position of their lower
-    endpoint — bit-identical to [Tree.steiner_edges]'s order. O(n) time,
+    (child-side) endpoint. O(n) time,
     zero allocation: membership marks use [scratch.nstamp], counts use
     [scratch.acc]. *)
 
@@ -103,5 +97,5 @@ val iter_steiner : t -> Scratch.t -> nodes:((int -> unit) -> unit) -> (int -> un
 
 val subtree_sums_into : t -> Scratch.t -> src:int array -> src_off:int -> unit
 (** Sums [src.(src_off + v)] over canonical subtrees into [scratch.acc]
-    (valid until the scratch's next aggregation). Mirrors
+    (valid until the scratch's next aggregation). Same sums as
     [Tree.subtree_sums] on the canonical rooting. *)

@@ -216,20 +216,6 @@ let reroot t r = compute_rooting ~size:t.size ~adj:t.adj r
 let height t =
   Array.fold_left max 0 t.canonical.depth
 
-let edge_towards_root r v =
-  if v = r.root then invalid_arg "Tree.edge_towards_root: at the root"
-  else r.parent_edge.(v)
-
-let lca r u v =
-  let u = ref u and v = ref v in
-  while r.depth.(!u) > r.depth.(!v) do u := r.parent.(!u) done;
-  while r.depth.(!v) > r.depth.(!u) do v := r.parent.(!v) done;
-  while !u <> !v do
-    u := r.parent.(!u);
-    v := r.parent.(!v)
-  done;
-  !u
-
 (* Euler tour of the canonical rooting plus a sparse table of depth
    minima: LCA(u, v) is the node of minimal depth between the first
    occurrences of u and v on the tour, found in O(1) by overlapping the
@@ -299,20 +285,8 @@ let flat_index t =
     t.flat <- Some ix;
     ix
 
-let path_edges t u v =
-  let r = t.canonical in
-  let a = lca r u v in
-  let rec climb x acc =
-    if x = a then acc else climb r.parent.(x) (r.parent_edge.(x) :: acc)
-  in
-  let up = List.rev (climb u []) in
-  (* climb builds v->a in reverse; we need a->v order for the second half. *)
-  let down = climb v [] in
-  up @ down
-
-(* O(1) via the Euler-tour sparse table (the answer is the same node
-   [lca t.canonical] finds by walking parents, so the arithmetic is
-   unchanged — only the lookup cost drops). *)
+(* O(1) via the Euler-tour sparse table: the shallowest tour entry
+   between the first occurrences of [u] and [v]. *)
 let lca_flat ix u v =
   let i = ix.first.(u) and j = ix.first.(v) in
   let i, j = if i <= j then (i, j) else (j, i) in
@@ -320,11 +294,6 @@ let lca_flat ix u v =
   let a = ix.sparse.((k * ix.elen) + i) in
   let b = ix.sparse.((k * ix.elen) + j - (1 lsl k) + 1) in
   ix.enode.(if ix.edep.(a) <= ix.edep.(b) then a else b)
-
-let path_length t u v =
-  let r = t.canonical in
-  let a = lca_flat (flat_index t) u v in
-  r.depth.(u) + r.depth.(v) - (2 * r.depth.(a))
 
 let subtree_sums r w =
   let size = Array.length r.parent in
@@ -346,32 +315,6 @@ let subtree_sums_into r ~src ~src_off ~dst =
     let p = r.parent.(v) in
     dst.(p) <- dst.(p) + dst.(v)
   done
-
-let steiner_edges t nodes =
-  match nodes with
-  | [] | [ _ ] -> []
-  | _ ->
-    let mark = Array.make t.size 0 in
-    let total = ref 0 in
-    List.iter
-      (fun v ->
-        if mark.(v) = 0 then begin
-          mark.(v) <- 1;
-          incr total
-        end)
-      nodes;
-    if !total < 2 then []
-    else begin
-      let r = t.canonical in
-      let counts = subtree_sums r mark in
-      let result = ref [] in
-      for i = Array.length r.preorder - 1 downto 1 do
-        let v = r.preorder.(i) in
-        if counts.(v) > 0 && counts.(v) < !total then
-          result := r.parent_edge.(v) :: !result
-      done;
-      !result
-    end
 
 let first_on_path r ~member v =
   let rec walk x =

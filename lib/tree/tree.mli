@@ -98,30 +98,21 @@ val rooting : t -> rooted
 val reroot : t -> int -> rooted
 (** [reroot t r] computes parent/children/depth arrays for root [r]. *)
 
-val edge_towards_root : rooted -> int -> int
-(** [edge_towards_root r v] is the edge from [v] to its parent;
-    raises [Invalid_argument] at the root. *)
+val first_on_path : rooted -> member:(int -> bool) -> int -> int option
+(** [first_on_path r ~member v] walks from [v] towards the root and returns
+    the first node satisfying [member], if any. *)
 
-(** {1 Paths and Steiner trees} *)
+(** {1 Euler-tour index}
 
-val path_edges : t -> int -> int -> int list
-(** [path_edges t u v] are the edges of the unique path from [u] to [v]
-    in order of traversal (empty when [u = v]). Uses the canonical rooting. *)
-
-val path_length : t -> int -> int -> int
-
-val lca : rooted -> int -> int -> int
-(** Lowest common ancestor in the given rooting, by walking parent
-    pointers — O(depth) per query, no preprocessing. *)
+    The backing store of {!Hbn_tree.Flat}, which computes every path,
+    LCA and Steiner tree of the pipeline over it. *)
 
 (** Structure-of-arrays index over the {e canonical} rooting: preorder
     positions, the Euler tour, and a sparse table of depth minima giving
     O(1) LCA queries. Built once per tree on first use and cached (a
     benign construction race between domains duplicates work at worst;
-    force it with {!flat_index} before fanning tasks out). This is the
-    backing store of {!Hbn_tree.Flat}, which packages the arrays with
-    reusable scratch buffers and non-allocating path/Steiner kernels —
-    treat every array as read-only. *)
+    force it with {!flat_index} before fanning tasks out). Treat every
+    array as read-only. *)
 type flat_index = {
   pos : int array;  (** preorder position of each node *)
   first : int array;  (** first occurrence of each node on the Euler tour *)
@@ -136,16 +127,7 @@ val flat_index : t -> flat_index
 (** The cached index (constructed on first call). *)
 
 val lca_flat : flat_index -> int -> int -> int
-(** O(1) lowest common ancestor on the canonical rooting; same answer as
-    {!lca} on {!rooting}. *)
-
-val steiner_edges : t -> int list -> int list
-(** [steiner_edges t nodes] are the edges of the minimal subtree connecting
-    [nodes] (empty for fewer than two distinct nodes). *)
-
-val first_on_path : rooted -> member:(int -> bool) -> int -> int option
-(** [first_on_path r ~member v] walks from [v] towards the root and returns
-    the first node satisfying [member], if any. *)
+(** O(1) lowest common ancestor on the canonical rooting. *)
 
 (** {1 Aggregation helpers} *)
 

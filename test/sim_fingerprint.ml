@@ -1,0 +1,71 @@
+(* Pinned fingerprints of the packet simulator over seeded random
+   instances. Each line fixes one (instance, policy, link) run: makespan,
+   completion, transmissions, dilation, and digests of the per-edge
+   traffic and of the recorded telemetry series. The hop order (path
+   replay, broadcast orientation) drives every scheduling decision, so a
+   change of order anywhere shows up here on shapes the BENCH matrices
+   never reach. The committed table is fixtures/sim_fingerprints.txt. *)
+
+module Tree = Hbn_tree.Tree
+module Prng = Hbn_prng.Prng
+module Workload = Hbn_workload.Workload
+module Placement = Hbn_placement.Placement
+module Sim = Hbn_sim.Sim
+module Link = Hbn_event.Link
+module Telemetry = Hbn_obs.Telemetry
+
+let instances = 40
+
+let policies =
+  [ ("fifo", Sim.Fifo); ("round_robin", Sim.Round_robin); ("reversed", Sim.Reversed) ]
+
+let links = [ ("sync", None); ("1:4,1:1", Some (Result.get_ok (Link.of_spec "1:4,1:1"))) ]
+
+let digest s = String.sub (Digest.to_hex (Digest.string s)) 0 12
+
+let digest_ints a =
+  digest (String.concat "," (Array.to_list (Array.map string_of_int a)))
+
+let digest_points points =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (p : Telemetry.point) ->
+      Printf.bprintf b "%d %h %d %d %d %d %d %d %d %d %d %d %d %d|" p.round
+        p.vtime p.rounds p.sent p.delivered p.dropped p.bytes p.retransmits
+        p.dup_suppressed p.replications p.migrations p.contractions
+        p.live_nodes p.other_edges;
+      List.iter (fun (e, c) -> Printf.bprintf b "%d:%d " e c) p.edges;
+      Buffer.add_char b '\n')
+    points;
+  digest (Buffer.contents b)
+
+(* Copy sets of 1-5 random nodes, buses included, so write broadcasts
+   start from inner nodes and span arbitrary Steiner trees. *)
+let random_copies prng w =
+  let n = Tree.n (Workload.tree w) in
+  Array.init (Workload.num_objects w) (fun _ ->
+      List.init (Prng.int_in prng 1 5) (fun _ -> Prng.int prng n))
+
+let table () =
+  List.concat_map
+    (fun seed ->
+      let _, w = Helpers.instance seed in
+      let tree = Workload.tree w in
+      let prng = Prng.create (seed + 1009) in
+      let p = Placement.nearest w ~copies:(random_copies prng w) in
+      List.concat_map
+        (fun (pname, policy) ->
+          List.map
+            (fun (lname, link) ->
+              let tel = Telemetry.create ~num_edges:(Tree.num_edges tree) () in
+              let o = Sim.run ~policy ~telemetry:tel ?link w p in
+              Printf.sprintf
+                "%d %s %s makespan=%d completion=%h transmissions=%d \
+                 max_dilation=%d traffic=%s telemetry=%s"
+                seed pname lname o.Sim.makespan o.Sim.completion
+                o.Sim.transmissions o.Sim.max_dilation
+                (digest_ints o.Sim.edge_traffic)
+                (digest_points (Telemetry.points tel)))
+            links)
+        policies)
+    (List.init instances Fun.id)

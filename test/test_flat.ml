@@ -1,6 +1,6 @@
-(* Tree.Flat: the structure-of-arrays hot path must agree bit-for-bit —
-   values *and* iteration orders — with the list-returning Tree functions
-   it replaced, on arbitrary trees, with one shared scratch to exercise
+(* Tree.Flat: the structure-of-arrays kernels must agree bit-for-bit —
+   values *and* iteration orders — with the list-building reference walks
+   in [Tree_ref], on arbitrary trees, with one shared scratch to exercise
    the stamp-based reuse discipline. *)
 
 module Tree = Hbn_tree.Tree
@@ -20,13 +20,12 @@ let prop_lca_distance_agree seed =
   Array.for_all
     (fun u ->
       let v = Prng.int prng (Tree.n tree) in
-      Flat.lca fl u v = Tree.lca r u v
-      && Flat.distance fl u v = Tree.path_length tree u v
-      && Flat.distance fl u v = List.length (Tree.path_edges tree u v))
+      Flat.lca fl u v = Tree_ref.lca r u v
+      && Flat.distance fl u v = List.length (Tree_ref.path_edges tree u v))
     (random_nodes prng tree 40)
 
-(* iter_path must replay Tree.path_edges's exact order (u up to the LCA,
-   then down to v); iter_path_unordered the same edge set. *)
+(* iter_path must replay the reference order (u up to the LCA, then down
+   to v); iter_path_unordered the same edge set. *)
 let prop_path_iteration_agrees seed =
   let prng = Prng.create seed in
   let tree = Helpers.random_tree prng in
@@ -35,16 +34,13 @@ let prop_path_iteration_agrees seed =
   Array.for_all
     (fun u ->
       let v = Prng.int prng (Tree.n tree) in
-      let want = Tree.path_edges tree u v in
-      let got = ref [] in
-      Flat.iter_path fl scratch u v (fun e -> got := e :: !got);
-      let unordered = ref [] in
-      Flat.iter_path_unordered fl u v (fun e -> unordered := e :: !unordered);
+      let want = Tree_ref.path_edges tree u v in
+      let unordered = Tree_ref.collect (Flat.iter_path_unordered fl u v) in
       let sum =
         Flat.fold_path fl scratch u v ~init:0 ~f:(fun a e -> a + e)
       in
-      List.rev !got = want
-      && List.sort compare !unordered = List.sort compare want
+      Tree_ref.collect (Flat.iter_path fl scratch u v) = want
+      && List.sort compare unordered = List.sort compare want
       && sum = List.fold_left ( + ) 0 want)
     (random_nodes prng tree 30)
 
@@ -55,15 +51,11 @@ let prop_path_to_root_agrees seed =
   let root = (Tree.rooting tree).Tree.root in
   Array.for_all
     (fun v ->
-      let want = Tree.path_edges tree v root in
-      let got = ref [] in
-      Flat.iter_path_to_root fl v (fun e -> got := e :: !got);
-      List.rev !got = want
-      && Flat.fold_path_to_root fl v ~init:[] ~f:(fun acc e -> e :: acc)
-         = List.rev want)
+      Tree_ref.collect (Flat.iter_path_to_root fl v)
+      = Tree_ref.path_edges tree v root)
     (random_nodes prng tree 20)
 
-(* Steiner scans in Tree.steiner_edges's emission order, on random node
+(* Steiner scans in the reference emission order, on random node
    multisets (duplicates and singletons included on purpose). *)
 let prop_steiner_agrees seed =
   let prng = Prng.create seed in
@@ -77,12 +69,9 @@ let prop_steiner_agrees seed =
         List.init k (fun _ -> Prng.int prng (Tree.n tree))
       in
       let nodes = if Prng.int prng 3 = 0 then nodes @ nodes else nodes in
-      let want = Tree.steiner_edges tree nodes in
-      let got = ref [] in
-      Flat.iter_steiner fl scratch
-        ~nodes:(fun mark -> List.iter mark nodes)
-        (fun e -> got := e :: !got);
-      List.rev !got = want)
+      Tree_ref.collect
+        (Flat.iter_steiner fl scratch ~nodes:(fun mark -> List.iter mark nodes))
+      = Tree_ref.steiner_edges tree nodes)
     (List.init 25 Fun.id)
 
 let prop_subtree_sums_agree seed =

@@ -173,7 +173,7 @@ let prop_nearest_marked_matches_scan seed =
     let best = ref None in
     for u = n - 1 downto 0 do
       if marked.(u) then begin
-        let d = Tree.path_length tree v u in
+        let d = List.length (Tree_ref.path_edges tree v u) in
         match !best with
         | Some (_, bd) when bd < d -> ()
         | Some (_, bd) when bd = d -> best := Some (u, d)

@@ -129,7 +129,7 @@ let prop_component_edge_load_is_kappa seed =
       let in_component = Array.make (max 1 (Tree.num_edges tree)) false in
       List.iter
         (fun e -> in_component.(e) <- true)
-        (Tree.steiner_edges tree cs.Nibble.nodes);
+        (Tree_ref.steiner_edges tree cs.Nibble.nodes);
       let ok = ref true in
       Array.iteri
         (fun e l ->

@@ -195,7 +195,7 @@ let test_path_steiner_overlap_counted_twice () =
     |]
   in
   let loads = Placement.edge_loads w p in
-  let path = Tree.path_edges t l0 l1 in
+  let path = Tree_ref.path_edges t l0 l1 in
   List.iter
     (fun e ->
       Alcotest.(check int) "path+steiner" 3 loads.(e))

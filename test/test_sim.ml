@@ -264,4 +264,30 @@ let async_suite =
       test_asymmetry_moves_completion;
   ]
 
-let suite = suite @ policy_suite @ async_suite
+(* --- pinned fingerprints --------------------------------------------- *)
+
+(* The simulator against the table recorded in fixtures/: on a mismatch
+   the fresh table is written to sim_fingerprints.fresh in the test's
+   working directory, ready to diff (or to commit, after an intended
+   schedule change). *)
+let test_fingerprints_pinned () =
+  let pinned = In_channel.with_open_text "fixtures/sim_fingerprints.txt" In_channel.input_all in
+  let pinned = String.split_on_char '\n' (String.trim pinned) in
+  let fresh = Sim_fingerprint.table () in
+  if fresh <> pinned then begin
+    Out_channel.with_open_text "sim_fingerprints.fresh" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) fresh);
+    let rec first_diff = function
+      | a :: ra, b :: rb -> if a = b then first_diff (ra, rb) else (a, b)
+      | a :: _, [] -> (a, "<missing>")
+      | [], b :: _ -> ("<missing>", b)
+      | [], [] -> ("", "")
+    in
+    let want, got = first_diff (pinned, fresh) in
+    Alcotest.failf "fingerprint diverged:\n  pinned %s\n  fresh  %s" want got
+  end
+
+let fingerprint_suite =
+  [ Helpers.tc "fingerprints match the pinned table" test_fingerprints_pinned ]
+
+let suite = suite @ policy_suite @ async_suite @ fingerprint_suite

@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Prng = Hbn_prng.Prng
 
 (* A hand-built reference network:
@@ -40,34 +41,46 @@ let test_bus_bandwidth_on_leaf () =
     (Invalid_argument "Tree.bus_bandwidth: node is a processor") (fun () ->
       ignore (Tree.bus_bandwidth t 3))
 
+(* Paths, LCAs and Steiner trees come from the Flat kernels; these
+   collect them into lists so the hand-computed cases pin exact orders. *)
+let path t u v =
+  let fl = Flat.of_tree t in
+  Tree_ref.collect (Flat.iter_path fl (Flat.Scratch.create fl) u v)
+
+let steiner t nodes =
+  let fl = Flat.of_tree t in
+  Tree_ref.collect
+    (Flat.iter_steiner fl (Flat.Scratch.create fl) ~nodes:(fun mark ->
+         List.iter mark nodes))
+
 let test_paths () =
   let t = example () in
-  Alcotest.(check (list int)) "3 to 5" [ 2; 0; 1; 4 ] (Tree.path_edges t 3 5);
-  Alcotest.(check (list int)) "5 to 3" [ 4; 1; 0; 2 ]
-    (Tree.path_edges t 5 3);
-  Alcotest.(check (list int)) "self" [] (Tree.path_edges t 4 4);
-  Alcotest.(check (list int)) "3 to 4" [ 2; 3 ] (Tree.path_edges t 3 4);
-  Alcotest.(check int) "length 3-5" 4 (Tree.path_length t 3 5);
-  Alcotest.(check int) "length 0-5" 2 (Tree.path_length t 0 5)
+  let fl = Flat.of_tree t in
+  Alcotest.(check (list int)) "3 to 5" [ 2; 0; 1; 4 ] (path t 3 5);
+  Alcotest.(check (list int)) "5 to 3" [ 4; 1; 0; 2 ] (path t 5 3);
+  Alcotest.(check (list int)) "self" [] (path t 4 4);
+  Alcotest.(check (list int)) "3 to 4" [ 2; 3 ] (path t 3 4);
+  Alcotest.(check int) "length 3-5" 4 (Flat.distance fl 3 5);
+  Alcotest.(check int) "length 0-5" 2 (Flat.distance fl 0 5)
 
 let test_lca () =
-  let t = example () in
-  let r = Tree.rooting t in
-  Alcotest.(check int) "lca leaves" 0 (Tree.lca r 3 5);
-  Alcotest.(check int) "lca siblings" 1 (Tree.lca r 3 4);
-  Alcotest.(check int) "lca ancestor" 1 (Tree.lca r 1 4)
+  let fl = Flat.of_tree (example ()) in
+  Alcotest.(check int) "lca leaves" 0 (Flat.lca fl 3 5);
+  Alcotest.(check int) "lca siblings" 1 (Flat.lca fl 3 4);
+  Alcotest.(check int) "lca ancestor" 1 (Flat.lca fl 1 4)
 
 let test_steiner () =
   let t = example () in
   let sort = List.sort compare in
   Alcotest.(check (list int)) "pair = path" (sort [ 2; 0; 1; 4 ])
-    (sort (Tree.steiner_edges t [ 3; 5 ]));
+    (sort (steiner t [ 3; 5 ]));
+  (* Preorder is 0 2 5 1 4 3: edges come out by their lower endpoint. *)
+  Alcotest.(check (list int)) "pair in preorder" [ 1; 4; 0; 2 ] (steiner t [ 3; 5 ]);
   Alcotest.(check (list int)) "triple" (sort [ 2; 3; 0; 1; 4 ])
-    (sort (Tree.steiner_edges t [ 3; 4; 5 ]));
-  Alcotest.(check (list int)) "singleton" [] (Tree.steiner_edges t [ 3 ]);
-  Alcotest.(check (list int)) "duplicates collapse" []
-    (Tree.steiner_edges t [ 4; 4 ]);
-  Alcotest.(check (list int)) "empty" [] (Tree.steiner_edges t [])
+    (sort (steiner t [ 3; 4; 5 ]));
+  Alcotest.(check (list int)) "singleton" [] (steiner t [ 3 ]);
+  Alcotest.(check (list int)) "duplicates collapse" [] (steiner t [ 4; 4 ]);
+  Alcotest.(check (list int)) "empty" [] (steiner t [])
 
 let test_reroot () =
   let t = example () in
@@ -174,21 +187,19 @@ let prop_path_length_consistent seed =
   let prng = Prng.create seed in
   let t = Helpers.random_tree prng in
   let u = Prng.int prng (Tree.n t) and v = Prng.int prng (Tree.n t) in
-  List.length (Tree.path_edges t u v) = Tree.path_length t u v
+  List.length (path t u v) = Flat.distance (Flat.of_tree t) u v
 
 let prop_path_symmetric seed =
   let prng = Prng.create seed in
   let t = Helpers.random_tree prng in
   let u = Prng.int prng (Tree.n t) and v = Prng.int prng (Tree.n t) in
-  List.sort compare (Tree.path_edges t u v)
-  = List.sort compare (Tree.path_edges t v u)
+  List.sort compare (path t u v) = List.sort compare (path t v u)
 
 let prop_steiner_pair_is_path seed =
   let prng = Prng.create seed in
   let t = Helpers.random_tree prng in
   let u = Prng.int prng (Tree.n t) and v = Prng.int prng (Tree.n t) in
-  List.sort compare (Tree.steiner_edges t [ u; v ])
-  = List.sort compare (Tree.path_edges t u v)
+  List.sort compare (steiner t [ u; v ]) = List.sort compare (path t u v)
 
 let prop_reroot_preserves_structure seed =
   let prng = Prng.create seed in

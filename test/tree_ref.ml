@@ -1,0 +1,48 @@
+(* Reference oracles for the Tree.Flat kernels: the obvious list-building
+   walks over the canonical rooting, with no index and no scratch. The
+   library computes paths, LCAs and Steiner trees only through Flat; these
+   exist so the tests can check its values and iteration orders against
+   code simple enough to trust by reading. *)
+
+module Tree = Hbn_tree.Tree
+
+(* The edges an iterator visits, in visiting order. *)
+let collect iter =
+  let acc = ref [] in
+  iter (fun e -> acc := e :: !acc);
+  List.rev !acc
+
+(* Lowest common ancestor by walking parent pointers. *)
+let lca r u v =
+  let u = ref u and v = ref v in
+  while r.Tree.depth.(!u) > r.Tree.depth.(!v) do u := r.Tree.parent.(!u) done;
+  while r.Tree.depth.(!v) > r.Tree.depth.(!u) do v := r.Tree.parent.(!v) done;
+  while !u <> !v do
+    u := r.Tree.parent.(!u);
+    v := r.Tree.parent.(!v)
+  done;
+  !u
+
+(* The u-v path edges in traversal order: u up to the LCA, then down to v. *)
+let path_edges tree u v =
+  let r = Tree.rooting tree in
+  let a = lca r u v in
+  let rec climb x acc =
+    if x = a then acc else climb r.Tree.parent.(x) (r.Tree.parent_edge.(x) :: acc)
+  in
+  List.rev (climb u []) @ climb v []
+
+(* The edges of the minimal subtree spanning [nodes], in ascending
+   preorder of their lower endpoint: an edge is in it iff its lower side
+   holds some but not all of the distinct nodes. *)
+let steiner_edges tree nodes =
+  let r = Tree.rooting tree in
+  let mark = Array.make (Tree.n tree) 0 in
+  List.iter (fun v -> mark.(v) <- 1) nodes;
+  let total = Array.fold_left ( + ) 0 mark in
+  let below = Tree.subtree_sums r mark in
+  List.filter_map
+    (fun v ->
+      if below.(v) > 0 && below.(v) < total then Some r.Tree.parent_edge.(v)
+      else None)
+    (Array.to_list r.Tree.preorder)
