@@ -1,5 +1,6 @@
 (* Bechamel microbenchmarks: B1-B4 cover per-phase cost of the strategy
-   on a fixed mid-size instance; F1-F3 cover the Tree.Flat primitives the
+   on a fixed mid-size instance, B5 the packet scheduler under a backlog;
+   F1-F3 cover the Tree.Flat primitives the
    hot path is built from (path folds, batched LCA, Steiner scans with a
    reused and a fresh scratch);
    E1-E2 cover the discrete-event substrate the asynchronous simulators
@@ -27,9 +28,20 @@ let instance () =
   let w = Generators.uniform ~prng tree ~objects:16 ~max_rate:8 in
   w
 
+(* B4's instance at scale 8 never builds a backlog, so its cost is the
+   hop builder's. B5 is the e2e simulate workload's shape: many objects at
+   low rates on a 3-ary height-4 tree at scale 2, where thousands of hops
+   wait per tick and the scheduler's scan dominates. *)
+let backlog_instance () =
+  let prng = Prng.create 4242 in
+  let tree = Builders.balanced ~arity:3 ~height:4 ~profile:(Builders.Uniform 2) in
+  let w = Generators.uniform ~prng tree ~objects:48 ~max_rate:2 in
+  (w, (Strategy.run w).Strategy.placement)
+
 let tests =
   let w = instance () in
   let placement = (Strategy.run w).Strategy.placement in
+  let backlog_w, backlog_placement = backlog_instance () in
   Test.make_grouped ~name:"hbn"
     [
       Test.make ~name:"B1 nibble placement"
@@ -40,9 +52,12 @@ let tests =
         (Staged.stage (fun () -> ignore (Placement.evaluate w placement)));
       Test.make ~name:"B4 packet simulation (scale 8)"
         (Staged.stage (fun () -> ignore (Sim.run ~scale:8 w placement)));
+      Test.make ~name:"B5 packet simulation (backlog)"
+        (Staged.stage (fun () ->
+             ignore (Sim.run ~scale:2 backlog_w backlog_placement)));
     ]
 
-(* The flat-kernel instance is bigger than B1-B4's: primitive costs only
+(* The flat-kernel instance is bigger than B1-B5's: primitive costs only
    separate from loop overhead on a few hundred nodes. The leaf pairs and
    Steiner node sets are drawn once, outside the timed region. *)
 let flat_instance () =
@@ -175,7 +190,7 @@ let run_group ~banner tests =
     (List.sort compare rows);
   Table.print table
 
-let run () = run_group ~banner:"\n=== B1-B4: Bechamel microbenchmarks ===" tests
+let run () = run_group ~banner:"\n=== B1-B5: Bechamel microbenchmarks ===" tests
 
 let run_flat () =
   run_group ~banner:"\n=== F1-F3: Tree.Flat primitive kernels ===" flat_tests

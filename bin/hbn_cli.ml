@@ -693,6 +693,7 @@ let simulate_cmd =
   in
   let run seed kind leaves arity height spine buses bandwidth wkind objects
       scale faults_spec link_spec telemetry_path opts =
+    if scale < 1 then die "--scale must be >= 1 (got %d)" scale;
     with_run_opts opts @@ fun exec ->
     let prng = Prng.create seed in
     let t = build_topology kind ~prng ~leaves ~arity ~height ~spine ~buses ~bandwidth in

@@ -23,6 +23,31 @@ let scale_up amount scale = if amount = 0 then 0 else ((amount - 1) / scale) + 1
 
 type policy = Fifo | Round_robin | Reversed
 
+(* A growable int buffer: [data.(0 .. len - 1)] is live. *)
+module Buf = struct
+  type t = { mutable data : int array; mutable len : int }
+
+  let create () = { data = Array.make 64 0; len = 0 }
+
+  let reserve b k =
+    if b.len + k > Array.length b.data then begin
+      let d = Array.make (max (b.len + k) (2 * Array.length b.data)) 0 in
+      Array.blit b.data 0 d 0 b.len;
+      b.data <- d
+    end
+
+  let push b x =
+    reserve b 1;
+    b.data.(b.len) <- x;
+    b.len <- b.len + 1
+
+  let push2 b x y =
+    reserve b 2;
+    b.data.(b.len) <- x;
+    b.data.(b.len + 1) <- y;
+    b.len <- b.len + 2
+end
+
 let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
   if scale < 1 then invalid_arg "Sim.run: scale must be >= 1";
   let sp_run = Trace.span "sim.run" in
@@ -39,21 +64,14 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
   let fl = Flat.of_tree tree in
   let scratch = Flat.Scratch.create fl in
   (* One edge traversal of one packet per hop, as two growable parallel
-     arrays: [hop_edge.(i)] is the edge, [hop_dep.(i)] the index of the
+     buffers: [hop_edge.(i)] is the edge, [hop_dep.(i)] the index of the
      hop that must complete first, or -1. *)
-  let hop_edge = ref (Array.make 64 0) and hop_dep = ref (Array.make 64 0) in
-  let count = ref 0 in
+  let hop_edge = Buf.create () and hop_dep = Buf.create () in
   let packets = ref 0 in
   let push edge dep =
-    if !count = Array.length !hop_edge then begin
-      let grow a = Array.append a (Array.make (Array.length a) 0) in
-      hop_edge := grow !hop_edge;
-      hop_dep := grow !hop_dep
-    end;
-    !hop_edge.(!count) <- edge;
-    !hop_dep.(!count) <- dep;
-    incr count;
-    !count - 1
+    Buf.push hop_edge edge;
+    Buf.push hop_dep dep;
+    hop_edge.Buf.len - 1
   in
   let add_unicast ~from ~target =
     let last = ref (-1) in
@@ -124,8 +142,8 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
           done)
         op.Placement.assigns)
     placement;
-  let n_hops = !count in
-  let hop_edge = !hop_edge and hop_dep = !hop_dep in
+  let n_hops = hop_edge.Buf.len in
+  let hop_edge = hop_edge.Buf.data and hop_dep = hop_dep.Buf.data in
   let edge_traffic = Array.make m 0 in
   for i = 0 to n_hops - 1 do
     edge_traffic.(hop_edge.(i)) <- edge_traffic.(hop_edge.(i)) + 1
@@ -145,7 +163,10 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
      [Link.sync]) every latency is exactly 1 and every per-tick budget
      equals the static caps, so ticks are the synchronous rounds of the
      original engine, bit for bit. *)
-  let attached = Option.map (fun c -> Link.attach c tree) link in
+  let attached =
+    if Tree.num_edges tree = 0 then None
+    else Option.map (fun c -> Link.attach c tree) link
+  in
   let edge_cap = Array.init m (fun e ->
       if Tree.num_edges tree = 0 then 1 else Tree.edge_bandwidth tree e)
   in
@@ -169,32 +190,67 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
   in
   let bus_cap = Array.make (Tree.n tree) 0 in
   List.iter (fun b -> bus_cap.(b) <- 2 * Tree.bus_bandwidth tree b) (Tree.buses tree);
-  let is_bus = Array.init (Tree.n tree) (fun v -> not (Tree.is_leaf tree v)) in
+  (* The endpoints of each edge that are buses, or -1 for a processor. *)
+  let bus_end pick =
+    Array.init (Tree.num_edges tree) (fun e ->
+        let v = pick (Tree.edge_endpoints tree e) in
+        if Tree.is_leaf tree v then -1 else v)
+  in
+  let bus_u = bus_end fst and bus_v = bus_end snd in
   let credit = Array.make m 0. in
   let bus_left = Array.make (Tree.n tree) 0 in
-  let frontier = ref [] in
-  (* Hops whose dependency is already done enter the frontier in index
-     order (FIFO by injection). *)
-  let blocked_children = Array.make (max 1 n_hops) [] in
+  (* The hops gated on hop [i] are [children.(child_start.(i)) ..
+     children.(child_start.(i + 1) - 1)], in index order. *)
+  let child_start = Array.make (n_hops + 1) 0 in
+  for i = 0 to n_hops - 1 do
+    let d = hop_dep.(i) in
+    if d >= 0 then child_start.(d) <- child_start.(d) + 1
+  done;
+  for i = 1 to n_hops do
+    child_start.(i) <- child_start.(i) + child_start.(i - 1)
+  done;
+  let children = Array.make child_start.(n_hops) 0 in
   for i = n_hops - 1 downto 0 do
     let d = hop_dep.(i) in
-    if d < 0 then frontier := i :: !frontier
-    else blocked_children.(d) <- i :: blocked_children.(d)
+    if d >= 0 then begin
+      child_start.(d) <- child_start.(d) - 1;
+      children.(child_start.(d)) <- i
+    end
   done;
+  (* The ready queue: (hop, edge) pairs in service order. Each tick scans
+     [!ready] and writes the hops it could not grant to [!spare], then the
+     two swap. Hops whose dependency is already done enter in index order
+     (FIFO by injection). *)
+  let ready = ref (Buf.create ()) and spare = ref (Buf.create ()) in
+  for i = 0 to n_hops - 1 do
+    if hop_dep.(i) < 0 then Buf.push2 !ready i hop_edge.(i)
+  done;
+  (* Arrivals. A hop granted at tick [now] arrives at [now + latency] and
+     its children become ready at the next tick to run at or after that
+     instant. Ticks fall on whole times, so that is the tick at
+     [ceil arrival], which is always scheduled — unless the arrival
+     rounds to [now] itself, when it is whichever tick runs next. So each
+     granted hop with children goes into the bucket of the tick that
+     consumes it, or into [carry] in the second case, and a tick drains
+     both before scanning. [pending] maps the time of every scheduled
+     tick still to run to its bucket; drained buckets go to [free]. *)
+  let pending = Hashtbl.create 16 and free = Stack.create () in
+  let carry = Buf.create () and newly = Buf.create () in
   let remaining = ref n_hops in
   let rounds = ref 0 in
   let completion = ref 0. in
   let engine = Engine.create () in
-  (* Arrivals (rank 0) land before the tick (rank 1) they enable, so a
-     tick always sees every hop whose dependency cleared by its time. *)
-  let newly = ref [] in
-  let tick_scheduled = Hashtbl.create 64 in
   let last_tick = ref 0. in
-  let rec ensure_tick time =
-    if not (Hashtbl.mem tick_scheduled time) then begin
-      Hashtbl.add tick_scheduled time ();
-      Engine.at engine ~rank:1 ~time tick
-    end
+  let rec bucket_at time =
+    if time <= Engine.now engine then carry
+    else
+      match Hashtbl.find_opt pending time with
+      | Some b -> b
+      | None ->
+        let b = if Stack.is_empty free then Buf.create () else Stack.pop free in
+        Hashtbl.add pending time b;
+        Engine.at engine ~time tick;
+        b
   and tick () =
     let now = Engine.now engine in
     incr rounds;
@@ -208,72 +264,88 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
     for e = 0 to m - 1 do
       credit.(e) <- Float.min (credit.(e) +. (rate.(e) *. dt)) burst.(e)
     done;
-    Array.iteri (fun v c -> bus_left.(v) <- c) bus_cap;
-    frontier := !frontier @ List.sort compare !newly;
-    newly := [];
-    let next = ref [] in
-    let enabled = ref 0 in
-    let scheduled =
-      (* The scheduling policy permutes the service order of the ready
-         hops; any order is work-conserving, experiment E16 measures how
-         little it matters. *)
-      match policy with
-      | Fifo -> !frontier
-      | Reversed -> List.rev !frontier
-      | Round_robin ->
-        let len = List.length !frontier in
-        if len = 0 then []
-        else begin
-          let k = !rounds mod len in
-          (* Rotate the frontier by k positions. *)
-          let rec split i acc = function
-            | rest when i = k -> rest @ List.rev acc
-            | x :: rest -> split (i + 1) (x :: acc) rest
-            | [] -> List.rev acc
-          in
-          split 0 [] !frontier
-        end
+    Array.blit bus_cap 0 bus_left 0 (Array.length bus_cap);
+    let arrived = Hashtbl.find pending now in
+    Hashtbl.remove pending now;
+    let gather b =
+      for k = 0 to b.Buf.len - 1 do
+        let p = b.Buf.data.(k) in
+        for c = child_start.(p) to child_start.(p + 1) - 1 do
+          Buf.push newly children.(c)
+        done
+      done;
+      b.Buf.len <- 0
     in
-    List.iter
-      (fun i ->
-        let edge = hop_edge.(i) in
-        let u, v = Tree.edge_endpoints tree edge in
-        let bus_ok b = (not is_bus.(b)) || bus_left.(b) > 0 in
-        if credit.(edge) >= 1. && bus_ok u && bus_ok v then begin
-          (match telemetry with
-          | None -> ()
-          | Some tel -> Telemetry.send tel ~edge ~bytes:1);
-          credit.(edge) <- credit.(edge) -. 1.;
-          if is_bus.(u) then bus_left.(u) <- bus_left.(u) - 1;
-          if is_bus.(v) then bus_left.(v) <- bus_left.(v) - 1;
-          decr remaining;
-          let arrival = now +. hop_latency.(edge) in
-          if arrival > !completion then completion := arrival;
-          (* Children become ready at the first tick after the hop has
-             fully arrived (store-and-forward: next round under sync). *)
-          (match blocked_children.(i) with
-          | [] -> ()
-          | children ->
-            enabled := !enabled + List.length children;
-            ensure_tick (Float.ceil arrival);
-            Engine.at engine ~time:arrival (fun () ->
-                List.iter (fun c -> newly := c :: !newly) children))
+    gather arrived;
+    gather carry;
+    Stack.push arrived free;
+    let sorted = Array.sub newly.Buf.data 0 newly.Buf.len in
+    newly.Buf.len <- 0;
+    Array.sort Int.compare sorted;
+    let q = !ready and next = !spare in
+    Array.iter (fun c -> Buf.push2 q c hop_edge.(c)) sorted;
+    (* The scheduling policy only picks where the scan of the ready hops
+       starts and which way it goes; any order is work-conserving,
+       experiment E16 measures how little it matters. Ungranted hops keep
+       their scan order for the next tick. *)
+    let len = q.Buf.len / 2 and src = q.Buf.data in
+    Buf.reserve next q.Buf.len;
+    let dst = next.Buf.data and kept = ref 0 in
+    let start, step =
+      match policy with
+      | Fifo -> (0, 1)
+      | Reversed -> (len - 1, -1)
+      | Round_robin -> ((if len = 0 then 0 else !rounds mod len), 1)
+    in
+    let enabled = ref 0 in
+    let pos = ref start in
+    for _ = 1 to len do
+      let i = src.(2 * !pos) and edge = src.((2 * !pos) + 1) in
+      let bu = bus_u.(edge) and bv = bus_v.(edge) in
+      if
+        credit.(edge) >= 1.
+        && (bu < 0 || bus_left.(bu) > 0)
+        && (bv < 0 || bus_left.(bv) > 0)
+      then begin
+        (match telemetry with
+        | None -> ()
+        | Some tel -> Telemetry.send tel ~edge ~bytes:1);
+        credit.(edge) <- credit.(edge) -. 1.;
+        if bu >= 0 then bus_left.(bu) <- bus_left.(bu) - 1;
+        if bv >= 0 then bus_left.(bv) <- bus_left.(bv) - 1;
+        decr remaining;
+        let arrival = now +. hop_latency.(edge) in
+        if arrival > !completion then completion := arrival;
+        let fanout = child_start.(i + 1) - child_start.(i) in
+        if fanout > 0 then begin
+          enabled := !enabled + fanout;
+          Buf.push (bucket_at (Float.ceil arrival)) i
         end
-        else next := i :: !next)
-      scheduled;
-    frontier := List.rev !next;
-    if !frontier <> [] then ensure_tick (now +. 1.);
+      end
+      else begin
+        dst.(!kept) <- i;
+        dst.(!kept + 1) <- edge;
+        kept := !kept + 2
+      end;
+      pos := !pos + step;
+      if !pos = len then pos := 0
+    done;
+    q.Buf.len <- 0;
+    next.Buf.len <- !kept;
+    ready := next;
+    spare := q;
+    if next.Buf.len > 0 then ignore (bucket_at (now +. 1.));
     (match telemetry with
     | None -> ()
     | Some tel -> Telemetry.end_round tel ~live_nodes:(Tree.n tree));
     if Trace.enabled () then begin
       Trace.gauge "sim.queue_depth"
-        (float_of_int (List.length !frontier + !enabled));
+        (float_of_int ((next.Buf.len / 2) + !enabled));
       Trace.gauge "sim.round_transmissions"
         (float_of_int (remaining_before - !remaining))
     end
   in
-  if n_hops > 0 then ensure_tick 1.;
+  if n_hops > 0 then ignore (bucket_at 1.);
   Engine.drain engine;
   assert (!remaining = 0);
   let health =

@@ -27,10 +27,18 @@
     congestion objective optimizes, skewing the congestion→makespan
     correspondence the simulator exists to measure. The unit test
     [bus capacity: the 2·b(B) cap permits full pipelining] pins the
-    constant. Scheduling is greedy FIFO and deterministic. Every
-    transmission moves one hop per round (store-and-forward). With all
-    bandwidths 1 this is the standard [Ω(congestion + dilation)] routing
-    regime.
+    constant. Scheduling is greedy and deterministic: every round scans
+    the queue of ready hops once, granting each hop whose edge and bus
+    endpoints still have capacity. The {!policy} only picks where the
+    scan starts and which way it goes: [Fifo] front to back, [Reversed]
+    back to front, [Round_robin] front to back from position
+    [round mod length], wrapping around. The hops the scan could not
+    grant form the next round's queue in the order the scan visited
+    them, followed by the newly ready hops in injection order. So [Fifo]
+    serves oldest-first, [Reversed] turns the waiting hops around every
+    round, and [Round_robin]'s rotations accumulate. Every transmission
+    moves one hop per round (store-and-forward). With all bandwidths 1
+    this is the standard [Ω(congestion + dilation)] routing regime.
 
     Asynchrony: the round machine is driven by the deterministic
     discrete-event engine ({!Hbn_event.Engine}). With a

@@ -1,10 +1,14 @@
 (* Pinned fingerprints of the packet simulator over seeded random
    instances. Each line fixes one (instance, policy, link) run: makespan,
    completion, transmissions, dilation, and digests of the per-edge
-   traffic and of the recorded telemetry series. The hop order (path
-   replay, broadcast orientation) drives every scheduling decision, so a
-   change of order anywhere shows up here on shapes the BENCH matrices
-   never reach. The committed table is fixtures/sim_fingerprints.txt. *)
+   traffic, of the recorded telemetry series and of the per-tick trace
+   gauges. The hop order (path replay, broadcast orientation) drives
+   every scheduling decision, so a change of order anywhere shows up here
+   on shapes the BENCH matrices never reach. The third link has
+   fractional latencies (0.75 at the root level, 2.5 below), so hops
+   granted at one tick arrive at different instants and several of them
+   share one consuming tick. The committed table is
+   fixtures/sim_fingerprints.txt. *)
 
 module Tree = Hbn_tree.Tree
 module Prng = Hbn_prng.Prng
@@ -13,13 +17,19 @@ module Placement = Hbn_placement.Placement
 module Sim = Hbn_sim.Sim
 module Link = Hbn_event.Link
 module Telemetry = Hbn_obs.Telemetry
+module Trace = Hbn_obs.Trace
+module Sink = Hbn_obs.Sink
 
 let instances = 40
 
 let policies =
   [ ("fifo", Sim.Fifo); ("round_robin", Sim.Round_robin); ("reversed", Sim.Reversed) ]
 
-let links = [ ("sync", None); ("1:4,1:1", Some (Result.get_ok (Link.of_spec "1:4,1:1"))) ]
+let links =
+  ("sync", None)
+  :: List.map
+       (fun spec -> (spec, Some (Result.get_ok (Link.of_spec spec))))
+       [ "1:4,1:1"; "0.25:2,0.5:0.5" ]
 
 let digest s = String.sub (Digest.to_hex (Digest.string s)) 0 12
 
@@ -38,6 +48,24 @@ let digest_points points =
       Buffer.add_char b '\n')
     points;
   digest (Buffer.contents b)
+
+(* Runs [f] under an in-memory trace sink and digests the per-tick
+   [sim.queue_depth] and [sim.round_transmissions] gauges in emission
+   order. *)
+let with_gauge_digest f =
+  let sink, read = Sink.memory () in
+  let result = Trace.with_sink sink f in
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (ev : Sink.event) ->
+      match ev.Sink.payload with
+      | Sink.Gauge { value }
+        when ev.Sink.name = "sim.queue_depth"
+             || ev.Sink.name = "sim.round_transmissions" ->
+        Printf.bprintf b "%s %h|" ev.Sink.name value
+      | _ -> ())
+    (read ());
+  (result, digest (Buffer.contents b))
 
 (* Copy sets of 1-5 random nodes, buses included, so write broadcasts
    start from inner nodes and span arbitrary Steiner trees. *)
@@ -58,14 +86,18 @@ let table () =
           List.map
             (fun (lname, link) ->
               let tel = Telemetry.create ~num_edges:(Tree.num_edges tree) () in
-              let o = Sim.run ~policy ~telemetry:tel ?link w p in
+              let o, gauges =
+                with_gauge_digest (fun () ->
+                    Sim.run ~policy ~telemetry:tel ?link w p)
+              in
               Printf.sprintf
                 "%d %s %s makespan=%d completion=%h transmissions=%d \
-                 max_dilation=%d traffic=%s telemetry=%s"
+                 max_dilation=%d traffic=%s telemetry=%s gauges=%s"
                 seed pname lname o.Sim.makespan o.Sim.completion
                 o.Sim.transmissions o.Sim.max_dilation
                 (digest_ints o.Sim.edge_traffic)
-                (digest_points (Telemetry.points tel)))
+                (digest_points (Telemetry.points tel))
+                gauges)
             links)
         policies)
     (List.init instances Fun.id)

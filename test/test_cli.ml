@@ -261,6 +261,9 @@ let test_failures_exit_nonzero () =
   check_fails "gadget zero item"
     [ "gadget"; "0" ]
     [ "hbn_cli:" ];
+  check_fails "simulate zero scale"
+    [ "simulate"; "--kind"; "star"; "--leaves"; "4"; "--scale"; "0" ]
+    [ "hbn_cli:"; "--scale must be >= 1 (got 0)" ];
   (* The shared flag parser must reject unknown flags with a diagnostic
      naming the flag, on every command that uses it. *)
   check_fails "explain unknown flag"

@@ -252,8 +252,55 @@ let test_asymmetry_moves_completion () =
   Alcotest.(check bool) "completion differs" true
     (top_slow.Sim.completion <> bottom_slow.Sim.completion)
 
+(* Link latencies far from one tick. Pending ticks are keyed by time, so
+   a long delay costs no memory and one above max_int still runs; a
+   latency that rounds away lands on the running tick, and the next tick
+   takes it. The expected values were recorded with the list scheduler. *)
+let test_extreme_latencies () =
+  let policies = [ Sim.Fifo; Sim.Round_robin; Sim.Reversed ] in
+  let prng = Prng.create 20260808 in
+  let t = Builders.balanced ~arity:3 ~height:3 ~profile:(Builders.Uniform 2) in
+  let w = Hbn_workload.Generators.uniform ~prng t ~objects:8 ~max_rate:6 in
+  let p = (Strategy.run w).Strategy.placement in
+  let run policy spec =
+    let out = Sim.run ~scale:2 ~policy ~link:(Result.get_ok (Link.of_spec spec)) w p in
+    Alcotest.(check int) (spec ^ ": transmissions") 4496 out.Sim.transmissions;
+    out
+  in
+  List.iter2
+    (fun policy (makespan, completion) ->
+      let out = run policy "1e7:inf" in
+      Alcotest.(check int) "1e7: makespan" makespan out.Sim.makespan;
+      Alcotest.(check (float 0.)) "1e7: completion" completion out.Sim.completion)
+    policies
+    [ (1047, 120000120.); (992, 120000114.); (1014, 120000115.) ];
+  let out = run Sim.Fifo "0:1e30" in
+  Alcotest.(check int) "1e-30: makespan" 375 out.Sim.makespan;
+  Alcotest.(check (float 0.)) "1e-30: completion" 375. out.Sim.completion;
+  (* A write through a star: request up and down, then a two-hop
+     broadcast, each hop 1e19 after the last. *)
+  let t = Builders.star ~leaves:3 ~profile:(Builders.Uniform 10) in
+  let w = Workload.empty t ~objects:1 in
+  Workload.set_write w ~obj:0 1 1;
+  let p =
+    [|
+      {
+        Placement.copies = [ 2; 3 ];
+        assigns = [ { Placement.leaf = 1; server = 2; reads = 0; writes = 1 } ];
+      };
+    |]
+  in
+  let link = Result.get_ok (Link.of_spec "1e19:inf") in
+  List.iter
+    (fun policy ->
+      let out = Sim.run ~policy ~link w p in
+      Alcotest.(check int) "1e19: makespan" 4 out.Sim.makespan;
+      Alcotest.(check (float 0.)) "1e19: completion" 4e19 out.Sim.completion)
+    policies
+
 let async_suite =
   [
+    Helpers.tc "link latencies far from one tick" test_extreme_latencies;
     Helpers.tc "bus capacity: the 2·b(B) cap permits full pipelining"
       test_bus_cap_pipelining;
     Helpers.qt ~count:60 "Link.sync is bit-identical to the synchronous engine"
@@ -290,4 +337,57 @@ let test_fingerprints_pinned () =
 let fingerprint_suite =
   [ Helpers.tc "fingerprints match the pinned table" test_fingerprints_pinned ]
 
-let suite = suite @ policy_suite @ async_suite @ fingerprint_suite
+(* --- empty traffic ------------------------------------------------------ *)
+
+(* A workload without requests injects no hop: the scheduler never ticks,
+   and every outcome field is zero. *)
+let check_idle name (out : Sim.outcome) =
+  Alcotest.(check int) (name ^ ": makespan") 0 out.Sim.makespan;
+  Alcotest.(check (float 0.)) (name ^ ": completion") 0. out.Sim.completion;
+  Alcotest.(check int) (name ^ ": packets") 0 out.Sim.packets;
+  Alcotest.(check int) (name ^ ": transmissions") 0 out.Sim.transmissions;
+  Alcotest.(check int) (name ^ ": dilation") 0 out.Sim.max_dilation;
+  Alcotest.(check bool)
+    (name ^ ": no traffic") true
+    (Array.for_all (( = ) 0) out.Sim.edge_traffic)
+
+let test_no_requests () =
+  let t = Builders.balanced ~arity:2 ~height:2 ~profile:(Builders.Uniform 1) in
+  let w = Workload.empty t ~objects:2 in
+  let leaves = Tree.leaves t in
+  let p = Placement.single w [ (0, List.hd leaves); (1, List.nth leaves 2) ] in
+  List.iter
+    (fun policy -> check_idle "balanced" (Sim.run ~policy w p))
+    [ Sim.Fifo; Sim.Round_robin; Sim.Reversed ]
+
+(* The smallest networks Tree.make accepts: a bus needs two neighbours,
+   so two nodes are two processors joined by one edge, and one node is a
+   lone processor with no edge at all. *)
+let test_no_requests_tiny_networks () =
+  let two =
+    Tree.make
+      ~kinds:[| Tree.Processor; Tree.Processor |]
+      ~edges:[ (0, 1, 1) ]
+      ~bus_bandwidth:(fun _ -> 1)
+      ()
+  in
+  let one =
+    Tree.make ~kinds:[| Tree.Processor |] ~edges:[] ~bus_bandwidth:(fun _ -> 1) ()
+  in
+  List.iter
+    (fun (tname, t) ->
+      let w = Workload.empty t ~objects:1 in
+      let p = Placement.single w [ (0, 0) ] in
+      check_idle (tname ^ " sync") (Sim.run ~link:Link.sync w p);
+      check_idle (tname ^ " 1:1")
+        (Sim.run ~link:(Result.get_ok (Link.of_spec "1:1")) w p))
+    [ ("two nodes", two); ("one node", one) ]
+
+let empty_suite =
+  [
+    Helpers.tc "no requests: zero outcome" test_no_requests;
+    Helpers.tc "no requests on one- and two-node networks"
+      test_no_requests_tiny_networks;
+  ]
+
+let suite = suite @ policy_suite @ async_suite @ fingerprint_suite @ empty_suite
