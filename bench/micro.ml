@@ -1,5 +1,6 @@
 (* Bechamel microbenchmarks: B1-B4 cover per-phase cost of the strategy
-   on a fixed mid-size instance, B5 the packet scheduler under a backlog;
+   on a fixed mid-size instance, B5 the packet scheduler under a backlog,
+   B6 (a plain timed loop) what instrumentation costs with tracing off;
    F1-F3 cover the Tree.Flat primitives the
    hot path is built from (path folds, batched LCA, Steiner scans with a
    reused and a fresh scratch);
@@ -18,6 +19,7 @@ module Nibble = Hbn_nibble.Nibble
 module Strategy = Hbn_core.Strategy
 module Sim = Hbn_sim.Sim
 module Table = Hbn_util.Table
+module Trace = Hbn_obs.Trace
 
 open Bechamel
 open Toolkit
@@ -190,7 +192,49 @@ let run_group ~banner tests =
     (List.sort compare rows);
   Table.print table
 
-let run () = run_group ~banner:"\n=== B1-B5: Bechamel microbenchmarks ===" tests
+(* B6: with no sink installed every Trace entry point is one branch on
+   the sink slot. Each loop makes [calls] calls and counts the ones that
+   saw tracing on, so the calls cannot be dropped and a sink left
+   installed is caught; the per-call cost is the loop's wall time over
+   [calls]. Returns the per-call ns of [enabled] and of a [span]/[finish]
+   pair. *)
+let tracing_disabled ~calls =
+  let per_call loop =
+    let t0 = Unix.gettimeofday () in
+    let on = loop () in
+    let dt = Unix.gettimeofday () -. t0 in
+    if on <> 0 then failwith "B6: a trace sink is installed";
+    dt *. 1e9 /. float_of_int calls
+  in
+  let enabled_ns =
+    per_call (fun () ->
+        let on = ref 0 in
+        for _ = 1 to calls do
+          if Trace.enabled () then incr on
+        done;
+        !on)
+  in
+  let span_ns =
+    per_call (fun () ->
+        let on = ref 0 in
+        for _ = 1 to calls do
+          let sp = Trace.span "b6" in
+          if sp != Trace.none then incr on;
+          Trace.finish sp
+        done;
+        !on)
+  in
+  (enabled_ns, span_ns)
+
+let run () =
+  run_group ~banner:"\n=== B1-B5: Bechamel microbenchmarks ===" tests;
+  let calls = 10_000_000 in
+  let enabled_ns, span_ns = tracing_disabled ~calls in
+  Printf.printf "\n=== B6: tracing disabled (%d calls each) ===\n" calls;
+  let table = Table.create [ "call"; "ns/call" ] in
+  Table.add_row table [ "Trace.enabled"; Table.fmt_float enabled_ns ];
+  Table.add_row table [ "Trace.span + Trace.finish"; Table.fmt_float span_ns ];
+  Table.print table
 
 let run_flat () =
   run_group ~banner:"\n=== F1-F3: Tree.Flat primitive kernels ===" flat_tests

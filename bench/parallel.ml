@@ -176,9 +176,9 @@ let full out_path =
     measured;
   if cores < List.fold_left max 1 job_counts then
     Printf.printf
-      "  note: only %d core(s) available; speedups above 1x cannot appear \
-       on this host\n"
-      cores
+      "  note: only %d core(s) available; speedups above %dx cannot appear, \
+       and job counts above %d oversubscribe this host\n"
+      cores cores cores
 
 let () =
   match Array.to_list Sys.argv with

@@ -6,7 +6,6 @@ module Nibble = Hbn_nibble.Nibble
 module Exec = Hbn_exec.Exec
 module Trace = Hbn_obs.Trace
 module Sink = Hbn_obs.Sink
-module Attribution = Hbn_obs.Attribution
 
 type result = {
   placement : Placement.t;
@@ -88,16 +87,6 @@ let stage_object ~scratch w cs =
       outcome.Deletion.ids_used )
   end
 
-(* One attribution snapshot per pipeline phase, as [strategy.attribution]
-   events tagged with the phase name. Guarded by [Trace.enabled] so runs
-   without a sink never build the tables. *)
-let emit_attribution phase w p =
-  if Trace.enabled () then
-    List.iter Trace.emit
-      (Attribution.events ~name:"strategy.attribution"
-         ~attrs:[ ("phase", Sink.Str phase) ]
-         (Attribution.of_placement w p))
-
 let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
     ?(exec = Exec.sequential) w =
   let sp_run = Trace.span "strategy.run" in
@@ -130,7 +119,6 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
                  (fun a cs -> a + List.length cs.Nibble.nodes)
                  0 sets) );
         ];
-  emit_attribution "nibble" w nibble_placement;
   let sp_deletion = Trace.span "strategy.deletion" in
   let staged =
     Exec.map_chunked exec num_objects (fun obj ->
@@ -180,7 +168,6 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
           ("splits", Sink.Int !splits);
         ];
   let modified = placement_of_stage ~exec w stages in
-  emit_attribution "deletion" w modified;
   let all_copies =
     Array.to_list stages
     |> List.concat_map (function Copies cs -> cs | Unused | Read_only _ -> [])
@@ -231,7 +218,6 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
            ("moves_down", Sink.Int down);
          ]);
   let placement = placement_of_stage ~exec w stages in
-  emit_attribution "mapping" w placement;
   let result =
     {
       placement;

@@ -15,8 +15,7 @@ type t = {
   cells : (int, int ref) Hashtbl.t array;
       (* index = edge; key = object * 3 + component rank; value = running
          sum. Packing the pair into an immediate int keeps [record] — the
-         hottest call under tracing — free of tuple allocation and
-         structural hashing. *)
+         hottest call — free of tuple allocation and structural hashing. *)
   totals : int array;  (* index = edge; sum of the edge's cells *)
 }
 
@@ -191,38 +190,6 @@ let equal a b =
         ok := false)
     a.cells;
   !ok
-
-let events ?(name = "attribution") ?(attrs = []) t =
-  (* Cells sorted by packed key = (object, component rank) ascending —
-     the same event order the contribution-record sort used to produce,
-     minus one decode/re-sort round trip. *)
-  List.concat
-    (List.init (Array.length t.totals) (fun edge ->
-         let cells =
-           Hashtbl.fold (fun key r acc -> (key, !r) :: acc) t.cells.(edge) []
-           |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-         in
-         List.map
-           (fun (key, amount) ->
-             {
-               Sink.name;
-               id = 0;
-               parent = 0;
-               attrs;
-               payload =
-                 Sink.Attribution
-                   {
-                     edge;
-                     obj = key / 3;
-                     component =
-                       Placement.component_name (component_of_rank (key mod 3));
-                     amount;
-                   };
-             })
-           cells))
-
-let emit ?name ?attrs t sink =
-  List.iter sink.Sink.emit (events ?name ?attrs t)
 
 let json_contributions buf contribs =
   Buffer.add_char buf '[';

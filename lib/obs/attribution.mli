@@ -22,7 +22,12 @@
     Invariants: {!totals} equals [Placement.edge_loads] of the
     attributed placement, {!congestion_value} equals
     [Placement.congestion], and summing {!edge_contributions} per edge
-    reproduces {!edge_total} exactly. *)
+    reproduces {!edge_total} exactly.
+
+    Two consumers read tables: [hbn_cli explain], which renders them
+    ({!to_json}, {!to_dot} or a text table), and the serving tier, which
+    picks the objects to re-optimize from {!of_loads}'s {!hotspots}.
+    Traces carry no attribution cells. *)
 
 module Tree = Hbn_tree.Tree
 module Workload = Hbn_workload.Workload
@@ -113,16 +118,6 @@ val equal : t -> t -> bool
     agreement the incremental and one-shot modes must maintain. *)
 
 (** {1 Export} *)
-
-val events :
-  ?name:string -> ?attrs:(string * Sink.value) list -> t -> Sink.event list
-(** One [Sink.Attribution] event per nonzero cell (edge ascending, then
-    object, then component), named [name] (default ["attribution"]) with
-    [attrs] on every event. This is the JSONL export format and what
-    [Strategy.run] emits per phase when tracing is on. *)
-
-val emit : ?name:string -> ?attrs:(string * Sink.value) list -> t -> Sink.t -> unit
-(** {!events} pushed into a sink. *)
 
 val to_json : ?k:int -> t -> string
 (** A standalone JSON document ([hbn.explain/v1]): congestion, then the

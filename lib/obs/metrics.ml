@@ -1,22 +1,3 @@
-module Stats = Hbn_util.Stats
-
-(* Histograms keep exact count/sum/min/max plus a bounded reservoir of
-   samples (Vitter's Algorithm R) for the quantile estimates, so a
-   long-running pipeline cannot grow a per-sample list without bound.
-   The replacement index comes from a per-histogram splitmix64 stream
-   seeded with a constant, so a deterministic program produces
-   deterministic summaries. *)
-let reservoir_capacity = 512
-
-type hist = {
-  mutable count : int;
-  mutable sum : float;
-  mutable lo : float;
-  mutable hi : float;
-  samples : float array;  (* first [min count capacity] slots are live *)
-  mutable rng : int64;
-}
-
 type t = {
   (* One lock serializes every registry operation: updates arrive from
      all domains when the pipeline runs with [--jobs > 1], and Hashtbl is
@@ -25,7 +6,6 @@ type t = {
   mutex : Mutex.t;
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
-  histograms : (string, hist) Hashtbl.t;
 }
 
 let create () =
@@ -33,7 +13,6 @@ let create () =
     mutex = Mutex.create ();
     counters = Hashtbl.create 16;
     gauges = Hashtbl.create 16;
-    histograms = Hashtbl.create 16;
   }
 
 let global = create ()
@@ -54,53 +33,6 @@ let set_gauge m name v =
   | Some r -> r := v
   | None -> Hashtbl.add m.gauges name (ref v)
 
-(* splitmix64 step, reduced to [0, bound). *)
-let rand_below h bound =
-  h.rng <- Int64.add h.rng 0x9E3779B97F4A7C15L;
-  let z = h.rng in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_int (Int64.rem (Int64.logand z Int64.max_int) (Int64.of_int bound))
-
-let observe m name v =
-  locked m @@ fun () ->
-  let h =
-    match Hashtbl.find_opt m.histograms name with
-    | Some h -> h
-    | None ->
-      let h =
-        {
-          count = 0;
-          sum = 0.;
-          lo = v;
-          hi = v;
-          samples = Array.make reservoir_capacity 0.;
-          rng = 0x5851F42D4C957F2DL;
-        }
-      in
-      Hashtbl.add m.histograms name h;
-      h
-  in
-  h.count <- h.count + 1;
-  h.sum <- h.sum +. v;
-  if v < h.lo then h.lo <- v;
-  if v > h.hi then h.hi <- v;
-  if h.count <= reservoir_capacity then h.samples.(h.count - 1) <- v
-  else begin
-    let j = rand_below h h.count in
-    if j < reservoir_capacity then h.samples.(j) <- v
-  end
-
-type summary = {
-  count : int;
-  mean : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-}
-
 let sorted_bindings tbl read =
   Hashtbl.fold (fun k v acc -> (k, read v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -109,22 +41,6 @@ let counters m = locked m @@ fun () -> sorted_bindings m.counters (fun r -> !r)
 
 let gauges m = locked m @@ fun () -> sorted_bindings m.gauges (fun r -> !r)
 
-let summarize h =
-  let live =
-    Array.to_list (Array.sub h.samples 0 (Stdlib.min h.count reservoir_capacity))
-  in
-  {
-    count = h.count;
-    mean = h.sum /. float_of_int h.count;
-    min = h.lo;
-    max = h.hi;
-    p50 = Stats.median live;
-    p95 = Stats.percentile 95. live;
-  }
-
-let histograms m =
-  locked m @@ fun () -> sorted_bindings m.histograms summarize
-
 let counter_value m name =
   locked m @@ fun () ->
   match Hashtbl.find_opt m.counters name with Some r -> !r | None -> 0
@@ -132,8 +48,7 @@ let counter_value m name =
 let reset m =
   locked m @@ fun () ->
   Hashtbl.reset m.counters;
-  Hashtbl.reset m.gauges;
-  Hashtbl.reset m.histograms
+  Hashtbl.reset m.gauges
 
 let emit m (sink : Sink.t) =
   List.iter
@@ -157,24 +72,4 @@ let emit m (sink : Sink.t) =
           payload = Sink.Gauge { value };
           attrs = [];
         })
-    (gauges m);
-  List.iter
-    (fun (name, s) ->
-      sink.Sink.emit
-        {
-          Sink.name;
-          id = 0;
-          parent = 0;
-          payload =
-            Sink.Histogram
-              {
-                count = s.count;
-                mean = s.mean;
-                min = s.min;
-                max = s.max;
-                p50 = s.p50;
-                p95 = s.p95;
-              };
-          attrs = [];
-        })
-    (histograms m)
+    (gauges m)

@@ -1,18 +1,8 @@
-(** Named counters, gauges and histograms.
+(** Named counters and gauges.
 
     A registry is a mutable bag of metrics keyed by name: counters
-    accumulate integer increments (per-object deletions, messages sent),
-    gauges record the last value observed (queue depths), and histograms
-    collect float samples summarized through {!Hbn_util.Stats}
-    (mean/min/max/median/95th percentile).
-
-    Histogram memory is bounded: each histogram keeps exact running
-    count, mean, min and max, plus a fixed 512-slot sample reservoir
-    (Vitter's Algorithm R with a deterministic per-histogram splitmix64
-    stream) from which [p50]/[p95] are computed. Quantiles are therefore
-    {e exact} while a histogram has seen at most 512 samples and
-    uniformly sampled estimates beyond that; a registry never holds more
-    than 512 floats per histogram no matter how long the run.
+    accumulate integer increments (per-object deletions, messages sent)
+    and gauges record the last value observed (queue depths).
 
     {!global} is the default registry the {!Trace} convenience functions
     feed; tests create private registries with {!create}. Metrics are
@@ -34,30 +24,11 @@ val incr : ?by:int -> t -> string -> unit
 val set_gauge : t -> string -> float -> unit
 (** Records the latest value of gauge [name]. *)
 
-val observe : t -> string -> float -> unit
-(** Adds one sample to histogram [name]. Count, mean, min and max are
-    updated exactly; the sample enters the quantile reservoir subject to
-    the sampling described above. O(1), bounded memory. *)
-
-type summary = {
-  count : int;
-  mean : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-}
-
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
 val gauges : t -> (string * float) list
 (** All gauges (latest values), sorted by name. *)
-
-val histograms : t -> (string * summary) list
-(** All histograms summarized, sorted by name — [count]/[mean]/[min]/
-    [max] exact, [p50]/[p95] over the 512-sample reservoir (exact when
-    [count <= 512]). *)
 
 val counter_value : t -> string -> int
 (** Current value of a counter; 0 when it was never incremented. *)
@@ -67,5 +38,4 @@ val reset : t -> unit
 
 val emit : t -> Sink.t -> unit
 (** Dumps a snapshot into the sink: one [Counter] event per counter (the
-    accumulated total), one [Gauge] per gauge, one [Histogram] summary
-    per histogram, each sorted by name. *)
+    accumulated total), then one [Gauge] per gauge, each sorted by name. *)

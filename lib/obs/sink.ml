@@ -6,14 +6,6 @@ type payload =
   | Point
   | Counter of { value : int }
   | Gauge of { value : float }
-  | Histogram of {
-      count : int;
-      mean : float;
-      min : float;
-      max : float;
-      p50 : float;
-      p95 : float;
-    }
   | Attribution of { edge : int; obj : int; component : string; amount : int }
   | Fault of { round : int; fault : string; node : int; edge : int }
   | Series of {
@@ -41,7 +33,6 @@ let kinds =
     "point";
     "counter";
     "gauge";
-    "histogram";
     "attribution";
     "fault";
     "series";
@@ -100,7 +91,6 @@ let to_json ev =
     | Point -> "point"
     | Counter _ -> "counter"
     | Gauge _ -> "gauge"
-    | Histogram _ -> "histogram"
     | Attribution _ -> "attribution"
     | Fault _ -> "fault"
     | Series _ -> "series"
@@ -115,13 +105,6 @@ let to_json ev =
   | Counter { value } ->
     field "value" (fun b -> Buffer.add_string b (string_of_int value))
   | Gauge { value } -> field "value" (fun b -> float_to b value)
-  | Histogram { count; mean; min; max; p50; p95 } ->
-    field "count" (fun b -> Buffer.add_string b (string_of_int count));
-    field "mean" (fun b -> float_to b mean);
-    field "min" (fun b -> float_to b min);
-    field "max" (fun b -> float_to b max);
-    field "p50" (fun b -> float_to b p50);
-    field "p95" (fun b -> float_to b p95)
   | Attribution { edge; obj; component; amount } ->
     field "edge" (fun b -> Buffer.add_string b (string_of_int edge));
     field "obj" (fun b -> Buffer.add_string b (string_of_int obj));
@@ -191,16 +174,6 @@ let of_json line =
          | "point" -> Point
          | "counter" -> Counter { value = int "value" }
          | "gauge" -> Gauge { value = num "value" }
-         | "histogram" ->
-           Histogram
-             {
-               count = int "count";
-               mean = num "mean";
-               min = num "min";
-               max = num "max";
-               p50 = num "p50";
-               p95 = num "p95";
-             }
          | "attribution" ->
            Attribution
              {
@@ -299,8 +272,8 @@ let timings () =
        | None ->
          Hashtbl.add tbl ev.name (ref 1, ref duration_ns);
          order := ev.name :: !order)
-    | Span_start | Point | Counter _ | Gauge _ | Histogram _ | Attribution _
-    | Fault _ | Series _ | Alert _ ->
+    | Span_start | Point | Counter _ | Gauge _ | Attribution _ | Fault _
+    | Series _ | Alert _ ->
       ()
   in
   ( { emit; flush = (fun () -> ()) },

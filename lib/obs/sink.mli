@@ -16,8 +16,6 @@
     {"ev":"point","name":N,"id":0,"parent":P,"attrs":{...}}
     {"ev":"counter","name":N,"id":0,"parent":0,"value":V,"attrs":{}}
     {"ev":"gauge","name":N,"id":0,"parent":P,"value":V,"attrs":{}}
-    {"ev":"histogram","name":N,"id":0,"parent":0,"count":C,"mean":M,
-     "min":L,"max":H,"p50":A,"p95":B,"attrs":{}}
     {"ev":"attribution","name":N,"id":0,"parent":P,"edge":E,"obj":O,
      "component":"read_path|write_path|write_steiner","amount":A,
      "attrs":{...}}
@@ -34,10 +32,12 @@
     [attribution] event reports one cell of a per-edge load-attribution
     table ({!Attribution}): object [O] contributes [A] absolute load
     units to edge [E] through the named component of Section 1.1's load
-    definition. A [fault] event reports one injected fault of a
-    [Runtime.run] under a fault plan — a dropped message, a node
-    crash/restart, or an edge outage opening/closing — with [node] or
-    [edge] set to [-1] when not applicable. A [series] event is one
+    definition. The codec keeps the kind, but nothing in the library
+    emits it: [hbn_cli explain] is the attribution surface. A [fault]
+    event reports one injected fault of a [Runtime.run] under a fault
+    plan — a dropped message, a node crash/restart, or an edge outage
+    opening/closing — with [node] or [edge] set to [-1] when not
+    applicable. A [series] event is one
     point of a {!Telemetry} time series: metric [N] had value [V] over
     the [S] runtime rounds ending at round [R] ([S = 1] for an exact
     per-round sample, [S > 1] after the bounded-memory collector folded
@@ -56,14 +56,6 @@ type payload =
   | Point
   | Counter of { value : int }
   | Gauge of { value : float }
-  | Histogram of {
-      count : int;
-      mean : float;
-      min : float;
-      max : float;
-      p50 : float;
-      p95 : float;
-    }
   | Attribution of { edge : int; obj : int; component : string; amount : int }
   | Fault of { round : int; fault : string; node : int; edge : int }
   | Series of { round : int; time : float; span : int; value : int; edge : int }

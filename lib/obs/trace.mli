@@ -65,10 +65,11 @@ val event : ?attrs:(string * Sink.value) list -> string -> unit
 
 val emit : Sink.event -> unit
 (** Emits a pre-built event into the installed sink — the escape hatch
-    for structured payloads the helpers above don't build, such as
-    {!Attribution} snapshots. An event whose [parent] is [0] is
-    re-parented to the innermost open span. No-op when disabled; callers
-    guard the event construction behind {!enabled} themselves. *)
+    for structured payloads the helpers above don't build, such as the
+    [Fault] events of a [Runtime.run] under a fault plan. An event whose
+    [parent] is [0] is re-parented to the innermost open span. No-op when
+    disabled; callers guard the event construction behind {!enabled}
+    themselves. *)
 
 val count : ?by:int -> string -> unit
 (** Bumps the named counter in {!Metrics.global}. Counters are

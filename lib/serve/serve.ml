@@ -254,12 +254,11 @@ let run ?exec cfg source =
     if e > 0 then check_table w;
     bootstrap w cur;
     let eng = Loads.of_copies w (Array.copy cur) in
-    let attr = Attribution.attach eng in
     (* Epoch boundary: the previous epoch's alerts decide whether the
        hot objects get re-optimized before this epoch serves. *)
     let reopt, bytes, repl, migr, contr =
       if e > 0 && !trigger_next then begin
-        let hot = hot_objects attr ~k:cfg.top_k in
+        let hot = hot_objects (Attribution.of_loads eng) ~k:cfg.top_k in
         if Array.length hot = 0 then (false, 0, 0, 0, 0)
         else
           let prng =
@@ -336,9 +335,6 @@ let run ?exec cfg source =
       obs "contractions" (at_boundary (if reopt then contr else 0));
       obs "live_nodes" (float_of_int n)
     done;
-    (* Detach the attribution hook before the engine goes out of use. *)
-    ignore (attr : Attribution.t);
-    Loads.set_hook eng None;
     let all_alerts = Monitor.alerts mon in
     let count = List.length all_alerts in
     let fresh = List.filteri (fun i _ -> i >= !prev_alert_count) all_alerts in

@@ -2,8 +2,8 @@
 
     Closes the loop the ROADMAP's headline item asks for: a long-running
     loop streams request traffic epoch by epoch through the incremental
-    {!Hbn_loads.Loads} engine with an {!Hbn_obs.Attribution} table
-    attached, one {!Hbn_obs.Monitor} armed over the serving telemetry,
+    {!Hbn_loads.Loads} engine, one {!Hbn_obs.Monitor} armed over the
+    serving telemetry,
     and — when the monitor's alerts say the pattern shifted — re-optimizes
     {e only the hot objects} at the next epoch boundary, gated by a
     migration-cost model and hysteresis.
@@ -11,11 +11,11 @@
     {2 The loop, per epoch}
 
     + Build the epoch's workload (a {!Drift} generator or a replayed
-      table), rebuild the load engine on the current copy sets, attach
-      attribution.
+      table) and rebuild the load engine on the current copy sets.
     + If the {e previous} epoch raised any alert on a non-reconfiguration
-      series: take the [top_k] hottest objects from the attribution
-      table's hotspot sites and hill-climb their copy sets through
+      series: attribute the engine's loads ({!Hbn_obs.Attribution.of_loads}
+      — built only in these epochs), take the [top_k] hottest objects
+      from the table's hotspot sites and hill-climb their copy sets through
       checkpoint/rollback proposals. Every accepted move is priced at
       [obj_size * edges_moved] bytes (replication pays the distance to
       the nearest existing copy; migration the src-dst path; dropping a

@@ -1,21 +1,13 @@
-type 'a entry = { mutable key : int; value : 'a; mutable pos : int }
-
-type 'a handle = 'a entry
+type 'a entry = { key : int; value : 'a }
 
 type 'a t = { mutable data : 'a entry array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
 
-let length h = h.size
-
-let is_empty h = h.size = 0
-
 let swap h i j =
-  let a = h.data.(i) and b = h.data.(j) in
-  h.data.(i) <- b;
-  h.data.(j) <- a;
-  b.pos <- i;
-  a.pos <- j
+  let a = h.data.(i) in
+  h.data.(i) <- h.data.(j);
+  h.data.(j) <- a
 
 let rec sift_up h i =
   if i > 0 then begin
@@ -36,83 +28,27 @@ let rec sift_down h i =
     sift_down h !smallest
   end
 
-let ensure_capacity h =
+let add h ~key value =
+  let entry = { key; value } in
   let cap = Array.length h.data in
-  if h.size >= cap then begin
-    let dummy = h.data.(0) in
-    let fresh = Array.make (max 4 (2 * cap)) dummy in
+  if cap = 0 then h.data <- Array.make 4 entry
+  else if h.size >= cap then begin
+    let fresh = Array.make (2 * cap) entry in
     Array.blit h.data 0 fresh 0 h.size;
     h.data <- fresh
-  end
-
-let add_tracked h ~key value =
-  let entry = { key; value; pos = h.size } in
-  if Array.length h.data = 0 then h.data <- Array.make 4 entry
-  else ensure_capacity h;
+  end;
   h.data.(h.size) <- entry;
   h.size <- h.size + 1;
-  sift_up h (h.size - 1);
-  entry
-
-let add h ~key value = ignore (add_tracked h ~key value)
-
-let min_elt h =
-  if h.size = 0 then None
-  else
-    let e = h.data.(0) in
-    Some (e.key, e.value)
+  sift_up h (h.size - 1)
 
 let pop_min h =
   if h.size = 0 then None
   else begin
     let e = h.data.(0) in
     h.size <- h.size - 1;
-    e.pos <- -1;
     if h.size > 0 then begin
-      let last = h.data.(h.size) in
-      h.data.(0) <- last;
-      last.pos <- 0;
+      h.data.(0) <- h.data.(h.size);
       sift_down h 0
     end;
     Some (e.key, e.value)
   end
-
-let mem h pred =
-  let found = ref false in
-  let i = ref 0 in
-  while (not !found) && !i < h.size do
-    if pred h.data.(!i).value then found := true else incr i
-  done;
-  !found
-
-let handle_key e = e.key
-
-let handle_value e = e.value
-
-let in_heap e = e.pos >= 0
-
-let rekey h e key =
-  if e.pos < 0 then false
-  else begin
-    if e.pos >= h.size || h.data.(e.pos) != e then
-      invalid_arg "Heap.rekey: handle belongs to a different heap";
-    let old = e.key in
-    e.key <- key;
-    if key < old then sift_up h e.pos else sift_down h e.pos;
-    true
-  end
-
-let of_list kvs =
-  let h = create () in
-  List.iter (fun (key, value) -> add h ~key value) kvs;
-  h
-
-let fold f h init =
-  let acc = ref init in
-  for i = 0 to h.size - 1 do
-    let e = h.data.(i) in
-    acc := f e.key e.value !acc
-  done;
-  !acc
-
-let to_list h = fold (fun k v acc -> (k, v) :: acc) h []

@@ -2,63 +2,19 @@
 
     Used by the mapping algorithm of the extended-nibble strategy to locate a
     free downward child edge in [O(log degree)] time, matching the runtime
-    bound claimed in Theorem 4.3 of the paper. Every element tracks its
-    position in the backing array, so re-keying through a {!handle}
-    ({!add_tracked} / {!rekey}) is [O(log n)]. *)
+    bound claimed in Theorem 4.3 of the paper. Equal keys pop in heap
+    order, not insertion order; the mapping's downward phase depends on
+    that order, so the sift comparisons stay strict. *)
 
 type 'a t
-(** A min-heap whose elements carry a mutable integer key. *)
-
-type 'a handle
-(** A stable reference to one element of one heap, valid until the element
-    is popped ({!in_heap} tells). *)
+(** A min-heap of values with integer keys. *)
 
 val create : unit -> 'a t
 (** [create ()] is a fresh empty heap. *)
 
-val length : 'a t -> int
-(** [length h] is the number of elements currently stored in [h]. *)
-
-val is_empty : 'a t -> bool
-(** [is_empty h] is [length h = 0]. *)
-
 val add : 'a t -> key:int -> 'a -> unit
-(** [add h ~key v] inserts [v] with priority [key]. *)
-
-val add_tracked : 'a t -> key:int -> 'a -> 'a handle
-(** Like {!add} but returns a handle for later [O(log n)] re-keying with
-    {!rekey}. *)
-
-val rekey : 'a t -> 'a handle -> int -> bool
-(** [rekey h handle key] re-keys the element behind [handle] and restores
-    heap order in [O(log n)]. Returns [false] when the element has already
-    been popped. Raises [Invalid_argument] if [handle] was obtained from a
-    different heap. *)
-
-val handle_key : 'a handle -> int
-(** The element's current key. Meaningless after the element is popped. *)
-
-val handle_value : 'a handle -> 'a
-
-val in_heap : 'a handle -> bool
-(** [true] until the element is removed by {!pop_min}. *)
-
-val min_elt : 'a t -> (int * 'a) option
-(** [min_elt h] is the minimum-key binding, or [None] when empty. The heap
-    is left unchanged. *)
+(** [add h ~key v] inserts [v] with priority [key]. [O(log n)]. *)
 
 val pop_min : 'a t -> (int * 'a) option
-(** [pop_min h] removes and returns the minimum-key binding. *)
-
-val mem : 'a t -> ('a -> bool) -> bool
-(** [mem h pred] is [true] iff some element satisfies [pred] — an [O(n)]
-    scan, exposed so callers can probe without holding a handle. *)
-
-val of_list : (int * 'a) list -> 'a t
-(** [of_list kvs] builds a heap from key/value pairs in [O(n)]. *)
-
-val to_list : 'a t -> (int * 'a) list
-(** [to_list h] is all bindings in unspecified order. *)
-
-val fold : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-(** [fold f h init] folds over all bindings in unspecified order. *)
+(** [pop_min h] removes and returns the minimum-key binding, or [None]
+    when [h] is empty. [O(log n)]. *)

@@ -8,7 +8,6 @@ module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Loads = Hbn_loads.Loads
 module Attribution = Hbn_obs.Attribution
-module Sink = Hbn_obs.Sink
 module Strategy = Hbn_core.Strategy
 module Baselines = Hbn_baselines.Baselines
 module Exec = Hbn_exec.Exec
@@ -173,46 +172,6 @@ let prop_attribution_invariant_across_jobs seed =
   let reference = at_jobs 1 in
   List.for_all (fun jobs -> Attribution.equal reference (at_jobs jobs)) [ 2; 4 ]
 
-(* Events come out in deterministic (edge, object, component) order, sum
-   back to the totals, and round-trip through the JSONL codec. *)
-let test_events_deterministic_and_roundtrip () =
-  let _, w = Helpers.instance 7 in
-  let attr =
-    Attribution.of_placement w (Strategy.run w).Strategy.placement
-  in
-  let events =
-    Attribution.events ~attrs:[ ("phase", Sink.Str "final") ] attr
-  in
-  let cells =
-    List.map
-      (fun (ev : Sink.event) ->
-        match ev.Sink.payload with
-        | Sink.Attribution { edge; obj; component; amount } ->
-          Alcotest.(check string) "event name" "attribution" ev.Sink.name;
-          Alcotest.(check bool) "phase attr kept" true
-            (List.mem ("phase", Sink.Str "final") ev.Sink.attrs);
-          (match Placement.component_of_name component with
-          | Some _ -> ()
-          | None -> Alcotest.failf "unknown component %s" component);
-          (edge, obj, component, amount)
-        | _ -> Alcotest.fail "non-attribution event")
-      events
-  in
-  Alcotest.(check bool) "sorted by (edge, obj, component)" true
-    (List.sort compare (List.map (fun (e, o, c, _) -> (e, o, c)) cells)
-    = List.map (fun (e, o, c, _) -> (e, o, c)) cells);
-  let totals = Attribution.totals attr in
-  let summed = Array.make (Array.length totals) 0 in
-  List.iter (fun (e, _, _, amount) -> summed.(e) <- summed.(e) + amount) cells;
-  Alcotest.(check bool) "events sum to totals" true (summed = totals);
-  List.iter
-    (fun ev ->
-      match Sink.of_json (Sink.to_json ev) with
-      | Ok ev' when ev' = ev -> ()
-      | Ok _ -> Alcotest.failf "lossy round trip: %s" (Sink.to_json ev)
-      | Error m -> Alcotest.failf "unparseable: %s" m)
-    events
-
 let test_renderings () =
   let _, w = Helpers.instance 11 in
   let attr =
@@ -251,7 +210,5 @@ let suite =
       Helpers.seed_arb prop_engine_matches_placement_attribution;
     Helpers.qt ~count:25 "attribution bit-identical at jobs 1/2/4"
       Helpers.seed_arb prop_attribution_invariant_across_jobs;
-    Helpers.tc "events are deterministic and round-trip"
-      test_events_deterministic_and_roundtrip;
     Helpers.tc "json and dot renderings" test_renderings;
   ]

@@ -176,17 +176,11 @@ let test_metrics_concurrent_incr () =
   let domains = 4 and per_domain = 5_000 in
   spawn_all domains (fun _ ->
       for _ = 1 to per_domain do
-        Metrics.incr m "shared";
-        Metrics.observe m "lat" 1.0
+        Metrics.incr m "shared"
       done)
   |> List.iter Domain.join;
   Alcotest.(check int) "no lost increments" (domains * per_domain)
-    (Metrics.counter_value m "shared");
-  match Metrics.histograms m with
-  | [ ("lat", s) ] ->
-    Alcotest.(check int) "no lost samples" (domains * per_domain)
-      s.Metrics.count
-  | _ -> Alcotest.fail "expected exactly the lat histogram"
+    (Metrics.counter_value m "shared")
 
 let test_memory_sink_concurrent_emit () =
   let sink, read = Sink.memory () in

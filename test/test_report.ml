@@ -383,8 +383,10 @@ let test_report_series_carry_vtime () =
     (Helpers.contains (Report.to_table r) "1.5-9")
 
 (* Forward compatibility: a valid JSON line whose ["ev"] tag is unknown
-   is skipped and counted, not fatal; a malformed *known* event still
-   fails the load with its line number. *)
+   is skipped and counted, not fatal — a kind from a newer writer, or a
+   [histogram] summary that older traces carry and the codec no longer
+   decodes. A malformed *known* event still fails the load with its line
+   number. *)
 let test_report_unknown_kind_skipped () =
   let write lines =
     let path = Filename.temp_file "hbn_report" ".jsonl" in
@@ -398,6 +400,7 @@ let test_report_unknown_kind_skipped () =
         "{\"ev\":\"point\",\"name\":\"ok\",\"id\":0,\"parent\":0,\"attrs\":{}}";
         "{\"ev\":\"hologram\",\"name\":\"from the future\",\"payload\":[1,2]}";
         "{\"ev\":\"point\",\"name\":\"ok\",\"id\":0,\"parent\":0,\"attrs\":{}}";
+        "{\"ev\":\"histogram\",\"name\":\"lat\",\"id\":0,\"parent\":0,\"count\":2,\"mean\":1,\"min\":0.5,\"max\":1.5,\"p50\":1,\"p95\":1.45,\"attrs\":{}}";
       ]
   in
   (match Report.load ~path with
@@ -405,9 +408,10 @@ let test_report_unknown_kind_skipped () =
   | Ok r ->
     Alcotest.(check int) "both known events kept" 2
       (List.length (Report.events r));
-    Alcotest.(check int) "one unknown line counted" 1 (Report.unknown_events r);
+    Alcotest.(check int) "both unknown lines counted" 2
+      (Report.unknown_events r);
     Alcotest.(check bool) "table reports the skip count" true
-      (Helpers.contains (Report.to_table r) "(1 of unknown kind skipped)"));
+      (Helpers.contains (Report.to_table r) "(2 of unknown kind skipped)"));
   Sys.remove path;
   let path =
     write
