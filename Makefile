@@ -27,9 +27,9 @@ test:
 # and requires completion to rise while the traffic stays pinned; the
 # simulate --faults/--link line exercises the same machinery end to end
 # through the CLI; bench-quick cross-checks the Tree.Flat kernels against
-# each other and the event engine's pairing heap against a stable sort; the monitor smoke replays the synthetic
-# drift matrix and requires steady traffic to stay silent while every
-# drift shape fires; report-smoke drives --trace/--telemetry recording,
+# each other; the monitor smoke replays the synthetic drift matrix and
+# requires steady traffic to stay silent while every drift shape fires;
+# report-smoke drives --trace/--telemetry recording,
 # the report command's three renderers, and a --diff of a trace against
 # itself (which must come back clean); the serve smoke replays the
 # adaptive-serving matrix contract (steady silent, hotspot recovered

@@ -8,8 +8,8 @@
    equal (the traffic is a function of workload and placement alone),
    while completion — the virtual time of the last delivered hop — moves
    with the per-level delay/bandwidth profile. A diff against the
-   committed BENCH_async.json means the event engine, the link model or
-   the simulator's grant schedule changed, not just speed. *)
+   committed BENCH_async.json means the tick loop, the link model or the
+   simulator's grant schedule changed, not just speed. *)
 
 module Tree = Hbn_tree.Tree
 module Builders = Hbn_tree.Builders

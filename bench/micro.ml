@@ -3,10 +3,8 @@
    B6 (a plain timed loop) what instrumentation costs with tracing off;
    F1-F3 cover the Tree.Flat primitives the
    hot path is built from (path folds, batched LCA, Steiner scans with a
-   reused and a fresh scratch);
-   E1-E2 cover the discrete-event substrate the asynchronous simulators
-   run on (pairing-heap churn, engine tick chains). Results print as
-   ns/run estimated by OLS. *)
+   reused and a fresh scratch). Results print as ns/run estimated by
+   OLS. *)
 
 module Tree = Hbn_tree.Tree
 module Flat = Hbn_tree.Flat
@@ -121,48 +119,6 @@ let flat_tests =
              ignore !acc));
     ]
 
-(* The event-engine instance: a fixed array of quantized timestamps with
-   plenty of collisions (eighth-ticks over a small range), so the heap's
-   equal-key FIFO path is actually on the profile, drawn once outside
-   the timed region. *)
-module Pq = Hbn_event.Pq
-module Engine = Hbn_event.Engine
-
-let event_instance () =
-  let prng = Prng.create 20260808 in
-  Array.init 4096 (fun _ -> float_of_int (Prng.int prng 1024) /. 8.)
-
-let event_tests =
-  let times = event_instance () in
-  Test.make_grouped ~name:"event"
-    [
-      Test.make ~name:"E1 pairing-heap add/pop churn (4096 stamps)"
-        (Staged.stage (fun () ->
-             let q = Pq.create () in
-             Array.iter (fun t -> Pq.add q ~time:t t) times;
-             let acc = ref 0. in
-             let rec drain () =
-               match Pq.pop q with
-               | None -> ()
-               | Some (t, _) ->
-                 acc := !acc +. t;
-                 drain ()
-             in
-             drain ();
-             ignore !acc));
-      Test.make ~name:"E2 engine tick chain (1024 unit-delay ticks)"
-        (Staged.stage (fun () ->
-             let e = Engine.create () in
-             let count = ref 0 in
-             let rec tick () =
-               incr count;
-               if !count < 1024 then Engine.after e ~delay:1. tick
-             in
-             Engine.at e ~time:1. tick;
-             Engine.drain e;
-             ignore !count));
-    ]
-
 let run_group ~banner tests =
   print_endline banner;
   let ols =
@@ -239,9 +195,6 @@ let run () =
 let run_flat () =
   run_group ~banner:"\n=== F1-F3: Tree.Flat primitive kernels ===" flat_tests
 
-let run_event () =
-  run_group ~banner:"\n=== E1-E2: discrete-event engine kernels ===" event_tests
-
 (* Fast correctness pass over the same kernels, for `make bench-quick`:
    the flat kernels are checked against each other on the bench instance
    (distance = ordered path length, unordered path = same edge multiset,
@@ -281,34 +234,3 @@ let smoke_flat () =
      steiner sets (shared scratch)\n"
     (Array.length pairs)
     (Array.length steiner_sets)
-
-(* Same fast-correctness idea for the event substrate: the pairing
-   heap's pop order on the bench instance must equal a stable sort by
-   time — equal timestamps pop FIFO, the property the engine's
-   bit-identical replay rests on. No timing claims. *)
-let smoke_event () =
-  let times = event_instance () in
-  let q = Pq.create () in
-  Array.iteri (fun i t -> Pq.add q ~time:t i) times;
-  let popped = ref [] in
-  let rec drain () =
-    match Pq.pop q with
-    | None -> ()
-    | Some (t, i) ->
-      popped := (t, i) :: !popped;
-      drain ()
-  in
-  drain ();
-  let want =
-    List.stable_sort
-      (fun (a, _) (b, _) -> compare a b)
-      (Array.to_list (Array.mapi (fun i t -> (t, i)) times))
-  in
-  if List.rev !popped <> want then begin
-    prerr_endline
-      "bench/micro --smoke: pairing-heap pop order diverged from stable sort";
-    exit 1
-  end;
-  Printf.printf
-    "bench/micro --smoke: pairing heap pops %d stamps in stable time order\n"
-    (Array.length times)

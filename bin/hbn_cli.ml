@@ -683,7 +683,7 @@ let simulate_cmd =
           ~doc:
             "Give every tree level its own link delay and bandwidth and \
              run the simulation (and, with --faults, the distributed \
-             recovery) on the discrete-event engine over virtual time. \
+             recovery) over virtual time. \
              $(docv) is comma-separated DELAY:BANDWIDTH clauses, \
              root-down, one per level; a short spec extends its last \
              clause to deeper levels and BANDWIDTH may be 'inf' \
@@ -707,18 +707,20 @@ let simulate_cmd =
     in
     let sim_tel = mk_tel () in
     let dist_tel = mk_tel () in
-    (* A drift monitor rides along with each collector; the engines
-       ingest the folded series at end of run and hand back a verdict.
-       The prefix matches the collector's emit prefix, so alert series
-       names agree with the telemetry series at the source. *)
+    (* A drift monitor rides along with each collector and ingests its
+       folded series once the run is over. The prefix matches the
+       collector's emit prefix, so alert series names agree with the
+       telemetry series at the source. *)
     let mk_mon prefix =
       Option.map (fun _ -> Monitor.create ~prefix ()) telemetry_path
     in
     let sim_mon = mk_mon "sim" in
     let dist_mon = mk_mon "dist" in
-    let print_health what = function
-      | None -> ()
-      | Some v ->
+    let print_health what tel mon =
+      match (tel, mon) with
+      | Some tel, Some mon ->
+        Monitor.ingest mon tel;
+        let v = Monitor.health mon in
         let alerts =
           match v with
           | Monitor.Steady -> []
@@ -733,6 +735,7 @@ let simulate_cmd =
               (List.hd l).Monitor.a_series
               (Monitor.kind_name (List.hd l).Monitor.a_kind)
               (List.hd l).Monitor.a_round)
+      | _ -> ()
     in
     let link =
       Option.map
@@ -747,15 +750,14 @@ let simulate_cmd =
       link;
     let res = Strategy.run ~exec w in
     let out =
-      Sim.run ~scale ?telemetry:sim_tel ?monitor:sim_mon ?link w
-        res.Strategy.placement
+      Sim.run ~scale ?telemetry:sim_tel ?link w res.Strategy.placement
     in
     Printf.printf "packets: %d, edge transmissions: %d\n" out.Sim.packets
       out.Sim.transmissions;
     Printf.printf "makespan: %d rounds (lower bound %.1f)\n" out.Sim.makespan
       (Sim.lower_bound w res.Strategy.placement out);
     Printf.printf "completion: %g virtual time\n" out.Sim.completion;
-    print_health "sim" out.Sim.health;
+    print_health "sim" sim_tel sim_mon;
     (* The distributed protocol must reproduce the centralized strategy:
        identical placements ideally, congestion-equal at minimum. A
        divergence is a bug in one of the two implementations, so it
@@ -815,19 +817,18 @@ let simulate_cmd =
           ns.Dist_nibble.pure_acks
       in
       (match
-         Dist.run_with_faults ~faults:plan ?telemetry:dist_tel
-           ?monitor:dist_mon ?link w
+         Dist.run_with_faults ~faults:plan ?telemetry:dist_tel ?link w
        with
-      | Dist.Recovered { placement; nibble; log; health; _ } ->
+      | Dist.Recovered { placement; nibble; log; _ } ->
         summarize_log log;
         print_nibble nibble;
-        print_health "dist" health;
+        print_health "dist" dist_tel dist_mon;
         check_against_centralized ~what:"recovered distributed placement"
           placement
-      | Dist.Degraded { reason; nibble; log; health; _ } ->
+      | Dist.Degraded { reason; nibble; log; _ } ->
         summarize_log log;
         print_nibble nibble;
-        print_health "dist" health;
+        print_health "dist" dist_tel dist_mon;
         die "fault recovery degraded: %s (%d node/object decisions open)"
           (match reason with
           | `Round_limit -> "round limit reached"

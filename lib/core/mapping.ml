@@ -166,6 +166,7 @@ let run ?(verify = false) ?(inject_lacc_error = 0) ?on_round tree ~basic_up
   (* Downwards phase: rounds height .. 1 (every bus; processors keep their
      copies). Free child edges are found through a min-heap keyed by
      L_map - L_acc, so each lookup costs O(log degree). *)
+  let slack e = st.lmap_down.(e) - st.lacc_down.(e) in
   for l = height downto 1 do
     List.iter
       (fun v ->
@@ -174,7 +175,7 @@ let run ?(verify = false) ?(inject_lacc_error = 0) ?on_round tree ~basic_up
           Array.iter
             (fun c ->
               let e = r.Tree.parent_edge.(c) in
-              Heap.add heap ~key:(st.lmap_down.(e) - st.lacc_down.(e)) (e, c))
+              Heap.add heap ~key:(float_of_int (slack e)) (e, c))
             r.Tree.children.(v);
           let copies = st.node_copies.(v) in
           st.node_copies.(v) <- [];
@@ -182,14 +183,13 @@ let run ?(verify = false) ?(inject_lacc_error = 0) ?on_round tree ~basic_up
             (fun c ->
               match Heap.pop_min heap with
               | None -> raise (No_free_edge { node = v; copy = c })
-              | Some (key, (e, child)) ->
-                if key + Copy.weight c <= tau_max then begin
+              | Some (_, (e, child)) ->
+                if slack e + Copy.weight c <= tau_max then begin
                   c.Copy.node <- child;
                   st.node_copies.(child) <- c :: st.node_copies.(child);
                   st.lmap_down.(e) <- st.lmap_down.(e) + Copy.weight c;
                   incr moves_down;
-                  Heap.add heap ~key:(st.lmap_down.(e) - st.lacc_down.(e))
-                    (e, child)
+                  Heap.add heap ~key:(float_of_int (slack e)) (e, child)
                 end
                 else raise (No_free_edge { node = v; copy = c }))
             copies

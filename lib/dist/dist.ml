@@ -148,14 +148,12 @@ type fault_report =
       emulated : stats;
       nibble : Dist_nibble.robust_stats;
       log : Faults.event list;
-      health : Hbn_obs.Monitor.verdict option;
     }
   | Degraded of {
       reason : [ `Round_limit | `Undecided | `Diverged ];
       partial : int list array;
       nibble : Dist_nibble.robust_stats;
       log : Faults.event list;
-      health : Hbn_obs.Monitor.verdict option;
     }
 
 let reason_name = function
@@ -164,14 +162,10 @@ let reason_name = function
   | `Diverged -> "diverged"
 
 let run_with_faults ?max_rounds ?timeout ?(faults = Faults.none) ?telemetry
-    ?monitor ?link w =
-  (* The monitor ingests inside the runtime; only the verdict is read
-     back here, after run_robust returns. *)
-  let health () = Option.map Hbn_obs.Monitor.health monitor in
+    ?link w =
   let report =
     match
-      Dist_nibble.run_robust ?max_rounds ?timeout ~faults ?telemetry ?monitor
-        ?link w
+      Dist_nibble.run_robust ?max_rounds ?timeout ~faults ?telemetry ?link w
     with
     | Dist_nibble.Degraded { reason; partial; stats; log } ->
       Degraded
@@ -180,20 +174,18 @@ let run_with_faults ?max_rounds ?timeout ?(faults = Faults.none) ?telemetry
           partial;
           nibble = stats;
           log;
-          health = health ();
         }
     | Dist_nibble.Complete { placement = sets; stats = nibble; log } ->
       let seq = Nibble.place_all w in
       if not (Array.for_all2 (fun got cs -> got = cs.Nibble.nodes) sets seq)
       then
-        Degraded
-          { reason = `Diverged; partial = sets; nibble; log; health = health () }
+        Degraded { reason = `Diverged; partial = sets; nibble; log }
       else
         (* The recovered copy sets equal the pristine nibble's, so the
            remainder of the pipeline (deletion, mapping) proceeds exactly
            as in the fault-free emulation. *)
         let placement, emulated = strategy_rounds w in
-        Recovered { placement; emulated; nibble; log; health = health () }
+        Recovered { placement; emulated; nibble; log }
   in
   if Trace.enabled () then begin
     match report with

@@ -50,15 +50,12 @@ type fault_report =
       emulated : stats;  (** fault-free cost model of the full pipeline *)
       nibble : Dist_nibble.robust_stats;  (** the actual hardened run *)
       log : Faults.event list;
-      health : Hbn_obs.Monitor.verdict option;
-          (** end-of-run drift verdict; [None] without a monitor *)
     }
   | Degraded of {
       reason : [ `Round_limit | `Undecided | `Diverged ];
       partial : int list array;  (** per-object copy sets decided so far *)
       nibble : Dist_nibble.robust_stats;
       log : Faults.event list;
-      health : Hbn_obs.Monitor.verdict option;
     }
 
 val run_with_faults :
@@ -66,7 +63,6 @@ val run_with_faults :
   ?timeout:int ->
   ?faults:Faults.plan ->
   ?telemetry:Hbn_obs.Telemetry.t ->
-  ?monitor:Hbn_obs.Monitor.t ->
   ?link:Hbn_event.Link.config ->
   Workload.t ->
   fault_report
@@ -77,8 +73,8 @@ val run_with_faults :
     is [Recovered] with the centralized placement; any other ending —
     round budget exhausted, permanently crashed node, or (would be a
     bug) divergence — is a structured [Degraded]. Never raises on
-    faults. [telemetry], [monitor] and [link] are passed through to the
-    hardened run ({!Dist_nibble.run_robust}) so the recovery's
-    round-by-round message and retransmission pressure lands in the
-    collector, the monitor turns it into alerts and the [health] field,
-    and the recovery can be measured on asymmetric per-level links. *)
+    faults. [telemetry] and [link] are passed through to the hardened
+    run ({!Dist_nibble.run_robust}) so the recovery's round-by-round
+    message and retransmission pressure lands in the collector, where a
+    {!Hbn_obs.Monitor} can turn it into alerts, and the recovery can be
+    measured on asymmetric per-level links. *)

@@ -249,7 +249,7 @@ let frame_bytes fr =
   16 + match fr.payload with None -> 0 | Some m -> msg_payload_bytes m
 
 let run_robust ?(max_rounds = 100_000) ?(timeout = 4) ?(faults = Faults.none)
-    ?telemetry ?monitor ?link w =
+    ?telemetry ?link w =
   if timeout < 1 then invalid_arg "Dist_nibble.run_robust: timeout must be >= 1";
   let tree = Workload.tree w in
   let r = Tree.rooting tree in
@@ -350,10 +350,10 @@ let run_robust ?(max_rounds = 100_000) ?(timeout = 4) ?(faults = Faults.none)
   in
   let out =
     (* The stop-and-wait timers count rounds; a link model keeps the
-       engine's ticks on the integer virtual times, so [timeout] means
+       runtime's ticks on the integer virtual times, so [timeout] means
        the same thing with or without one. *)
     Runtime.run ~max_rounds ~quiet_rounds:(timeout + 1) ~faults ?telemetry
-      ?monitor ~msg_bytes:frame_bytes ?link tree ~init ~step
+      ~msg_bytes:frame_bytes ?link tree ~init ~step
   in
   let placement, undecided =
     collect_result tree objects out.Runtime.states

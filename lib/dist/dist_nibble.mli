@@ -66,7 +66,6 @@ val run_robust :
   ?timeout:int ->
   ?faults:Faults.plan ->
   ?telemetry:Hbn_obs.Telemetry.t ->
-  ?monitor:Hbn_obs.Monitor.t ->
   ?link:Hbn_event.Link.config ->
   Workload.t ->
   outcome
@@ -79,12 +78,10 @@ val run_robust :
 
     [telemetry] threads a fresh {!Hbn_obs.Telemetry} collector through
     the underlying {!Runtime.run}: per-round sends/deliveries/drops and
-    per-edge traversals from the engine, frame bytes from a sizer that
+    per-edge traversals from the runtime, frame bytes from a sizer that
     charges a 16-byte link header plus the payload's fields, and
     retransmissions/duplicate-suppressions attributed to the round they
-    occur in. [monitor] is handed to the runtime the same way: the
-    caller-owned {!Hbn_obs.Monitor} ingests the folded series at end of
-    run and can then be asked for alerts and a health verdict.
+    occur in.
 
     [link] is handed to {!Runtime.run} as its link model, replacing the
     synchronous one: frames take [bytes/B + D] virtual time per their

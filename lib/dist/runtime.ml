@@ -2,8 +2,6 @@ module Tree = Hbn_tree.Tree
 module Trace = Hbn_obs.Trace
 module Sink = Hbn_obs.Sink
 module Telemetry = Hbn_obs.Telemetry
-module Monitor = Hbn_obs.Monitor
-module Engine = Hbn_event.Engine
 module Link = Hbn_event.Link
 
 type ('state, 'msg) node_fn =
@@ -27,32 +25,23 @@ type 'state outcome = {
   stats : stats;
   termination : termination;
   faults : Faults.event list;
-  health : Monitor.verdict option;
 }
 
-(* One engine-driven core for both timing models. Nodes step at the
-   integer ticks of a discrete-event engine; a message granted at tick
-   [r] is a delivery event at its arrival time (rank 0, so it lands
-   before the tick that consumes it) and is read at the first tick at or
-   after arrival. Without a link model every arrival is [now + 1] and
-   the ticks are exactly the rounds of the classic synchronous loop, bit
-   for bit; with one, arrivals come from the serialized per-level
-   {!Link.transmit} clock. Ticks stay consecutive integers either way —
-   timers in step functions keep counting rounds — so the round axis
-   {e is} the virtual-time axis and the outcome type needs no second
-   clock. *)
-let run ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry ?monitor
+(* One loop for both timing models. Nodes step at ticks 1, 2, …; a
+   message sent at tick [now] arriving at [arrival] waits in the transit
+   bucket of tick [max (ceil arrival) (now + 1)], the first tick at or
+   after its arrival, and each bucket is delivered at the start of its
+   tick in arrival order, ties in send order. Without a link model every
+   arrival is [now + 1] and the ticks are exactly the rounds of the
+   classic synchronous loop, bit for bit; with one, arrivals come from
+   the serialized per-level {!Link.transmit} clock. Ticks stay
+   consecutive integers either way — timers in step functions keep
+   counting rounds — so the round axis {e is} the virtual-time axis and
+   the outcome type needs no second clock. *)
+let run ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry
     ?(msg_bytes = fun _ -> 1) ?link tree ~init ~step =
   if quiet_rounds < 1 then invalid_arg "Runtime.run: quiet_rounds must be >= 1";
   let n = Tree.n tree in
-  (* A monitor needs a series to watch: with no caller-owned collector,
-     record into a private one just for the end-of-run ingest. *)
-  let telemetry =
-    match (telemetry, monitor) with
-    | None, Some _ ->
-      Some (Telemetry.create ~num_edges:(Tree.num_edges tree) ())
-    | _ -> telemetry
-  in
   (* An empty plan and no plan are the same run, bit for bit. *)
   let plan =
     match faults with
@@ -70,9 +59,9 @@ let run ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry ?monitor
   let termination = ref Quiescent in
   let silent = ref 0 in
   let in_flight = ref 0 in
-  (* Once the run is over — quiescent or out of rounds — deliveries
-     still draining from the engine must not revive the tick chain. *)
-  let stopped = ref false in
+  (* Messages in transit: consuming tick -> (arrival, sender, target,
+     message), newest send first. *)
+  let transit = Hashtbl.create 64 in
   let log = ref [] (* reverse chronological *) in
   let record round kind = log := { Faults.round; kind } :: !log in
   (* Per-node neighbor membership, precomputed once: [edge_of.(v)] maps a
@@ -106,19 +95,21 @@ let run ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry ?monitor
       cut_prev.(e) <- c
     done
   in
-  let engine = Engine.create () in
-  let tick_scheduled = Hashtbl.create 64 in
-  (* Ticks run at rank 1 so same-time deliveries (rank 0) land first: a
-     tick always sees every message that arrived by its time. *)
-  let rec ensure_tick time =
-    if not (Hashtbl.mem tick_scheduled time) then begin
-      Hashtbl.add tick_scheduled time ();
-      Engine.at engine ~rank:1 ~time tick
-    end
-  and tick () =
-    let now = Engine.now engine in
+  (* Runs the tick at [now]; [false] once the run is over. *)
+  let tick now =
     incr rounds;
     let round = int_of_float now in
+    (match Hashtbl.find_opt transit now with
+    | None -> ()
+    | Some sent ->
+      Hashtbl.remove transit now;
+      List.iter
+        (fun (_, src, target, msg) ->
+          decr in_flight;
+          inboxes.(target) <- (src, msg) :: inboxes.(target))
+        (List.stable_sort
+           (fun (a, _, _, _) (b, _, _, _) -> Float.compare a b)
+           (List.rev !sent)));
     (match telemetry with
     | None -> ()
     | Some tel -> Telemetry.begin_round ~vtime:now tel ~round);
@@ -193,12 +184,11 @@ let run ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry ?monitor
               end
               else begin
                 incr in_flight;
-                Engine.at engine ~time:arrival (fun () ->
-                    decr in_flight;
-                    inboxes.(target) <- (v, msg) :: inboxes.(target);
-                    (* The first tick at or after the arrival consumes
-                       it — unless the run already ended. *)
-                    if not !stopped then ensure_tick (Float.ceil arrival))
+                let m = (arrival, v, target, msg) in
+                let at = Float.max (Float.ceil arrival) (now +. 1.) in
+                match Hashtbl.find_opt transit at with
+                | Some sent -> sent := m :: !sent
+                | None -> Hashtbl.add transit at (ref [ m ])
               end)
           sends
       end
@@ -214,15 +204,20 @@ let run ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry ?monitor
        still in transit on a slow link. With no plan and the default
        window of 1 this is the classic rule: one round without sends. *)
     if !silent >= quiet_rounds && round >= quiet_after && !in_flight = 0 then
-      stopped := true
+      false
     else if round >= max_rounds then begin
       termination := Round_limit;
-      stopped := true
+      false
     end
-    else ensure_tick (now +. 1.)
+    else true
   in
-  if max_rounds < 1 then termination := Round_limit else ensure_tick 1.;
-  Engine.drain engine;
+  if max_rounds < 1 then termination := Round_limit
+  else begin
+    let now = ref 1. in
+    while tick !now do
+      now := !now +. 1.
+    done
+  end;
   let stats =
     {
       rounds = !rounds;
@@ -258,13 +253,4 @@ let run ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry ?monitor
       if dropped > 0 then Trace.count ~by:dropped "runtime.dropped"
     end
   end;
-  let health =
-    Option.map
-      (fun mon ->
-        (match telemetry with
-        | Some tel -> Monitor.ingest mon tel
-        | None -> ());
-        Monitor.health mon)
-      monitor
-  in
-  { states; stats; termination = !termination; faults = faults_log; health }
+  { states; stats; termination = !termination; faults = faults_log }

@@ -20,13 +20,14 @@
     Every fault is logged. With no plan — or an empty one — the run is
     bit-identical to the fault-free engine.
 
-    {!run} is one discrete-event core driven by {!Hbn_event.Engine}:
-    nodes step at integer ticks of a virtual clock and every message is
-    a timestamped delivery event. By default every delivery has latency
-    exactly 1 — the classic synchronous semantics, round for round —
-    while [~link] draws arrival times from a per-level {!Hbn_event.Link}
-    model, so messages cross slow levels over several ticks and
-    serialize on busy links. *)
+    {!run} is one loop over the integer ticks of a virtual clock, and
+    every message carries its arrival time: it waits in the transit
+    bucket of the first tick at or after its arrival, and each bucket is
+    delivered at the start of its tick. By default every delivery has
+    latency exactly 1 — the classic synchronous semantics, round for
+    round — while [~link] draws arrival times from a per-level
+    {!Hbn_event.Link} model, so messages cross slow levels over several
+    ticks and serialize on busy links. *)
 
 module Tree = Hbn_tree.Tree
 
@@ -60,8 +61,6 @@ type 'state outcome = {
   termination : termination;
   faults : Faults.event list;  (** chronological fault log; [[]] without
                                    a plan *)
-  health : Hbn_obs.Monitor.verdict option;
-      (** end-of-run drift verdict; [None] without a monitor *)
 }
 
 val run :
@@ -69,7 +68,6 @@ val run :
   ?quiet_rounds:int ->
   ?faults:Faults.plan ->
   ?telemetry:Hbn_obs.Telemetry.t ->
-  ?monitor:Hbn_obs.Monitor.t ->
   ?msg_bytes:('msg -> int) ->
   ?link:Hbn_event.Link.config ->
   Tree.t ->
@@ -105,14 +103,8 @@ val run :
     [msg_bytes] sizes one message's payload for the byte series
     (default: 1 abstract unit per message). Recording is pure
     bookkeeping on the side; behavior, stats and traces are unchanged.
-
-    [monitor] watches the run for drift: at end of run the (folded)
-    telemetry series are fed through the caller-owned
-    {!Hbn_obs.Monitor} and the outcome carries [Some] verdict. With no
-    [telemetry] collector a private one is recorded into just for the
-    monitor, so [~monitor] alone is enough to get a health verdict.
-    Like telemetry, monitoring never changes behavior, stats or
-    traces.
+    To watch the run for drift, feed the collector to a
+    {!Hbn_obs.Monitor} after it returns.
 
     When {!Hbn_obs.Trace} is enabled, the run emits the
     [runtime.messages] / [runtime.rounds] counters and a final

@@ -17,10 +17,11 @@
     bandwidth turns into queueing backpressure.
 
     {!sync} — delay 1, infinite bandwidth on every level — is the
-    distinguished configuration under which the event-driven engines
-    reproduce the synchronous round semantics bit for bit (every
-    transmission arrives exactly one tick after it was sent; see
-    DESIGN.md §14 for the equivalence statement and its test). *)
+    distinguished configuration under which the packet simulator and
+    the protocol runtime reproduce the synchronous round semantics bit
+    for bit (every transmission arrives exactly one tick after it was
+    sent; see DESIGN.md §14 for the equivalence statement and its
+    test). *)
 
 module Tree = Hbn_tree.Tree
 

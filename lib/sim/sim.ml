@@ -5,8 +5,7 @@ module Placement = Hbn_placement.Placement
 module Trace = Hbn_obs.Trace
 module Sink = Hbn_obs.Sink
 module Telemetry = Hbn_obs.Telemetry
-module Monitor = Hbn_obs.Monitor
-module Engine = Hbn_event.Engine
+module Heap = Hbn_util.Heap
 module Link = Hbn_event.Link
 
 type outcome = {
@@ -16,7 +15,6 @@ type outcome = {
   transmissions : int;
   edge_traffic : int array;
   max_dilation : int;
-  health : Monitor.verdict option;
 }
 
 let scale_up amount scale = if amount = 0 then 0 else ((amount - 1) / scale) + 1
@@ -48,18 +46,10 @@ module Buf = struct
     b.len <- b.len + 2
 end
 
-let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
+let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?link w placement =
   if scale < 1 then invalid_arg "Sim.run: scale must be >= 1";
   let sp_run = Trace.span "sim.run" in
   let tree = Workload.tree w in
-  (* As in Runtime.run_core: a monitor with no caller-owned collector
-     records into a private one just for the end-of-run ingest. *)
-  let telemetry =
-    match (telemetry, monitor) with
-    | None, Some _ ->
-      Some (Telemetry.create ~num_edges:(Tree.num_edges tree) ())
-    | _ -> telemetry
-  in
   let m = max 1 (Tree.num_edges tree) in
   let fl = Flat.of_tree tree in
   let scratch = Flat.Scratch.create fl in
@@ -155,11 +145,11 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
     depth.(i) <- (if hop_dep.(i) >= 0 then depth.(hop_dep.(i)) + 1 else 1);
     if depth.(i) > !max_dilation then max_dilation := depth.(i)
   done;
-  (* Event-driven greedy scheduling over virtual time. The allocator
-     wakes at integer ticks of the {!Hbn_event.Engine} and serves the
-     ready hops under per-tick capacity; a granted hop occupies its link
-     for [Link.latency] virtual time and its dependents become eligible
-     at the first tick after arrival. Without a link model (or under
+  (* Greedy scheduling over virtual time. The allocator wakes at whole
+     ticks and serves the ready hops under per-tick capacity; a granted
+     hop occupies its link for [Link.latency] virtual time and its
+     dependents become eligible at the first tick at or after arrival.
+     Without a link model (or under
      [Link.sync]) every latency is exactly 1 and every per-tick budget
      equals the static caps, so ticks are the synchronous rounds of the
      original engine, bit for bit. *)
@@ -226,33 +216,33 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
     if hop_dep.(i) < 0 then Buf.push2 !ready i hop_edge.(i)
   done;
   (* Arrivals. A hop granted at tick [now] arrives at [now + latency] and
-     its children become ready at the next tick to run at or after that
-     instant. Ticks fall on whole times, so that is the tick at
-     [ceil arrival], which is always scheduled — unless the arrival
-     rounds to [now] itself, when it is whichever tick runs next. So each
-     granted hop with children goes into the bucket of the tick that
-     consumes it, or into [carry] in the second case, and a tick drains
-     both before scanning. [pending] maps the time of every scheduled
-     tick still to run to its bucket; drained buckets go to [free]. *)
-  let pending = Hashtbl.create 16 and free = Stack.create () in
-  let carry = Buf.create () and newly = Buf.create () in
+     its children become ready at the first whole time after [now] and
+     at or after the arrival: [max (ceil arrival) (next_tick now)]. Each
+     granted hop with children goes into the bucket of that tick, and a
+     non-empty ready queue books [next_tick now]. [pending] maps the time
+     of every booked tick still to run to its bucket, [ticks] orders
+     those times, and drained buckets go to [free]. *)
+  let pending = Hashtbl.create 16 and ticks = Heap.create () in
+  let free = Stack.create () and newly = Buf.create () in
   let remaining = ref n_hops in
   let rounds = ref 0 in
   let completion = ref 0. in
-  let engine = Engine.create () in
   let last_tick = ref 0. in
-  let rec bucket_at time =
-    if time <= Engine.now engine then carry
-    else
-      match Hashtbl.find_opt pending time with
-      | Some b -> b
-      | None ->
-        let b = if Stack.is_empty free then Buf.create () else Stack.pop free in
-        Hashtbl.add pending time b;
-        Engine.at engine ~time tick;
-        b
-  and tick () =
-    let now = Engine.now engine in
+  (* Past 2^53 every float is whole and [now +. 1.] may round to [now]. *)
+  let next_tick now =
+    let t = now +. 1. in
+    if t = now then Float.succ now else t
+  in
+  let bucket_at time =
+    match Hashtbl.find_opt pending time with
+    | Some b -> b
+    | None ->
+      let b = if Stack.is_empty free then Buf.create () else Stack.pop free in
+      Hashtbl.add pending time b;
+      Heap.add ticks ~key:time b;
+      b
+  in
+  let tick now arrived =
     incr rounds;
     (match telemetry with
     | None -> ()
@@ -265,19 +255,14 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
       credit.(e) <- Float.min (credit.(e) +. (rate.(e) *. dt)) burst.(e)
     done;
     Array.blit bus_cap 0 bus_left 0 (Array.length bus_cap);
-    let arrived = Hashtbl.find pending now in
     Hashtbl.remove pending now;
-    let gather b =
-      for k = 0 to b.Buf.len - 1 do
-        let p = b.Buf.data.(k) in
-        for c = child_start.(p) to child_start.(p + 1) - 1 do
-          Buf.push newly children.(c)
-        done
-      done;
-      b.Buf.len <- 0
-    in
-    gather arrived;
-    gather carry;
+    for k = 0 to arrived.Buf.len - 1 do
+      let p = arrived.Buf.data.(k) in
+      for c = child_start.(p) to child_start.(p + 1) - 1 do
+        Buf.push newly children.(c)
+      done
+    done;
+    arrived.Buf.len <- 0;
     Stack.push arrived free;
     let sorted = Array.sub newly.Buf.data 0 newly.Buf.len in
     newly.Buf.len <- 0;
@@ -319,7 +304,7 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
         let fanout = child_start.(i + 1) - child_start.(i) in
         if fanout > 0 then begin
           enabled := !enabled + fanout;
-          Buf.push (bucket_at (Float.ceil arrival)) i
+          Buf.push (bucket_at (Float.max (Float.ceil arrival) (next_tick now))) i
         end
       end
       else begin
@@ -334,7 +319,7 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
     next.Buf.len <- !kept;
     ready := next;
     spare := q;
-    if next.Buf.len > 0 then ignore (bucket_at (now +. 1.));
+    if next.Buf.len > 0 then ignore (bucket_at (next_tick now));
     (match telemetry with
     | None -> ()
     | Some tel -> Telemetry.end_round tel ~live_nodes:(Tree.n tree));
@@ -346,17 +331,15 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
     end
   in
   if n_hops > 0 then ignore (bucket_at 1.);
-  Engine.drain engine;
-  assert (!remaining = 0);
-  let health =
-    Option.map
-      (fun mon ->
-        (match telemetry with
-        | Some tel -> Monitor.ingest mon tel
-        | None -> ());
-        Monitor.health mon)
-      monitor
+  let rec drain () =
+    match Heap.pop_min ticks with
+    | None -> ()
+    | Some (now, arrived) ->
+      tick now arrived;
+      drain ()
   in
+  drain ();
+  assert (!remaining = 0);
   let outcome =
     {
       makespan = !rounds;
@@ -365,7 +348,6 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?monitor ?link w placement =
       transmissions = n_hops;
       edge_traffic;
       max_dilation = !max_dilation;
-      health;
     }
   in
   if Trace.enabled () then begin

@@ -40,14 +40,17 @@
     moves one hop per round (store-and-forward). With all bandwidths 1
     this is the standard [Ω(congestion + dilation)] routing regime.
 
-    Asynchrony: the round machine is driven by the deterministic
-    discrete-event engine ({!Hbn_event.Engine}). With a
+    Asynchrony: the round machine is a loop over ticks at whole virtual
+    times, taken earliest first from a {!Hbn_util.Heap}. With a
     {!Hbn_event.Link.config} each tree level gets its own propagation
     delay and bandwidth: a granted hop occupies its edge's transmitter
     and arrives [bytes/B + D] virtual time later, per-edge service
     becomes a token bucket of [B] packets per tick (burstable to one
     tick's budget), and the allocator only wakes at ticks where work can
-    exist. Without a link — or under {!Hbn_event.Link.sync} (delay 1,
+    exist. A granted hop's dependents become ready at the first whole
+    time after the grant and at or after the arrival; past 2^53, where
+    every float is whole, "after" is the next float up ([Float.succ]).
+    Without a link — or under {!Hbn_event.Link.sync} (delay 1,
     infinite bandwidth) — every latency is exactly 1 tick and every
     budget equals the static caps, and the schedule is bit-identical to
     the synchronous engine above (DESIGN.md §14 states the equivalence;
@@ -77,8 +80,6 @@ type outcome = {
   transmissions : int;  (** total edge traversals *)
   edge_traffic : int array;  (** traversals per edge *)
   max_dilation : int;  (** longest dependency chain over all packets *)
-  health : Hbn_obs.Monitor.verdict option;
-      (** end-of-run drift verdict; [None] without a monitor *)
 }
 
 type policy =
@@ -90,7 +91,6 @@ val run :
   ?scale:int ->
   ?policy:policy ->
   ?telemetry:Hbn_obs.Telemetry.t ->
-  ?monitor:Hbn_obs.Monitor.t ->
   ?link:Hbn_event.Link.config ->
   Workload.t ->
   Placement.t ->
@@ -116,13 +116,8 @@ val run :
     (store-and-forward moves one packet one edge per round), nothing is
     ever dropped, and all nodes are live. The per-edge top-k series is
     the congestion-over-time profile of the schedule. Recording never
-    changes the schedule.
-
-    [monitor] feeds the (folded) telemetry series through the
-    caller-owned {!Hbn_obs.Monitor} at end of run and fills
-    [outcome.health]; with no [telemetry] collector a private one is
-    recorded into just for the monitor. Monitoring never changes the
-    schedule either.
+    changes the schedule; to watch it for drift, feed the collector to
+    a {!Hbn_obs.Monitor} after the run.
 
     When {!Hbn_obs.Trace} is enabled the run is wrapped in a [sim.run]
     span, every round streams the [sim.queue_depth] and

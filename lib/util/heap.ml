@@ -1,4 +1,4 @@
-type 'a entry = { key : int; value : 'a }
+type 'a entry = { key : float; value : 'a }
 
 type 'a t = { mutable data : 'a entry array; mutable size : int }
 

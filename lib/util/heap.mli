@@ -1,20 +1,22 @@
-(** Mutable binary min-heaps over integer-keyed elements.
+(** Mutable binary min-heaps over float-keyed elements.
 
-    Used by the mapping algorithm of the extended-nibble strategy to locate a
-    free downward child edge in [O(log degree)] time, matching the runtime
-    bound claimed in Theorem 4.3 of the paper. Equal keys pop in heap
-    order, not insertion order; the mapping's downward phase depends on
-    that order, so the sift comparisons stay strict. *)
+    The one priority queue in the library. The mapping algorithm of the
+    extended-nibble strategy keys free downward child edges by their
+    integer slack, locating one in [O(log degree)] time, matching the
+    runtime bound claimed in Theorem 4.3 of the paper; the packet
+    simulator keys its pending ticks by virtual time. Equal keys pop in
+    heap order, not insertion order; the mapping's downward phase
+    depends on that order, so the sift comparisons stay strict. *)
 
 type 'a t
-(** A min-heap of values with integer keys. *)
+(** A min-heap of values with float keys. *)
 
 val create : unit -> 'a t
 (** [create ()] is a fresh empty heap. *)
 
-val add : 'a t -> key:int -> 'a -> unit
+val add : 'a t -> key:float -> 'a -> unit
 (** [add h ~key v] inserts [v] with priority [key]. [O(log n)]. *)
 
-val pop_min : 'a t -> (int * 'a) option
+val pop_min : 'a t -> (float * 'a) option
 (** [pop_min h] removes and returns the minimum-key binding, or [None]
     when [h] is empty. [O(log n)]. *)

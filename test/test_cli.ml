@@ -191,6 +191,14 @@ let test_simulate_link_bad_spec () =
     (link_args [ "--link"; "" ])
     [ "hbn_cli:"; "bad --link spec" ]
 
+(* Past 2^53 virtual time a tick plus one rounds back to itself; the
+   simulator must still book a later tick and finish. *)
+let test_simulate_link_huge_delay () =
+  check_run "simulate --link 1e19:inf"
+    [ "simulate"; "--link"; "1e19:inf" ]
+    [ "link model: 1e+19:inf (per level, root-down)"; "makespan:";
+      "completion:" ]
+
 (* The event-driven simulation is deterministic: the whole report must
    not depend on --jobs. *)
 let test_simulate_link_jobs_identical () =
@@ -496,6 +504,7 @@ let suite =
     Helpers.tc "cli simulate --faults bad spec" test_simulate_faults_bad_spec;
     Helpers.tc "cli simulate --link" test_simulate_link;
     Helpers.tc "cli simulate --link bad spec" test_simulate_link_bad_spec;
+    Helpers.tc "cli simulate --link past 2^53" test_simulate_link_huge_delay;
     Helpers.tc "cli simulate --link jobs-invariant"
       test_simulate_link_jobs_identical;
     Helpers.tc "cli explain table" test_explain_table;

@@ -1,127 +1,11 @@
-(* The discrete-event substrate: stable priority queue, engine ordering
-   and the per-level link model. The FIFO property pinned here is the
-   foundation of every bit-identical-replay claim the asynchronous
-   simulators make (DESIGN.md §14). *)
+(* The per-level link model, the one module of the event library: spec
+   parsing, validation, per-edge levels and latencies, and the
+   serialized transmit clock the asynchronous runs draw arrival times
+   from (DESIGN.md §14). *)
 
-module Pq = Hbn_event.Pq
-module Engine = Hbn_event.Engine
 module Link = Hbn_event.Link
 module Tree = Hbn_tree.Tree
 module Builders = Hbn_tree.Builders
-
-(* --- priority queue ----------------------------------------------------- *)
-
-let drain_pq q =
-  let out = ref [] in
-  let rec go () =
-    match Pq.pop q with
-    | None -> ()
-    | Some (t, v) ->
-      out := (t, v) :: !out;
-      go ()
-  in
-  go ();
-  List.rev !out
-
-let test_pq_fifo_at_equal_time () =
-  let q = Pq.create () in
-  List.iter (fun v -> Pq.add q ~time:1. v) [ "a"; "b"; "c" ];
-  Pq.add q ~time:0.5 "first";
-  Alcotest.(check (list string))
-    "equal times pop in insertion order"
-    [ "first"; "a"; "b"; "c" ]
-    (List.map snd (drain_pq q))
-
-let test_pq_rank_phases () =
-  let q = Pq.create () in
-  Pq.add q ~time:2. ~rank:1 "tick";
-  Pq.add q ~time:2. "late-delivery";
-  Pq.add q ~time:1. ~rank:1 "early-tick";
-  Alcotest.(check (list string))
-    "rank 0 precedes rank 1 at the same instant"
-    [ "early-tick"; "late-delivery"; "tick" ]
-    (List.map snd (drain_pq q))
-
-let test_pq_rejects_nan () =
-  let q = Pq.create () in
-  Alcotest.check_raises "NaN time" (Invalid_argument "Pq.add: time is NaN")
-    (fun () -> Pq.add q ~time:Float.nan ())
-
-let test_pq_empty () =
-  let q = Pq.create () in
-  Alcotest.(check bool) "is_empty" true (Pq.is_empty q);
-  Alcotest.(check bool) "pop" true (Pq.pop q = None);
-  Alcotest.(check bool) "min_elt" true (Pq.min_elt q = None);
-  Pq.add q ~time:3. 42;
-  Alcotest.(check int) "length" 1 (Pq.length q);
-  Alcotest.(check bool) "min_time" true (Pq.min_time q = Some 3.)
-
-(* The satellite's property: pops equal a stable sort by (time, rank) —
-   FIFO within equal keys — on arbitrary interleavings. Times come from
-   a coarse grid so equal keys are common, which is the interesting
-   case. *)
-let key_list_arb =
-  QCheck.make
-    ~print:(fun l ->
-      String.concat ";"
-        (List.map (fun (t, r) -> Printf.sprintf "(%g,%d)" t r) l))
-    QCheck.Gen.(
-      list_size (int_bound 200)
-        (pair (map (fun n -> float_of_int n /. 4.) (int_bound 16)) (int_bound 2)))
-
-let prop_pq_matches_stable_sort keys =
-  let q = Pq.create () in
-  List.iteri (fun i (t, r) -> Pq.add q ~time:t ~rank:r i) keys;
-  let got = List.map snd (drain_pq q) in
-  let want =
-    List.mapi (fun i (t, r) -> (t, r, i)) keys
-    |> List.stable_sort (fun (t1, r1, _) (t2, r2, _) ->
-           compare (t1, r1) (t2, r2))
-    |> List.map (fun (_, _, i) -> i)
-  in
-  got = want
-
-(* --- engine ------------------------------------------------------------- *)
-
-let test_engine_orders_and_advances () =
-  let e = Engine.create () in
-  let log = ref [] in
-  let emit tag () = log := (Engine.now e, tag) :: !log in
-  Engine.at e ~time:2. ~rank:1 (emit "tick@2");
-  Engine.at e ~time:2. (emit "arrival@2");
-  Engine.at e ~time:1. (fun () ->
-      emit "first@1" ();
-      (* Callbacks schedule further work at or after now. *)
-      Engine.after e ~delay:0.5 (emit "followup@1.5"));
-  Engine.drain e;
-  Alcotest.(check (list string))
-    "execution order"
-    [ "first@1"; "followup@1.5"; "arrival@2"; "tick@2" ]
-    (List.rev_map snd !log);
-  Alcotest.(check int) "executed" 4 (Engine.executed e);
-  Alcotest.(check int) "pending" 0 (Engine.pending e)
-
-let test_engine_rejects_past () =
-  let e = Engine.create () in
-  Engine.at e ~time:5. (fun () ->
-      try
-        Engine.at e ~time:4. (fun () -> ());
-        Alcotest.fail "scheduling in the past must raise"
-      with Invalid_argument _ -> ());
-  Engine.drain e;
-  Alcotest.(check bool) "nan raises" true
-    (try
-       Engine.at e ~time:Float.nan (fun () -> ());
-       false
-     with Invalid_argument _ -> true)
-
-let test_engine_next_time () =
-  let e = Engine.create () in
-  Alcotest.(check bool) "empty" true (Engine.next_time e = None);
-  Engine.at e ~time:7. (fun () -> ());
-  Alcotest.(check bool) "pending head" true (Engine.next_time e = Some 7.);
-  ignore (Engine.step e);
-  Alcotest.(check (float 0.)) "now follows" 7. (Engine.now e)
 
 (* --- link model --------------------------------------------------------- *)
 
@@ -256,15 +140,6 @@ let test_link_sync_never_blocks () =
 
 let suite =
   [
-    Helpers.tc "pq: FIFO at equal time" test_pq_fifo_at_equal_time;
-    Helpers.tc "pq: rank phases same-instant work" test_pq_rank_phases;
-    Helpers.tc "pq: rejects NaN" test_pq_rejects_nan;
-    Helpers.tc "pq: empty queue" test_pq_empty;
-    Helpers.qt ~count:200 "pq: pops equal a stable sort" key_list_arb
-      prop_pq_matches_stable_sort;
-    Helpers.tc "engine: orders and advances" test_engine_orders_and_advances;
-    Helpers.tc "engine: rejects the past" test_engine_rejects_past;
-    Helpers.tc "engine: next_time" test_engine_next_time;
     Helpers.tc "link: spec round-trip" test_link_spec_round_trip;
     Helpers.qt ~count:200 "link: of_spec after to_spec is the identity"
       link_config_arb prop_link_spec_round_trip;

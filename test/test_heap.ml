@@ -4,39 +4,43 @@ let pop_all h =
   let rec go acc =
     match Heap.pop_min h with
     | None -> List.rev acc
-    | Some (k, _) -> go (k :: acc)
+    | Some (k, _) -> go (int_of_float k :: acc)
   in
   go []
 
 let test_empty () =
   let h = Heap.create () in
   Alcotest.(check bool) "pop of empty" true (Heap.pop_min h = None);
-  Heap.add h ~key:1 "a";
+  Heap.add h ~key:1. "a";
   ignore (Heap.pop_min h);
   Alcotest.(check bool) "pop of emptied" true (Heap.pop_min h = None)
 
 let test_ordering () =
   let h = Heap.create () in
-  List.iter (fun k -> Heap.add h ~key:k (string_of_int k)) [ 5; 1; 9; 3; 7; 1 ];
+  List.iter
+    (fun k -> Heap.add h ~key:(float_of_int k) (string_of_int k))
+    [ 5; 1; 9; 3; 7; 1 ];
   Alcotest.(check (list int)) "sorted pops" [ 1; 1; 3; 5; 7; 9 ] (pop_all h)
 
 let test_interleaved () =
   let h = Heap.create () in
-  Heap.add h ~key:3 3;
-  Heap.add h ~key:1 1;
-  (match Heap.pop_min h with Some (1, 1) -> () | _ -> Alcotest.fail "pop 1");
-  Heap.add h ~key:0 0;
-  Heap.add h ~key:2 2;
+  Heap.add h ~key:3. 3;
+  Heap.add h ~key:1. 1;
+  (match Heap.pop_min h with Some (1., 1) -> () | _ -> Alcotest.fail "pop 1");
+  Heap.add h ~key:0. 0;
+  Heap.add h ~key:2. 2;
   Alcotest.(check (list int)) "rest" [ 0; 2; 3 ] (pop_all h);
   (* Equal keys pop in heap order, not insertion order, and Mapping's
      downward phase relies on that order: the expected pops pin the
      strict sift comparisons. *)
   let h = Heap.create () in
-  let add = List.iter (fun (k, v) -> Heap.add h ~key:k v) in
+  let add = List.iter (fun (k, v) -> Heap.add h ~key:(float_of_int k) v) in
   let popped = ref [] in
   let pop n =
     for _ = 1 to n do
-      Option.iter (fun b -> popped := b :: !popped) (Heap.pop_min h)
+      Option.iter
+        (fun (k, v) -> popped := (int_of_float k, v) :: !popped)
+        (Heap.pop_min h)
     done
   in
   add [ (2, 'a'); (1, 'b'); (2, 'c'); (1, 'd'); (2, 'e'); (1, 'f') ];
@@ -58,7 +62,7 @@ let prop_sorted_pops seed =
   let n = Hbn_prng.Prng.int_in prng 1 200 in
   let keys = List.init n (fun _ -> Hbn_prng.Prng.int_in prng (-50) 50) in
   let h = Heap.create () in
-  List.iter (fun k -> Heap.add h ~key:k k) keys;
+  List.iter (fun k -> Heap.add h ~key:(float_of_int k) k) keys;
   let popped = pop_all h in
   popped = List.sort compare keys
 
@@ -67,7 +71,7 @@ let prop_growth seed =
   let n = 4 + (seed mod 60) in
   let h = Heap.create () in
   for i = n downto 1 do
-    Heap.add h ~key:i i
+    Heap.add h ~key:(float_of_int i) i
   done;
   pop_all h = List.init n (fun i -> i + 1)
 

@@ -10,8 +10,8 @@ module Prng = Hbn_prng.Prng
 module Strategy = Hbn_core.Strategy
 module Exec = Hbn_exec.Exec
 module Sim = Hbn_sim.Sim
-module Runtime = Hbn_dist.Runtime
-module Builders = Hbn_tree.Builders
+module Tree = Hbn_tree.Tree
+module Workload = Hbn_workload.Workload
 
 (* Feed a plain float list as one per-round series. *)
 let feed ?(series = "s") mon values =
@@ -285,33 +285,6 @@ let test_verdict_names_and_kinds () =
   Alcotest.(check bool) "unknown kind rejected" true
     (Monitor.kind_of_name "ewma_up" = None)
 
-(* -- engine surfacing ---------------------------------------------------- *)
-
-let test_runtime_surfaces_health () =
-  (* ?monitor with no ?telemetry: the engine records into a private
-     collector and fills outcome.health. A quiet lossless convergecast
-     is Steady. *)
-  let t = Builders.star ~leaves:6 ~profile:(Builders.Uniform 1) in
-  let step ~round ~node (sent : int) ~inbox =
-    ignore inbox;
-    if node > 0 && sent < 3 then (sent + 1, [ (0, round) ]) else (sent, [])
-  in
-  let mon = Monitor.create () in
-  let out = Runtime.run t ~monitor:mon ~init:(fun _ -> 0) ~step in
-  (match out.Runtime.health with
-  | Some Monitor.Steady -> ()
-  | Some v -> Alcotest.failf "expected steady, got %s" (Monitor.verdict_name v)
-  | None -> Alcotest.fail "health not filled");
-  let bare = Runtime.run t ~init:(fun _ -> 0) ~step in
-  Alcotest.(check bool) "no monitor, no health" true (bare.Runtime.health = None)
-
-let test_sim_surfaces_health () =
-  let _, w = Helpers.instance 42 in
-  let res = Strategy.run w in
-  let mon = Monitor.create () in
-  let out = Sim.run ~monitor:mon w res.Strategy.placement in
-  Alcotest.(check bool) "health filled" true (out.Sim.health <> None)
-
 (* -- determinism --------------------------------------------------------- *)
 
 let monitor_fingerprint mon =
@@ -338,8 +311,12 @@ let prop_monitor_identical_across_jobs seed =
   let fingerprint jobs =
     Exec.with_runner ~jobs (fun exec ->
         let res = Strategy.run ~exec w in
+        let tel =
+          Telemetry.create ~num_edges:(Tree.num_edges (Workload.tree w)) ()
+        in
+        let _ = Sim.run ~telemetry:tel w res.Strategy.placement in
         let mon = Monitor.create () in
-        let _ = Sim.run ~monitor:mon w res.Strategy.placement in
+        Monitor.ingest mon tel;
         monitor_fingerprint mon)
   in
   let base = fingerprint 1 in
@@ -369,9 +346,6 @@ let suite =
       test_verdict_drifting_vs_degrading;
     Helpers.tc "verdict and kind names round-trip"
       test_verdict_names_and_kinds;
-    Helpers.tc "runtime: health surfaced with a private collector"
-      test_runtime_surfaces_health;
-    Helpers.tc "sim: health surfaced" test_sim_surfaces_health;
     Helpers.qt ~count:25 "monitor bits identical across jobs and reruns"
       Helpers.seed_arb prop_monitor_identical_across_jobs;
   ]

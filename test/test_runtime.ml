@@ -152,6 +152,27 @@ let test_link_convergecast () =
   Alcotest.(check bool) "slow links stretch the rounds" true
     (slow.Runtime.stats.Runtime.rounds > sync.Runtime.stats.Runtime.rounds)
 
+(* Deliveries reach an inbox in arrival order, ties in send order. Every
+   node sends its id to each neighbour in round 1. Root-incident links
+   take 0.9 and the level below 0.3, so node 1 hears its children 2 and 3
+   at 1.3 and the root at 1.9: all three are read at tick 2, the children
+   first although the root sent first. *)
+let test_link_inbox_arrival_order () =
+  let t = Builders.balanced ~arity:2 ~height:2 ~profile:(Builders.Uniform 1) in
+  let link = Result.get_ok (Link.of_spec "0.9:inf,0.3:inf") in
+  let step ~round ~node heard ~inbox =
+    let heard = if round = 2 then List.map snd inbox else heard in
+    let sends =
+      if round = 1 then
+        Array.to_list (Array.map (fun (u, _) -> (u, node)) (Tree.neighbors t node))
+      else []
+    in
+    (heard, sends)
+  in
+  let out = Runtime.run ~link t ~init:(fun _ -> []) ~step in
+  Alcotest.(check (list int)) "node 1 reads its children, then the root"
+    [ 2; 3; 0 ] out.Runtime.states.(1)
+
 (* The acceptance criterion: with unit delay and infinite bandwidth the
    event-driven runtime is bit-identical to the synchronous one —
    placement, stats, fault log and telemetry series — over random
@@ -209,6 +230,7 @@ let suite =
     Helpers.qt "rounds are pipelined" Helpers.seed_arb prop_rounds_pipelined;
     Helpers.qt "message bound" Helpers.seed_arb prop_message_bound;
     Helpers.tc "run ~link convergecast on slow links" test_link_convergecast;
+    Helpers.tc "run ~link inbox in arrival order" test_link_inbox_arrival_order;
     Helpers.qt ~count:60 "Link.sync runtime is bit-identical to synchronous"
       Helpers.seed_arb prop_async_sync_bit_identical;
     Helpers.tc "robust nibble completes on slow links"

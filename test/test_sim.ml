@@ -254,8 +254,11 @@ let test_asymmetry_moves_completion () =
 
 (* Link latencies far from one tick. Pending ticks are keyed by time, so
    a long delay costs no memory and one above max_int still runs; a
-   latency that rounds away lands on the running tick, and the next tick
-   takes it. The expected values were recorded with the list scheduler. *)
+   latency that rounds away, or a clock past 2^53 where [now +. 1.] is
+   [now], still books the next whole time after the grant. The 1e7, Fifo
+   "0:1e30" and 1e19 values were recorded with the list scheduler; the
+   other makespans with the heap-driven tick loop, the first scheduler
+   to complete those runs. *)
 let test_extreme_latencies () =
   let policies = [ Sim.Fifo; Sim.Round_robin; Sim.Reversed ] in
   let prng = Prng.create 20260808 in
@@ -277,6 +280,19 @@ let test_extreme_latencies () =
   let out = run Sim.Fifo "0:1e30" in
   Alcotest.(check int) "1e-30: makespan" 375 out.Sim.makespan;
   Alcotest.(check (float 0.)) "1e-30: completion" 375. out.Sim.completion;
+  List.iter
+    (fun (policy, spec, makespan) ->
+      Alcotest.(check int) (spec ^ ": makespan") makespan
+        (run policy spec).Sim.makespan)
+    [
+      (Sim.Round_robin, "0:1e30", 347);
+      (Sim.Reversed, "0:1e30", 320);
+      (Sim.Round_robin, "1e-20:inf", 327);
+      (Sim.Reversed, "1e-20:inf", 316);
+      (Sim.Fifo, "1e16:inf", 773);
+      (Sim.Round_robin, "1e16:inf", 681);
+      (Sim.Reversed, "1e16:inf", 694);
+    ];
   (* A write through a star: request up and down, then a two-hop
      broadcast, each hop 1e19 after the last. *)
   let t = Builders.star ~leaves:3 ~profile:(Builders.Uniform 10) in
