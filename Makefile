@@ -17,14 +17,13 @@ build:
 test:
 	dune runtest
 
-# The one-stop gate: what CI (and reviewers) run. The loads smoke run
-# cross-checks the incremental engine against the from-scratch climb on
-# a small instance; the parallel smoke run checks that the strategy is
-# bit-identical at 1, 2 and 4 domains; the faults smoke runs the
-# hardened distributed protocol under a seeded drop/crash/cut plan and
-# requires recovery (no JSON written by any of the three); the async
-# smoke simulates one topology synchronously and on a slow lower tier
-# and requires completion to rise while the traffic stays pinned; the
+# The one-stop gate: what CI (and reviewers) run. The parallel smoke run
+# checks that the strategy is bit-identical at 1, 2 and 4 domains; the
+# faults smoke runs the hardened distributed protocol under a seeded
+# drop/crash/cut plan and requires recovery (no JSON written by either);
+# the async smoke simulates one topology synchronously and on a slow
+# lower tier and requires completion to rise while the traffic stays
+# pinned; the
 # simulate --faults/--link line exercises the same machinery end to end
 # through the CLI; bench-quick cross-checks the Tree.Flat kernels against
 # each other; the monitor smoke replays the synthetic drift matrix and
@@ -38,9 +37,10 @@ test:
 # monitor and serve case matrices against the committed BENCH_*.json
 # baselines needs no step of its own: `dune runtest` runs it (see
 # bench/dune), together with the mutated-baseline rules proving the diff
-# is neither vacuous nor over-strict.
+# is neither vacuous nor over-strict, and the loads smoke run that
+# cross-checks the incremental engine against the from-scratch climb.
 check:
-	dune build && dune runtest && dune exec bench/loads.exe -- --smoke \
+	dune build && dune runtest \
 	  && dune exec bench/parallel.exe -- --smoke \
 	  && $(MAKE) bench-quick \
 	  && dune exec bench/faults.exe -- --smoke \

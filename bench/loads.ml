@@ -8,8 +8,8 @@
    same seed and records iterations/sec of each in BENCH_loads.json.
    Both paths share one proposal generator, so the placements must come
    out structurally equal — the bench fails (exit 1) if they diverge.
-   [--smoke] runs a small instance for `make check`: equality only, no
-   JSON written. *)
+   [--smoke] runs a small instance under `dune runtest`: equality only,
+   no JSON written. *)
 
 module Tree = Hbn_tree.Tree
 module Builders = Hbn_tree.Builders

@@ -13,7 +13,6 @@ module Workload = Hbn_workload.Workload
 module Generators = Hbn_workload.Generators
 module Partition = Hbn_workload.Partition
 module Placement = Hbn_placement.Placement
-module Loads = Hbn_loads.Loads
 module Strategy = Hbn_core.Strategy
 module Certificates = Hbn_core.Certificates
 module Baselines = Hbn_baselines.Baselines
@@ -363,7 +362,7 @@ let explain_cmd =
     let w = build_workload wkind ~prng t ~objects in
     let res = Strategy.run ~exec w in
     let attr = Attribution.of_placement w res.Strategy.placement in
-    (* Cross-check 1: per-edge contribution sums must reproduce the
+    (* Cross-check: per-edge contribution sums must reproduce the
        evaluator's loads, and the top hotspot its congestion/bottleneck. *)
     let c = Placement.evaluate ~exec w res.Strategy.placement in
     if Attribution.totals attr <> c.Placement.edge_loads then
@@ -377,19 +376,6 @@ let explain_cmd =
       if site <> (c.Placement.bottleneck :> Attribution.site) then
         die "top hotspot %s <> bottleneck %s" (site_name site)
           (site_name c.Placement.bottleneck));
-    (* Cross-check 2: an attribution maintained incrementally through a
-       live load engine must equal the one-shot table bit for bit. *)
-    let copies =
-      Array.map (fun op -> op.Placement.copies) res.Strategy.placement
-    in
-    let eng = Loads.create w in
-    let incremental = Attribution.attach eng in
-    Array.iteri
-      (fun obj cs -> List.iter (fun node -> Loads.add_copy eng ~obj node) cs)
-      copies;
-    let oneshot = Attribution.of_placement w (Placement.nearest w ~copies) in
-    if not (Attribution.equal incremental oneshot) then
-      die "incremental attribution diverges from the one-shot table";
     match format with
     | `Json -> print_endline (Attribution.to_json ~k:top attr)
     | `Dot -> print_string (Attribution.to_dot attr)

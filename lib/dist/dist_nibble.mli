@@ -18,8 +18,9 @@ module Tree = Hbn_tree.Tree
 module Workload = Hbn_workload.Workload
 
 val run : Workload.t -> int list array * Runtime.stats
-(** [run w] executes the protocol; result [i] holds the nodes that
-    decided to keep a copy of object [i] (ascending). *)
+(** [run w] executes the protocol to quiescence, with no round limit;
+    result [i] holds the nodes that decided to keep a copy of object [i]
+    (ascending). *)
 
 (** {1 Fault-hardened execution}
 

@@ -1,6 +1,5 @@
 module Tree = Hbn_tree.Tree
 module Flat = Hbn_tree.Flat
-module Marks = Hbn_tree.Marks
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 
@@ -28,11 +27,7 @@ module Raw = struct
         t.bus_loads2.(v) <- t.bus_loads2.(v) + amount
     end
 
-  let load t e = t.loads.(e)
-
   let loads t = Array.copy t.loads
-
-  let total t = Array.fold_left ( + ) 0 t.loads
 
   (* Same scan order and arithmetic as [Placement.congestion_of_edge_loads]
      so the float results are bit-identical — the hill climb's accept
@@ -55,21 +50,19 @@ module Raw = struct
         if rel > !best then best := rel)
       (Tree.buses_array tree);
     !best
-
-  let evaluate t = Placement.congestion_of_edge_loads t.tree (Array.copy t.loads)
 end
 
 (* Undo-journal entries. [moved] records, per reassigned leaf, the server
    and server distance it had before the operation; the copy-set and
    Steiner bookkeeping is inverted structurally (the low-level add/remove
-   are exact inverses of each other on [below]/[ncopies]/marks). *)
+   are exact inverses of each other on [has]/[copies]/[below]/[ncopies]). *)
 type undo =
   | U_add of { obj : int; node : int; moved : (int * int * int) list }
   | U_remove of { obj : int; node : int; moved : (int * int * int) list }
-  | U_reassign of { obj : int; leaf : int; server : int; dist : int }
 
 type obj_state = {
-  marks : Marks.t;  (* marked = nodes holding a copy *)
+  has : bool array;  (* per node: holds a copy *)
+  mutable copies : int list;  (* the nodes with [has], ascending *)
   below : int array;  (* per edge: copies strictly on the child side *)
   server : int array;  (* per node: serving copy; -1 = unassigned *)
   sdist : int array;  (* distance to [server]; -1 when unassigned *)
@@ -79,11 +72,7 @@ type obj_state = {
   req : int array;  (* requesting leaves, ascending *)
   total_writes : int;  (* κ_x: one Steiner-tree broadcast per write *)
   mutable ncopies : int;
-  mutable anchor : int;  (* any current copy; -1 when the set is empty *)
 }
-
-type hook =
-  obj:int -> component:Placement.component -> edge:int -> amount:int -> unit
 
 type t = {
   w : Workload.t;
@@ -97,7 +86,6 @@ type t = {
   mutable stamp : int;
   mutable journal : undo list;
   mutable jlen : int;
-  mutable hook : hook option;
 }
 
 type checkpoint = int
@@ -111,7 +99,8 @@ let create w =
         let reads = Workload.read_vector w ~obj in
         let writes = Workload.write_vector w ~obj in
         {
-          marks = Marks.create (Tree.rooting tree);
+          has = Array.make n false;
+          copies = [];
           below = Array.make m 0;
           server = Array.make n (-1);
           sdist = Array.make n (-1);
@@ -121,7 +110,6 @@ let create w =
           req = Array.of_list (Workload.requesting_leaves w ~obj);
           total_writes = Workload.write_contention w ~obj;
           ncopies = 0;
-          anchor = -1;
         })
   in
   {
@@ -136,12 +124,9 @@ let create w =
     stamp = 0;
     journal = [];
     jlen = 0;
-    hook = None;
   }
 
 let workload t = t.w
-
-let set_hook t hook = t.hook <- hook
 
 let obj_state t obj =
   if obj < 0 || obj >= Array.length t.objs then
@@ -157,19 +142,12 @@ let check_node t v =
    [0 < below < ncopies]. A single add/remove of copy [c] changes [below]
    only on the root path of [c], and changes the [< ncopies] test only on
    edges below which the whole (old or new) set lies — those edges form
-   the root path of any surviving copy (the anchor). Re-evaluating the
-   membership contribution on the union of the two root paths therefore
-   covers every edge whose write-broadcast load can change: O(height). *)
+   the root path of any surviving copy (the anchor: the head of the copy
+   list). Re-evaluating the membership contribution on the union of the
+   two root paths therefore covers every edge whose write-broadcast load
+   can change: O(height). *)
 
 let member os e n = os.below.(e) > 0 && os.below.(e) < n
-
-(* A write-broadcast (Steiner-membership) load delta, mirrored to the
-   attribution hook. *)
-let steiner_load t o e amount =
-  Raw.add t.raw e amount;
-  match t.hook with
-  | None -> ()
-  | Some h -> h ~obj:o ~component:Placement.Write_steiner ~edge:e ~amount
 
 (* Fills [estack] with the (deduplicated) union of the two root paths —
    no list allocation; the set stays valid until the next call. *)
@@ -186,80 +164,61 @@ let affected_edges t ~node ~other =
   Flat.iter_path_to_root t.fl node visit;
   if other >= 0 then Flat.iter_path_to_root t.fl other visit
 
-let iter_affected t f =
-  (* Reversed fill order: the order the list-building implementation
-     historically visited, kept so hook deltas replay identically. *)
-  for i = t.esp - 1 downto 0 do
-    f t.estack.(i)
-  done
+let rec insert c = function
+  | x :: rest when x < c -> x :: insert c rest
+  | l -> c :: l
 
-(* Low-level add of copy [c]: marks, [below], anchor and Steiner loads.
+(* Moves copy [c] into ([delta = 1]) or out of ([delta = -1]) the set
+   counted by [below], re-pricing the Steiner edges around it. [anchor]
+   is a copy on both sides of the change, or -1 when there is none. *)
+let steiner_update t os c ~anchor ~delta =
+  let n_new = os.ncopies + delta in
+  if os.total_writes > 0 then begin
+    affected_edges t ~node:c ~other:anchor;
+    let wts = os.total_writes in
+    for i = 0 to t.esp - 1 do
+      let e = t.estack.(i) in
+      if member os e os.ncopies then Raw.add t.raw e (-wts)
+    done;
+    Flat.iter_path_to_root t.fl c (fun e ->
+        os.below.(e) <- os.below.(e) + delta);
+    os.ncopies <- n_new;
+    for i = 0 to t.esp - 1 do
+      let e = t.estack.(i) in
+      if member os e n_new then Raw.add t.raw e wts
+    done
+  end
+  else begin
+    Flat.iter_path_to_root t.fl c (fun e ->
+        os.below.(e) <- os.below.(e) + delta);
+    os.ncopies <- n_new
+  end
+
+(* Low-level add/remove of copy [c]: copy set, [below] and Steiner loads.
    Assignments are the caller's business. *)
 let steiner_add t o c =
   let os = t.objs.(o) in
-  let n_new = os.ncopies + 1 in
-  if os.total_writes > 0 then begin
-    affected_edges t ~node:c ~other:os.anchor;
-    let wts = os.total_writes in
-    iter_affected t (fun e ->
-        if member os e os.ncopies then steiner_load t o e (-wts));
-    Flat.iter_path_to_root t.fl c (fun e -> os.below.(e) <- os.below.(e) + 1);
-    os.ncopies <- n_new;
-    iter_affected t (fun e -> if member os e n_new then steiner_load t o e wts)
-  end
-  else begin
-    Flat.iter_path_to_root t.fl c (fun e -> os.below.(e) <- os.below.(e) + 1);
-    os.ncopies <- n_new
-  end;
-  Marks.mark os.marks c;
-  os.anchor <- c
+  let anchor = match os.copies with [] -> -1 | a :: _ -> a in
+  steiner_update t os c ~anchor ~delta:1;
+  os.has.(c) <- true;
+  os.copies <- insert c os.copies
 
 let steiner_remove t o c =
   let os = t.objs.(o) in
-  Marks.unmark os.marks c;
-  let new_anchor =
-    if os.ncopies = 1 then -1
-    else
-      match Marks.nearest os.marks c with
-      | Some (u, _) -> u
-      | None -> assert false
-  in
-  let n_new = os.ncopies - 1 in
-  if os.total_writes > 0 then begin
-    affected_edges t ~node:c ~other:new_anchor;
-    let wts = os.total_writes in
-    iter_affected t (fun e ->
-        if member os e os.ncopies then steiner_load t o e (-wts));
-    Flat.iter_path_to_root t.fl c (fun e -> os.below.(e) <- os.below.(e) - 1);
-    os.ncopies <- n_new;
-    iter_affected t (fun e -> if member os e n_new then steiner_load t o e wts)
-  end
-  else begin
-    Flat.iter_path_to_root t.fl c (fun e -> os.below.(e) <- os.below.(e) - 1);
-    os.ncopies <- n_new
-  end;
-  os.anchor <- new_anchor
+  os.has.(c) <- false;
+  os.copies <- List.filter (fun x -> x <> c) os.copies;
+  let anchor = match os.copies with [] -> -1 | a :: _ -> a in
+  steiner_update t os c ~anchor ~delta:(-1)
 
 (* Point a leaf's requests at [server] (or [-1] to clear), moving its
-   path load. The hook sees the same per-edge deltas split into read and
-   write components (the engine's [amount] is their sum). *)
+   path load. *)
 let set_server t o leaf ~server ~dist =
   let os = t.objs.(o) in
   let amt = os.amount.(leaf) in
-  let rd = os.reads.(leaf) and wr = os.writes.(leaf) in
   let apply target sign =
     if target >= 0 && amt <> 0 then
       Flat.iter_path_unordered t.fl leaf target (fun e ->
-          Raw.add t.raw e (sign * amt);
-          match t.hook with
-          | None -> ()
-          | Some h ->
-            if rd <> 0 then
-              h ~obj:o ~component:Placement.Read_path ~edge:e
-                ~amount:(sign * rd);
-            if wr <> 0 then
-              h ~obj:o ~component:Placement.Write_path ~edge:e
-                ~amount:(sign * wr))
+          Raw.add t.raw e (sign * amt))
   in
   apply os.server.(leaf) (-1);
   os.server.(leaf) <- server;
@@ -275,7 +234,7 @@ let push t u =
 let add_copy t ~obj c =
   check_node t c;
   let os = obj_state t obj in
-  if Marks.is_marked os.marks c then
+  if os.has.(c) then
     invalid_arg "Loads.add_copy: node already holds a copy";
   steiner_add t obj c;
   (* The nearest-copy rule: a leaf defects to [c] when strictly closer,
@@ -297,20 +256,28 @@ let add_copy t ~obj c =
 let remove_copy t ~obj c =
   check_node t c;
   let os = obj_state t obj in
-  if not (Marks.is_marked os.marks c) then
-    invalid_arg "Loads.remove_copy: node holds no copy";
+  if not os.has.(c) then invalid_arg "Loads.remove_copy: node holds no copy";
   if os.ncopies = 1 && Array.length os.req > 0 then
     invalid_arg "Loads.remove_copy: would leave a requested object copyless";
   steiner_remove t obj c;
+  (* Orphaned leaves rescan the surviving copies in ascending order and
+     keep the first strict minimum: ties to the lowest id, exactly
+     [Placement.nearest]'s rule. *)
   let moved = ref [] in
   Array.iter
     (fun leaf ->
       if os.server.(leaf) = c then begin
-        match Marks.nearest os.marks leaf with
-        | Some (s, d) ->
-          moved := (leaf, c, os.sdist.(leaf)) :: !moved;
-          set_server t obj leaf ~server:s ~dist:d
-        | None -> assert false
+        let s = ref (-1) and d = ref max_int in
+        List.iter
+          (fun u ->
+            let du = Flat.distance t.fl leaf u in
+            if du < !d then begin
+              s := u;
+              d := du
+            end)
+          os.copies;
+        moved := (leaf, c, os.sdist.(leaf)) :: !moved;
+        set_server t obj leaf ~server:!s ~dist:!d
       end)
     os.req;
   push t (U_remove { obj; node = c; moved = !moved })
@@ -319,18 +286,6 @@ let move_copy t ~obj ~src ~dst =
   if src = dst then invalid_arg "Loads.move_copy: src = dst";
   add_copy t ~obj dst;
   remove_copy t ~obj src
-
-let reassign t ~obj ~leaf ~server =
-  check_node t leaf;
-  check_node t server;
-  let os = obj_state t obj in
-  if not (Marks.is_marked os.marks server) then
-    invalid_arg "Loads.reassign: server holds no copy";
-  if os.server.(leaf) < 0 then
-    invalid_arg "Loads.reassign: leaf has no requests for this object";
-  push t
-    (U_reassign { obj; leaf; server = os.server.(leaf); dist = os.sdist.(leaf) });
-  set_server t obj leaf ~server ~dist:(Flat.distance t.fl leaf server)
 
 (* {2 Checkpoint / rollback} *)
 
@@ -341,8 +296,6 @@ let undo t = function
   | U_remove { obj; node; moved } ->
     steiner_add t obj node;
     List.iter (fun (leaf, s, d) -> set_server t obj leaf ~server:s ~dist:d) moved
-  | U_reassign { obj; leaf; server; dist } ->
-    set_server t obj leaf ~server ~dist
 
 let checkpoint t = t.jlen
 
@@ -375,11 +328,11 @@ let of_copies w copies =
 
 (* {2 Inspection} *)
 
-let copies t ~obj = Marks.marked (obj_state t obj).marks
+let copies t ~obj = (obj_state t obj).copies
 
 let has_copy t ~obj v =
   check_node t v;
-  Marks.is_marked (obj_state t obj).marks v
+  (obj_state t obj).has.(v)
 
 let num_copies t ~obj = (obj_state t obj).ncopies
 
@@ -390,11 +343,7 @@ let server t ~obj leaf =
 
 let edge_loads t = Raw.loads t.raw
 
-let total_load t = Raw.total t.raw
-
 let congestion t = Raw.congestion_value t.raw
-
-let evaluate t = Raw.evaluate t.raw
 
 let snapshot t =
   Array.map
@@ -413,5 +362,5 @@ let snapshot t =
             :: acc)
           os.req []
       in
-      { Placement.copies = Marks.marked os.marks; assigns })
+      { Placement.copies = os.copies; assigns })
     t.objs

@@ -1,21 +1,21 @@
-(** Incremental load accounting shared by placement, baselines and the
-    online layer.
+(** Incremental load accounting for the hill climbs of the baselines and
+    the serving tier; {!Raw} also carries the online layer's running
+    loads.
 
     [Loads.t] is a mutable mirror of one workload's Section 1.1 load
     state: per-edge absolute loads, per-object copy sets and reference
     assignments. The delta operations ({!add_copy}, {!remove_copy},
-    {!move_copy}, {!reassign}) update only the affected leaf→server paths
-    and Steiner edges — O(height) per touched leaf — instead of
-    re-deriving every object's loads from scratch, which turns one
-    hill-climb proposal from O(objects · leaves · height) into
-    O(height + affected leaves · log n).
+    {!move_copy}) update only the affected leaf→server paths and Steiner
+    edges — O(height) per leaf that changes server, plus a scan of the
+    surviving copies per leaf a removal orphans — instead of re-deriving
+    every object's loads from scratch, O(objects · leaves · height) per
+    hill-climb proposal.
 
     Invariants maintained between operations (see DESIGN.md §8):
 
     - [loads.(e)] equals [Placement.edge_loads] of {!snapshot};
     - every requesting leaf's server is its nearest copy, ties to the
-      lowest node id (exactly [Placement.nearest]'s rule), unless the
-      caller overrode it with {!reassign};
+      lowest node id (exactly [Placement.nearest]'s rule);
     - an edge carries the object's write-broadcast load iff it lies on
       the Steiner tree of the copy set ([0 < below < ncopies] in the
       canonical rooting).
@@ -42,19 +42,13 @@ module Raw : sig
   (** [add t e amount] adds [amount] (possibly negative) to edge [e] and
       to the bus loads of its non-processor endpoints. O(1). *)
 
-  val load : t -> int -> int
-
   val loads : t -> int array
   (** A fresh copy of the per-edge loads. *)
-
-  val total : t -> int
 
   val congestion_value : t -> float
   (** Maximum relative load over edges and buses — bit-identical to
       [Placement.congestion_of_edge_loads] on {!loads}, without
       allocating. O(n). *)
-
-  val evaluate : t -> Placement.congestion
 end
 
 type t
@@ -63,17 +57,13 @@ type checkpoint
 
 (** {1 Construction} *)
 
-val create : Workload.t -> t
-(** An engine with empty copy sets (every load zero). Objects with
-    requests must receive a first copy via {!add_copy} before
-    {!snapshot} is meaningful. *)
-
 val of_copies : Workload.t -> int list array -> t
 (** [of_copies w copies] builds the engine state for the given per-object
     copy sets with nearest-copy assignments — the incremental counterpart
     of [Placement.nearest w ~copies]. Duplicate nodes in a list are
-    collapsed. The construction deltas are not recorded in the undo
-    journal. *)
+    collapsed; an object with requests may start copyless, and then
+    {!snapshot} raises until it receives a first copy via {!add_copy}.
+    The construction deltas are not recorded in the undo journal. *)
 
 (** {1 Delta operations}
 
@@ -87,33 +77,13 @@ val add_copy : t -> obj:int -> int -> unit
 
 val remove_copy : t -> obj:int -> int -> unit
 (** Drop a node's copy. Leaves it served are reassigned to their nearest
-    remaining copy (ties to the lowest id) via an O(height) query. *)
+    remaining copy (ties to the lowest id) by a scan of the surviving
+    copies. *)
 
 val move_copy : t -> obj:int -> src:int -> dst:int -> unit
 (** [add_copy dst] then [remove_copy src] — the hill climb's "move"
     proposal, safe for single-copy objects because the new copy lands
     before the old one leaves. *)
-
-val reassign : t -> obj:int -> leaf:int -> server:int -> unit
-(** Explicitly point a requesting leaf at a (copy-holding) server,
-    overriding the nearest-copy rule until a later delta moves it. *)
-
-(** {1 Attribution hook} *)
-
-type hook =
-  obj:int -> component:Placement.component -> edge:int -> amount:int -> unit
-
-val set_hook : t -> hook option -> unit
-(** [set_hook t (Some h)] makes every subsequent elementary load delta
-    call [h ~obj ~component ~edge ~amount] right after it lands in the
-    edge-load accumulator: request traffic moved by a (re)assignment as
-    separate [Read_path]/[Write_path] deltas per path edge, Steiner
-    membership flips as [Write_steiner] deltas. {!rollback} replays its
-    journal through the same low-level operations, so the hook also sees
-    every undo as the exact inverse deltas — a table folded over the hook
-    stays consistent across checkpoint/rollback with no special casing.
-    Amounts are never zero. [None] detaches. The hook runs under the
-    engine's caller; it must not mutate the engine. *)
 
 (** {1 Checkpoint / rollback} *)
 
@@ -130,8 +100,7 @@ val rollback : t -> checkpoint -> unit
 val workload : t -> Workload.t
 
 val copies : t -> obj:int -> int list
-(** Current copy set, ascending (O(n); use {!has_copy}/{!num_copies} on
-    hot paths). *)
+(** Current copy set, ascending. O(1): the engine's own immutable list. *)
 
 val has_copy : t -> obj:int -> int -> bool
 (** O(1). *)
@@ -145,18 +114,12 @@ val server : t -> obj:int -> int -> int option
 val edge_loads : t -> int array
 (** A fresh copy of the per-edge absolute loads. *)
 
-val total_load : t -> int
-
 val congestion : t -> float
 (** Congestion of the current state — bit-identical to
     [Placement.congestion] of {!snapshot}, in O(n) instead of a full
     re-evaluation. *)
 
-val evaluate : t -> Placement.congestion
-
 val snapshot : t -> Placement.t
-(** Materialize the current state as a placement. When only
-    {!add_copy}/{!remove_copy}/{!move_copy} were used (no manual
-    {!reassign}), this is structurally equal to
+(** Materialize the current state as a placement — structurally equal to
     [Placement.nearest w ~copies:(current copy sets)]. Raises
     [Invalid_argument] while an object with requests has no copies. *)

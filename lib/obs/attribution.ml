@@ -1,8 +1,6 @@
 (* Per-edge load attribution. Cells live in one hash table per edge keyed
-   by (object, component); a cell that sums back to zero is removed, so
-   the incremental table converges to exactly the one-shot table's
-   contents after any mutate/rollback sequence — the bit-for-bit
-   agreement [equal] checks. *)
+   by (object, component). Tables are built in one shot from positive
+   contributions, so every cell is nonzero. *)
 
 module Tree = Hbn_tree.Tree
 module Flat = Hbn_tree.Flat
@@ -46,15 +44,11 @@ let create tree =
 
 let record t ~obj ~component ~edge ~amount =
   if amount <> 0 then begin
-    if edge < 0 || edge >= Array.length t.totals then
-      invalid_arg "Attribution.record: edge out of range";
     t.totals.(edge) <- t.totals.(edge) + amount;
     let tbl = t.cells.(edge) in
     let key = cell_key ~obj ~component in
     match Hashtbl.find_opt tbl key with
-    | Some r ->
-      let v = !r + amount in
-      if v = 0 then Hashtbl.remove tbl key else r := v
+    | Some r -> r := !r + amount
     | None -> Hashtbl.add tbl key (ref amount)
   end
 
@@ -98,12 +92,7 @@ let of_loads eng =
   done;
   t
 
-let attach eng =
-  let t = of_loads eng in
-  Loads.set_hook eng
-    (Some
-       (fun ~obj ~component ~edge ~amount -> record t ~obj ~component ~edge ~amount));
-  t
+let attach = of_loads
 
 let tree t = t.tree
 

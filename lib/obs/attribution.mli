@@ -9,15 +9,14 @@
     path, write traffic on the same path, or the write broadcast over
     the copy set's Steiner tree.
 
-    The table is maintained two ways that agree bit-for-bit (integer
-    cells, property-tested in [test/test_attribution.ml]):
+    A table is built in one shot, from either of two sources that agree
+    bit-for-bit on the same copy sets (integer cells, property-tested in
+    [test/test_attribution.ml]):
 
-    - {!of_placement} — a one-shot pass over
+    - {!of_placement} — a pass over
       {!Placement.iter_object_load_components};
-    - {!attach} — incremental O(height) deltas fed by the
-      {!Loads.set_hook} stream of a live engine, surviving
-      checkpoint/rollback because the engine's undo journal replays
-      inverse deltas through the same hook.
+    - {!of_loads} — a pass over a load engine's copy sets and
+      assignments.
 
     Invariants: {!totals} equals [Placement.edge_loads] of the
     attributed placement, {!congestion_value} equals
@@ -44,30 +43,19 @@ type contribution = {
 
 (** {1 Construction} *)
 
-val create : Tree.t -> t
-(** An all-zero table. *)
-
-val record :
-  t -> obj:int -> component:Placement.component -> edge:int -> amount:int -> unit
-(** Adds one (possibly negative) elementary contribution — the primitive
-    both construction modes reduce to. Cells that return to zero drop
-    out of every accessor. O(1). *)
-
 val of_placement : Workload.t -> Placement.t -> t
 (** One-shot attribution of a placement, driven by
     {!Placement.iter_object_load_components}. *)
 
 val of_loads : Loads.t -> t
 (** One-shot attribution of a load engine's current state (copy sets and
-    possibly overridden assignments), without requiring every requested
-    object to hold copies yet — objects without copies contribute
-    nothing, matching the engine's zero loads for them. *)
+    nearest-copy assignments), without requiring every requested object
+    to hold copies yet — objects without copies contribute nothing,
+    matching the engine's zero loads for them. *)
 
 val attach : Loads.t -> t
-(** [attach eng] is {!of_loads} [eng] kept live: the table subscribes to
-    the engine's delta stream via {!Loads.set_hook} (replacing any
-    previous hook) and mirrors every mutation — including rollbacks —
-    from then on. Detach with [Loads.set_hook eng None]. *)
+(** An alias of {!of_loads}, kept only because the end-to-end benchmark
+    probe ([bench/e2e/workloads.ml]) calls it by this name. *)
 
 (** {1 Per-edge and per-bus lookup} *)
 
@@ -115,7 +103,8 @@ val congestion_value : t -> float
 
 val equal : t -> t -> bool
 (** Same tree shape and exactly the same nonzero cells — the bit-for-bit
-    agreement the incremental and one-shot modes must maintain. *)
+    agreement {!of_placement} and {!of_loads} keep on the same copy
+    sets. *)
 
 (** {1 Export} *)
 

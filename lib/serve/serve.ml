@@ -253,7 +253,7 @@ let run ?exec cfg source =
     let w = if e = 0 then w0 else table_of e in
     if e > 0 then check_table w;
     bootstrap w cur;
-    let eng = Loads.of_copies w (Array.copy cur) in
+    let eng = Loads.of_copies w cur in
     (* Epoch boundary: the previous epoch's alerts decide whether the
        hot objects get re-optimized before this epoch serves. *)
     let reopt, bytes, repl, migr, contr =
@@ -278,22 +278,23 @@ let run ?exec cfg source =
     end;
     let el = Loads.edge_loads eng in
     let c_serve = Loads.congestion eng in
+    (* The stale and oracle copy sets are only priced, never mutated:
+       [Placement.nearest] is the same nearest-copy model the engine
+       maintains, so all three numbers share one congestion scale (the
+       engine's congestion is bit-identical to it). *)
+    let priced copies = Placement.congestion w (Placement.nearest w ~copies) in
     let c_stale =
       let st = Array.copy stale in
       bootstrap w st;
-      Loads.congestion (Loads.of_copies w st)
+      priced st
     in
-    (* The oracle is a fresh static re-place on this epoch's table,
-       served through the same engine model (nearest-copy assignment)
-       as the serving and stale numbers — one congestion scale. *)
+    (* The oracle is a fresh static re-place on this epoch's table. *)
     let c_oracle =
       if cfg.oracle then begin
         let res = Strategy.run ?exec w in
-        let copies =
-          Array.init num_objects (fun obj ->
-              Placement.copies res.Strategy.placement ~obj)
-        in
-        Loads.congestion (Loads.of_copies w copies)
+        priced
+          (Array.init num_objects (fun obj ->
+               Placement.copies res.Strategy.placement ~obj))
       end
       else Float.nan
     in

@@ -31,6 +31,12 @@
       reconfiguration work on the boundary slot, and feeds the monitor
       one observation per series.
 
+    The per-epoch stale and oracle counterfactuals are only priced,
+    never mutated: {!Hbn_placement.Placement.congestion} of
+    {!Hbn_placement.Placement.nearest}, the same nearest-copy model and
+    bit-identical to the engine's congestion on the same copy sets. So
+    each epoch builds exactly one engine, for the serving state.
+
     Everything downstream of the workload tables is sequential and
     PRNG-seeded per epoch; the parallel [exec] only accelerates the
     initial/oracle placements, which are bit-identical at any job count —

@@ -1,7 +1,7 @@
 (* The attribution table's contract: contribution sums reproduce the
-   evaluator's loads exactly, the incremental (hook-fed) table equals the
-   one-shot table bit for bit through any mutate/rollback sequence, and
-   attribution is invariant under the domain-parallel pipeline. *)
+   evaluator's loads exactly, a load engine's table equals the
+   placement's bit for bit after any delta sequence, and attribution is
+   invariant under the domain-parallel pipeline. *)
 
 module Tree = Hbn_tree.Tree
 module Workload = Hbn_workload.Workload
@@ -95,60 +95,8 @@ let seed_engine ~prng w =
   in
   Loads.of_copies w copies
 
-(* The live (attach) table must match a fresh one-shot table after every
-   delta, including a few manual reassignments. *)
-let prop_incremental_equals_oneshot seed =
-  let _, w = Helpers.instance seed in
-  let prng = Prng.create (seed + 409) in
-  let eng = seed_engine ~prng w in
-  let live = Attribution.attach eng in
-  let ok = ref (Attribution.equal live (Attribution.of_loads eng)) in
-  for _ = 1 to 25 do
-    ignore (random_delta ~prng w eng);
-    (match Prng.int prng 4 with
-    | 0 -> (
-      let obj = Prng.int prng (Workload.num_objects w) in
-      match Workload.requesting_leaves w ~obj with
-      | [] -> ()
-      | req when Loads.num_copies eng ~obj > 0 ->
-        Loads.reassign eng ~obj ~leaf:(Prng.pick prng req)
-          ~server:(Prng.pick prng (Loads.copies eng ~obj))
-      | _ -> ())
-    | _ -> ());
-    ok := !ok && Attribution.equal live (Attribution.of_loads eng)
-  done;
-  (* Nearest-only engines also agree with Placement-driven attribution. *)
-  Loads.set_hook eng None;
-  !ok
-
-(* Rollback replays inverse deltas through the hook: the live table must
-   come back bit-identical to its checkpoint-time state. *)
-let prop_rollback_restores_attribution seed =
-  let _, w = Helpers.instance seed in
-  let prng = Prng.create (seed + 811) in
-  let eng = seed_engine ~prng w in
-  let live = Attribution.attach eng in
-  for _ = 1 to 5 do
-    ignore (random_delta ~prng w eng)
-  done;
-  let at_checkpoint = Attribution.of_loads eng in
-  let cp = Loads.checkpoint eng in
-  for _ = 1 to 15 do
-    ignore (random_delta ~prng w eng)
-  done;
-  let inner = Loads.checkpoint eng in
-  ignore (random_delta ~prng w eng);
-  Loads.rollback eng inner;
-  for _ = 1 to 3 do
-    ignore (random_delta ~prng w eng)
-  done;
-  Loads.rollback eng cp;
-  let restored = Attribution.equal live at_checkpoint in
-  Loads.set_hook eng None;
-  restored
-
-(* The engine path and the placement path attribute identically when the
-   engine state is reachable by the nearest rule. *)
+(* The engine path and the placement path attribute identically after
+   any delta sequence. *)
 let prop_engine_matches_placement_attribution seed =
   let _, w = Helpers.instance seed in
   let prng = Prng.create (seed + 1201) in
@@ -202,10 +150,6 @@ let suite =
   [
     Helpers.qt ~count:60 "sums reproduce the evaluator exactly"
       Helpers.seed_arb prop_sums_reproduce_evaluator;
-    Helpers.qt ~count:60 "incremental table equals one-shot"
-      Helpers.seed_arb prop_incremental_equals_oneshot;
-    Helpers.qt ~count:60 "rollback restores the live table"
-      Helpers.seed_arb prop_rollback_restores_attribution;
     Helpers.qt ~count:60 "engine and placement attribution agree"
       Helpers.seed_arb prop_engine_matches_placement_attribution;
     Helpers.qt ~count:25 "attribution bit-identical at jobs 1/2/4"

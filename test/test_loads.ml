@@ -3,7 +3,6 @@
    snapshot, and checkpoints roll back exactly. *)
 
 module Tree = Hbn_tree.Tree
-module Marks = Hbn_tree.Marks
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Loads = Hbn_loads.Loads
@@ -77,26 +76,6 @@ let prop_deltas_match_scratch seed =
   in
   !ok && Loads.snapshot eng = Placement.nearest w ~copies:cs
 
-let prop_reassign_matches_scratch seed =
-  let _, w = Helpers.instance seed in
-  let prng = Prng.create (seed + 211) in
-  let eng = Loads.of_copies w (initial_copies ~prng w) in
-  let ok = ref true in
-  for _ = 1 to 20 do
-    ignore (random_nearest_delta ~prng w eng);
-    (* Sprinkle manual overrides: point a random requesting leaf at a
-       random copy of its object. *)
-    let obj = Prng.int prng (Workload.num_objects w) in
-    (match Workload.requesting_leaves w ~obj with
-    | [] -> ()
-    | req ->
-      let leaf = Prng.pick prng req in
-      let server = Prng.pick prng (Loads.copies eng ~obj) in
-      Loads.reassign eng ~obj ~leaf ~server);
-    ok := !ok && agrees w eng
-  done;
-  !ok
-
 let prop_rollback_roundtrip seed =
   let _, w = Helpers.instance seed in
   let prng = Prng.create (seed + 307) in
@@ -159,55 +138,12 @@ let test_small_example () =
     (Loads.copies eng ~obj:0);
   ignore c_single
 
-(* --- Marks support structure ------------------------------------------- *)
-
-let prop_nearest_marked_matches_scan seed =
-  let tree, _ = Helpers.instance seed in
-  let r = Tree.rooting tree in
-  let marks = Marks.create r in
-  let prng = Prng.create (seed + 9) in
-  let n = Tree.n tree in
-  let marked = Array.make n false in
-  let brute v =
-    (* Lowest-id node among those at minimal distance. *)
-    let best = ref None in
-    for u = n - 1 downto 0 do
-      if marked.(u) then begin
-        let d = List.length (Tree_ref.path_edges tree v u) in
-        match !best with
-        | Some (_, bd) when bd < d -> ()
-        | Some (_, bd) when bd = d -> best := Some (u, d)
-        | _ -> best := Some (u, d)
-      end
-    done;
-    !best
-  in
-  let ok = ref true in
-  for _ = 1 to 60 do
-    let v = Prng.int prng n in
-    (match Prng.int prng 3 with
-    | 0 ->
-      marked.(v) <- true;
-      Marks.mark marks v
-    | 1 ->
-      marked.(v) <- false;
-      Marks.unmark marks v
-    | _ -> ());
-    let q = Prng.int prng n in
-    ok := !ok && Marks.nearest marks q = brute q
-  done;
-  !ok && Marks.count marks = Array.fold_left (fun a b -> if b then a + 1 else a) 0 marked
-
 let suite =
   [
     Helpers.tc "small example with checkpoint" test_small_example;
     Helpers.tc "removing the last copy is rejected" test_remove_last_copy_rejected;
     Helpers.qt ~count:60 "delta sequences match from-scratch evaluation"
       Helpers.seed_arb prop_deltas_match_scratch;
-    Helpers.qt ~count:40 "manual reassigns keep loads exact" Helpers.seed_arb
-      prop_reassign_matches_scratch;
     Helpers.qt ~count:60 "checkpoint/rollback restores the state exactly"
       Helpers.seed_arb prop_rollback_roundtrip;
-    Helpers.qt ~count:60 "nearest-marked agrees with exhaustive scan"
-      Helpers.seed_arb prop_nearest_marked_matches_scan;
   ]

@@ -94,6 +94,23 @@ let test_single_node_network () =
   Alcotest.(check (list int)) "unused empty" [] sets.(1);
   Alcotest.(check int) "no messages" 0 stats.Runtime.messages
 
+(* More objects than the runtime's default round limit allows rounds:
+   the protocol still runs to quiescence and matches the sequential
+   placement. *)
+let test_many_objects_no_round_limit () =
+  let t = Builders.star ~leaves:2 ~profile:(Builders.Uniform 1) in
+  let objects = 60_000 in
+  let w = Workload.empty t ~objects in
+  for obj = 0 to objects - 1 do
+    Workload.set_read w ~obj 1 1
+  done;
+  let sets, stats = Dist_nibble.run w in
+  let seq = Nibble.place_all w in
+  Alcotest.(check bool) "more rounds than the default limit" true
+    (stats.Runtime.rounds > 100_000);
+  Alcotest.(check bool) "matches sequential" true
+    (Array.for_all2 (fun got cs -> got = cs.Nibble.nodes) sets seq)
+
 let prop_matches_sequential seed =
   let _, w = Helpers.instance seed in
   let sets, _ = Dist_nibble.run w in
@@ -225,6 +242,8 @@ let suite =
     Helpers.tc "engine round limit" test_engine_round_limit;
     Helpers.tc "distributed nibble hand example" test_dist_nibble_hand_example;
     Helpers.tc "single node network" test_single_node_network;
+    Helpers.tc "distributed nibble past the default round limit"
+      test_many_objects_no_round_limit;
     Helpers.qt ~count:150 "distributed nibble = sequential everywhere"
       Helpers.seed_arb prop_matches_sequential;
     Helpers.qt "rounds are pipelined" Helpers.seed_arb prop_rounds_pipelined;
