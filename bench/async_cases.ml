@@ -1,5 +1,6 @@
-(* The asynchronous-simulation benchmark's case matrix, shared between
-   the writer (bench/async.exe) and the regression gate (bench/check.exe).
+(* The asynchronous-simulation benchmark's case matrix, one row of the
+   Matrix table that the writer (bench/record.exe) and the regression
+   gate (bench/check.exe) share.
 
    One workload and placement per topology, then one simulator run per
    link model over the {e identical} traffic. The deterministic payload
@@ -111,18 +112,46 @@ let validate_group ~topology cases =
          link model has no effect"
       topology
 
+let instance ~prng tree =
+  let w = Generators.uniform ~prng tree ~objects ~max_rate:8 in
+  (w, (Strategy.run w).Strategy.placement)
+
 let all () =
   let prng = Prng.create seed in
   List.concat_map
     (fun (topology, tree) ->
-      let w = Generators.uniform ~prng tree ~objects ~max_rate:8 in
-      let placement = (Strategy.run w).Strategy.placement in
+      let w, placement = instance ~prng tree in
       let cases =
         List.map (fun link -> run_case ~w ~placement ~topology ~link) links
       in
       validate_group ~topology cases;
       cases)
     (topologies ())
+
+(* The first topology's traffic (the first draw from [seed], as in
+   [all]) on a uniformly starved link, "1:1" (bandwidth 1 under bus caps
+   of 2, so every hop is slower on both axes), against its sync row:
+   traffic stays pinned and completion strictly rises. "1:1" is not a
+   matrix row. *)
+let contract cases =
+  let topology, tree = List.hd (topologies ()) in
+  let w, placement = instance ~prng:(Prng.create seed) tree in
+  let sync =
+    List.find (fun c -> c.topology = topology && c.link = "sync") cases
+  in
+  let slow = run_case ~w ~placement ~topology ~link:(Some "1:1") in
+  if
+    sync.packets <> slow.packets
+    || sync.transmissions <> slow.transmissions
+    || sync.congestion <> slow.congestion
+  then [ Printf.sprintf "traffic varied with the link model on %s" topology ]
+  else if slow.completion <= sync.completion then
+    [
+      Printf.sprintf
+        "halved bandwidth did not raise completion (%g vs %g) on %s"
+        slow.completion sync.completion topology;
+    ]
+  else []
 
 let json_of_case c =
   Printf.sprintf

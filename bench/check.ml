@@ -1,28 +1,30 @@
 (* Regression gate over the committed baselines.
 
    Run with:
-     dune exec bench/check.exe \
-       [-- PIPELINE.json [FAULTS.json [PARALLEL.json [ASYNC.json
-            [MONITOR.json [SERVE.json]]]]]]
-   Re-runs the pipeline, fault-recovery, async-simulation, drift-detection
-   and adaptive-serving case matrices, renders every fresh case through
-   the same writer that produced the committed BENCH_*.json, and walks
-   the two JSON trees side by side. Every deterministic field must match
-   exactly; the only noise is wall time (the pipeline phases' "total_ns"),
-   and the environment header ("meta") and "micro" wall-clock notes sit
-   outside the compared "cases". BENCH_parallel.json is validated
-   statically (schema, the identical flag, chunk-scheduling arithmetic).
-   Exits 1 naming every divergence by its path, e.g.
+     dune exec bench/check.exe [-- NAME=PATH ...]
+   With no argument every baseline is checked at BENCH_<NAME>.json in
+   the current directory; NAME=PATH arguments check only the named
+   baselines, read from PATH. NAME is a Matrix name (pipeline, faults,
+   async, monitor, serve), parallel or loads.
+
+   Each case matrix is re-run once: its contract is checked on the
+   fresh cases, which are then rendered through the same writer that
+   produced the committed file and walked side by side with its "cases".
+   Every deterministic field must match exactly; the only noise is wall
+   time (the pipeline phases' "total_ns"), and the environment header
+   ("meta") sits outside the compared "cases". BENCH_parallel.json is
+   validated statically (schema, the identical flag, chunk-scheduling
+   arithmetic). BENCH_loads.json must say its climbs were identical, and
+   its congestion is recomputed by the engine climb on the committed
+   instance. Exits 1 naming every divergence by its path, e.g.
    pipeline[4].counters.sim.packets: a diff here means a code change
-   altered what the pipeline (or the fault recovery, the drift detection,
-   or the serving adaptation) computes, not just how fast. *)
+   altered what the pipeline (or the fault recovery, the drift
+   detection, the serving adaptation or the hill climb) computes, not
+   just how fast. *)
 
 module Json = Hbn_obs.Json
-module PC = Pipeline_cases
-module FC = Fault_cases
-module AC = Async_cases
-module MC = Monitor_cases
-module SC = Serve_cases
+module Placement = Hbn_placement.Placement
+module LC = Loads_case
 
 let failures = ref 0
 
@@ -39,7 +41,8 @@ let get name conv j =
   | None -> raise (Json.Parse (Printf.sprintf "missing or mistyped %S" name))
 
 (* Keys holding host noise, skipped wherever they occur in a case. *)
-let ignored_keys schema = if schema = PC.schema then [ "total_ns" ] else []
+let ignored_keys (m : Matrix.t) =
+  if m.name = "pipeline" then [ "total_ns" ] else []
 
 let show = function
   | Json.Null -> "null"
@@ -159,45 +162,94 @@ let check_parallel ~path =
    with Json.Parse m -> fail "malformed run in %s: %s" path m);
   List.length runs
 
-let () =
-  let arg i default = if Array.length Sys.argv > i then Sys.argv.(i) else default in
-  let render json_of_case all () =
-    List.map (fun c -> Json.parse (json_of_case c)) (all ())
+(* The loads baseline records one engine climb on a fixed instance:
+   the engine must have matched the scratch climb when it was recorded,
+   and the instance fields and congestion must match a fresh engine
+   climb (the congestion through the writer's %.3f rounding). *)
+let check_loads ~path =
+  let doc = load_doc ~path ~schema:LC.schema in
+  (match Json.member "identical" doc with
+  | Some (Json.Bool true) -> ()
+  | _ -> fail "%s: \"identical\" is not true" path);
+  let tree, w =
+    LC.instance ~arity:LC.arity ~height:LC.height ~objects:LC.objects
   in
-  let matrices =
+  let congestion =
+    Placement.congestion w (LC.engine_climb ~iterations:LC.iterations w)
+  in
+  List.iter
+    (fun (k, fresh) ->
+      match Json.member k doc with
+      | Some baseline -> diff ~ignored:[] ("loads." ^ k) baseline fresh
+      | None -> fail "loads.%s: missing from the baseline" k)
     [
-      ("pipeline", PC.schema, arg 1 "BENCH_pipeline.json",
-       render PC.json_of_case PC.all);
-      ("fault", FC.schema, arg 2 "BENCH_faults.json",
-       render FC.json_of_case FC.all);
-      ("async", AC.schema, arg 4 "BENCH_async.json",
-       render AC.json_of_case AC.all);
-      ("monitor", MC.schema, arg 5 "BENCH_monitor.json",
-       render MC.json_of_case MC.all);
-      ("serve", SC.schema, arg 6 "BENCH_serve.json",
-       render SC.json_of_case SC.all);
+      ("topology", Json.Str LC.topology);
+      ("leaves", Json.Int (Hbn_tree.Tree.num_leaves tree));
+      ("objects", Json.Int LC.objects);
+      ("iterations", Json.Int LC.iterations);
+      ("seed", Json.Int LC.seed);
+      ( "congestion",
+        Json.Float (float_of_string (Printf.sprintf "%.3f" congestion)) );
     ]
-  in
-  let matched =
+
+(* Each matrix is computed once: its contract is checked on the fresh
+   cases, which are then diffed against the baseline. *)
+let check_matrix (m : Matrix.t) ~path =
+  let baseline = load_cases ~path ~schema:m.schema in
+  let errs, cases = m.run () in
+  List.iter (fail "%s contract: %s" m.name) errs;
+  let fresh = List.map Json.parse cases in
+  diff ~ignored:(ignored_keys m) m.name baseline (Json.List fresh);
+  Printf.sprintf "%d %s cases match %s" (List.length fresh) m.name path
+
+(* Every baseline by name, each returning its summary line. *)
+let checks =
+  List.map (fun (m : Matrix.t) -> (m.name, check_matrix m)) Matrix.all
+  @ [
+      ( "parallel",
+        fun ~path ->
+          Printf.sprintf "%d parallel runs consistent in %s"
+            (check_parallel ~path) path );
+      ( "loads",
+        fun ~path ->
+          check_loads ~path;
+          Printf.sprintf "loads climb matches %s" path );
+    ]
+
+let usage () =
+  Printf.eprintf "usage: check.exe [NAME=PATH ...]  (NAME: %s)\n"
+    (String.concat ", " (List.map fst checks));
+  exit 2
+
+let () =
+  let overrides =
     List.map
-      (fun (name, schema, path, fresh) ->
-        let baseline = load_cases ~path ~schema in
-        let fresh = fresh () in
-        diff ~ignored:(ignored_keys schema) name baseline (Json.List fresh);
-        Printf.sprintf "%d %s cases match %s" (List.length fresh) name path)
-      matrices
+      (fun arg ->
+        match String.index_opt arg '=' with
+        | Some i when List.mem_assoc (String.sub arg 0 i) checks ->
+          ( String.sub arg 0 i,
+            String.sub arg (i + 1) (String.length arg - i - 1) )
+        | _ -> usage ())
+      (List.tl (Array.to_list Sys.argv))
   in
-  let parallel_path = arg 3 "BENCH_parallel.json" in
-  let parallel_runs = check_parallel ~path:parallel_path in
+  let summaries =
+    List.filter_map
+      (fun (name, check) ->
+        match List.assoc_opt name overrides with
+        | Some path -> Some (check ~path)
+        | None when overrides = [] ->
+          Some (check ~path:(Matrix.file name))
+        | None -> None)
+      checks
+  in
   if !failures > 0 then begin
     Printf.eprintf
       "bench/check: %d divergence(s) from the committed baselines — a code \
        change altered pipeline, fault-recovery, async-simulation, \
-       drift-detection or serving-adaptation results (regenerate the \
-       baselines only if that was the point)\n"
+       drift-detection, serving-adaptation or hill-climb results \
+       (regenerate the baselines only if that was the point)\n"
       !failures;
     exit 1
   end;
-  Printf.printf "bench/check: %s, %d parallel runs consistent in %s \
-                 (deterministic fields)\n"
-    (String.concat ", " matched) parallel_runs parallel_path
+  Printf.printf "bench/check: %s (deterministic fields)\n"
+    (String.concat ", " summaries)

@@ -1,5 +1,6 @@
-(* The fault-injection benchmark's case matrix, shared between the
-   writer (bench/faults.exe) and the regression gate (bench/check.exe).
+(* The fault-injection benchmark's case matrix, one row of the Matrix
+   table that the writer (bench/record.exe) and the regression gate
+   (bench/check.exe) share.
 
    Every field below is deterministic: the fault schedule is a pure
    function of the plan seed, the hardened protocol is synchronous, and
@@ -125,6 +126,18 @@ let all () =
   List.concat_map
     (fun topology -> List.map (fun plan -> run_case ~prng ~topology ~plan) plans)
     (topologies ())
+
+(* The recovery contract is one fixed instance outside the matrix: a
+   drop plan on the first topology with the workload drawn first from a
+   fresh [seed] (the matrix's own drop=0.2 row draws third), which must
+   recover. *)
+let contract (_ : case list) =
+  let prng = Prng.create seed in
+  let case =
+    run_case ~prng ~topology:(List.hd (topologies ())) ~plan:"drop=0.2,until=60"
+  in
+  if case.outcome = "recovered" then []
+  else [ Printf.sprintf "expected recovery, got %s" case.outcome ]
 
 let json_of_case c =
   Printf.sprintf

@@ -9,23 +9,15 @@
    Both paths share one proposal generator, so the placements must come
    out structurally equal — the bench fails (exit 1) if they diverge.
    [--smoke] runs a small instance under `dune runtest`: equality only,
-   no JSON written. *)
+   no JSON written. The instance and the engine climb live in Loads_case,
+   which bench/check.exe re-runs to gate the committed congestion. *)
 
 module Tree = Hbn_tree.Tree
-module Builders = Hbn_tree.Builders
 module Prng = Hbn_prng.Prng
 module Workload = Hbn_workload.Workload
-module Generators = Hbn_workload.Generators
 module Placement = Hbn_placement.Placement
 module Baselines = Hbn_baselines.Baselines
-
-let seed = 20260806
-
-let start_copies w =
-  Array.init (Workload.num_objects w) (fun obj ->
-      match Workload.requesting_leaves w ~obj with
-      | [] -> []
-      | leaf :: _ -> [ leaf ])
+module LC = Loads_case
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -37,27 +29,16 @@ let time f =
    secs). The engine runs second so any cache warming favours the
    baseline, not the engine. *)
 let run_pair ~iterations w =
-  let copies = start_copies w in
   let scratch, scratch_s =
     time (fun () ->
-        Baselines.hill_climb_scratch ~iterations ~prng:(Prng.create seed) w
-          copies)
+        Baselines.hill_climb_scratch ~iterations ~prng:(Prng.create LC.seed) w
+          (LC.start_copies w))
   in
-  let engine, engine_s =
-    time (fun () ->
-        Baselines.hill_climb ~iterations ~prng:(Prng.create seed) w copies)
-  in
+  let engine, engine_s = time (fun () -> LC.engine_climb ~iterations w) in
   (engine, engine_s, scratch, scratch_s)
 
-let instance ~arity ~height ~objects =
-  let tree = Builders.balanced ~arity ~height ~profile:(Builders.Uniform 2) in
-  let w =
-    Generators.uniform ~prng:(Prng.create (seed + 1)) tree ~objects ~max_rate:8
-  in
-  (tree, w)
-
 let smoke () =
-  let _, w = instance ~arity:4 ~height:2 ~objects:8 in
+  let _, w = LC.instance ~arity:4 ~height:2 ~objects:8 in
   let engine, _, scratch, _ = run_pair ~iterations:40 w in
   if engine <> scratch then begin
     prerr_endline
@@ -67,24 +48,26 @@ let smoke () =
   print_endline "bench/loads --smoke: engine matches scratch (40 iters)"
 
 let full out_path =
-  let iterations = 300 in
-  let tree, w = instance ~arity:4 ~height:3 ~objects:32 in
+  let iterations = LC.iterations in
+  let tree, w =
+    LC.instance ~arity:LC.arity ~height:LC.height ~objects:LC.objects
+  in
   let engine, engine_s, scratch, scratch_s = run_pair ~iterations w in
   let identical = engine = scratch in
   let speedup = scratch_s /. engine_s in
   let ips s = float_of_int iterations /. s in
   let oc = open_out out_path in
-  output_string oc (Meta.header ~schema:"hbn.bench.loads/v1");
+  output_string oc (Meta.header ~schema:LC.schema);
   Printf.fprintf oc
-    " \"topology\":\"balanced-a4h3\",\"leaves\":%d,\"objects\":%d,\n\
+    " \"topology\":%S,\"leaves\":%d,\"objects\":%d,\n\
     \ \"iterations\":%d,\"seed\":%d,\n\
     \ \"scratch\":{\"seconds\":%.6f,\"iters_per_sec\":%.1f},\n\
     \ \"engine\":{\"seconds\":%.6f,\"iters_per_sec\":%.1f},\n\
     \ \"speedup\":%.2f,\"identical\":%b,\n\
     \ \"congestion\":%.3f}\n"
-    (Tree.num_leaves tree) (Workload.num_objects w) iterations seed scratch_s
-    (ips scratch_s) engine_s (ips engine_s) speedup identical
-    (Placement.congestion w engine);
+    LC.topology (Tree.num_leaves tree) (Workload.num_objects w) iterations
+    LC.seed scratch_s (ips scratch_s) engine_s (ips engine_s) speedup
+    identical (Placement.congestion w engine);
   close_out oc;
   Printf.printf
     "wrote %s\n\

@@ -195,7 +195,7 @@ let run () =
 let run_flat () =
   run_group ~banner:"\n=== F1-F3: Tree.Flat primitive kernels ===" flat_tests
 
-(* Fast correctness pass over the same kernels, for `make bench-quick`:
+(* Fast correctness pass over the same kernels, for `dune runtest`:
    the flat kernels are checked against each other on the bench instance
    (distance = ordered path length, unordered path = same edge multiset,
    Steiner tree of a pair = its path), and every Steiner set through one

@@ -6,7 +6,7 @@
    primitives (path folds, batched LCA, Steiner scans with a reused and a
    fresh scratch). [--smoke] skips timing and instead cross-checks the
    flat kernels against each other on the bench instances — the cheap
-   gate `make bench-quick` (and through it `make check`) runs. *)
+   gate `dune runtest` runs (see bench/dune). *)
 
 let () =
   if Array.exists (( = ) "--smoke") Sys.argv then Micro.smoke_flat ()

@@ -1,5 +1,6 @@
-(* The drift-detection benchmark's case matrix, shared between the
-   writer (bench/monitor.exe) and the regression gate (bench/check.exe).
+(* The drift-detection benchmark's case matrix, one row of the Matrix
+   table that the writer (bench/record.exe) and the regression gate
+   (bench/check.exe) share.
 
    Each case drives one synthetic workload — a deterministic per-round
    traffic shape, jittered by the stateless Prng.hash so reruns are
@@ -115,6 +116,26 @@ let run_case workload =
   }
 
 let all () = List.map run_case workloads
+
+(* The hit/miss contract: steady silent, every drift shape fires, fade
+   degrades. *)
+let contract cases =
+  let find w = List.find (fun c -> c.workload = w) cases in
+  let errs = ref [] in
+  let expect cond msg = if not cond then errs := msg :: !errs in
+  let steady = find "steady" in
+  expect (steady.alerts = 0)
+    (Printf.sprintf "steady fired %d alert(s); must stay silent"
+       steady.alerts);
+  List.iter
+    (fun w ->
+      let c = find w in
+      expect (c.alerts > 0) (w ^ " fired no alert; must detect the shift"))
+    [ "step"; "ramp"; "flash_crowd"; "fade" ];
+  let fade = find "fade" in
+  expect (fade.verdict = "degrading")
+    (Printf.sprintf "fade verdict %S; must be degrading" fade.verdict);
+  List.rev !errs
 
 let json_of_case c =
   Printf.sprintf

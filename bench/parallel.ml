@@ -9,7 +9,7 @@
    meaningful when the host actually has that many cores. Every run must
    produce a bit-identical [Strategy.result] and evaluation; the bench
    fails (exit 1) on any divergence. [--smoke] checks equality on a small
-   instance for `make check`: no timing claims, no JSON written. *)
+   instance under `dune runtest`: no timing claims, no JSON written. *)
 
 module Builders = Hbn_tree.Builders
 module Tree = Hbn_tree.Tree

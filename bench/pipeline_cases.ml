@@ -1,5 +1,6 @@
-(* The pipeline benchmark's case matrix, shared between the writer
-   (bench/pipeline.exe) and the regression gate (bench/check.exe).
+(* The pipeline benchmark's case matrix, one row of the Matrix table
+   that the writer (bench/record.exe) and the regression gate
+   (bench/check.exe) share.
 
    The PRNG is threaded through the whole matrix in order, so the cases
    are only reproducible as one sequence from [seed] — both consumers

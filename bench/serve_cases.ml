@@ -1,5 +1,6 @@
-(* The serving-tier benchmark's case matrix, shared between the writer
-   (bench/serve.exe) and the regression gate (bench/check.exe).
+(* The serving-tier benchmark's case matrix, one row of the Matrix
+   table that the writer (bench/record.exe) and the regression gate
+   (bench/check.exe) share.
 
    Each case serves the same topology under one Drift generator through
    Serve.run — the full alert -> epoch-boundary re-optimization loop —
@@ -111,6 +112,38 @@ let run_case kind =
   }
 
 let all () = List.map run_case Drift.all_kinds
+
+(* The adaptation contract: steady never re-optimizes, hotspot
+   migration recovers >= 30% of the stale-oracle congestion gap, no
+   epoch exceeds the migration byte budget. *)
+let contract cases =
+  let find w = List.find (fun c -> c.workload = w) cases in
+  let errs = ref [] in
+  let expect cond msg = if not cond then errs := msg :: !errs in
+  let steady = find "steady" in
+  expect
+    (steady.reoptimized = 0 && steady.bytes_migrated = 0)
+    (Printf.sprintf
+       "steady re-optimized %d epoch(s), migrated %d bytes; must do neither"
+       steady.reoptimized steady.bytes_migrated);
+  expect (steady.alerts = 0)
+    (Printf.sprintf "steady fired %d alert(s); must stay silent"
+       steady.alerts);
+  let hot = find "hotspot_migration" in
+  expect
+    (hot.recovered >= 0.30)
+    (Printf.sprintf
+       "hotspot migration recovered %.3f of the stale-oracle gap; need >= 0.30"
+       hot.recovered);
+  expect (hot.reoptimized > 0)
+    "hotspot migration never re-optimized; the drift must trigger the loop";
+  List.iter
+    (fun c ->
+      expect c.budget_ok
+        (Printf.sprintf "%s migrated %d bytes in one epoch; budget is %d"
+           c.workload c.max_epoch_bytes config.Serve.budget_bytes))
+    cases;
+  List.rev !errs
 
 let json_of_case c =
   Printf.sprintf

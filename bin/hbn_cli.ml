@@ -967,7 +967,7 @@ let serve_cmd =
     in
     (* Mode banners go to stderr: stdout carries only the epoch table and
        totals, which a generator run and a replay of its recording must
-       reproduce byte for byte (make serve-smoke diffs them). *)
+       reproduce byte for byte (test/test_cli.ml diffs them). *)
     let source, cfg =
       match replay with
       | Some path -> (

@@ -79,6 +79,3 @@ let per_edge_optimum ?(size = 1) tree ~initial reqs =
     opt.(e) <- List.fold_left (fun acc (_, c) -> min acc c) max_int final
   done;
   opt
-
-let total_optimum ?size tree ~initial reqs =
-  Array.fold_left ( + ) 0 (per_edge_optimum ?size tree ~initial reqs)

@@ -25,7 +25,3 @@ val per_edge_optimum :
     every edge over all copy-placement histories starting from a single
     copy on [initial]. [size] (default 1) is the per-edge transfer cost
     of replications and migrations (the object's data size). *)
-
-val total_optimum : ?size:int -> Tree.t -> initial:int -> Request.t list -> int
-(** Sum of {!per_edge_optimum} — a lower bound on the total communication
-    load of any dynamic strategy. *)

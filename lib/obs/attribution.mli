@@ -14,7 +14,7 @@
     [test/test_attribution.ml]):
 
     - {!of_placement} — a pass over
-      {!Placement.iter_object_load_components};
+      {!Placement.iter_object_load_components_scratch};
     - {!of_loads} — a pass over a load engine's copy sets and
       assignments.
 
@@ -45,7 +45,7 @@ type contribution = {
 
 val of_placement : Workload.t -> Placement.t -> t
 (** One-shot attribution of a placement, driven by
-    {!Placement.iter_object_load_components}. *)
+    {!Placement.iter_object_load_components_scratch}. *)
 
 val of_loads : Loads.t -> t
 (** One-shot attribution of a load engine's current state (copy sets and

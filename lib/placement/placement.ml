@@ -184,12 +184,6 @@ let component_name = function
   | Write_path -> "write_path"
   | Write_steiner -> "write_steiner"
 
-let component_of_name = function
-  | "read_path" -> Some Read_path
-  | "write_path" -> Some Write_path
-  | "write_steiner" -> Some Write_steiner
-  | _ -> None
-
 (* The single source of truth for Section 1.1's load accounting: every
    elementary contribution of one object — read and write request traffic
    along leaf→server paths, then the write broadcast over the copies'
@@ -211,18 +205,12 @@ let iter_object_load_components_scratch fl scratch op f =
       ~nodes:(fun mark -> List.iter mark op.copies)
       (fun e -> f e Write_steiner total_writes)
 
-let iter_object_load_components tree op f =
-  let fl = Flat.of_tree tree in
-  iter_object_load_components_scratch fl (Flat.Scratch.create fl) op f
-
-let iter_object_loads tree op f =
-  iter_object_load_components tree op (fun e _component amount -> f e amount)
-
 let object_edge_loads w t ~obj =
   let tree = Workload.tree w in
+  let fl = Flat.of_tree tree in
   let loads = Array.make (max 1 (Tree.num_edges tree)) 0 in
-  iter_object_loads tree t.(obj) (fun e amount ->
-      loads.(e) <- loads.(e) + amount);
+  iter_object_load_components_scratch fl (Flat.Scratch.create fl) t.(obj)
+    (fun e _component amount -> loads.(e) <- loads.(e) + amount);
   loads
 
 let edge_loads ?(exec = Exec.sequential) w t =

@@ -105,36 +105,24 @@ val component_name : component -> string
 (** ["read_path"], ["write_path"], ["write_steiner"] — the spelling used
     by JSONL [attribution] events and [hbn_cli explain --format json]. *)
 
-val component_of_name : string -> component option
-
-val iter_object_load_components :
-  Tree.t -> obj_placement -> (int -> component -> int -> unit) -> unit
-(** [iter_object_load_components tree op f] reports every elementary load
-    contribution of one object as [f edge component amount]: for each
-    assignment, the read and write request traffic along the leaf→server
-    path (as separate [Read_path]/[Write_path] calls), then the write
-    broadcast over the copy set's Steiner tree ([Write_steiner], with the
-    object's total writes on every Steiner edge). Zero-amount components
-    are skipped. This is the single source of truth for the accounting
-    definitions: {!iter_object_loads}, {!edge_loads},
-    {!object_edge_loads}, the incremental engine ([Hbn_loads.Loads]) and
-    attribution tables all agree with it by construction. *)
-
 val iter_object_load_components_scratch :
   Hbn_tree.Flat.t ->
   Hbn_tree.Flat.Scratch.t ->
   obj_placement ->
   (int -> component -> int -> unit) ->
   unit
-(** {!iter_object_load_components} over the flat tree kernels with a
-    caller-owned scratch — the zero-allocation form hot loops use
-    (same calls, same order; the scratch must belong to the calling
-    domain). *)
-
-val iter_object_loads : Tree.t -> obj_placement -> (int -> int -> unit) -> unit
-(** [iter_object_loads tree op f] is {!iter_object_load_components} with
-    the component dropped: callers that only accumulate per-edge sums
-    (which is all of them) see identical totals. *)
+(** [iter_object_load_components_scratch fl scratch op f] reports every
+    elementary load contribution of one object as [f edge component
+    amount]: for each assignment, the read and write request traffic
+    along the leaf→server path (as separate [Read_path]/[Write_path]
+    calls), then the write broadcast over the copy set's Steiner tree
+    ([Write_steiner], with the object's total writes on every Steiner
+    edge). Zero-amount components are skipped. The scratch is
+    caller-owned and must belong to the calling domain, so hot loops
+    allocate nothing. This is the single source of truth for the
+    accounting definitions: {!edge_loads}, {!object_edge_loads}, the
+    incremental engine ([Hbn_loads.Loads]) and attribution tables all
+    agree with it by construction. *)
 
 val evaluate : ?exec:Hbn_exec.Exec.t -> Workload.t -> t -> congestion
 (** Full congestion accounting. *)

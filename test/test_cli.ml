@@ -176,7 +176,15 @@ let test_simulate_link () =
   check_run "simulate --link"
     (link_args [ "--link"; "1:8,1:2" ])
     [ "link model: 1:8,1:2 (per level, root-down)"; "completion:";
-      "virtual time"; "makespan:" ]
+      "virtual time"; "makespan:" ];
+  (* A link model and a fault plan in one run: the simulated schedule on
+     the slow tiers, then the hardened protocol's recovery. *)
+  check_run "simulate --faults --link"
+    [ "simulate"; "--kind"; "balanced"; "--arity"; "3"; "--height"; "3";
+      "--workload"; "zipf"; "--objects"; "8"; "--seed"; "7"; "--faults";
+      "drop=0.15,until=60,crash=2:10-30"; "--link"; "1:64,1:32" ]
+    [ "link model: 1:64,1:32 (per level, root-down)"; "completion:";
+      "recovered distributed placement: identical to centralized strategy" ]
 
 let test_simulate_link_bad_spec () =
   (* Malformed specs die with the clause index and character offset so
@@ -431,8 +439,31 @@ let test_simulate_telemetry_report () =
   | _ -> ()
 
 (* Diffing the committed fixture against itself must report exactly
-   zero deltas in both renderers; chrome has no diff form. *)
+   zero deltas in both renderers; chrome has no diff form. A fresh
+   simulate --faults --telemetry file renders in all three formats and
+   diffs clean against itself too: the monitors recomputed on both sides
+   must agree exactly. *)
 let test_report_diff_self () =
+  let tel = Filename.temp_file "hbn_cli_tel" ".jsonl" in
+  (match
+     run_cli
+       [ "simulate"; "--kind"; "balanced"; "--arity"; "3"; "--height"; "2";
+         "--workload"; "zipf"; "--seed"; "7"; "--faults"; "drop=0.1,until=50";
+         "--telemetry"; tel ]
+   with
+  | None | Some (Unix.WEXITED 0, _) ->
+    check_run "report on telemetry" [ "report"; tel ]
+      [ "series (per-round telemetry)" ];
+    check_run "report --format json on telemetry"
+      [ "report"; tel; "--format"; "json" ]
+      [ "\"schema\":\"hbn.report/v1\"" ];
+    check_run "report --format chrome on telemetry"
+      [ "report"; tel; "--format"; "chrome" ]
+      [ "\"traceEvents\"" ];
+    check_run "report --diff telemetry self" [ "report"; tel; "--diff"; tel ]
+      [ "verdict: identical — every series and alert matches" ]
+  | Some (_, out) -> Alcotest.failf "simulate --telemetry failed:\n%s" out);
+  Sys.remove tel;
   check_run "report --diff self"
     [
       "report"; "fixtures/report_fixture.jsonl"; "--diff";
@@ -462,13 +493,19 @@ let test_simulate_health_verdicts () =
   if Sys.file_exists tmp then Sys.remove tmp
 
 (* The acceptance criterion verbatim: report --format chrome on a
-   simulate --faults --trace file is valid Chrome trace-event JSON. *)
+   simulate --faults --trace file is valid Chrome trace-event JSON. A
+   place --trace file renders in all three formats. *)
 let test_trace_to_chrome () =
-  let tmp = Filename.temp_file "hbn_cli_trace" ".jsonl" in
-  (match run_cli (faults_args [ "--trace"; tmp ]) with
-  | None -> ()
-  | Some (Unix.WEXITED 0, _) ->
-    (match run_cli [ "report"; tmp; "--format"; "chrome" ] with
+  let traced name args check =
+    let tmp = Filename.temp_file "hbn_cli_trace" ".jsonl" in
+    (match run_cli (args @ [ "--trace"; tmp ]) with
+    | None -> ()
+    | Some (Unix.WEXITED 0, _) -> check tmp
+    | Some (_, out) -> Alcotest.failf "%s --trace failed:\n%s" name out);
+    Sys.remove tmp
+  in
+  let chrome tmp =
+    match run_cli [ "report"; tmp; "--format"; "chrome" ] with
     | None -> ()
     | Some (Unix.WEXITED 0, out) ->
       (match Hbn_obs.Json.parse_result out with
@@ -481,9 +518,51 @@ let test_trace_to_chrome () =
          with
         | Some (_ :: _) -> ()
         | _ -> Alcotest.fail "chrome output has no trace events"))
-    | Some (_, out) -> Alcotest.failf "report --format chrome failed:\n%s" out)
-  | Some (_, out) -> Alcotest.failf "simulate --trace failed:\n%s" out);
-  Sys.remove tmp
+    | Some (_, out) -> Alcotest.failf "report --format chrome failed:\n%s" out
+  in
+  traced "simulate" (faults_args []) chrome;
+  traced "place"
+    [ "place"; "--kind"; "balanced"; "--arity"; "3"; "--height"; "3";
+      "--workload"; "zipf"; "--objects"; "8"; "--seed"; "7" ]
+    (fun tmp ->
+      check_run "report on a place trace" [ "report"; tmp ]
+        [ "phases (wall time per span name)"; "strategy.run" ];
+      check_run "report --format json on a place trace"
+        [ "report"; tmp; "--format"; "json" ]
+        [ "\"schema\":\"hbn.report/v1\"" ];
+      chrome tmp)
+
+(* serve --record writes the generated request tables; --replay of that
+   file must re-optimize the same epochs and migrate the same bytes, so
+   the two stdouts are compared verbatim. The recorded telemetry goes
+   through report's analytics. *)
+let test_serve_record_replay () =
+  let tables = Filename.temp_file "hbn_cli_tables" ".txt" in
+  let tel = Filename.temp_file "hbn_cli_tel" ".jsonl" in
+  let serve extra =
+    run_cli
+      ([ "serve"; "--kind"; "balanced"; "--arity"; "3"; "--height"; "3";
+         "--objects"; "8"; "--serve-seed"; "11" ]
+      @ extra)
+  in
+  (match
+     serve
+       [ "--drift"; "hotspot_migration"; "--epochs"; "16"; "--record"; tables;
+         "--telemetry"; tel ]
+   with
+  | None -> ()
+  | Some (Unix.WEXITED 0, recorded) -> (
+    match serve [ "--replay"; tables ] with
+    | Some (Unix.WEXITED 0, replayed) ->
+      Alcotest.(check string) "replay stdout = record stdout" recorded replayed;
+      check_run "report --format json on serve telemetry"
+        [ "report"; tel; "--format"; "json" ]
+        [ "\"schema\":\"hbn.report/v1\"" ]
+    | Some (_, out) -> Alcotest.failf "serve --replay failed:\n%s" out
+    | None -> ())
+  | Some (_, out) -> Alcotest.failf "serve --record failed:\n%s" out);
+  Sys.remove tables;
+  Sys.remove tel
 
 let suite =
   [
@@ -525,4 +604,5 @@ let suite =
     Helpers.tc "cli simulate --telemetry health verdicts"
       test_simulate_health_verdicts;
     Helpers.tc "cli --trace to chrome trace-event JSON" test_trace_to_chrome;
+    Helpers.tc "cli serve --record/--replay" test_serve_record_replay;
   ]
