@@ -1,10 +1,10 @@
 (* Bechamel microbenchmarks: B1-B4 cover per-phase cost of the strategy
    on a fixed mid-size instance, B5 the packet scheduler under a backlog,
    B6 (a plain timed loop) what instrumentation costs with tracing off;
-   F1-F3 cover the Tree.Flat primitives the
+   F1-F4 cover the Tree.Flat primitives the
    hot path is built from (path folds, batched LCA, Steiner scans with a
-   reused and a fresh scratch). Results print as ns/run estimated by
-   OLS. *)
+   reused and a fresh scratch, next hops towards a target). Results print
+   as ns/run estimated by OLS. *)
 
 module Tree = Hbn_tree.Tree
 module Flat = Hbn_tree.Flat
@@ -58,8 +58,9 @@ let tests =
     ]
 
 (* The flat-kernel instance is bigger than B1-B5's: primitive costs only
-   separate from loop overhead on a few hundred nodes. The leaf pairs and
-   Steiner node sets are drawn once, outside the timed region. *)
+   separate from loop overhead on a few hundred nodes. The leaf pairs,
+   Steiner node sets and (node, target) hops are drawn once, outside the
+   timed region. *)
 let flat_instance () =
   let tree = Builders.balanced ~arity:4 ~height:4 ~profile:(Builders.Uniform 2) in
   let fl = Flat.of_tree tree in
@@ -74,10 +75,16 @@ let flat_instance () =
     Array.init 64 (fun _ ->
         List.init (2 + Prng.int prng 6) (fun _ -> leaves.(Prng.int prng nl)))
   in
-  (fl, pairs, steiner_sets)
+  let n = Tree.n tree in
+  let hops =
+    Array.init 256 (fun _ ->
+        let g = Prng.int prng n in
+        ((g + 1 + Prng.int prng (n - 1)) mod n, g))
+  in
+  (fl, pairs, steiner_sets, hops)
 
 let flat_tests =
-  let fl, pairs, steiner_sets = flat_instance () in
+  let fl, pairs, steiner_sets, hops = flat_instance () in
   let scratch = Flat.Scratch.create fl in
   Test.make_grouped ~name:"flat"
     [
@@ -116,6 +123,11 @@ let flat_tests =
                    ~nodes:(fun mark -> List.iter mark nodes)
                    (fun e -> acc := !acc + e))
                steiner_sets;
+             ignore !acc));
+      Test.make ~name:"F4 next_hop (batched)"
+        (Staged.stage (fun () ->
+             let acc = ref 0 in
+             Array.iter (fun (v, g) -> acc := !acc + Flat.next_hop fl v g) hops;
              ignore !acc));
     ]
 
@@ -193,16 +205,17 @@ let run () =
   Table.print table
 
 let run_flat () =
-  run_group ~banner:"\n=== F1-F3: Tree.Flat primitive kernels ===" flat_tests
+  run_group ~banner:"\n=== F1-F4: Tree.Flat primitive kernels ===" flat_tests
 
 (* Fast correctness pass over the same kernels, for `dune runtest`:
    the flat kernels are checked against each other on the bench instance
    (distance = ordered path length, unordered path = same edge multiset,
-   Steiner tree of a pair = its path), and every Steiner set through one
-   shared scratch against a fresh one, to exercise the reuse discipline.
-   No timing claims. *)
+   Steiner tree of a pair = its path, a next hop is a neighbour one step
+   closer to its target), and every Steiner set through one shared
+   scratch against a fresh one, to exercise the reuse discipline. No
+   timing claims. *)
 let smoke_flat () =
-  let fl, pairs, steiner_sets = flat_instance () in
+  let fl, pairs, steiner_sets, hops = flat_instance () in
   let scratch = Flat.Scratch.create fl in
   let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt in
   let collect iter =
@@ -225,12 +238,20 @@ let smoke_flat () =
         fail "bench/micro --smoke: steiner of pair <> path at (%d,%d)" u v)
     pairs;
   Array.iter
+    (fun (v, g) ->
+      let h = Flat.next_hop fl v g in
+      if Flat.distance fl v h <> 1
+         || Flat.distance fl h g <> Flat.distance fl v g - 1
+      then fail "bench/micro --smoke: next_hop %d towards %d is %d" v g h)
+    hops;
+  Array.iter
     (fun nodes ->
       if steiner scratch nodes <> steiner (Flat.Scratch.create fl) nodes then
         fail "bench/micro --smoke: shared scratch diverged from a fresh one")
     steiner_sets;
   Printf.printf
     "bench/micro --smoke: flat kernels self-consistent on %d paths, %d \
-     steiner sets (shared scratch)\n"
+     steiner sets (shared scratch), %d next hops\n"
     (Array.length pairs)
     (Array.length steiner_sets)
+    (Array.length hops)

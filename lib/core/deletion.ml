@@ -59,10 +59,9 @@ let cut_groups groups sizes =
 
 let run ?(first_id = 0) ?scratch w cs =
   let tree = Workload.tree w in
+  let fl = Flat.of_tree tree in
   let scratch =
-    match scratch with
-    | Some s -> s
-    | None -> Flat.Scratch.create (Flat.of_tree tree)
+    match scratch with Some s -> s | None -> Flat.Scratch.create fl
   in
   let kappa = Workload.write_contention w ~obj:cs.Nibble.obj in
   if kappa <= 0 then invalid_arg "Deletion.run: kappa must be positive";
@@ -85,10 +84,14 @@ let run ?(first_id = 0) ?scratch w cs =
         Some (Copy.make ~id:(fresh ()) ~obj:cs.Nibble.obj ~kappa ~node:v
                 groups.(v)))
     cs.Nibble.nodes;
-  (* Deepest level of T(x) first; the root (gravity center) comes last. *)
-  let depth v = cs.Nibble.rooted.Tree.depth.(v) in
+  (* Deepest level of T(x) first; the root (gravity center) comes last.
+     A node's level is its distance from the gravity center. *)
+  let gravity = cs.Nibble.gravity in
   let order =
-    List.sort (fun a b -> compare (depth b, b) (depth a, a)) cs.Nibble.nodes
+    List.map (fun v -> (Flat.distance fl gravity v, v)) cs.Nibble.nodes
+    |> List.sort (fun (da, a) (db, b) ->
+           if da <> db then Int.compare db da else Int.compare b a)
+    |> List.map snd
   in
   let deletions = ref 0 in
   let nearest_survivor () =
@@ -100,15 +103,15 @@ let run ?(first_id = 0) ?scratch w cs =
     let nstamp = scratch.Flat.Scratch.nstamp in
     let queue = scratch.Flat.Scratch.queue in
     let head = ref 0 and tail = ref 0 in
-    queue.(!tail) <- cs.Nibble.gravity;
+    queue.(!tail) <- gravity;
     incr tail;
-    nstamp.(cs.Nibble.gravity) <- stamp;
+    nstamp.(gravity) <- stamp;
     let found = ref None in
     while !found = None && !head < !tail do
       let v = queue.(!head) in
       incr head;
       match table.(v) with
-      | Some c when v <> cs.Nibble.gravity -> found := Some c
+      | Some c when v <> gravity -> found := Some c
       | Some _ | None ->
         Array.iter
           (fun (u, _) ->
@@ -127,9 +130,8 @@ let run ?(first_id = 0) ?scratch w cs =
       | None -> ()
       | Some copy ->
         if copy.Copy.served < kappa then begin
-          if v <> cs.Nibble.gravity then begin
-            let parent = cs.Nibble.rooted.Tree.parent.(v) in
-            match table.(parent) with
+          if v <> gravity then begin
+            match table.(Flat.next_hop fl v gravity) with
             | Some p ->
               Copy.absorb p ~from:copy;
               table.(v) <- None;

@@ -7,7 +7,6 @@ module Sink = Hbn_obs.Sink
 
 type state = {
   tree : Tree.t;
-  rooted : Tree.rooted;
   tau_max : int;
   lacc_up : int array;
   lacc_down : int array;
@@ -53,7 +52,8 @@ let basic_loads tree copies =
   (up, down)
 
 let check_invariant st =
-  let tree = st.tree and r = st.rooted in
+  let tree = st.tree in
+  let r = Tree.rooting tree in
   let problem = ref None in
   List.iter
     (fun v ->
@@ -96,7 +96,6 @@ let run ?(verify = false) ?(inject_lacc_error = 0) ?on_round tree ~basic_up
   let st =
     {
       tree;
-      rooted = r;
       tau_max;
       lacc_up = Array.map (fun b -> (2 * b) - inject_lacc_error) basic_up;
       lacc_down = Array.map (fun b -> (2 * b) - inject_lacc_error) basic_down;

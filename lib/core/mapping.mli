@@ -33,7 +33,6 @@ module Tree = Hbn_tree.Tree
 
 type state = {
   tree : Tree.t;
-  rooted : Tree.rooted;
   tau_max : int;
   lacc_up : int array;  (** acceptable load per edge, towards the root *)
   lacc_down : int array;

@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Nibble = Hbn_nibble.Nibble
@@ -95,9 +96,10 @@ let strategy_rounds w =
   (* Deletion: one bottom-up wave per component, pipelined over objects;
      each deletion forwards the deleted copy's bookkeeping to the parent. *)
   let deletion_rounds =
+    let fl = Flat.of_tree tree in
     let component_height cs =
       List.fold_left
-        (fun acc v -> max acc cs.Nibble.rooted.Tree.depth.(v))
+        (fun acc v -> max acc (Flat.distance fl cs.Nibble.gravity v))
         0 cs.Nibble.nodes
     in
     Array.to_list sets

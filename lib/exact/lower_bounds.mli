@@ -12,14 +12,12 @@ val nibble : Workload.t -> float
     simultaneously in the more permissive tree model, so its congestion
     lower-bounds the bus-model optimum. *)
 
-val single_object : Workload.t -> float
-(** The case analysis from the proof of Theorem 4.3, made per-object: any
-    placement of object [x] either uses at least two copies — then every
-    write updates every copy, so each copy's unit processor switch carries
-    at least [κ_x] — or one copy on some processor [l], whose switch then
-    carries all requests of the other processors,
-    [h_x − h_x(l) ≥ h_x − max_P h_x(P)]. Hence
-    [C_opt ≥ max_x min(κ_x, h_x − max_P h_x(P))]. *)
-
 val combined : Workload.t -> float
-(** [max] of the above — the bound the experiments report as "LB". *)
+(** The bound the experiments report as "LB": the larger of {!nibble}
+    and the case analysis from the proof of Theorem 4.3, made
+    per-object. Any placement of object [x] either uses at least two
+    copies — then every write updates every copy, so each copy's unit
+    processor switch carries at least [κ_x] — or one copy on some
+    processor [l], whose switch then carries all requests of the other
+    processors, [h_x − h_x(l) ≥ h_x − max_P h_x(P)]. Hence
+    [C_opt ≥ max_x min(κ_x, h_x − max_P h_x(P))]. *)

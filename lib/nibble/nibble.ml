@@ -7,7 +7,6 @@ type copy_set = {
   obj : int;
   nodes : int list;
   gravity : int;
-  rooted : Tree.rooted;
 }
 
 (* Center-of-gravity search shared by the public entry point and the flat
@@ -43,32 +42,36 @@ let place ?scratch w ~obj =
   let fl = Flat.of_tree tree in
   let wf = Workload.flat w in
   let total = Workload.Flat.total_weight wf ~obj in
-  if total = 0 then
-    { obj; nodes = []; gravity = 0; rooted = Tree.rooting tree }
+  if total = 0 then { obj; nodes = []; gravity = 0 }
   else begin
     let scratch =
       match scratch with Some s -> s | None -> Flat.Scratch.create fl
     in
-    let weights = wf.Workload.Flat.weights in
-    let base = Workload.Flat.row_base wf ~obj in
     (* Weight sums over the canonical rooting locate the gravity center
        without materializing a per-object weight vector. *)
-    Flat.subtree_sums_into fl scratch ~src:weights ~src_off:base;
+    Flat.subtree_sums_into fl scratch ~src:wf.Workload.Flat.weights
+      ~src_off:(Workload.Flat.row_base wf ~obj);
     let acc = scratch.Flat.Scratch.acc in
-    let gravity = gravity_of_sums fl.Flat.r ~acc ~total fl.Flat.n in
-    let rooted = Tree.reroot tree gravity in
+    let r = fl.Flat.r in
+    let gravity = gravity_of_sums r ~acc ~total fl.Flat.n in
     let kappa = Workload.Flat.kappa wf ~obj in
-    (* Re-aggregate in the gravity rooting; the nibble rule reads these
-       sums. [acc] is reused — the canonical sums are spent. *)
-    Tree.subtree_sums_into rooted ~src:weights ~src_off:base ~dst:acc;
+    (* The nibble rule reads subtree weights in the tree rooted at the
+       gravity center: v's canonical subtree when its gravity parent is
+       its canonical parent, else the complement of that parent's. *)
+    let weight_below v =
+      let p = Flat.next_hop fl v gravity in
+      if p = r.Tree.parent.(v) then acc.(v) else total - acc.(p)
+    in
     let nodes = ref [] in
-    for v = Tree.n tree - 1 downto 0 do
-      if v = gravity || acc.(v) > kappa then nodes := v :: !nodes
+    for v = fl.Flat.n - 1 downto 0 do
+      if v = gravity || weight_below v > kappa then nodes := v :: !nodes
     done;
-    { obj; nodes = !nodes; gravity; rooted }
+    { obj; nodes = !nodes; gravity }
   end
 
-let place_all w = Array.init (Workload.num_objects w) (fun obj -> place w ~obj)
+let place_all w =
+  let scratch = Flat.Scratch.create (Flat.of_tree (Workload.tree w)) in
+  Array.init (Workload.num_objects w) (fun obj -> place ~scratch w ~obj)
 
 let placement w =
   let sets = place_all w in
@@ -90,21 +93,24 @@ let served_groups ?scratch w cs =
   List.iter (fun v -> nstamp.(v) <- stamp) cs.nodes;
   let out = Array.make (Tree.n tree) [] in
   let wf = Workload.flat w in
+  (* The server is the first copy on the leaf's path to the gravity
+     center. *)
+  let rec first_copy v =
+    if nstamp.(v) = stamp then v
+    else if v = cs.gravity then
+      invalid_arg "Nibble.served_groups: request with no copy on its path"
+    else first_copy (Flat.next_hop fl v cs.gravity)
+  in
   Workload.Flat.iter_requesting wf ~obj:cs.obj (fun leaf ->
-      match
-        Tree.first_on_path cs.rooted ~member:(fun v -> nstamp.(v) = stamp) leaf
-      with
-      | None ->
-        invalid_arg "Nibble.served_groups: request with no copy on its path"
-      | Some server ->
-        let g =
-          {
-            leaf;
-            reads = Workload.reads w ~obj:cs.obj leaf;
-            writes = Workload.writes w ~obj:cs.obj leaf;
-          }
-        in
-        out.(server) <- g :: out.(server));
+      let server = first_copy leaf in
+      let g =
+        {
+          leaf;
+          reads = Workload.reads w ~obj:cs.obj leaf;
+          writes = Workload.writes w ~obj:cs.obj leaf;
+        }
+      in
+      out.(server) <- g :: out.(server));
   out
 
 let is_connected tree nodes =

@@ -15,11 +15,12 @@ module Tree = Hbn_tree.Tree
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 
+(** One object's nibble copies. The rule's rooting at [gravity] is not
+    stored: {!Hbn_tree.Flat.next_hop} reads it off the canonical one. *)
 type copy_set = {
   obj : int;
   nodes : int list;  (** nodes of [T(x)], ascending; empty for unused objects *)
   gravity : int;  (** the chosen center of gravity [g(T)] *)
-  rooted : Tree.rooted;  (** the tree rooted at [gravity] *)
 }
 
 val gravity_center : Tree.t -> weights:int array -> int
@@ -33,6 +34,7 @@ val place : ?scratch:Hbn_tree.Flat.Scratch.t -> Workload.t -> obj:int -> copy_se
     memory; it must belong to the calling domain and is left dirty. *)
 
 val place_all : Workload.t -> copy_set array
+(** {!place} for every object, in object order, through one scratch. *)
 
 val placement : Workload.t -> Placement.t
 (** Nibble placement over all objects with nearest-copy reference

@@ -140,8 +140,10 @@ let bus_contributions t ~bus =
 
 type site = [ `Edge of int | `Bus of int ]
 
-(* The same float expressions as Placement.congestion_of_edge_loads, so
-   the maximum over sites is bit-identical to the evaluator's value. *)
+(* Relative load: edge total over edge bandwidth, or [bus_total2] over
+   twice the bus bandwidth. These are the same float expressions as
+   Placement.congestion_of_edge_loads, so the maximum over sites is
+   bit-identical to the evaluator's value. *)
 let site_relative t = function
   | `Edge e ->
     float_of_int t.totals.(e) /. float_of_int (Tree.edge_bandwidth t.tree e)

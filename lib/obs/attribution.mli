@@ -85,11 +85,6 @@ val bus_contributions : t -> bus:int -> contribution list
 
 type site = [ `Edge of int | `Bus of int ]
 
-val site_relative : t -> site -> float
-(** Relative load: edge total over edge bandwidth, or {!bus_total2} over
-    twice the bus bandwidth — the same arithmetic as
-    [Placement.congestion_of_edge_loads], so maxima are bit-identical. *)
-
 val hotspots : t -> k:int -> (site * float) list
 (** The [k] hottest sites, relative load descending; ties order edges
     before buses and lower ids first, matching the evaluator's argmax

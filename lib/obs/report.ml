@@ -348,6 +348,8 @@ let round_range t =
          (fun (lo, hi) (_, r, _, _, _, _) -> (min lo r, max hi r))
          (r, r) es)
 
+(* The [(first_round, last_round)] intervals the [hottest_edges] buckets
+   cover; empty when the trace has no per-edge series. *)
 let bucket_bounds ?(buckets = 8) t =
   match round_range t with
   | None -> [||]
@@ -707,6 +709,9 @@ let to_chrome t =
 let series_key name edge =
   if edge >= 0 then Printf.sprintf "%s[%d]" name edge else name
 
+(* A fresh default monitor fed every series event of the trace in file
+   order (per-round rates, per-edge series keyed "name[edge]") — the
+   offline replay of what the engines compute online. *)
 let drift_monitor t =
   let mon = Monitor.create () in
   List.iter

@@ -92,10 +92,6 @@ val hottest_edges : ?top:int -> ?buckets:int -> t -> (int * int * int array) arr
     [(edge, total, per_bucket)] with the covered round range split into
     [buckets] (default 8) equal intervals, busiest first. *)
 
-val bucket_bounds : ?buckets:int -> t -> (int * int) array
-(** The [(first_round, last_round)] intervals the {!hottest_edges}
-    buckets cover; empty when the trace has no per-edge series. *)
-
 (** {1 Renderers} *)
 
 val to_table : ?top:int -> t -> string
@@ -130,11 +126,6 @@ val to_chrome : t -> string
     rates — through a fresh default {!Monitor}. Diffing a trace against
     itself is therefore exactly clean: same events, same fold, same
     estimator state. *)
-
-val drift_monitor : t -> Monitor.t
-(** A fresh default monitor fed every series event of the trace in file
-    order (per-round rates, per-edge series keyed ["name[edge]"]) —
-    the offline replay of what the engines compute online. *)
 
 type series_cmp = {
   c_name : string;

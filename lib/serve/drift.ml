@@ -40,6 +40,8 @@ let kind t = t.kind
 let tree t = t.tree
 let objects t = t.objects
 
+(* Epochs per sinusoid cycle, per flash-crowd cycle (the burst covers 2
+   of them) and per hotspot region. *)
 let diurnal_period = 8
 let flash_period = 8
 let migration_dwell = 4

@@ -10,13 +10,13 @@
     - [Steady]: rates independent of the epoch — the control that must
       trigger {e zero} re-optimizations.
     - [Diurnal]: every read rate scaled by a sinusoid of the epoch
-      (period {!diurnal_period}) — slow global drift.
-    - [Flash_crowd]: steady background; during the burst epochs of each
-      {!flash_period}-epoch cycle, a hash-chosen subset of leaves reads
+      (period 8 epochs) — slow global drift.
+    - [Flash_crowd]: steady background; during the 2 burst epochs of
+      each 8-epoch cycle, a hash-chosen subset of leaves reads
       object 0 at a many-fold rate — sudden, localized, transient.
     - [Hotspot_migration]: the hot quarter of the object space
       concentrates its reads in one of four contiguous leaf regions; the
-      home region advances every {!migration_dwell} epochs — the shape
+      home region advances every 4 epochs — the shape
       whose stale-placement penalty epoch re-optimization must recover. *)
 
 module Tree = Hbn_tree.Tree
@@ -58,12 +58,3 @@ val slot_jitter : seed:int -> slot:int -> int
 (** {!jitter} as a standalone hash of [(seed, slot)] — what the serving
     loop uses, so a table replay reproduces the generator run's series
     byte for byte without holding a generator. *)
-
-val diurnal_period : int
-(** Epochs per sinusoid cycle (8). *)
-
-val flash_period : int
-(** Epochs per flash-crowd cycle (8); the burst covers 2 of them. *)
-
-val migration_dwell : int
-(** Epochs the hotspot stays in one region (4). *)

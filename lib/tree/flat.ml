@@ -50,6 +50,22 @@ let distance fl u v =
   let d = fl.r.Tree.depth in
   d.(u) + d.(v) - (2 * d.(lca fl u v))
 
+let next_hop fl v g =
+  let r = fl.r in
+  if lca fl v g <> v then r.Tree.parent.(v)
+  else begin
+    (* g lies below v: the last child whose preorder block starts at or
+       before g's position is the one containing it. *)
+    let pos = fl.ix.Tree.pos and cs = r.Tree.children.(v) in
+    let pg = pos.(g) in
+    let lo = ref 0 and hi = ref (Array.length cs - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if pos.(cs.(mid)) <= pg then lo := mid else hi := mid - 1
+    done;
+    cs.(!lo)
+  end
+
 let iter_path_to_root fl v f =
   let r = fl.r in
   let x = ref v in
@@ -132,4 +148,12 @@ let iter_steiner fl (scratch : Scratch.t) ~nodes f =
   end
 
 let subtree_sums_into fl (scratch : Scratch.t) ~src ~src_off =
-  Tree.subtree_sums_into fl.r ~src ~src_off ~dst:scratch.Scratch.acc
+  let acc = scratch.Scratch.acc in
+  for v = 0 to fl.n - 1 do
+    acc.(v) <- src.(src_off + v)
+  done;
+  let pre = fl.r.Tree.preorder and parent = fl.r.Tree.parent in
+  for i = fl.n - 1 downto 1 do
+    let v = pre.(i) in
+    acc.(parent.(v)) <- acc.(parent.(v)) + acc.(v)
+  done

@@ -60,6 +60,13 @@ val lca : t -> int -> int -> int
 val distance : t -> int -> int -> int
 (** Edge count of the [u]–[v] path: [depth u + depth v - 2 depth (lca u v)]. *)
 
+val next_hop : t -> int -> int -> int
+(** [next_hop fl v g] ([v <> g]) is [v]'s neighbour towards [g], i.e. its
+    parent in the tree rooted at [g]: the canonical parent, or, when [g]
+    lies below [v], the child whose preorder block holds [g] (binary
+    search, O(log degree), no allocation). With {!distance} it gives the
+    rooting at [g] without building it. *)
+
 (** {1 Path iteration}
 
     All iterators visit edge ids and allocate nothing (beyond the closure

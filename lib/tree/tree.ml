@@ -211,8 +211,6 @@ let max_degree t =
 
 let rooting t = t.canonical
 
-let reroot t r = compute_rooting ~size:t.size ~adj:t.adj r
-
 let height t =
   Array.fold_left max 0 t.canonical.depth
 
@@ -304,25 +302,6 @@ let subtree_sums r w =
     acc.(p) <- acc.(p) + acc.(v)
   done;
   acc
-
-let subtree_sums_into r ~src ~src_off ~dst =
-  let size = Array.length r.parent in
-  for v = 0 to size - 1 do
-    dst.(v) <- src.(src_off + v)
-  done;
-  for i = size - 1 downto 1 do
-    let v = r.preorder.(i) in
-    let p = r.parent.(v) in
-    dst.(p) <- dst.(p) + dst.(v)
-  done
-
-let first_on_path r ~member v =
-  let rec walk x =
-    if member x then Some x
-    else if x = r.root then None
-    else walk r.parent.(x)
-  in
-  walk v
 
 let nodes_by_level_bottom_up r =
   let size = Array.length r.parent in

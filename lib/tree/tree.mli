@@ -7,10 +7,11 @@
     the system and have bandwidth 1, all other bandwidths are at least 1.
 
     Nodes are dense integers [0 .. n-1]; edges are dense integers
-    [0 .. n-2]. The tree stores a canonical rooting (used by the mapping
-    algorithm and the evaluator); algorithms that need a different root
-    (e.g. the nibble strategy roots at a per-object center of gravity)
-    build a {!rooted} view with {!reroot}. *)
+    [0 .. n-2]. The tree stores one rooting, the canonical one chosen at
+    construction. Algorithms that root the tree elsewhere (the nibble
+    strategy roots at a per-object center of gravity) read that rooting
+    through {!Hbn_tree.Flat.next_hop} and {!Hbn_tree.Flat.distance}
+    instead of building a second one. *)
 
 type kind = Processor | Bus
 
@@ -90,17 +91,10 @@ val max_degree : t -> int
 val height : t -> int
 (** [height(T)]: maximum depth of the canonical rooting. *)
 
-(** {1 Rootings} *)
+(** {1 Rooting} *)
 
 val rooting : t -> rooted
 (** The canonical rooting chosen at construction. *)
-
-val reroot : t -> int -> rooted
-(** [reroot t r] computes parent/children/depth arrays for root [r]. *)
-
-val first_on_path : rooted -> member:(int -> bool) -> int -> int option
-(** [first_on_path r ~member v] walks from [v] towards the root and returns
-    the first node satisfying [member], if any. *)
 
 (** {1 Euler-tour index}
 
@@ -134,11 +128,6 @@ val lca_flat : flat_index -> int -> int -> int
 val subtree_sums : rooted -> int array -> int array
 (** [subtree_sums r w] gives, for each node [v], the sum of [w] over the
     subtree of [v] in rooting [r] (linear time, no recursion). *)
-
-val subtree_sums_into : rooted -> src:int array -> src_off:int -> dst:int array -> unit
-(** Non-allocating {!subtree_sums}: reads the per-node weights from
-    [src.(src_off + v)] (a row of a flat weight matrix) and writes the
-    subtree sums into [dst], which must have at least [n] slots. *)
 
 val nodes_by_level_bottom_up : rooted -> int list array
 (** [nodes_by_level_bottom_up r] groups nodes by level where, following the

@@ -87,7 +87,7 @@ let prop_upward_lmap_matches_lacc seed =
   | Some stats ->
     let st = stats.Mapping.final in
     let ok = ref true in
-    let r = st.Mapping.rooted in
+    let r = Tree.rooting st.Mapping.tree in
     Array.iteri
       (fun v p ->
         if p >= 0 then begin
@@ -183,7 +183,7 @@ let test_papers_printed_invariant_is_too_strong () =
      corrected "+ Σ (s + κ)" form (checked by verify) always holds. *)
   let printed_form_violated = ref false in
   let check_printed (st : Mapping.state) =
-    let r = st.Mapping.rooted in
+    let r = Tree.rooting st.Mapping.tree in
     List.iter
       (fun v ->
         let out = ref 0 and inc = ref 0 in

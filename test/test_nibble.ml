@@ -114,6 +114,49 @@ let prop_copy_set_connected_with_gravity seed =
          && Nibble.is_connected tree cs.Nibble.nodes))
     sets
 
+(* The nibble rule and the service walk evaluated on an explicit rooting
+   at the gravity center, which the library never builds: subtree sums
+   accumulated deepest node first, and each requesting leaf served by the
+   first copy on its walk towards the root. *)
+let prop_place_matches_rerooted_rule seed =
+  let _, w = Helpers.instance seed in
+  let tree = Workload.tree w in
+  let n = Tree.n tree in
+  let all = List.init n Fun.id in
+  Array.for_all
+    (fun cs ->
+      let obj = cs.Nibble.obj in
+      let weights = Workload.weight_vector w ~obj in
+      if Workload.total_weight w ~obj = 0 then cs.Nibble.nodes = []
+      else begin
+        let g = cs.Nibble.gravity in
+        let parent, depth = Tree_ref.reroot tree g in
+        let sums = Array.copy weights in
+        List.sort (fun a b -> compare depth.(b) depth.(a)) all
+        |> List.iter (fun v ->
+               if v <> g then sums.(parent.(v)) <- sums.(parent.(v)) + sums.(v));
+        let kappa = Workload.write_contention w ~obj in
+        let nodes = List.filter (fun v -> v = g || sums.(v) > kappa) all in
+        let served = Array.make n [] in
+        List.iter
+          (fun leaf ->
+            let rec server v = if List.mem v nodes then v else server parent.(v) in
+            let s = server leaf in
+            served.(s) <-
+              {
+                Nibble.leaf;
+                reads = Workload.reads w ~obj leaf;
+                writes = Workload.writes w ~obj leaf;
+              }
+              :: served.(s))
+          (Workload.requesting_leaves w ~obj);
+        let sorted = Array.map (List.sort compare) in
+        g = Nibble.gravity_center tree ~weights
+        && cs.Nibble.nodes = nodes
+        && sorted (Nibble.served_groups w cs) = sorted served
+      end)
+    (Nibble.place_all w)
+
 let prop_component_edge_load_is_kappa seed =
   (* Inside T(x) every edge carries exactly kappa_x; outside at most
      kappa_x (third and fourth bullets of Theorem 3.1). *)
@@ -173,6 +216,8 @@ let suite =
     Helpers.tc "is_connected" test_is_connected;
     Helpers.qt "copy sets connected and contain gravity" Helpers.seed_arb
       prop_copy_set_connected_with_gravity;
+    Helpers.qt "place and served groups match the rerooted rule"
+      Helpers.seed_arb prop_place_matches_rerooted_rule;
     Helpers.qt "component edges carry kappa" Helpers.seed_arb
       prop_component_edge_load_is_kappa;
     Helpers.qt ~count:100 "nibble minimizes every edge (Thm 3.1)"

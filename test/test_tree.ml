@@ -1,5 +1,6 @@
 module Tree = Hbn_tree.Tree
 module Flat = Hbn_tree.Flat
+module Builders = Hbn_tree.Builders
 module Prng = Hbn_prng.Prng
 
 (* A hand-built reference network:
@@ -82,14 +83,6 @@ let test_steiner () =
   Alcotest.(check (list int)) "duplicates collapse" [] (steiner t [ 4; 4 ]);
   Alcotest.(check (list int)) "empty" [] (steiner t [])
 
-let test_reroot () =
-  let t = example () in
-  let r = Tree.reroot t 5 in
-  Alcotest.(check int) "new root" 5 r.Tree.root;
-  Alcotest.(check int) "parent of old root" 2 r.Tree.parent.(0);
-  Alcotest.(check int) "depth of 3" 4 r.Tree.depth.(3);
-  Alcotest.(check int) "root parent" (-1) r.Tree.parent.(5)
-
 let test_subtree_sums () =
   let t = example () in
   let r = Tree.rooting t in
@@ -106,16 +99,6 @@ let test_levels () =
   Alcotest.(check int) "level count" 3 (Array.length levels);
   Alcotest.(check (list int)) "deepest" [ 3; 4; 5 ] (List.sort compare levels.(0));
   Alcotest.(check (list int)) "top" [ 0 ] levels.(2)
-
-let test_first_on_path () =
-  let t = example () in
-  let r = Tree.rooting t in
-  Alcotest.(check (option int)) "finds bus 1" (Some 1)
-    (Tree.first_on_path r ~member:(fun v -> v = 1) 3);
-  Alcotest.(check (option int)) "self match" (Some 3)
-    (Tree.first_on_path r ~member:(fun v -> v = 3) 3);
-  Alcotest.(check (option int)) "no match" None
-    (Tree.first_on_path r ~member:(fun _ -> false) 4)
 
 let test_validation_errors () =
   let p = Tree.Processor and b = Tree.Bus in
@@ -201,29 +184,36 @@ let prop_steiner_pair_is_path seed =
   let u = Prng.int prng (Tree.n t) and v = Prng.int prng (Tree.n t) in
   List.sort compare (steiner t [ u; v ]) = List.sort compare (path t u v)
 
-let prop_reroot_preserves_structure seed =
+(* The rooting at g read off the canonical one: next_hop is the parent
+   and distance the depth. Wide stars stress the binary search over
+   children, deep caterpillars long descents towards g. *)
+let prop_next_hop_matches_reroot seed =
   let prng = Prng.create seed in
-  let t = Helpers.random_tree prng in
-  let root = Prng.int prng (Tree.n t) in
-  let r = Tree.reroot t root in
-  (* Each non-root node's parent edge really connects it to its parent. *)
-  let ok = ref (r.Tree.root = root && r.Tree.parent.(root) = -1) in
-  for v = 0 to Tree.n t - 1 do
-    if v <> root then begin
-      let e = r.Tree.parent_edge.(v) in
-      let a, b = Tree.edge_endpoints t e in
-      let p = r.Tree.parent.(v) in
-      if not ((a = v && b = p) || (a = p && b = v)) then ok := false;
-      if r.Tree.depth.(v) <> r.Tree.depth.(p) + 1 then ok := false
-    end
-  done;
-  !ok
+  let profile = Builders.Uniform 1 in
+  let t =
+    match Prng.int prng 3 with
+    | 0 -> Helpers.random_tree prng
+    | 1 -> Builders.star ~leaves:(Prng.int_in prng 2 40) ~profile
+    | _ ->
+      Builders.caterpillar ~spine:(Prng.int_in prng 5 60)
+        ~leaves_per_bus:(Prng.int_in prng 1 3) ~profile
+  in
+  let fl = Flat.of_tree t and nodes = List.init (Tree.n t) Fun.id in
+  List.for_all
+    (fun g ->
+      let parent, depth = Tree_ref.reroot t g in
+      List.for_all
+        (fun v ->
+          Flat.distance fl g v = depth.(v)
+          && (v = g || Flat.next_hop fl v g = parent.(v)))
+        nodes)
+    (List.init 3 (fun _ -> Prng.int prng (Tree.n t)))
 
 let prop_subtree_sums_total seed =
   let prng = Prng.create seed in
   let t = Helpers.random_tree prng in
   let w = Array.init (Tree.n t) (fun _ -> Prng.int prng 10) in
-  let r = Tree.reroot t (Prng.int prng (Tree.n t)) in
+  let r = Tree.rooting t in
   let sums = Tree.subtree_sums r w in
   sums.(r.Tree.root) = Array.fold_left ( + ) 0 w
 
@@ -234,10 +224,8 @@ let suite =
     Helpers.tc "paths" test_paths;
     Helpers.tc "lca" test_lca;
     Helpers.tc "steiner trees" test_steiner;
-    Helpers.tc "reroot" test_reroot;
     Helpers.tc "subtree sums" test_subtree_sums;
     Helpers.tc "levels bottom-up" test_levels;
-    Helpers.tc "first_on_path" test_first_on_path;
     Helpers.tc "validation errors" test_validation_errors;
     Helpers.tc "single processor network" test_single_processor;
     Helpers.tc "paper bandwidth assumption" test_paper_assumptions;
@@ -245,6 +233,7 @@ let suite =
     Helpers.qt "path length consistent" Helpers.seed_arb prop_path_length_consistent;
     Helpers.qt "path symmetric" Helpers.seed_arb prop_path_symmetric;
     Helpers.qt "steiner of pair is path" Helpers.seed_arb prop_steiner_pair_is_path;
-    Helpers.qt "reroot structure" Helpers.seed_arb prop_reroot_preserves_structure;
+    Helpers.qt "next_hop and distance match rerooting" Helpers.seed_arb
+      prop_next_hop_matches_reroot;
     Helpers.qt "subtree sums total" Helpers.seed_arb prop_subtree_sums_total;
   ]

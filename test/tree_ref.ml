@@ -46,3 +46,26 @@ let steiner_edges tree nodes =
       if below.(v) > 0 && below.(v) < total then Some r.Tree.parent_edge.(v)
       else None)
     (Array.to_list r.Tree.preorder)
+
+(* The tree rooted at [root], by breadth-first search over the adjacency
+   lists: each node's parent and depth. The library never builds a second
+   rooting; Flat.next_hop and Flat.distance derive these from the
+   canonical one, and the tests check them against this. *)
+let reroot tree root =
+  let n = Tree.n tree in
+  let parent = Array.make n (-1) and depth = Array.make n (-1) in
+  let queue = Queue.create () in
+  depth.(root) <- 0;
+  Queue.add root queue;
+  while not (Queue.is_empty queue) do
+    let v = Queue.pop queue in
+    Array.iter
+      (fun (u, _) ->
+        if depth.(u) < 0 then begin
+          parent.(u) <- v;
+          depth.(u) <- depth.(v) + 1;
+          Queue.add u queue
+        end)
+      (Tree.neighbors tree v)
+  done;
+  (parent, depth)
