@@ -1,9 +1,10 @@
 (* Bechamel microbenchmarks: B1-B4 cover per-phase cost of the strategy
    on a fixed mid-size instance, B5 the packet scheduler under a backlog,
    B6 (a plain timed loop) what instrumentation costs with tracing off;
-   F1-F4 cover the Tree.Flat primitives the
+   F1-F5 cover the Tree.Flat primitives the
    hot path is built from (path folds, batched LCA, Steiner scans with a
-   reused and a fresh scratch, next hops towards a target). Results print
+   reused and a fresh scratch, next hops towards a target, nearest-copy
+   sweeps). Results print
    as ns/run estimated by OLS. *)
 
 module Tree = Hbn_tree.Tree
@@ -59,8 +60,8 @@ let tests =
 
 (* The flat-kernel instance is bigger than B1-B5's: primitive costs only
    separate from loop overhead on a few hundred nodes. The leaf pairs,
-   Steiner node sets and (node, target) hops are drawn once, outside the
-   timed region. *)
+   Steiner node sets (also F5's copy sets) and (node, target) hops are
+   drawn once, outside the timed region. *)
 let flat_instance () =
   let tree = Builders.balanced ~arity:4 ~height:4 ~profile:(Builders.Uniform 2) in
   let fl = Flat.of_tree tree in
@@ -129,6 +130,13 @@ let flat_tests =
              let acc = ref 0 in
              Array.iter (fun (v, g) -> acc := !acc + Flat.next_hop fl v g) hops;
              ignore !acc));
+      Test.make ~name:"F5 nearest sweep (scratch reuse)"
+        (Staged.stage (fun () ->
+             Array.iter
+               (fun nodes ->
+                 Flat.nearest_into fl scratch ~copies:(fun mark ->
+                     List.iter mark nodes))
+               steiner_sets));
     ]
 
 let run_group ~banner tests =
@@ -205,13 +213,14 @@ let run () =
   Table.print table
 
 let run_flat () =
-  run_group ~banner:"\n=== F1-F4: Tree.Flat primitive kernels ===" flat_tests
+  run_group ~banner:"\n=== F1-F5: Tree.Flat primitive kernels ===" flat_tests
 
 (* Fast correctness pass over the same kernels, for `dune runtest`:
    the flat kernels are checked against each other on the bench instance
    (distance = ordered path length, unordered path = same edge multiset,
    Steiner tree of a pair = its path, a next hop is a neighbour one step
-   closer to its target), and every Steiner set through one shared
+   closer to its target, a nearest-copy sweep picks on every node the
+   copy a pairwise scan does), and every Steiner set through one shared
    scratch against a fresh one, to exercise the reuse discipline. No
    timing claims. *)
 let smoke_flat () =
@@ -249,9 +258,30 @@ let smoke_flat () =
       if steiner scratch nodes <> steiner (Flat.Scratch.create fl) nodes then
         fail "bench/micro --smoke: shared scratch diverged from a fresh one")
     steiner_sets;
+  (* The pairwise scan: copies in ascending id order, first strict
+     minimum, so ties go to the lowest id. *)
+  let pairwise nodes v =
+    List.fold_left
+      (fun (best, best_d) c ->
+        let d = Flat.distance fl v c in
+        if d < best_d then (c, d) else (best, best_d))
+      (-1, max_int)
+      (List.sort_uniq compare nodes)
+  in
+  let n = fl.Flat.n in
+  Array.iter
+    (fun nodes ->
+      Flat.nearest_into fl scratch ~copies:(fun mark -> List.iter mark nodes);
+      for v = 0 to n - 1 do
+        let c, d = pairwise nodes v in
+        if scratch.Flat.Scratch.acc.(v) <> (d * n) + c then
+          fail "bench/micro --smoke: nearest sweep at node %d is not copy %d" v c
+      done)
+    steiner_sets;
   Printf.printf
     "bench/micro --smoke: flat kernels self-consistent on %d paths, %d \
-     steiner sets (shared scratch), %d next hops\n"
+     steiner sets (shared scratch), %d next hops, %d nearest sweeps\n"
     (Array.length pairs)
     (Array.length steiner_sets)
     (Array.length hops)
+    (Array.length steiner_sets)

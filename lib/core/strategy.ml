@@ -104,7 +104,9 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
   let step1 =
     Exec.map_chunked exec num_objects (fun obj ->
         let cs = Nibble.place ~scratch:(scratch ()) w ~obj in
-        (cs, Placement.nearest_object w ~obj ~copies:cs.Nibble.nodes))
+        ( cs,
+          Placement.nearest_object ~scratch:(scratch ()) w ~obj
+            ~copies:cs.Nibble.nodes ))
   in
   let sets = Array.map fst step1 in
   let nibble_placement = Array.map snd step1 in

@@ -313,17 +313,54 @@ let rollback t cp =
 
 (* {2 Construction from copy sets} *)
 
+(* Built in bulk, not as a fold of [add_copy] deltas: per object, one
+   subtree count gives [below] and the Steiner edges, one nearest-copy
+   sweep gives every requesting leaf its server, and each leaf's path is
+   walked once. The state equals the fold's: the same copy sets, counts,
+   servers and distances, and integer loads summed in another order. *)
 let of_copies w copies =
   let t = create w in
   if Array.length copies <> Array.length t.objs then
     invalid_arg "Loads.of_copies: object count mismatch";
+  let fl = t.fl in
+  let n = fl.Flat.n in
+  let r = fl.Flat.r in
+  let scratch = Flat.Scratch.create fl in
+  let acc = scratch.Flat.Scratch.acc in
+  let mark = Array.make n 0 in
   Array.iteri
     (fun obj cs ->
-      List.iter (fun c -> add_copy t ~obj c) (List.sort_uniq compare cs))
+      let cs = List.sort_uniq compare cs in
+      List.iter (check_node t) cs;
+      let os = t.objs.(obj) in
+      List.iter
+        (fun c ->
+          os.has.(c) <- true;
+          mark.(c) <- 1)
+        cs;
+      os.copies <- cs;
+      os.ncopies <- List.length cs;
+      if cs <> [] then begin
+        Flat.subtree_sums_into fl scratch ~src:mark ~src_off:0;
+        List.iter (fun c -> mark.(c) <- 0) cs;
+        for v = 0 to n - 1 do
+          if v <> r.Tree.root then begin
+            let e = r.Tree.parent_edge.(v) in
+            os.below.(e) <- acc.(v);
+            if os.total_writes > 0 && member os e os.ncopies then
+              Raw.add t.raw e os.total_writes
+          end
+        done;
+        if Array.length os.req > 0 then begin
+          Flat.nearest_into fl scratch ~copies:(fun c -> List.iter c cs);
+          Array.iter
+            (fun leaf ->
+              let key = acc.(leaf) in
+              set_server t obj leaf ~server:(key mod n) ~dist:(key / n))
+            os.req
+        end
+      end)
     copies;
-  (* Construction deltas are not part of the caller's undo history. *)
-  t.journal <- [];
-  t.jlen <- 0;
   t
 
 (* {2 Inspection} *)

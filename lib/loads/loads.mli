@@ -60,10 +60,18 @@ type checkpoint
 val of_copies : Workload.t -> int list array -> t
 (** [of_copies w copies] builds the engine state for the given per-object
     copy sets with nearest-copy assignments — the incremental counterpart
-    of [Placement.nearest w ~copies]. Duplicate nodes in a list are
-    collapsed; an object with requests may start copyless, and then
-    {!snapshot} raises until it receives a first copy via {!add_copy}.
-    The construction deltas are not recorded in the undo journal. *)
+    of [Placement.nearest w ~copies], and the same state a fold of
+    {!add_copy} over each ascending copy set would leave. It is built in
+    bulk: per object with copies, one subtree count over the canonical
+    rooting gives the Steiner membership counts and write-broadcast
+    loads, one [Hbn_tree.Flat.nearest_into] sweep gives every requesting
+    leaf its server, and each leaf's path is walked once — O(n + Σ
+    leaf-path) per object. Duplicate nodes in a list are collapsed; an
+    object with requests may start copyless, and then {!snapshot} raises
+    until it receives a first copy via {!add_copy}. Raises
+    [Invalid_argument] on an out-of-range node or when [copies] and the
+    workload disagree on the object count. The undo journal starts
+    empty. *)
 
 (** {1 Delta operations}
 

@@ -11,7 +11,7 @@ type t = obj_placement array
 
 let dedup_sorted xs = List.sort_uniq compare xs
 
-let nearest_object w ~obj ~copies =
+let nearest_object ~scratch w ~obj ~copies =
   let fl = Flat.of_tree (Workload.tree w) in
   let wf = Workload.flat w in
   let cs = dedup_sorted copies in
@@ -19,40 +19,36 @@ let nearest_object w ~obj ~copies =
   and hi = wf.Workload.Flat.req_off.(obj + 1) in
   if hi > lo && cs = [] then
     invalid_arg "Placement.nearest: requests but no copies";
-  (* [cs] is sorted and only a strictly smaller distance displaces the
-     incumbent, so ties go to the lowest node id — the canonical
-     tie-break every evaluator and the incremental engine reproduce. *)
-  let closest leaf =
-    let best = ref (-1) and best_d = ref max_int in
-    List.iter
-      (fun c ->
-        let d = Flat.distance fl leaf c in
-        if d < !best_d then begin
-          best := c;
-          best_d := d
-        end)
-      cs;
-    !best
-  in
   let assigns = ref [] in
-  for i = hi - 1 downto lo do
-    let leaf = wf.Workload.Flat.req_leaf.(i) in
-    assigns :=
-      {
-        leaf;
-        server = closest leaf;
-        reads = Workload.reads w ~obj leaf;
-        writes = Workload.writes w ~obj leaf;
-      }
-      :: !assigns
-  done;
+  if hi > lo then begin
+    (* The sweep's (distance, id) minimum sends ties to the lowest node
+       id — the canonical tie-break every evaluator and the incremental
+       engine reproduce. *)
+    Flat.nearest_into fl scratch ~copies:(fun mark -> List.iter mark cs);
+    let key = scratch.Flat.Scratch.acc and n = fl.Flat.n in
+    for i = hi - 1 downto lo do
+      let leaf = wf.Workload.Flat.req_leaf.(i) in
+      assigns :=
+        {
+          leaf;
+          server = key.(leaf) mod n;
+          reads = Workload.reads w ~obj leaf;
+          writes = Workload.writes w ~obj leaf;
+        }
+        :: !assigns
+    done
+  end;
   { copies = cs; assigns = !assigns }
 
 let nearest ?(exec = Exec.sequential) w ~copies =
   ignore (Workload.flat w);
-  ignore (Tree.flat_index (Workload.tree w));
+  let fl = Flat.of_tree (Workload.tree w) in
+  let jobs = Exec.jobs exec in
+  (* One scratch per executor slot, as in [edge_loads]. *)
+  let scratches = Array.init jobs (fun _ -> Flat.Scratch.create fl) in
   Exec.map_chunked exec (Workload.num_objects w) (fun obj ->
-      nearest_object w ~obj ~copies:copies.(obj))
+      let slot = if jobs = 1 then 0 else Exec.current_worker () in
+      nearest_object ~scratch:scratches.(slot) w ~obj ~copies:copies.(obj))
 
 let single w obj_to_node =
   let n = Workload.num_objects w in
@@ -147,9 +143,11 @@ let validate w t =
     (fun obj op ->
       if List.length (dedup_sorted op.copies) <> List.length op.copies then
         fail "object %d: duplicate copies" obj;
+      let held = Array.make (Tree.n tree) false in
       List.iter
         (fun c ->
-          if c < 0 || c >= Tree.n tree then fail "object %d: bad copy node" obj)
+          if c < 0 || c >= Tree.n tree then fail "object %d: bad copy node" obj
+          else held.(c) <- true)
         op.copies;
       let reads = Array.make (Tree.n tree) 0 in
       let writes = Array.make (Tree.n tree) 0 in
@@ -157,7 +155,7 @@ let validate w t =
         (fun a ->
           if a.reads < 0 || a.writes < 0 then
             fail "object %d: negative assignment" obj;
-          if not (List.mem a.server op.copies) then
+          if a.server < 0 || a.server >= Tree.n tree || not held.(a.server) then
             fail "object %d: server %d holds no copy" obj a.server;
           if not (Tree.is_leaf tree a.leaf) then
             fail "object %d: requests from non-processor %d" obj a.leaf;

@@ -42,13 +42,25 @@ val nearest : ?exec:Hbn_exec.Exec.t -> Workload.t -> copies:int list array -> t
 (** [nearest w ~copies] assigns every requesting processor to its closest
     copy (ties to the lowest node id) — the reference-copy rule used by
     the nibble strategy. Raises [Invalid_argument] if an object with
-    requests has no copies. [exec] fans the per-object assignment out
-    over domains; results are identical at any job count. *)
+    requests has no copies. One {!Hbn_tree.Flat.nearest_into} sweep per
+    requested object: O(n + copies log copies) each, whatever the number
+    of requesters and copies. [exec] fans the per-object assignment out
+    over domains, one scratch per executor slot; results are identical
+    at any job count. *)
 
-val nearest_object : Workload.t -> obj:int -> copies:int list -> obj_placement
-(** One object's nearest-copy assignment — the pure per-object unit
-    {!nearest} maps over. Safe to call concurrently once
-    [Workload.flat] and [Tree.flat_index] have been forced. *)
+val nearest_object :
+  scratch:Hbn_tree.Flat.Scratch.t ->
+  Workload.t ->
+  obj:int ->
+  copies:int list ->
+  obj_placement
+(** One object's nearest-copy assignment — the per-object unit {!nearest}
+    maps over, O(n) when the object has requests and O(copies log
+    copies) otherwise. The scratch is caller-owned, must belong to the
+    calling domain, and only its [acc] is overwritten; nothing of size
+    [n] is allocated per call. Safe to call concurrently with distinct
+    scratches once [Workload.flat] and [Tree.flat_index] have been
+    forced. *)
 
 val single : Workload.t -> (int * int) list -> t
 (** [single w obj_to_node] places exactly one copy per object as listed

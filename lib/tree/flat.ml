@@ -147,6 +147,26 @@ let iter_steiner fl (scratch : Scratch.t) ~nodes f =
     done
   end
 
+let nearest_into fl (scratch : Scratch.t) ~copies =
+  let n = fl.n and acc = scratch.Scratch.acc in
+  Array.fill acc 0 n max_int;
+  copies (fun c -> acc.(c) <- c);
+  (* One edge adds [n] to a key: a lexicographic (distance, id) minimum.
+     Children into parents gives each node its nearest copy below it;
+     parents into children then adds the copies reached through the
+     parent. [max_int] is "no copy yet" and never propagates. *)
+  let pre = fl.r.Tree.preorder and parent = fl.r.Tree.parent in
+  for i = n - 1 downto 1 do
+    let v = pre.(i) in
+    let k = acc.(v) in
+    if k < max_int && k + n < acc.(parent.(v)) then acc.(parent.(v)) <- k + n
+  done;
+  for i = 1 to n - 1 do
+    let v = pre.(i) in
+    let k = acc.(parent.(v)) in
+    if k < max_int && k + n < acc.(v) then acc.(v) <- k + n
+  done
+
 let subtree_sums_into fl (scratch : Scratch.t) ~src ~src_off =
   let acc = scratch.Scratch.acc in
   for v = 0 to fl.n - 1 do

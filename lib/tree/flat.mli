@@ -100,6 +100,18 @@ val iter_steiner : t -> Scratch.t -> nodes:((int -> unit) -> unit) -> (int -> un
     zero allocation: membership marks use [scratch.nstamp], counts use
     [scratch.acc]. *)
 
+(** {1 Nearest copies} *)
+
+val nearest_into : t -> Scratch.t -> copies:((int -> unit) -> unit) -> unit
+(** [nearest_into fl scratch ~copies] sets [scratch.acc.(v)] to
+    [distance v c * n + c] for every node [v], where [c] is [v]'s nearest
+    node among those the [copies] iterator produces (duplicates welcome),
+    ties to the lowest id: so [acc.(v) mod n] is the copy and
+    [acc.(v) / n] its distance. With no copies every slot is [max_int].
+    Two passes over the preorder (children into parents, then parents
+    into children): O(n) time, zero allocation, valid until the
+    scratch's next use of [acc]. *)
+
 (** {1 Subtree aggregation} *)
 
 val subtree_sums_into : t -> Scratch.t -> src:int array -> src_off:int -> unit

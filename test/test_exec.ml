@@ -167,6 +167,25 @@ let prop_congestion_matches_across_jobs seed =
       = reference)
     [ 2; 4 ]
 
+(* Placement.nearest keeps one scratch per executor slot: a slot mixing
+   up another's sweep would show as a wrong server at jobs 2 or 4. *)
+let prop_nearest_identical_across_jobs seed =
+  let tree, w = Helpers.instance seed in
+  let prng = Hbn_prng.Prng.create (seed + 5) in
+  let leaves = Hbn_tree.Tree.leaves_array tree in
+  let copies =
+    Array.init (Workload.num_objects w) (fun _ ->
+        List.init
+          (1 + Hbn_prng.Prng.int prng 4)
+          (fun _ -> leaves.(Hbn_prng.Prng.int prng (Array.length leaves))))
+  in
+  let reference = Placement.nearest w ~copies in
+  List.for_all
+    (fun jobs ->
+      Exec.with_runner ~jobs (fun exec -> Placement.nearest ~exec w ~copies)
+      = reference)
+    [ 2; 4 ]
+
 (* --- concurrent emission into the obs layer ------------------------------ *)
 
 let spawn_all n f = List.init n (fun d -> Domain.spawn (fun () -> f d))
@@ -243,6 +262,8 @@ let suite =
       Helpers.seed_arb prop_bit_identical_across_jobs;
     Helpers.qt ~count:40 "Strategy.congestion identical at jobs 1/2/4"
       Helpers.seed_arb prop_congestion_matches_across_jobs;
+    Helpers.qt ~count:40 "Placement.nearest identical at jobs 1/2/4"
+      Helpers.seed_arb prop_nearest_identical_across_jobs;
     Helpers.tc "metrics survive concurrent incr/observe"
       test_metrics_concurrent_incr;
     Helpers.tc "memory sink survives concurrent emit"

@@ -88,6 +88,45 @@ let prop_subtree_sums_agree seed =
   Flat.subtree_sums_into fl scratch ~src ~src_off:pad;
   Array.sub scratch.Flat.Scratch.acc 0 n = want
 
+(* nearest_into against the pairwise oracle on every node, through one
+   shared scratch. Three shapes: the usual random trees; stars of up to
+   40 leaves with copies on leaves only, where every copy is two hops
+   from every other leaf and the tie rule alone decides; caterpillars
+   with spines up to 60, where the sweeps carry keys over long paths.
+   Copy multisets include duplicates and the empty set. *)
+let prop_nearest_into_agrees seed =
+  let prng = Prng.create (seed + 29) in
+  let profile = Hbn_tree.Builders.Uniform 1 in
+  let tree, leaves_only =
+    match Prng.int prng 3 with
+    | 0 -> (Helpers.random_tree prng, false)
+    | 1 -> (Hbn_tree.Builders.star ~leaves:(Prng.int_in prng 2 40) ~profile, true)
+    | _ ->
+      ( Hbn_tree.Builders.caterpillar ~spine:(Prng.int_in prng 1 60)
+          ~leaves_per_bus:(Prng.int_in prng 1 3) ~profile,
+        false )
+  in
+  let fl = Flat.of_tree tree in
+  let scratch = Flat.Scratch.create fl in
+  let n = Tree.n tree in
+  let pool = if leaves_only then Tree.leaves_array tree else Array.init n Fun.id in
+  List.for_all
+    (fun _ ->
+      let copies =
+        List.init (Prng.int prng 7) (fun _ ->
+            pool.(Prng.int prng (Array.length pool)))
+      in
+      let copies = if Prng.int prng 3 = 0 then copies @ copies else copies in
+      Flat.nearest_into fl scratch ~copies:(fun mark -> List.iter mark copies);
+      List.for_all
+        (fun v ->
+          let key = scratch.Flat.Scratch.acc.(v) in
+          match Tree_ref.nearest_copy tree copies v with
+          | -1, _ -> key = max_int
+          | c, d -> key = (d * n) + c)
+        (List.init n Fun.id))
+    (List.init 8 Fun.id)
+
 (* Scratch reuse: interleaving every kernel through one scratch must give
    the same answers as fresh buffers — the stamp discipline cannot leak
    state between operations. *)
@@ -166,6 +205,8 @@ let suite =
       Helpers.seed_arb prop_steiner_agrees;
     Helpers.qt ~count:40 "subtree_sums_into matches Tree.subtree_sums"
       Helpers.seed_arb prop_subtree_sums_agree;
+    Helpers.qt ~count:80 "nearest_into matches the pairwise nearest-copy scan"
+      Helpers.seed_arb prop_nearest_into_agrees;
     Helpers.qt ~count:40 "shared scratch gives fresh-buffer answers"
       Helpers.seed_arb prop_scratch_reuse_deterministic;
     Helpers.qt ~count:60 "Workload.Flat rows agree with read/write matrices"

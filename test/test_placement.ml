@@ -214,7 +214,17 @@ let prop_nearest_valid seed =
         Array.to_list (Array.sub order 0 k))
   in
   let p = Placement.nearest w ~copies in
-  Placement.validate w p = Ok () && Placement.is_strict p
+  (* Every server is the one the pairwise scan picks. *)
+  Placement.validate w p = Ok ()
+  && Placement.is_strict p
+  && Array.for_all
+       (fun op ->
+         List.for_all
+           (fun a ->
+             fst (Tree_ref.nearest_copy t op.Placement.copies a.Placement.leaf)
+             = a.Placement.server)
+           op.Placement.assigns)
+       p
 
 let prop_full_replication_reads_free seed =
   let _, w = Helpers.instance seed in

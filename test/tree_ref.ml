@@ -69,3 +69,15 @@ let reroot tree root =
       (Tree.neighbors tree v)
   done;
   (parent, depth)
+
+(* [v]'s nearest copy and its distance, pairwise: every copy in ascending
+   id order, keeping the first strict minimum, so ties go to the lowest
+   id. This is the scan Placement.nearest and Loads.of_copies ran before
+   the one-sweep Flat.nearest_into kernel; (-1, max_int) without copies. *)
+let nearest_copy tree copies v =
+  List.fold_left
+    (fun (best, best_d) c ->
+      let d = List.length (path_edges tree v c) in
+      if d < best_d then (c, d) else (best, best_d))
+    (-1, max_int)
+    (List.sort_uniq compare copies)
