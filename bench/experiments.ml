@@ -101,7 +101,7 @@ let e1 ~quick () =
       in
       let res = Strategy.run w in
       let c = Placement.congestion w res.Strategy.placement in
-      let nib = Placement.congestion w res.Strategy.nibble in
+      let nib = Placement.congestion w (Strategy.nibble_placement w res) in
       Table.add_row t
         [
           name;
@@ -283,9 +283,11 @@ let e4 ~quick () =
           end)
         res.Strategy.copies;
       let edge_ratio = ref 0. in
+      let nibble = Strategy.nibble_placement w res in
+      let modified = Strategy.modified_placement w res in
       for obj = 0 to Workload.num_objects w - 1 do
-        let nib = Placement.object_edge_loads w res.Strategy.nibble ~obj in
-        let del = Placement.object_edge_loads w res.Strategy.modified ~obj in
+        let nib = Placement.object_edge_loads w nibble ~obj in
+        let del = Placement.object_edge_loads w modified ~obj in
         Array.iteri
           (fun e l ->
             if nib.(e) > 0 then
@@ -321,7 +323,7 @@ let e5 ~quick () =
   in
   let n = if quick then 20 else 100 in
   (* Sound runs. *)
-  let checks = ref 0 and violations = ref 0 and stuck = ref 0 in
+  let checks = ref 0 and violations = ref 0 in
   for seed = 0 to n - 1 do
     let prng = Prng.create (5000 + seed) in
     let tree =
@@ -335,12 +337,13 @@ let e5 ~quick () =
       | Ok () -> ()
       | Error _ -> incr violations
     in
-    try ignore (Strategy.run ~on_mapping_round:on_round w)
-    with Mapping.No_free_edge _ -> incr stuck
+    (* A bus without a free child edge would stop Strategy.run on its
+       Lemma 4.1 assertion, so every completed run counts none. *)
+    ignore (Strategy.run ~on_mapping_round:on_round w)
   done;
   Table.add_row t
     [ "sound runs"; string_of_int n; string_of_int !checks;
-      string_of_int !violations; string_of_int !stuck ];
+      string_of_int !violations; "0" ];
   (* Failure injection: corrupting the acceptable loads must break one of
      the guarantees (shows the checks are not vacuous). *)
   let broken = ref 0 and total = ref 0 in
@@ -380,8 +383,8 @@ let e5 ~quick () =
         Mapping.run ~verify:true ~inject_lacc_error:1_000_000 tree ~basic_up
           ~basic_down ~movable
       with
-      | _ -> ()
-      | exception (Mapping.No_free_edge _ | Failure _) -> incr broken
+      | Ok _ -> ()
+      | Error _ -> incr broken
     end
   done;
   Table.add_row t
@@ -977,9 +980,9 @@ let e14 ~quick () =
     let lb = Lower_bounds.combined w in
     if lb > 0. then begin
       let res = Strategy.run w in
+      let nib = Placement.edge_loads w (Strategy.nibble_placement w res) in
       let lemma_bound placement tau =
         (* Does the Lemma 4.5 certificate hold for this placement? *)
-        let nib = Placement.edge_loads w res.Strategy.nibble in
         let loads = Placement.edge_loads w placement in
         let ok = ref true in
         Array.iteri

@@ -70,8 +70,8 @@ let measure ~repeats ~jobs mk =
   done;
   (!best, Option.get !result)
 
-(* [reference] and [res] are (Strategy.result, Placement.congestion)
-   pairs — all plain data, so structural compare covers the placement,
+(* [reference] and [res] hold a Strategy.result and what was derived from
+   it — all plain data, so structural compare covers the placement,
    every stage, the stats and the evaluation at once. *)
 let check_identical ~reference ~jobs res =
   if res <> reference then begin
@@ -82,10 +82,21 @@ let check_identical ~reference ~jobs res =
     exit 1
   end
 
+(* The smoke run also derives the Step 1 and Step 2 placements on the
+   runner under test, so their fan-out is held to the same identity. *)
 let smoke () =
   let mk = instance ~arity:3 ~height:2 ~objects:12 in
   let results =
-    List.map (fun jobs -> snd (run_once ~jobs mk)) job_counts
+    List.map
+      (fun jobs ->
+        Exec.with_runner ~jobs (fun exec ->
+            let _, w = mk () in
+            let res = Strategy.run ~exec w in
+            ( res,
+              Placement.evaluate ~exec w res.Strategy.placement,
+              Strategy.nibble_placement ~exec w res,
+              Strategy.modified_placement ~exec w res )))
+      job_counts
   in
   (match results with
   | reference :: rest ->
@@ -95,7 +106,8 @@ let smoke () =
       rest
   | [] -> ());
   print_endline
-    "bench/parallel --smoke: jobs 1/2/4 bit-identical (strategy + evaluate)"
+    "bench/parallel --smoke: jobs 1/2/4 bit-identical (strategy, evaluate, \
+     Step 1 and Step 2 placements)"
 
 (* The previous baseline's sequential time, carried into the fresh file
    as "prev_seq_seconds" so a regeneration records the speed delta it

@@ -48,5 +48,5 @@ let () =
 
   (* The nibble placement (copies allowed on buses) is a lower bound: *)
   Format.printf "tree-model lower bound: %.2f@."
-    (Placement.congestion w result.Strategy.nibble);
+    (Placement.congestion w (Strategy.nibble_placement w result));
   Format.printf "guarantee: congestion <= 7 x optimal (Theorem 4.3)@."

@@ -36,8 +36,8 @@ let naive_nearest_leaf w =
         let groups = Nibble.served_groups w cs in
         let assigns = ref [] in
         let copies = ref [] in
-        List.iter
-          (fun node ->
+        List.iteri
+          (fun i node ->
             let home = nearest_leaf tree node in
             copies := home :: !copies;
             List.iter
@@ -51,7 +51,7 @@ let naive_nearest_leaf w =
                       writes = g.Nibble.writes;
                     }
                     :: !assigns)
-              groups.(node))
+              groups.(i))
           cs.Nibble.nodes;
         {
           Placement.copies = List.sort_uniq compare !copies;
@@ -85,9 +85,9 @@ let skip_deletion w =
           let groups = Nibble.served_groups w cs in
           let kappa = Workload.write_contention w ~obj in
           `Copies
-            (List.map
-               (fun node ->
-                 Copy.make ~id:(fresh ()) ~obj ~kappa ~node groups.(node))
+            (List.mapi
+               (fun i node ->
+                 Copy.make ~id:(fresh ()) ~obj ~kappa ~node groups.(i))
                cs.Nibble.nodes)
         end)
       sets
@@ -144,5 +144,9 @@ let skip_deletion w =
   | _ :: _ -> (
     let basic_up, basic_down = Mapping.basic_loads tree all_copies in
     match Mapping.run tree ~basic_up ~basic_down ~movable with
-    | _ -> Mapped (build ())
-    | exception Mapping.No_free_edge { node; _ } -> Stuck { node })
+    | Ok _ -> Mapped (build ())
+    | Error (Mapping.No_free_edge { node; _ }) -> Stuck { node }
+    | Error (Mapping.Invariant_violated _ | Mapping.Copy_on_bus _) ->
+      (* No [verify] here, and a run that finds a free edge for every
+         held copy ends with every copy on a processor. *)
+      assert false)

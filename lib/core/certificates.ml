@@ -1,18 +1,27 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 
 let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
 
-let check_valid w (res : Strategy.result) =
+(* The checks read the Step 1 and Step 2 placements, which the strategy
+   result does not keep: [check_all] derives them once and passes them to
+   each check; the single-check entry points derive what they read. *)
+
+let valid w (res : Strategy.result) ~nibble ~modified =
   let tree = Workload.tree w in
-  let* () = Placement.validate w res.Strategy.nibble in
-  let* () = Placement.validate w res.Strategy.modified in
+  let* () = Placement.validate w nibble in
+  let* () = Placement.validate w modified in
   let* () = Placement.validate w res.Strategy.placement in
   if Placement.leaf_only tree res.Strategy.placement then Ok ()
   else Error "final placement stores a copy on a bus"
 
-let check_observation_3_2 w (res : Strategy.result) =
+let check_valid w res =
+  valid w res ~nibble:(Strategy.nibble_placement w res)
+    ~modified:(Strategy.modified_placement w res)
+
+let observation_3_2 w (res : Strategy.result) ~nibble ~modified =
   let per_copy =
     List.fold_left
       (fun acc c ->
@@ -33,11 +42,21 @@ let check_observation_3_2 w (res : Strategy.result) =
       (Ok ()) res.Strategy.copies
   in
   let* () = per_copy in
+  (* Per-object edge loads into two arrays and one scratch reused across
+     objects. *)
+  let fl = Flat.of_tree (Workload.tree w) in
+  let scratch = Flat.Scratch.create fl in
+  let nib = Array.make (max 1 fl.Flat.m) 0 and del = Array.make (max 1 fl.Flat.m) 0 in
+  let loads_into a op =
+    Array.fill a 0 (Array.length a) 0;
+    Placement.iter_object_load_components_scratch fl scratch op
+      (fun e _component amount -> a.(e) <- a.(e) + amount)
+  in
   let rec per_object obj =
     if obj >= Workload.num_objects w then Ok ()
     else begin
-      let nib = Placement.object_edge_loads w res.Strategy.nibble ~obj in
-      let del = Placement.object_edge_loads w res.Strategy.modified ~obj in
+      loads_into nib nibble.(obj);
+      loads_into del modified.(obj);
       let bad = ref None in
       Array.iteri
         (fun e l ->
@@ -53,13 +72,11 @@ let check_observation_3_2 w (res : Strategy.result) =
   in
   per_object 0
 
-let final_and_nibble_loads w (res : Strategy.result) =
-  let final = Placement.evaluate w res.Strategy.placement in
-  let nib = Placement.evaluate w res.Strategy.nibble in
-  (final, nib)
+let check_observation_3_2 w res =
+  observation_3_2 w res ~nibble:(Strategy.nibble_placement w res)
+    ~modified:(Strategy.modified_placement w res)
 
-let check_lemma_4_5 w res =
-  let final, nib = final_and_nibble_loads w res in
+let lemma_4_5 (res : Strategy.result) ~final ~nib =
   let tau = res.Strategy.tau_max in
   let bad = ref None in
   Array.iteri
@@ -72,8 +89,7 @@ let check_lemma_4_5 w res =
     final.Placement.edge_loads;
   match !bad with Some msg -> Error msg | None -> Ok ()
 
-let check_lemma_4_6 w res =
-  let final, nib = final_and_nibble_loads w res in
+let lemma_4_6 w (res : Strategy.result) ~final ~nib =
   let tree = Workload.tree w in
   let tau = res.Strategy.tau_max in
   let bad = ref None in
@@ -91,6 +107,21 @@ let check_lemma_4_6 w res =
     (Tree.buses tree);
   match !bad with Some msg -> Error msg | None -> Ok ()
 
+let final_and_nibble_loads w (res : Strategy.result) ~nibble =
+  (Placement.evaluate w res.Strategy.placement, Placement.evaluate w nibble)
+
+let check_lemma_4_5 w res =
+  let final, nib =
+    final_and_nibble_loads w res ~nibble:(Strategy.nibble_placement w res)
+  in
+  lemma_4_5 res ~final ~nib
+
+let check_lemma_4_6 w res =
+  let final, nib =
+    final_and_nibble_loads w res ~nibble:(Strategy.nibble_placement w res)
+  in
+  lemma_4_6 w res ~final ~nib
+
 let check_theorem_4_3 w res ~optimum =
   let c = Placement.congestion w res.Strategy.placement in
   if c <= (7. *. optimum) +. 1e-9 then Ok ()
@@ -100,13 +131,18 @@ let check_theorem_4_3 w res ~optimum =
          (7. *. optimum))
 
 let check_all w res =
-  let* () = check_valid w res in
-  let* () = check_observation_3_2 w res in
-  let* () = check_lemma_4_5 w res in
-  check_lemma_4_6 w res
+  let nibble = Strategy.nibble_placement w res in
+  let modified = Strategy.modified_placement w res in
+  let* () = valid w res ~nibble ~modified in
+  let* () = observation_3_2 w res ~nibble ~modified in
+  let final, nib = final_and_nibble_loads w res ~nibble in
+  let* () = lemma_4_5 res ~final ~nib in
+  lemma_4_6 w res ~final ~nib
 
 let max_edge_slack w res =
-  let final, nib = final_and_nibble_loads w res in
+  let final, nib =
+    final_and_nibble_loads w res ~nibble:(Strategy.nibble_placement w res)
+  in
   let tau = res.Strategy.tau_max in
   let best = ref 0. in
   Array.iteri

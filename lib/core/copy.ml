@@ -4,6 +4,7 @@ type t = {
   id : int;
   obj : int;
   kappa : int;
+  origin : int;
   mutable node : int;
   mutable groups : Nibble.group list;
   mutable served : int;
@@ -14,7 +15,7 @@ let total_weight groups =
 
 let make ~id ~obj ~kappa ~node groups =
   if kappa < 0 then invalid_arg "Copy.make: negative write contention";
-  { id; obj; kappa; node; groups; served = total_weight groups }
+  { id; obj; kappa; origin = node; node; groups; served = total_weight groups }
 
 let weight c = c.served + c.kappa
 

@@ -13,13 +13,15 @@ type t = {
   id : int;  (** unique per strategy run, for diagnostics *)
   obj : int;
   kappa : int;  (** [κ_x] of the object this is a copy of *)
+  origin : int;  (** the node the copy was made on, before any mapping move *)
   mutable node : int;  (** current location *)
   mutable groups : Nibble.group list;  (** requests served by this copy *)
   mutable served : int;  (** [s(c)]: cached sum of group weights *)
 }
 
 val make : id:int -> obj:int -> kappa:int -> node:int -> Nibble.group list -> t
-(** Builds a copy; [served] is computed from the groups. *)
+(** Builds a copy at [node] (also its [origin]); [served] is computed
+    from the groups. *)
 
 val weight : t -> int
 (** [s(c) + κ_x]: the amount by which moving this copy along an edge

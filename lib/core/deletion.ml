@@ -76,28 +76,35 @@ let run ?(first_id = 0) ?scratch w cs =
     incr next_id;
     id
   in
+  (* The per-copy table is copy-set sized: slot [i] is the [i]-th node of
+     [cs.nodes] (ascending), found through the scratch's sparse-set
+     index. *)
   let groups = Nibble.served_groups ~scratch w cs in
-  let table = Array.make (Tree.n tree) None in
-  List.iter
-    (fun v ->
-      table.(v) <-
-        Some (Copy.make ~id:(fresh ()) ~obj:cs.Nibble.obj ~kappa ~node:v
-                groups.(v)))
-    cs.Nibble.nodes;
-  (* Deepest level of T(x) first; the root (gravity center) comes last.
-     A node's level is its distance from the gravity center. *)
-  let gravity = cs.Nibble.gravity in
-  let order =
-    List.map (fun v -> (Flat.distance fl gravity v, v)) cs.Nibble.nodes
-    |> List.sort (fun (da, a) (db, b) ->
-           if da <> db then Int.compare db da else Int.compare b a)
-    |> List.map snd
+  let nodes = Array.of_list cs.Nibble.nodes in
+  Flat.Scratch.index scratch nodes;
+  let slot_of v = Flat.Scratch.find scratch nodes v in
+  let table =
+    Array.init (Array.length nodes) (fun i ->
+        Some
+          (Copy.make ~id:(fresh ()) ~obj:cs.Nibble.obj ~kappa ~node:nodes.(i)
+             groups.(i)))
   in
+  (* Deepest level of T(x) first; the root (gravity center) comes last.
+     A node's level is its distance from the gravity center; within a
+     level higher ids come first. One int key per copy, sorted
+     descending. *)
+  let gravity = cs.Nibble.gravity in
+  let n = fl.Flat.n in
+  let order =
+    Array.map (fun v -> (Flat.distance fl gravity v * n) + v) nodes
+  in
+  Array.sort (fun a b -> Int.compare b a) order;
   let deletions = ref 0 in
   let nearest_survivor () =
-    (* BFS from the root of T(x) over the whole tree, on the scratch's
-       ring buffer and visit stamps (same FIFO order as a queue — each
-       node enters at most once, so [n] slots suffice). *)
+    (* BFS from the root of T(x) over T(x) itself, on the scratch's ring
+       buffer and visit stamps. T(x) is connected and holds the root, so
+       its nodes come in the order a BFS over the whole tree would reach
+       them, and the first survivor is the same. *)
     scratch.Flat.Scratch.stamp <- scratch.Flat.Scratch.stamp + 1;
     let stamp = scratch.Flat.Scratch.stamp in
     let nstamp = scratch.Flat.Scratch.nstamp in
@@ -110,12 +117,12 @@ let run ?(first_id = 0) ?scratch w cs =
     while !found = None && !head < !tail do
       let v = queue.(!head) in
       incr head;
-      match table.(v) with
+      match table.(slot_of v) with
       | Some c when v <> gravity -> found := Some c
       | Some _ | None ->
         Array.iter
           (fun (u, _) ->
-            if nstamp.(u) <> stamp then begin
+            if nstamp.(u) <> stamp && slot_of u >= 0 then begin
               nstamp.(u) <- stamp;
               queue.(!tail) <- u;
               incr tail
@@ -124,17 +131,20 @@ let run ?(first_id = 0) ?scratch w cs =
     done;
     !found
   in
-  List.iter
-    (fun v ->
-      match table.(v) with
+  Array.iter
+    (fun key ->
+      let v = key mod n in
+      let i = slot_of v in
+      match table.(i) with
       | None -> ()
       | Some copy ->
         if copy.Copy.served < kappa then begin
           if v <> gravity then begin
-            match table.(Flat.next_hop fl v gravity) with
-            | Some p ->
-              Copy.absorb p ~from:copy;
-              table.(v) <- None;
+            let p = slot_of (Flat.next_hop fl v gravity) in
+            match if p >= 0 then table.(p) else None with
+            | Some parent ->
+              Copy.absorb parent ~from:copy;
+              table.(i) <- None;
               incr deletions
             | None ->
               (* The component is connected and parents are processed after
@@ -145,7 +155,7 @@ let run ?(first_id = 0) ?scratch w cs =
             match nearest_survivor () with
             | Some c ->
               Copy.absorb c ~from:copy;
-              table.(v) <- None;
+              table.(i) <- None;
               incr deletions
             | None ->
               (* The root is the last copy; it serves every request, and
@@ -157,7 +167,7 @@ let run ?(first_id = 0) ?scratch w cs =
   let splits = ref 0 in
   let copies = ref [] in
   Array.iteri
-    (fun v slot ->
+    (fun i slot ->
       match slot with
       | None -> ()
       | Some copy ->
@@ -177,8 +187,8 @@ let run ?(first_id = 0) ?scratch w cs =
               (fun bucket ->
                 incr splits;
                 copies :=
-                  Copy.make ~id:(fresh ()) ~obj:cs.Nibble.obj ~kappa ~node:v
-                    bucket
+                  Copy.make ~id:(fresh ()) ~obj:cs.Nibble.obj ~kappa
+                    ~node:nodes.(i) bucket
                   :: !copies)
               rest)
         end

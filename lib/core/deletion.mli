@@ -35,7 +35,10 @@ val run :
     renumber ids into one global sequence at merge time (the
     ["deletion.object"] trace event is likewise emitted by the driver's
     sequential merge, not here). Requires [cs.nodes <> []] and [κ_x > 0];
-    the strategy driver handles the degenerate cases separately.
+    the strategy driver handles the degenerate cases separately. [cs] is
+    taken as {!Nibble.place} returns it: [cs.nodes] ascending and
+    connected, holding [cs.gravity]. Its working tables are sized by the
+    copy set, not the tree.
     [scratch] (fresh by default) must belong to the calling domain; the
     driver hands each worker slot its own. *)
 

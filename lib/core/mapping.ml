@@ -17,7 +17,14 @@ type state = {
 
 type stats = { tau_max : int; moves_up : int; moves_down : int; final : state }
 
-exception No_free_edge of { node : int; copy : Copy.t }
+type error =
+  | No_free_edge of { node : int; copy : Copy.t }
+  | Invariant_violated of string
+  | Copy_on_bus of Copy.t
+
+(* Ends a run early from inside the level loops; [run] turns it into an
+   [Error]. *)
+exception Stop of error
 
 let basic_loads tree copies =
   let m = max 1 (Tree.num_edges tree) in
@@ -131,74 +138,78 @@ let run ?(verify = false) ?(inject_lacc_error = 0) ?on_round tree ~basic_up
     if verify then
       match check_invariant st with
       | Ok () -> ()
-      | Error msg -> failwith ("Mapping.run: " ^ msg)
+      | Error msg -> raise (Stop (Invariant_violated msg))
   in
-  checkpoint "init" 0;
-  (* Upwards phase: rounds 0 .. height-1 (every node but the root). *)
-  for l = 0 to height - 1 do
-    List.iter
-      (fun v ->
-        if v <> r.Tree.root then begin
-          let e = r.Tree.parent_edge.(v) in
-          let parent = r.Tree.parent.(v) in
-          let continue = ref true in
-          while !continue do
-            match st.node_copies.(v) with
-            | c :: rest when st.lmap_up.(e) + tau_max <= st.lacc_up.(e) ->
-              st.node_copies.(v) <- rest;
-              c.Copy.node <- parent;
-              st.node_copies.(parent) <- c :: st.node_copies.(parent);
-              st.lmap_up.(e) <- st.lmap_up.(e) + Copy.weight c;
-              incr moves_up
-            | _ :: _ | [] -> continue := false
-          done;
-          (* In a sound run delta >= 0 (moves keep L_map <= L_acc); the
-             clamp only matters under deliberately corrupted bookkeeping,
-             where an adjustment must still never increase a load. *)
-          let delta = max 0 (st.lacc_up.(e) - st.lmap_up.(e)) in
-          st.lacc_up.(e) <- st.lacc_up.(e) - delta;
-          st.lacc_down.(e) <- st.lacc_down.(e) - delta
-        end)
-      levels.(l);
-    checkpoint "up" l
-  done;
-  (* Downwards phase: rounds height .. 1 (every bus; processors keep their
-     copies). Free child edges are found through a min-heap keyed by
-     L_map - L_acc, so each lookup costs O(log degree). *)
-  let slack e = st.lmap_down.(e) - st.lacc_down.(e) in
-  for l = height downto 1 do
-    List.iter
-      (fun v ->
-        if (not (Tree.is_leaf tree v)) && st.node_copies.(v) <> [] then begin
-          let heap = Heap.create () in
-          Array.iter
-            (fun c ->
-              let e = r.Tree.parent_edge.(c) in
-              Heap.add heap ~key:(float_of_int (slack e)) (e, c))
-            r.Tree.children.(v);
-          let copies = st.node_copies.(v) in
-          st.node_copies.(v) <- [];
-          List.iter
-            (fun c ->
-              match Heap.pop_min heap with
-              | None -> raise (No_free_edge { node = v; copy = c })
-              | Some (_, (e, child)) ->
-                if slack e + Copy.weight c <= tau_max then begin
-                  c.Copy.node <- child;
-                  st.node_copies.(child) <- c :: st.node_copies.(child);
-                  st.lmap_down.(e) <- st.lmap_down.(e) + Copy.weight c;
-                  incr moves_down;
-                  Heap.add heap ~key:(float_of_int (slack e)) (e, child)
-                end
-                else raise (No_free_edge { node = v; copy = c }))
-            copies
-        end)
-      levels.(l);
-    checkpoint "down" l
-  done;
-  List.iter
-    (fun c ->
-      if not (Tree.is_leaf tree c.Copy.node) then
-        failwith "Mapping.run: a copy remained on a bus (impossible)")
-    movable;
-  { tau_max; moves_up = !moves_up; moves_down = !moves_down; final = st }
+  let phases () =
+    (* Upwards phase: rounds 0 .. height-1 (every node but the root). *)
+    for l = 0 to height - 1 do
+      List.iter
+        (fun v ->
+          if v <> r.Tree.root then begin
+            let e = r.Tree.parent_edge.(v) in
+            let parent = r.Tree.parent.(v) in
+            let continue = ref true in
+            while !continue do
+              match st.node_copies.(v) with
+              | c :: rest when st.lmap_up.(e) + tau_max <= st.lacc_up.(e) ->
+                st.node_copies.(v) <- rest;
+                c.Copy.node <- parent;
+                st.node_copies.(parent) <- c :: st.node_copies.(parent);
+                st.lmap_up.(e) <- st.lmap_up.(e) + Copy.weight c;
+                incr moves_up
+              | _ :: _ | [] -> continue := false
+            done;
+            (* In a sound run delta >= 0 (moves keep L_map <= L_acc); the
+               clamp only matters under deliberately corrupted bookkeeping,
+               where an adjustment must still never increase a load. *)
+            let delta = max 0 (st.lacc_up.(e) - st.lmap_up.(e)) in
+            st.lacc_up.(e) <- st.lacc_up.(e) - delta;
+            st.lacc_down.(e) <- st.lacc_down.(e) - delta
+          end)
+        levels.(l);
+      checkpoint "up" l
+    done;
+    (* Downwards phase: rounds height .. 1 (every bus; processors keep their
+       copies). Free child edges are found through a min-heap keyed by
+       L_map - L_acc, so each lookup costs O(log degree). *)
+    let slack e = st.lmap_down.(e) - st.lacc_down.(e) in
+    for l = height downto 1 do
+      List.iter
+        (fun v ->
+          if (not (Tree.is_leaf tree v)) && st.node_copies.(v) <> [] then begin
+            let heap = Heap.create () in
+            Array.iter
+              (fun c ->
+                let e = r.Tree.parent_edge.(c) in
+                Heap.add heap ~key:(float_of_int (slack e)) (e, c))
+              r.Tree.children.(v);
+            let copies = st.node_copies.(v) in
+            st.node_copies.(v) <- [];
+            List.iter
+              (fun c ->
+                match Heap.pop_min heap with
+                | None -> raise (Stop (No_free_edge { node = v; copy = c }))
+                | Some (_, (e, child)) ->
+                  if slack e + Copy.weight c <= tau_max then begin
+                    c.Copy.node <- child;
+                    st.node_copies.(child) <- c :: st.node_copies.(child);
+                    st.lmap_down.(e) <- st.lmap_down.(e) + Copy.weight c;
+                    incr moves_down;
+                    Heap.add heap ~key:(float_of_int (slack e)) (e, child)
+                  end
+                  else raise (Stop (No_free_edge { node = v; copy = c })))
+              copies
+          end)
+        levels.(l);
+      checkpoint "down" l
+    done
+  in
+  match
+    checkpoint "init" 0;
+    phases ();
+    List.find_opt (fun c -> not (Tree.is_leaf tree c.Copy.node)) movable
+  with
+  | exception Stop e -> Error e
+  | Some c -> Error (Copy_on_bus c)
+  | None ->
+    Ok { tau_max; moves_up = !moves_up; moves_down = !moves_down; final = st }

@@ -48,10 +48,16 @@ type stats = {
   final : state;
 }
 
-exception No_free_edge of { node : int; copy : Copy.t }
-(** Raised if the downwards phase finds no free child edge — impossible per
-    Lemma 4.1 unless the bookkeeping is corrupted (exercised by the
-    failure-injection tests). *)
+type error =
+  | No_free_edge of { node : int; copy : Copy.t }
+      (** the downwards phase found no free child edge at [node] for
+          [copy] — impossible per Lemma 4.1 unless the bookkeeping is
+          corrupted (exercised by the failure-injection tests) *)
+  | Invariant_violated of string
+      (** under [verify]: the {!check_invariant} message of the first
+          round that broke Invariant 4.2 *)
+  | Copy_on_bus of Copy.t
+      (** a movable copy still sits on a bus after both phases *)
 
 val basic_loads : Tree.t -> Copy.t list -> int array * int array
 (** [(up, down)] basic loads per edge induced by the given copies' request
@@ -65,15 +71,17 @@ val run :
   basic_up:int array ->
   basic_down:int array ->
   movable:Copy.t list ->
-  stats
+  (stats, error) result
 (** Executes both phases, mutating the [node] field of each movable copy.
-    All movable copies end on processors. [basic_up]/[basic_down] must
+    On [Ok] all movable copies end on processors; an [Error] stops the
+    run where it went wrong and leaves the copies where they were then.
+    [basic_up]/[basic_down] must
     come from {!basic_loads} over {e all} copies (movable or not) so that
     Invariant 4.2 holds initially. [inject_lacc_error] subtracts the given
     amount from every initial acceptable load — a deliberate corruption
     used by failure-injection tests to show the free-edge guarantee is not
-    vacuous. [verify] checks Invariant 4.2 after every level and raises
-    [Failure] on violation. [on_round] is called with the live state before
+    vacuous. [verify] checks Invariant 4.2 after every level and stops
+    with [Invariant_violated] on a violation. [on_round] is called with the live state before
     the first round and after every level of both phases (instrumentation
     for tests and experiments; do not mutate the state). The same
     checkpoints additionally emit a ["mapping.round"] trace event (attrs:

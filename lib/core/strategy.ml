@@ -9,8 +9,7 @@ module Sink = Hbn_obs.Sink
 
 type result = {
   placement : Placement.t;
-  nibble : Placement.t;
-  modified : Placement.t;
+  nibble_sets : Nibble.copy_set array;
   tau_max : int;
   mapping : Mapping.stats option;
   deletions : int;
@@ -26,8 +25,9 @@ type stage =
   | Copies of Copy.t list
 
 (* Building one object's placement from its stage is pure (all copy
-   mutation is over by the time this runs), so it fans out too. *)
-let placement_of_stage ?exec w stages =
+   mutation is over by the time this runs), so it fans out too. [node]
+   reads a copy's position: where it is now, or where Step 2 left it. *)
+let placement_of_stages ?exec w ~node stages =
   Exec.map_chunked
     (Option.value exec ~default:Exec.sequential)
     (Array.length stages)
@@ -48,9 +48,7 @@ let placement_of_stage ?exec w stages =
         in
         { Placement.copies = leaves; assigns }
       | Copies cs ->
-        let copies =
-          List.sort_uniq compare (List.map (fun c -> c.Copy.node) cs)
-        in
+        let copies = List.sort_uniq compare (List.map node cs) in
         let assigns =
           List.concat_map
             (fun c ->
@@ -61,7 +59,7 @@ let placement_of_stage ?exec w stages =
                     Some
                       {
                         Placement.leaf = g.Nibble.leaf;
-                        server = c.Copy.node;
+                        server = node c;
                         reads = g.Nibble.reads;
                         writes = g.Nibble.writes;
                       })
@@ -70,22 +68,26 @@ let placement_of_stage ?exec w stages =
         in
         { Placement.copies; assigns })
 
+(* Objects without requests and write-free objects bypass Step 2. *)
+let bypass w ~obj =
+  let wf = Workload.flat w in
+  if Workload.Flat.total_weight wf ~obj = 0 then Some Unused
+  else if Workload.Flat.kappa wf ~obj = 0 then
+    Some (Read_only (Workload.requesting_leaves w ~obj))
+  else None
+
 (* The pure per-object stage of Step 2: local ids from 0, no shared state,
    no tracing — safe on any domain. The sequential merge below renumbers
    ids into one global sequence and emits the per-object trace events. *)
 let stage_object ~scratch w cs =
-  let obj = cs.Nibble.obj in
-  let wf = Workload.flat w in
-  if Workload.Flat.total_weight wf ~obj = 0 then (Unused, 0, 0, 0)
-  else if Workload.Flat.kappa wf ~obj = 0 then
-    (Read_only (Workload.requesting_leaves w ~obj), 0, 0, 0)
-  else begin
+  match bypass w ~obj:cs.Nibble.obj with
+  | Some stage -> (stage, 0, 0, 0)
+  | None ->
     let outcome = Deletion.run ~scratch w cs in
     ( Copies outcome.Deletion.copies,
       outcome.Deletion.deletions,
       outcome.Deletion.splits,
       outcome.Deletion.ids_used )
-  end
 
 let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
     ?(exec = Exec.sequential) w =
@@ -101,15 +103,10 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
   in
   let scratch () = scratches.(Exec.current_worker ()) in
   let sp_nibble = Trace.span "strategy.nibble" in
-  let step1 =
+  let sets =
     Exec.map_chunked exec num_objects (fun obj ->
-        let cs = Nibble.place ~scratch:(scratch ()) w ~obj in
-        ( cs,
-          Placement.nearest_object ~scratch:(scratch ()) w ~obj
-            ~copies:cs.Nibble.nodes ))
+        Nibble.place ~scratch:(scratch ()) w ~obj)
   in
-  let sets = Array.map fst step1 in
-  let nibble_placement = Array.map snd step1 in
   if Trace.enabled () then
     Trace.finish sp_nibble
       ~attrs:
@@ -169,7 +166,6 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
           ("deletions", Sink.Int !deletions);
           ("splits", Sink.Int !splits);
         ];
-  let modified = placement_of_stage ~exec w stages in
   let all_copies =
     Array.to_list stages
     |> List.concat_map (function Copies cs -> cs | Unused | Read_only _ -> [])
@@ -199,11 +195,20 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
   let mapping =
     match movable with
     | [] -> None
-    | _ :: _ ->
+    | _ :: _ -> (
       let basic_up, basic_down = Mapping.basic_loads tree all_copies in
-      Some
-        (Mapping.run ~verify ?on_round:on_mapping_round tree ~basic_up
-           ~basic_down ~movable)
+      match
+        Mapping.run ~verify ?on_round:on_mapping_round tree ~basic_up
+          ~basic_down ~movable
+      with
+      | Ok stats -> Some stats
+      | Error _ ->
+        (* Unreachable: Step 2 leaves every copy with s(c) >= κ_x, so the
+           corrected Invariant 4.2 holds initially and every round keeps
+           it (re-checked under [verify]); by Lemma 4.1 each bus then has
+           a free child edge for each copy it holds, so no copy gets
+           stuck or stays on a bus. *)
+        assert false)
   in
   if Trace.enabled () then
     Trace.finish sp_mapping
@@ -219,12 +224,13 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
            ("moves_up", Sink.Int up);
            ("moves_down", Sink.Int down);
          ]);
-  let placement = placement_of_stage ~exec w stages in
+  let placement =
+    placement_of_stages ~exec w ~node:(fun c -> c.Copy.node) stages
+  in
   let result =
     {
       placement;
-      nibble = nibble_placement;
-      modified;
+      nibble_sets = sets;
       tau_max = (match mapping with None -> 0 | Some s -> s.Mapping.tau_max);
       mapping;
       deletions = !deletions;
@@ -246,6 +252,21 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
         ]
   end;
   result
+
+let nibble_placement ?exec w res =
+  Placement.nearest ?exec w
+    ~copies:(Array.map (fun cs -> cs.Nibble.nodes) res.nibble_sets)
+
+let modified_placement ?exec w res =
+  let per_object = Array.make (Workload.num_objects w) [] in
+  List.iter
+    (fun c -> per_object.(c.Copy.obj) <- c :: per_object.(c.Copy.obj))
+    (List.rev res.copies);
+  placement_of_stages ?exec w ~node:(fun c -> c.Copy.origin)
+    (Array.init (Workload.num_objects w) (fun obj ->
+         match bypass w ~obj with
+         | Some stage -> stage
+         | None -> Copies per_object.(obj)))
 
 let congestion ?move_leaf_copies ?exec w =
   Placement.congestion ?exec w (run ?move_leaf_copies ?exec w).placement

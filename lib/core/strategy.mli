@@ -24,18 +24,24 @@
 
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
+module Nibble = Hbn_nibble.Nibble
 
+(** What a run builds: the final placement and the per-object and per-copy
+    state it came from. The Step 1 and Step 2 placements are not built;
+    {!nibble_placement} and {!modified_placement} derive them on demand
+    from [nibble_sets] and [copies]. *)
 type result = {
   placement : Placement.t;  (** the final, leaf-only placement *)
-  nibble : Placement.t;  (** the Step 1 placement (per-edge lower bound) *)
-  modified : Placement.t;  (** the Step 2 ("modified nibble") placement *)
+  nibble_sets : Nibble.copy_set array;
+      (** the Step 1 copy sets, one per object in object order *)
   tau_max : int;  (** 0 when no object needed mapping *)
   mapping : Mapping.stats option;
   deletions : int;
   splits : int;
   mapped_objects : int list;  (** objects whose copies went through Step 3 *)
   copies : Copy.t list;
-      (** every Step 2 copy (positions reflect Step 3 movement; the served
+      (** every Step 2 copy, in object order ([node] reflects Step 3
+          movement, [origin] is where Step 2 left the copy; the served
           counts and write contentions are those fixed by Step 2) *)
 }
 
@@ -50,6 +56,11 @@ val run :
     checking after every mapping round (slow; meant for tests);
     [on_mapping_round] is forwarded to {!Mapping.run}.
     [move_leaf_copies] defaults to [false].
+
+    Per object, Step 1 is O(n) (the weight sums and the rule) and Step 2
+    works over the copy set and the requests only; neither allocates
+    anything proportional to the tree. No nearest-copy assignment runs: Step 2 serves each
+    request from the first copy on its path to the gravity center.
 
     [exec] (default sequential) fans the per-object stages — Step 1,
     Step 2, and placement construction — out over domains via
@@ -67,6 +78,21 @@ val run :
     [strategy.deletions] / [strategy.splits] counters. Tracing only
     observes: the computed result is identical with tracing on, off, or
     absent. *)
+
+val nibble_placement :
+  ?exec:Hbn_exec.Exec.t -> Workload.t -> result -> Placement.t
+(** [nibble_placement w res] is the Step 1 placement — [res.nibble_sets]
+    with nearest-copy assignment ({!Placement.nearest}), the per-edge lower
+    bound [L_nib] of the analysis. [w] must be the workload [res] was
+    computed from, unchanged since. One O(n) sweep per requested object;
+    meant for certificates, experiments and tests, not the product path. *)
+
+val modified_placement :
+  ?exec:Hbn_exec.Exec.t -> Workload.t -> result -> Placement.t
+(** [modified_placement w res] is the Step 2 ("modified nibble")
+    placement: every copy of [res.copies] at its [origin], serving its
+    groups, plus the bypassed objects as {!run} places them. Same
+    conditions on [w] as {!nibble_placement}. O(copies + requests). *)
 
 val congestion :
   ?move_leaf_copies:bool -> ?exec:Hbn_exec.Exec.t -> Workload.t -> float

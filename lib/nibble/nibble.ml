@@ -56,11 +56,24 @@ let place ?scratch w ~obj =
     let gravity = gravity_of_sums r ~acc ~total fl.Flat.n in
     let kappa = Workload.Flat.kappa wf ~obj in
     (* The nibble rule reads subtree weights in the tree rooted at the
-       gravity center: v's canonical subtree when its gravity parent is
-       its canonical parent, else the complement of that parent's. *)
+       gravity center. Only the center's canonical ancestors see their
+       subtree flip: an ancestor keeps everything but the canonical
+       subtree of its child towards the center. One walk up the center's
+       root path marks the ancestors (stamps) and records that child
+       ([queue]); every other node keeps its canonical subtree sum. *)
+    scratch.Flat.Scratch.stamp <- scratch.Flat.Scratch.stamp + 1;
+    let stamp = scratch.Flat.Scratch.stamp in
+    let ancestor = scratch.Flat.Scratch.nstamp in
+    let toward = scratch.Flat.Scratch.queue in
+    let v = ref gravity in
+    while !v <> r.Tree.root do
+      let p = r.Tree.parent.(!v) in
+      ancestor.(p) <- stamp;
+      toward.(p) <- !v;
+      v := p
+    done;
     let weight_below v =
-      let p = Flat.next_hop fl v gravity in
-      if p = r.Tree.parent.(v) then acc.(v) else total - acc.(p)
+      if ancestor.(v) = stamp then total - acc.(toward.(v)) else acc.(v)
     in
     let nodes = ref [] in
     for v = fl.Flat.n - 1 downto 0 do
@@ -81,28 +94,26 @@ let placement w =
 let edge_loads w = Placement.edge_loads w (placement w)
 
 let served_groups ?scratch w cs =
-  let tree = Workload.tree w in
-  let fl = Flat.of_tree tree in
+  let fl = Flat.of_tree (Workload.tree w) in
   let scratch =
     match scratch with Some s -> s | None -> Flat.Scratch.create fl
   in
-  (* Copy-set membership as stamps: no per-call boolean array. *)
-  scratch.Flat.Scratch.stamp <- scratch.Flat.Scratch.stamp + 1;
-  let stamp = scratch.Flat.Scratch.stamp in
-  let nstamp = scratch.Flat.Scratch.nstamp in
-  List.iter (fun v -> nstamp.(v) <- stamp) cs.nodes;
-  let out = Array.make (Tree.n tree) [] in
+  (* Copy-set membership as a sparse-set index: no per-call n-array. *)
+  let nodes = Array.of_list cs.nodes in
+  Flat.Scratch.index scratch nodes;
+  let out = Array.make (Array.length nodes) [] in
   let wf = Workload.flat w in
   (* The server is the first copy on the leaf's path to the gravity
      center. *)
   let rec first_copy v =
-    if nstamp.(v) = stamp then v
+    let i = Flat.Scratch.find scratch nodes v in
+    if i >= 0 then i
     else if v = cs.gravity then
       invalid_arg "Nibble.served_groups: request with no copy on its path"
     else first_copy (Flat.next_hop fl v cs.gravity)
   in
   Workload.Flat.iter_requesting wf ~obj:cs.obj (fun leaf ->
-      let server = first_copy leaf in
+      let i = first_copy leaf in
       let g =
         {
           leaf;
@@ -110,7 +121,7 @@ let served_groups ?scratch w cs =
           writes = Workload.writes w ~obj:cs.obj leaf;
         }
       in
-      out.(server) <- g :: out.(server));
+      out.(i) <- g :: out.(i));
   out
 
 let is_connected tree nodes =

@@ -16,7 +16,7 @@ module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 
 (** One object's nibble copies. The rule's rooting at [gravity] is not
-    stored: {!Hbn_tree.Flat.next_hop} reads it off the canonical one. *)
+    stored: {!place} and {!served_groups} read it off the canonical one. *)
 type copy_set = {
   obj : int;
   nodes : int list;  (** nodes of [T(x)], ascending; empty for unused objects *)
@@ -55,9 +55,12 @@ type group = { leaf : int; reads : int; writes : int }
 
 val served_groups :
   ?scratch:Hbn_tree.Flat.Scratch.t -> Workload.t -> copy_set -> group list array
-(** [served_groups w cs] maps each node of [cs.nodes] to the request groups
-    its copy serves (empty lists elsewhere). Every requesting leaf appears
-    in exactly one group. [scratch] as in {!place}. *)
+(** [served_groups w cs] lists, for the [i]-th node of [cs.nodes], the
+    request groups its copy serves: an array of [List.length cs.nodes]
+    entries in [cs.nodes] order, each list in descending leaf order.
+    Every requesting leaf appears in exactly one group. O(copies +
+    requests · path length); nothing proportional to the tree is
+    allocated. [scratch] as in {!place}. *)
 
 val group_weight : group -> int
 (** [reads + writes]. *)

@@ -132,48 +132,80 @@ let leaf_only tree t =
     (fun op -> List.for_all (fun c -> Tree.is_leaf tree c) op.copies)
     t
 
+(* The first problem found ends the check. *)
+exception Invalid of string
+
+(* One set of per-node arrays serves every object: [held] and [seen]
+   hold the index of the object that last marked a node, so they never
+   need clearing, and only the nodes an object touches are read back. *)
 let validate w t =
   let tree = Workload.tree w in
-  let problem = ref None in
-  let fail fmt = Printf.ksprintf (fun s -> if !problem = None then problem := Some s) fmt in
-  if Array.length t <> Workload.num_objects w then
-    fail "placement has %d objects, workload %d" (Array.length t)
-      (Workload.num_objects w);
-  Array.iteri
-    (fun obj op ->
-      if List.length (dedup_sorted op.copies) <> List.length op.copies then
-        fail "object %d: duplicate copies" obj;
-      let held = Array.make (Tree.n tree) false in
-      List.iter
-        (fun c ->
-          if c < 0 || c >= Tree.n tree then fail "object %d: bad copy node" obj
-          else held.(c) <- true)
-        op.copies;
-      let reads = Array.make (Tree.n tree) 0 in
-      let writes = Array.make (Tree.n tree) 0 in
-      List.iter
-        (fun a ->
-          if a.reads < 0 || a.writes < 0 then
-            fail "object %d: negative assignment" obj;
-          if a.server < 0 || a.server >= Tree.n tree || not held.(a.server) then
-            fail "object %d: server %d holds no copy" obj a.server;
-          if not (Tree.is_leaf tree a.leaf) then
-            fail "object %d: requests from non-processor %d" obj a.leaf;
-          reads.(a.leaf) <- reads.(a.leaf) + a.reads;
-          writes.(a.leaf) <- writes.(a.leaf) + a.writes)
-        op.assigns;
-      for v = 0 to Tree.n tree - 1 do
-        let hr = if Tree.is_leaf tree v then Workload.reads w ~obj v else 0 in
-        let hw = if Tree.is_leaf tree v then Workload.writes w ~obj v else 0 in
-        if reads.(v) <> hr then
-          fail "object %d: node %d reads %d assigned, %d required" obj v
-            reads.(v) hr;
-        if writes.(v) <> hw then
-          fail "object %d: node %d writes %d assigned, %d required" obj v
-            writes.(v) hw
-      done)
-    t;
-  match !problem with None -> Ok () | Some msg -> Error msg
+  let n = Tree.n tree in
+  let wf = Workload.flat w in
+  let fail fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt in
+  let held = Array.make n (-1) and seen = Array.make n (-1) in
+  let reads = Array.make n 0 and writes = Array.make n 0 in
+  let touched = Array.make n 0 in
+  let check_object obj op =
+    (* Copies: duplicates first, then nodes out of range. *)
+    let bad = ref [] and dup = ref false in
+    List.iter
+      (fun c ->
+        if c < 0 || c >= n then bad := c :: !bad
+        else if held.(c) = obj then dup := true
+        else held.(c) <- obj)
+      op.copies;
+    if !dup || List.length (dedup_sorted !bad) <> List.length !bad then
+      fail "object %d: duplicate copies" obj;
+    if !bad <> [] then fail "object %d: bad copy node" obj;
+    (* Assignments, in order; [touched] lists the nodes they credit. *)
+    let k = ref 0 in
+    List.iter
+      (fun a ->
+        if a.reads < 0 || a.writes < 0 then
+          fail "object %d: negative assignment" obj;
+        if a.server < 0 || a.server >= n || held.(a.server) <> obj then
+          fail "object %d: server %d holds no copy" obj a.server;
+        if a.leaf < 0 || a.leaf >= n || not (Tree.is_leaf tree a.leaf) then
+          fail "object %d: requests from non-processor %d" obj a.leaf;
+        if seen.(a.leaf) <> obj then begin
+          seen.(a.leaf) <- obj;
+          reads.(a.leaf) <- 0;
+          writes.(a.leaf) <- 0;
+          touched.(!k) <- a.leaf;
+          incr k
+        end;
+        reads.(a.leaf) <- reads.(a.leaf) + a.reads;
+        writes.(a.leaf) <- writes.(a.leaf) + a.writes)
+      op.assigns;
+    (* Coverage: only credited nodes and requesting leaves can differ
+       from the workload; report the lowest such node. *)
+    let assigned v =
+      if seen.(v) = obj then (reads.(v), writes.(v)) else (0, 0)
+    in
+    let required v = (Workload.reads w ~obj v, Workload.writes w ~obj v) in
+    let worst = ref n in
+    let check v = if v < !worst && assigned v <> required v then worst := v in
+    for i = 0 to !k - 1 do
+      check touched.(i)
+    done;
+    Workload.Flat.iter_requesting wf ~obj check;
+    let v = !worst in
+    if v < n then begin
+      let (r, wr), (hr, hw) = (assigned v, required v) in
+      if r <> hr then
+        fail "object %d: node %d reads %d assigned, %d required" obj v r hr;
+      fail "object %d: node %d writes %d assigned, %d required" obj v wr hw
+    end
+  in
+  match
+    if Array.length t <> Workload.num_objects w then
+      fail "placement has %d objects, workload %d" (Array.length t)
+        (Workload.num_objects w);
+    Array.iteri check_object t
+  with
+  | () -> Ok ()
+  | exception Invalid msg -> Error msg
 
 type component = Read_path | Write_path | Write_steiner
 

@@ -48,20 +48,6 @@ val nearest : ?exec:Hbn_exec.Exec.t -> Workload.t -> copies:int list array -> t
     over domains, one scratch per executor slot; results are identical
     at any job count. *)
 
-val nearest_object :
-  scratch:Hbn_tree.Flat.Scratch.t ->
-  Workload.t ->
-  obj:int ->
-  copies:int list ->
-  obj_placement
-(** One object's nearest-copy assignment — the per-object unit {!nearest}
-    maps over, O(n) when the object has requests and O(copies log
-    copies) otherwise. The scratch is caller-owned, must belong to the
-    calling domain, and only its [acc] is overwritten; nothing of size
-    [n] is allocated per call. Safe to call concurrently with distinct
-    scratches once [Workload.flat] and [Tree.flat_index] have been
-    forced. *)
-
 val single : Workload.t -> (int * int) list -> t
 (** [single w obj_to_node] places exactly one copy per object as listed
     (every object of [w] must appear exactly once) and assigns all

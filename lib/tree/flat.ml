@@ -30,6 +30,7 @@ module Scratch = struct
     stack : int array;
     mutable sp : int;
     queue : int array;
+    slot : int array;
   }
 
   let create fl =
@@ -41,7 +42,14 @@ module Scratch = struct
       stack = Array.make (max 1 fl.m) 0;
       sp = 0;
       queue = Array.make fl.n 0;
+      slot = Array.make fl.n 0;
     }
+
+  let index s nodes = Array.iteri (fun i v -> s.slot.(v) <- i) nodes
+
+  let find s nodes v =
+    let i = s.slot.(v) in
+    if i >= 0 && i < Array.length nodes && nodes.(i) = v then i else -1
 end
 
 let lca fl u v = Tree.lca_flat fl.ix u v

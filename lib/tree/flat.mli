@@ -45,10 +45,22 @@ module Scratch : sig
     stack : int array;  (** edge/int stack, [max 1 m] slots *)
     mutable sp : int;  (** stack pointer *)
     queue : int array;  (** BFS ring, [n] slots *)
+    slot : int array;
+        (** sparse-set index, [n] slots: [slot.(v)] is [v]'s position in a
+            caller's dense array of nodes, trusted only where that array
+            holds [v] back, so it is never cleared *)
   }
 
   val create : flat -> t
   (** Fresh buffers sized for the given tree. One per owning domain. *)
+
+  val index : t -> int array -> unit
+  (** [index s nodes] points [s.slot] at each node's position in the
+      duplicate-free array [nodes]: O(length), no clearing. *)
+
+  val find : t -> int array -> int -> int
+  (** [find s nodes v] is [v]'s position in [nodes] after {!index} on the
+      same array, or [-1] when [nodes] does not hold [v]. O(1). *)
 end
 
 (** {1 O(1) queries} *)

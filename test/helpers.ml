@@ -108,3 +108,19 @@ let small_instance seed =
   let tree = small_tree prng in
   let w = small_workload prng tree in
   (tree, w)
+
+(* The shapes the bit-identity oracles run on: the random trees of
+   [instance], stars of up to 40 leaves and caterpillars with spines of
+   up to 60 buses. *)
+let shaped_instance seed =
+  let prng = Prng.create (seed + 4242) in
+  let profile = profile_of prng in
+  let tree =
+    match Prng.int prng 3 with
+    | 0 -> random_tree prng
+    | 1 -> Builders.star ~leaves:(Prng.int_in prng 2 40) ~profile
+    | _ ->
+      Builders.caterpillar ~spine:(Prng.int_in prng 1 60)
+        ~leaves_per_bus:(Prng.int_in prng 2 3) ~profile
+  in
+  (tree, random_workload prng tree)

@@ -101,7 +101,7 @@ let test_lemma45_detects_overload () =
     (* Degenerate case: the final loads may coincide with nibble loads;
        accept only if they really do. *)
     let final = Placement.edge_loads w res.Strategy.placement in
-    let nib = Placement.edge_loads w res.Strategy.nibble in
+    let nib = Placement.edge_loads w (Strategy.nibble_placement w res) in
     Alcotest.(check bool) "loads within 4x nibble everywhere" true
       (Array.for_all2 (fun l n -> l <= (4 * n) - 1000) final nib)
 

@@ -188,6 +188,20 @@ let prop_copies_subset_of_component seed =
   done;
   !ok
 
+(* Bit-identity with the n-table oracle: the same copies (ids, nodes,
+   groups in order, served counts), deletions, splits and ids used, with
+   a shifted first id. *)
+let prop_matches_n_table_oracle seed =
+  let _, w = Helpers.shaped_instance seed in
+  List.for_all
+    (fun obj ->
+      Workload.write_contention w ~obj = 0
+      || Workload.total_weight w ~obj = 0
+      ||
+      let cs = Nibble.place w ~obj in
+      Deletion.run ~first_id:seed w cs = Strategy_ref.deletion ~first_id:seed w cs)
+    (List.init (Workload.num_objects w) Fun.id)
+
 let suite =
   [
     Helpers.tc "split sizes basic" test_split_sizes_basic;
@@ -201,4 +215,6 @@ let suite =
     Helpers.qt "split sizes invariants" Helpers.seed_arb prop_split_sizes_invariants;
     Helpers.qt "Observation 3.2 on random instances" Helpers.seed_arb prop_observation_3_2;
     Helpers.qt "surviving copies stay in the component" Helpers.seed_arb prop_copies_subset_of_component;
+    Helpers.qt ~count:150 "deletion matches the n-table oracle" Helpers.seed_arb
+      prop_matches_n_table_oracle;
   ]

@@ -106,7 +106,7 @@ let prop_lemma_4_4 seed =
   | None -> true
   | Some stats ->
     let st = stats.Mapping.final in
-    let nib = Placement.edge_loads w res.Strategy.nibble in
+    let nib = Placement.edge_loads w (Strategy.nibble_placement w res) in
     let ok = ref true in
     Array.iteri
       (fun e l ->
@@ -164,16 +164,18 @@ let test_failure_injection () =
   in
   (* Uncorrupted run succeeds. *)
   let basic_up, basic_down, movable = fresh () in
-  ignore (Mapping.run ~verify:true t ~basic_up ~basic_down ~movable);
+  (match Mapping.run ~verify:true t ~basic_up ~basic_down ~movable with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "sound run stopped with an error");
   (* Heavy corruption: all acceptable loads very negative. *)
   let basic_up, basic_down, movable = fresh () in
   let failed =
-    try
-      ignore
-        (Mapping.run ~inject_lacc_error:1_000_000 t ~basic_up ~basic_down
-           ~movable);
-      false
-    with Mapping.No_free_edge _ | Failure _ -> true
+    match
+      Mapping.run ~inject_lacc_error:1_000_000 t ~basic_up ~basic_down
+        ~movable
+    with
+    | Error (Mapping.No_free_edge _ | Mapping.Copy_on_bus _) -> true
+    | Error (Mapping.Invariant_violated _) | Ok _ -> false
   in
   Alcotest.(check bool) "corrupted bookkeeping fails" true failed
 
@@ -218,7 +220,11 @@ let test_papers_printed_invariant_is_too_strong () =
 let test_empty_movable_is_noop () =
   let t = Builders.star ~leaves:2 ~profile:(Builders.Uniform 1) in
   let stats =
-    Mapping.run t ~basic_up:[| 0; 0 |] ~basic_down:[| 0; 0 |] ~movable:[]
+    match
+      Mapping.run t ~basic_up:[| 0; 0 |] ~basic_down:[| 0; 0 |] ~movable:[]
+    with
+    | Ok stats -> stats
+    | Error _ -> Alcotest.fail "empty movable set stopped with an error"
   in
   Alcotest.(check int) "no moves" 0
     (stats.Mapping.moves_up + stats.Mapping.moves_down);

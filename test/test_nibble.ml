@@ -153,9 +153,29 @@ let prop_place_matches_rerooted_rule seed =
         let sorted = Array.map (List.sort compare) in
         g = Nibble.gravity_center tree ~weights
         && cs.Nibble.nodes = nodes
-        && sorted (Nibble.served_groups w cs) = sorted served
+        && sorted (Nibble.served_groups w cs)
+           = sorted (Array.of_list (List.map (Array.get served) nodes))
       end)
     (Nibble.place_all w)
+
+(* Bit-identity with the per-node oracles: the copy sets, and the served
+   groups in their exact order, with every node off the copy set serving
+   nothing. *)
+let prop_place_matches_oracle seed =
+  let _, w = Helpers.shaped_instance seed in
+  List.for_all
+    (fun obj ->
+      let cs = Nibble.place w ~obj in
+      cs = Strategy_ref.place w ~obj
+      && (cs.Nibble.nodes = []
+         ||
+         let old = Strategy_ref.served_groups w cs in
+         Nibble.served_groups w cs
+         = Array.of_list (List.map (Array.get old) cs.Nibble.nodes)
+         && List.for_all
+              (fun v -> List.mem v cs.Nibble.nodes || old.(v) = [])
+              (List.init (Array.length old) Fun.id)))
+    (List.init (Workload.num_objects w) Fun.id)
 
 let prop_component_edge_load_is_kappa seed =
   (* Inside T(x) every edge carries exactly kappa_x; outside at most
@@ -218,6 +238,8 @@ let suite =
       prop_copy_set_connected_with_gravity;
     Helpers.qt "place and served groups match the rerooted rule"
       Helpers.seed_arb prop_place_matches_rerooted_rule;
+    Helpers.qt ~count:150 "place and served groups match the per-node oracle"
+      Helpers.seed_arb prop_place_matches_oracle;
     Helpers.qt "component edges carry kappa" Helpers.seed_arb
       prop_component_edge_load_is_kappa;
     Helpers.qt ~count:100 "nibble minimizes every edge (Thm 3.1)"

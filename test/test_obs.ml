@@ -299,10 +299,10 @@ let test_nan_gauge_roundtrips () =
   | Ok _ -> Alcotest.fail "wrong payload"
   | Error msg -> Alcotest.fail msg
 
-let strategy_fingerprint (res : Strategy.result) =
+let strategy_fingerprint w (res : Strategy.result) =
   ( res.Strategy.placement,
-    res.Strategy.nibble,
-    res.Strategy.modified,
+    Strategy.nibble_placement w res,
+    Strategy.modified_placement w res,
     res.Strategy.tau_max,
     res.Strategy.deletions,
     res.Strategy.splits,
@@ -314,8 +314,8 @@ let prop_tracing_does_not_change_results seed =
   let sink, _ = Sink.memory () in
   let on = Trace.with_sink sink (fun () -> Strategy.run w) in
   let off2 = Strategy.run w in
-  strategy_fingerprint off = strategy_fingerprint on
-  && strategy_fingerprint off = strategy_fingerprint off2
+  strategy_fingerprint w off = strategy_fingerprint w on
+  && strategy_fingerprint w off = strategy_fingerprint w off2
 
 (* The full pipeline trace of an instance that actually needs Step 3:
    spans for all three steps plus per-round mapping events must appear. *)

@@ -125,6 +125,74 @@ let test_validate_catches_errors () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "duplicate copies accepted"
 
+(* One random corruption of a placement: a copy list, an assignment or
+   the object array itself changed the way a buggy producer might. *)
+let corrupt prng w (p : Placement.t) =
+  let n = Tree.n (Workload.tree w) in
+  let pick xs = List.nth xs (Prng.int prng (List.length xs)) in
+  let edit_nth xs f =
+    let i = Prng.int prng (List.length xs) in
+    List.concat (List.mapi (fun j x -> if j = i then f x else [ x ]) xs)
+  in
+  let p = Array.copy p in
+  let obj = Prng.int prng (Array.length p) in
+  let op = p.(obj) in
+  let copies = op.Placement.copies and assigns = op.Placement.assigns in
+  let node () = Prng.int prng n in
+  let edit_assign f =
+    if assigns <> [] then
+      p.(obj) <- { op with Placement.assigns = edit_nth assigns f }
+  in
+  (match Prng.int prng 11 with
+  | 0 ->
+    if copies <> [] then
+      p.(obj) <- { op with Placement.copies = pick copies :: copies }
+  | 1 ->
+    let outside = if Prng.bool prng then -1 else n in
+    p.(obj) <- { op with Placement.copies = copies @ [ outside ] }
+  | 2 -> edit_assign (fun a -> [ { a with Placement.reads = -1 } ])
+  | 3 -> edit_assign (fun a -> [ { a with Placement.server = node () } ])
+  | 4 ->
+    let leaf = if Prng.int prng 8 = 0 then n else node () in
+    edit_assign (fun a -> [ { a with Placement.leaf } ])
+  | 5 -> edit_assign (fun _ -> [])
+  | 6 ->
+    edit_assign (fun a ->
+        if Prng.bool prng then
+          [ { a with Placement.reads = a.Placement.reads + 1 } ]
+        else [ { a with Placement.writes = a.Placement.writes + 1 } ])
+  | 7 -> edit_assign (fun a -> [ a; { a with Placement.leaf = node () } ])
+  | 8 ->
+    if copies <> [] then
+      p.(obj) <- { op with Placement.copies = edit_nth copies (fun _ -> []) }
+  | 9 ->
+    let other = Prng.int prng (Array.length p) in
+    p.(obj) <- p.(other);
+    p.(other) <- op
+  | _ -> ());
+  if Prng.int prng 12 = 0 then Array.sub p 0 (Array.length p - 1) else p
+
+(* The per-object-linear validator returns exactly the all-nodes oracle's
+   verdict and first message on corrupted placements (Step 1 placements
+   with bus copies and final ones, one to three corruptions each). Where
+   the oracle raises on an assignment from outside the tree, it must
+   report an error instead. *)
+let prop_validate_matches_oracle seed =
+  let _, w = Helpers.shaped_instance seed in
+  let prng = Prng.create seed in
+  let res = Hbn_core.Strategy.run w in
+  let base =
+    if Prng.bool prng then res.Hbn_core.Strategy.placement
+    else Hbn_core.Strategy.nibble_placement w res
+  in
+  let p = ref base in
+  for _ = 1 to Prng.int_in prng 1 3 do
+    if Array.length !p > 0 then p := corrupt prng w !p
+  done;
+  match Strategy_ref.validate w !p with
+  | want -> Placement.validate w !p = want
+  | exception Invalid_argument _ -> Result.is_error (Placement.validate w !p)
+
 let test_strictness () =
   let _, w = star_instance () in
   let split =
@@ -253,6 +321,8 @@ let suite =
     Helpers.tc "path/steiner overlap double-counted"
       test_path_steiner_overlap_counted_twice;
     Helpers.qt "nearest placements validate" Helpers.seed_arb prop_nearest_valid;
+    Helpers.qt ~count:300 "validate matches the all-nodes oracle when corrupted"
+      Helpers.seed_arb prop_validate_matches_oracle;
     Helpers.qt "full replication loads bounded by contention" Helpers.seed_arb
       prop_full_replication_reads_free;
   ]

@@ -153,6 +153,38 @@ let prop_stable_under_all_topologies seed =
   let res = Strategy.run ~verify:true w in
   Certificates.check_all w res = Ok ()
 
+(* The on-demand Step 1 and Step 2 placements, the copy sets and every
+   Step 2 copy (id, origin, groups in order, served count) against the
+   eager per-node construction. *)
+let prop_on_demand_matches_eager seed =
+  let _, w = Helpers.shaped_instance seed in
+  let res = Strategy.run w in
+  let eager = Strategy_ref.steps w in
+  let fields node c =
+    (c.Copy.id, c.Copy.obj, c.Copy.kappa, node c, c.Copy.groups, c.Copy.served)
+  in
+  res.Strategy.nibble_sets = eager.Strategy_ref.sets
+  && Strategy.nibble_placement w res = eager.Strategy_ref.nibble
+  && Strategy.modified_placement w res = eager.Strategy_ref.modified
+  && res.Strategy.deletions = eager.Strategy_ref.deletions
+  && res.Strategy.splits = eager.Strategy_ref.splits
+  && List.map (fields (fun c -> c.Copy.origin)) res.Strategy.copies
+     = List.map (fields (fun c -> c.Copy.node)) eager.Strategy_ref.copies
+
+(* Many objects on a wide tree: 1,024 Zipf objects on the 5,461-node
+   balanced tree of arity 4 and height 6, four times the benchmark's
+   object count on a tree four times as wide, end to end. *)
+let test_many_objects_wide_tree () =
+  let tree = Builders.balanced ~arity:4 ~height:6 ~profile:(Builders.Uniform 2) in
+  let prng = Prng.create 1 in
+  let w =
+    Hbn_workload.Generators.zipf_popularity ~prng tree ~objects:1024
+      ~requests_per_leaf:4 ~exponent:1.1 ~write_fraction:0.1
+  in
+  let res = Strategy.run w in
+  Helpers.check_ok "validate" (Placement.validate w res.Strategy.placement);
+  Helpers.check_ok "certificates" (Certificates.check_all w res)
+
 let suite =
   [
     Helpers.tc "empty workload" test_empty_workload;
@@ -178,6 +210,9 @@ let suite =
       prop_copies_consistent_with_placement;
     Helpers.qt ~count:30 "ring-of-rings topologies" Helpers.seed_arb
       prop_stable_under_all_topologies;
+    Helpers.qt ~count:150 "on-demand placements match eager construction"
+      Helpers.seed_arb prop_on_demand_matches_eager;
+    Helpers.tc "1,024 objects on a 5,461-node tree" test_many_objects_wide_tree;
   ]
 
 (* --- additional structural properties ---------------------------------- *)
