@@ -1,11 +1,11 @@
 (* Bechamel microbenchmarks: B1-B4 cover per-phase cost of the strategy
    on a fixed mid-size instance, B5 the packet scheduler under a backlog,
    B6 (a plain timed loop) what instrumentation costs with tracing off;
-   F1-F5 cover the Tree.Flat primitives the
+   F1-F6 cover the Tree.Flat primitives the
    hot path is built from (path folds, batched LCA, Steiner scans with a
    reused and a fresh scratch, next hops towards a target, nearest-copy
-   sweeps). Results print
-   as ns/run estimated by OLS. *)
+   sweeps, a whole load build edge by edge and by endpoint differences).
+   Results print as ns/run estimated by OLS. *)
 
 module Tree = Hbn_tree.Tree
 module Flat = Hbn_tree.Flat
@@ -60,8 +60,8 @@ let tests =
 
 (* The flat-kernel instance is bigger than B1-B5's: primitive costs only
    separate from loop overhead on a few hundred nodes. The leaf pairs,
-   Steiner node sets (also F5's copy sets) and (node, target) hops are
-   drawn once, outside the timed region. *)
+   Steiner node sets (also F5's and F6's copy sets) and (node, target)
+   hops are drawn once, outside the timed region. *)
 let flat_instance () =
   let tree = Builders.balanced ~arity:4 ~height:4 ~profile:(Builders.Uniform 2) in
   let fl = Flat.of_tree tree in
@@ -84,9 +84,36 @@ let flat_instance () =
   in
   (fl, pairs, steiner_sets, hops)
 
+(* F6: one load build over the instance — every leaf pair a request path
+   with amount 1, every F3 set a copy set whose Steiner tree carries 1 —
+   walked edge by edge, or recorded by endpoint differences and read out
+   in one subtree sum. Both write every edge's load into [loads]. *)
+let loads_by_walks fl scratch pairs steiner_sets loads =
+  Array.fill loads 0 (Array.length loads) 0;
+  let add e = loads.(e) <- loads.(e) + 1 in
+  Array.iter (fun (u, v) -> Flat.iter_path fl scratch u v add) pairs;
+  Array.iter
+    (fun nodes ->
+      Flat.iter_steiner fl scratch ~nodes:(fun mark -> List.iter mark nodes) add)
+    steiner_sets
+
+let loads_by_diff fl d buf pairs steiner_sets loads =
+  Array.fill d 0 (Array.length d) 0;
+  Array.iter (fun (u, v) -> Flat.Diff.path fl d u v 1) pairs;
+  Array.iter
+    (fun nodes ->
+      let len = Array.length nodes in
+      Array.blit nodes 0 buf 0 len;
+      Flat.Diff.steiner fl d ~nodes:buf ~len 1)
+    steiner_sets;
+  Flat.Diff.edges_into fl d ~dst:loads
+
 let flat_tests =
   let fl, pairs, steiner_sets, hops = flat_instance () in
   let scratch = Flat.Scratch.create fl in
+  let set_arrays = Array.map Array.of_list steiner_sets in
+  let loads = Array.make (max 1 fl.Flat.m) 0 in
+  let d = Array.make fl.Flat.n 0 and buf = Array.make fl.Flat.n 0 in
   Test.make_grouped ~name:"flat"
     [
       Test.make ~name:"F1 path fold (flat, scratch reuse)"
@@ -137,6 +164,12 @@ let flat_tests =
                  Flat.nearest_into fl scratch ~copies:(fun mark ->
                      List.iter mark nodes))
                steiner_sets));
+      Test.make ~name:"F6 load build (path and Steiner walks)"
+        (Staged.stage (fun () ->
+             loads_by_walks fl scratch pairs steiner_sets loads));
+      Test.make ~name:"F6' load build (endpoint differences)"
+        (Staged.stage (fun () ->
+             loads_by_diff fl d buf pairs set_arrays loads));
     ]
 
 let run_group ~banner tests =
@@ -213,16 +246,17 @@ let run () =
   Table.print table
 
 let run_flat () =
-  run_group ~banner:"\n=== F1-F5: Tree.Flat primitive kernels ===" flat_tests
+  run_group ~banner:"\n=== F1-F6: Tree.Flat primitive kernels ===" flat_tests
 
 (* Fast correctness pass over the same kernels, for `dune runtest`:
    the flat kernels are checked against each other on the bench instance
    (distance = ordered path length, unordered path = same edge multiset,
    Steiner tree of a pair = its path, a next hop is a neighbour one step
    closer to its target, a nearest-copy sweep picks on every node the
-   copy a pairwise scan does), and every Steiner set through one shared
-   scratch against a fresh one, to exercise the reuse discipline. No
-   timing claims. *)
+   copy a pairwise scan does, the difference kernel records on every
+   Steiner set alone and on the whole F6 build what the walks visit),
+   and every Steiner set through one shared scratch against a fresh one,
+   to exercise the reuse discipline. No timing claims. *)
 let smoke_flat () =
   let fl, pairs, steiner_sets, hops = flat_instance () in
   let scratch = Flat.Scratch.create fl in
@@ -278,10 +312,27 @@ let smoke_flat () =
           fail "bench/micro --smoke: nearest sweep at node %d is not copy %d" v c
       done)
     steiner_sets;
+  let m = max 1 fl.Flat.m in
+  let walked = Array.make m 0 and diffed = Array.make m 0 in
+  let d = Array.make n 0 and buf = Array.make n 0 in
+  Array.iter
+    (fun nodes ->
+      let one = [| Array.of_list nodes |] in
+      loads_by_walks fl scratch [||] [| nodes |] walked;
+      loads_by_diff fl d buf [||] one diffed;
+      if walked <> diffed then
+        fail "bench/micro --smoke: difference kernel off the Steiner scan")
+    steiner_sets;
+  loads_by_walks fl scratch pairs steiner_sets walked;
+  loads_by_diff fl d buf pairs (Array.map Array.of_list steiner_sets) diffed;
+  if walked <> diffed then
+    fail "bench/micro --smoke: F6 load builds disagree";
   Printf.printf
     "bench/micro --smoke: flat kernels self-consistent on %d paths, %d \
-     steiner sets (shared scratch), %d next hops, %d nearest sweeps\n"
+     steiner sets (shared scratch), %d next hops, %d nearest sweeps, %d \
+     difference-kernel Steiner sets and one F6 load build\n"
     (Array.length pairs)
     (Array.length steiner_sets)
     (Array.length hops)
+    (Array.length steiner_sets)
     (Array.length steiner_sets)

@@ -1,10 +1,11 @@
 (* Flat-kernel microbench driver.
 
-   Run with:  dune exec bench/micro_main.exe            # timed F1-F5
+   Run with:  dune exec bench/micro_main.exe            # timed F1-F6
           or  dune exec bench/micro_main.exe -- --smoke # fast agreement pass
    The timed run prints Bechamel ns/run estimates for the Tree.Flat
    primitives (path folds, batched LCA, Steiner scans with a reused and a
-   fresh scratch, next hops, nearest-copy sweeps). [--smoke] skips timing and instead cross-checks the
+   fresh scratch, next hops, nearest-copy sweeps, a load build by walks
+   and by endpoint differences). [--smoke] skips timing and instead cross-checks the
    flat kernels against each other on the bench instances — the cheap
    gate `dune runtest` runs (see bench/dune). *)
 

@@ -314,9 +314,10 @@ let rollback t cp =
 (* {2 Construction from copy sets} *)
 
 (* Built in bulk, not as a fold of [add_copy] deltas: per object, one
-   subtree count gives [below] and the Steiner edges, one nearest-copy
-   sweep gives every requesting leaf its server, and each leaf's path is
-   walked once. The state equals the fold's: the same copy sets, counts,
+   subtree count gives [below] and the Steiner edges, and one
+   nearest-copy sweep gives every requesting leaf its server. The path
+   loads of all objects go into one difference array, read out once at
+   the end. The state equals the fold's: the same copy sets, counts,
    servers and distances, and integer loads summed in another order. *)
 let of_copies w copies =
   let t = create w in
@@ -328,6 +329,7 @@ let of_copies w copies =
   let scratch = Flat.Scratch.create fl in
   let acc = scratch.Flat.Scratch.acc in
   let mark = Array.make n 0 in
+  let d = Array.make n 0 in
   Array.iteri
     (fun obj cs ->
       let cs = List.sort_uniq compare cs in
@@ -356,11 +358,17 @@ let of_copies w copies =
           Array.iter
             (fun leaf ->
               let key = acc.(leaf) in
-              set_server t obj leaf ~server:(key mod n) ~dist:(key / n))
+              let server = key mod n in
+              os.server.(leaf) <- server;
+              os.sdist.(leaf) <- key / n;
+              Flat.Diff.path fl d leaf server os.amount.(leaf))
             os.req
         end
       end)
     copies;
+  let paths = Array.make (max 1 fl.Flat.m) 0 in
+  Flat.Diff.edges_into fl d ~dst:paths;
+  Array.iteri (Raw.add t.raw) paths;
   t
 
 (* {2 Inspection} *)
@@ -379,6 +387,22 @@ let server t ~obj leaf =
   if os.server.(leaf) < 0 then None else Some os.server.(leaf)
 
 let edge_loads t = Raw.loads t.raw
+
+let object_edge_loads t ~obj =
+  let os = obj_state t obj in
+  let fl = t.fl in
+  let d = Array.make fl.Flat.n 0 in
+  Array.iter
+    (fun leaf ->
+      if os.server.(leaf) >= 0 then
+        Flat.Diff.path fl d leaf os.server.(leaf) os.amount.(leaf))
+    os.req;
+  if os.total_writes > 0 then
+    Flat.Diff.steiner fl d ~nodes:(Array.of_list os.copies) ~len:os.ncopies
+      os.total_writes;
+  let loads = Array.make (max 1 fl.Flat.m) 0 in
+  Flat.Diff.edges_into fl d ~dst:loads;
+  loads
 
 let congestion t = Raw.congestion_value t.raw
 

@@ -65,8 +65,9 @@ val of_copies : Workload.t -> int list array -> t
     bulk: per object with copies, one subtree count over the canonical
     rooting gives the Steiner membership counts and write-broadcast
     loads, one [Hbn_tree.Flat.nearest_into] sweep gives every requesting
-    leaf its server, and each leaf's path is walked once — O(n + Σ
-    leaf-path) per object. Duplicate nodes in a list are collapsed; an
+    leaf its server, and each leaf's path load goes into one
+    {!Hbn_tree.Flat.Diff} array shared by all objects, read out once at
+    the end — O(n) per object plus O(1) per requesting leaf. Duplicate nodes in a list are collapsed; an
     object with requests may start copyless, and then {!snapshot} raises
     until it receives a first copy via {!add_copy}. Raises
     [Invalid_argument] on an out-of-range node or when [copies] and the
@@ -121,6 +122,13 @@ val server : t -> obj:int -> int -> int option
 
 val edge_loads : t -> int array
 (** A fresh copy of the per-edge absolute loads. *)
+
+val object_edge_loads : t -> obj:int -> int array
+(** The per-edge load one object induces in the current state: its
+    requesting leaves' traffic to their servers plus [κ_x] on every
+    Steiner edge of its copy set — [Placement.object_edge_loads] of
+    {!snapshot}, also defined while the object is copyless (then all
+    zero). One {!Hbn_tree.Flat.Diff} pass: O(n + copies log copies). *)
 
 val congestion : t -> float
 (** Congestion of the current state — bit-identical to

@@ -94,6 +94,10 @@ let finish ?(attrs = []) sp =
           attrs;
         }
 
+let elapsed_ms sp =
+  if sp.id = 0 then 0.
+  else Int64.to_float (Int64.sub (Monotonic_clock.now ()) sp.start) /. 1e6
+
 let emit ev =
   match st.sink with
   | None -> ()

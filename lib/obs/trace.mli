@@ -60,6 +60,11 @@ val finish : ?attrs:(string * Sink.value) list -> span -> unit
     is tolerated (the span is removed from wherever it sits on the
     stack). No-op on {!none}. *)
 
+val elapsed_ms : span -> float
+(** Milliseconds since the span opened, on the clock its duration will
+    use; [0.] for {!none}. For a gauge that reports a span's own length
+    while the span is still open. *)
+
 val event : ?attrs:(string * Sink.value) list -> string -> unit
 (** Emits a point event inside the innermost open span. *)
 

@@ -214,13 +214,13 @@ let component_name = function
   | Write_path -> "write_path"
   | Write_steiner -> "write_steiner"
 
-(* The single source of truth for Section 1.1's load accounting: every
-   elementary contribution of one object — read and write request traffic
-   along leaf→server paths, then the write broadcast over the copies'
-   Steiner tree — is reported through [f edge component amount]. The
-   from-scratch entry points below, the incremental engine
-   ([Hbn_loads.Loads]) and the attribution tables ([Hbn_obs.Attribution])
-   all build on this, so they cannot drift apart. *)
+(* Section 1.1's load accounting, edge by edge: every elementary
+   contribution of one object — read and write request traffic along
+   leaf→server paths, then the write broadcast over the copies' Steiner
+   tree — is reported through [f edge component amount]. Attribution
+   tables and certificates fold it; the summing entry points below do
+   the same sums by endpoint differences, and the tests hold them to
+   this fold. *)
 let iter_object_load_components_scratch fl scratch op f =
   List.iter
     (fun a ->
@@ -235,49 +235,58 @@ let iter_object_load_components_scratch fl scratch op f =
       ~nodes:(fun mark -> List.iter mark op.copies)
       (fun e -> f e Write_steiner total_writes)
 
+(* The same accounting as [iter_object_load_components_scratch], summed
+   instead of attributed: each assignment's path and the copy set's
+   Steiner tree go into the difference array [d], [buf] holding the copy
+   list for the Steiner tour (grown when a list outgrows it). A component
+   counts only when positive, and a path only when its total is. *)
+let diff_object fl d buf op =
+  let positive (x : int) = if x > 0 then x else 0 in
+  let total_writes = ref 0 in
+  List.iter
+    (fun a ->
+      total_writes := !total_writes + a.writes;
+      if a.reads + a.writes > 0 then
+        Flat.Diff.path fl d a.leaf a.server (positive a.reads + positive a.writes))
+    op.assigns;
+  let total_writes = !total_writes in
+  if total_writes > 0 then begin
+    let len = List.length op.copies in
+    if len > Array.length !buf then buf := Array.make len 0;
+    List.iteri (fun i c -> !buf.(i) <- c) op.copies;
+    Flat.Diff.steiner fl d ~nodes:!buf ~len total_writes
+  end
+
 let object_edge_loads w t ~obj =
-  let tree = Workload.tree w in
-  let fl = Flat.of_tree tree in
-  let loads = Array.make (max 1 (Tree.num_edges tree)) 0 in
-  iter_object_load_components_scratch fl (Flat.Scratch.create fl) t.(obj)
-    (fun e _component amount -> loads.(e) <- loads.(e) + amount);
+  let fl = Flat.of_tree (Workload.tree w) in
+  let loads = Array.make (max 1 fl.Flat.m) 0 in
+  let d = Array.make fl.Flat.n 0 in
+  diff_object fl d (ref [||]) t.(obj);
+  Flat.Diff.edges_into fl d ~dst:loads;
   loads
 
 let edge_loads ?(exec = Exec.sequential) w t =
-  let tree = Workload.tree w in
-  let fl = Flat.of_tree tree in
-  let m = max 1 (Tree.num_edges tree) in
+  let fl = Flat.of_tree (Workload.tree w) in
+  let n = fl.Flat.n in
   let jobs = Exec.jobs exec in
-  if jobs = 1 then begin
-    let scratch = Flat.Scratch.create fl in
-    let loads = Array.make m 0 in
-    Array.iter
-      (fun op ->
-        iter_object_load_components_scratch fl scratch op
-          (fun e _component amount -> loads.(e) <- loads.(e) + amount))
-      t;
-    loads
-  end
-  else begin
-    (* One accumulator and one scratch per executor slot, summed in slot
-       order afterwards — integer addition commutes, so the merged loads
-       are identical at any job count or chunk size. *)
-    let partial = Array.init jobs (fun _ -> Array.make m 0) in
-    let scratches = Array.init jobs (fun _ -> Flat.Scratch.create fl) in
-    Exec.iter_chunked exec (Array.length t) (fun obj ->
-        let slot = Exec.current_worker () in
-        let loads = partial.(slot) in
-        iter_object_load_components_scratch fl scratches.(slot) t.(obj)
-          (fun e _component amount -> loads.(e) <- loads.(e) + amount));
-    let loads = partial.(0) in
-    for slot = 1 to jobs - 1 do
-      let p = partial.(slot) in
-      for e = 0 to m - 1 do
-        loads.(e) <- loads.(e) + p.(e)
-      done
-    done;
-    loads
-  end
+  (* One difference array and copy buffer per executor slot, summed in
+     slot order before the one read-out — integer addition commutes, so
+     the loads are identical at any job count or chunk size. *)
+  let diffs = Array.init jobs (fun _ -> Array.make n 0) in
+  let bufs = Array.init jobs (fun _ -> ref (Array.make n 0)) in
+  Exec.iter_chunked exec (Array.length t) (fun obj ->
+      let slot = if jobs = 1 then 0 else Exec.current_worker () in
+      diff_object fl diffs.(slot) bufs.(slot) t.(obj));
+  let d = diffs.(0) in
+  for slot = 1 to jobs - 1 do
+    let p = diffs.(slot) in
+    for v = 0 to n - 1 do
+      d.(v) <- d.(v) + p.(v)
+    done
+  done;
+  let loads = Array.make (max 1 fl.Flat.m) 0 in
+  Flat.Diff.edges_into fl d ~dst:loads;
+  loads
 
 type congestion = {
   value : float;

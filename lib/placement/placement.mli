@@ -85,12 +85,17 @@ type congestion = {
 }
 
 val edge_loads : ?exec:Hbn_exec.Exec.t -> Workload.t -> t -> int array
-(** Absolute load per edge, summed over objects. With a parallel [exec]
-    the per-object contributions are computed concurrently and merged by
-    summation — bit-identical to the sequential result. *)
+(** Absolute load per edge, summed over objects: the fold of
+    {!iter_object_load_components_scratch}, computed by endpoint
+    differences ({!Hbn_tree.Flat.Diff}) — O(1) per assignment and
+    O(copies log copies) per written object into one node array, then
+    one O(n) subtree sum. With a parallel [exec] each executor slot
+    records into its own array and the arrays are summed in slot order
+    before the read-out — bit-identical to the sequential result. *)
 
 val object_edge_loads : Workload.t -> t -> obj:int -> int array
-(** Load per edge induced by a single object. *)
+(** Load per edge induced by a single object, by the same kernel;
+    allocates the difference array, the copy buffer and the result. *)
 
 (** The three ways Section 1.1 lets an object load an edge: read traffic
     along the path [P → c(P,x)], write traffic along the same path, and
@@ -117,10 +122,11 @@ val iter_object_load_components_scratch :
     ([Write_steiner], with the object's total writes on every Steiner
     edge). Zero-amount components are skipped. The scratch is
     caller-owned and must belong to the calling domain, so hot loops
-    allocate nothing. This is the single source of truth for the
-    accounting definitions: {!edge_loads}, {!object_edge_loads}, the
-    incremental engine ([Hbn_loads.Loads]) and attribution tables all
-    agree with it by construction. *)
+    allocate nothing. This defines the accounting edge by edge, for the
+    callers that need each component (attribution tables, certificates);
+    {!edge_loads}, {!object_edge_loads} and the incremental engine
+    ([Hbn_loads.Loads]) compute the same sums by endpoint differences,
+    and the tests check them against the fold of this stream. *)
 
 val evaluate : ?exec:Hbn_exec.Exec.t -> Workload.t -> t -> congestion
 (** Full congestion accounting. *)

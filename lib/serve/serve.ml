@@ -4,7 +4,8 @@ module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Prng = Hbn_prng.Prng
 module Loads = Hbn_loads.Loads
-module Attribution = Hbn_obs.Attribution
+module Trace = Hbn_obs.Trace
+module Sink = Hbn_obs.Sink
 module Telemetry = Hbn_obs.Telemetry
 module Monitor = Hbn_obs.Monitor
 module Strategy = Hbn_core.Strategy
@@ -111,26 +112,39 @@ let bootstrap w copies =
         copies.(obj) <- [ !best ]
   done
 
-(* The hot objects: contributions summed over the hottest attribution
-   sites, largest total first (ties: lower object id). *)
-let hot_objects attr ~k =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (site, _) ->
-      let contribs =
-        match site with
-        | `Edge edge -> Attribution.edge_contributions attr ~edge
-        | `Bus bus -> Attribution.bus_contributions attr ~bus
-      in
-      List.iter
-        (fun (c : Attribution.contribution) ->
-          let prev = try Hashtbl.find tbl c.Attribution.obj with Not_found -> 0 in
-          Hashtbl.replace tbl c.Attribution.obj (prev + c.Attribution.amount))
-        contribs)
-    (Attribution.hotspots attr ~k:(2 * k));
-  Hashtbl.fold (fun o a acc -> (o, a) :: acc) tbl []
-  |> List.sort (fun (o1, a1) (o2, a2) ->
-         if a1 <> a2 then compare a2 a1 else compare o1 o2)
+(* The hot objects: each object's load summed over the [2k] hottest
+   sites, largest total first (ties: lower object id), objects with
+   nothing there dropped. Sites are rated with
+   [Placement.congestion_of_edge_loads]'s float expressions, edges by id
+   then buses by id, and the stable sort keeps that order among equal
+   ratings. A bus counts the load of its incident edges, so an edge that
+   is hot itself and next to a hot bus counts twice. *)
+let hot_objects eng ~k =
+  let w = Loads.workload eng in
+  let tree = Workload.tree w in
+  let c = Placement.congestion_of_edge_loads tree (Loads.edge_loads eng) in
+  let rated =
+    List.init (Tree.num_edges tree) (fun e ->
+        ( [ e ],
+          float_of_int c.Placement.edge_loads.(e)
+          /. float_of_int (Tree.edge_bandwidth tree e) ))
+    @ List.map
+        (fun b ->
+          ( Array.to_list (Array.map snd (Tree.neighbors tree b)),
+            float_of_int c.Placement.bus_loads2.(b)
+            /. (2. *. float_of_int (Tree.bus_bandwidth tree b)) ))
+        (Tree.buses tree)
+  in
+  let hot_edges =
+    List.stable_sort (fun (_, a) (_, b) -> compare b a) rated
+    |> List.filteri (fun i _ -> i < 2 * k)
+    |> List.concat_map fst
+  in
+  List.init (Workload.num_objects w) (fun obj ->
+      let loads = Loads.object_edge_loads eng ~obj in
+      (obj, List.fold_left (fun s e -> s + loads.(e)) 0 hot_edges))
+  |> List.filter (fun (_, a) -> a > 0)
+  |> List.stable_sort (fun (_, a1) (_, a2) -> compare a2 a1)
   |> List.filteri (fun i _ -> i < k)
   |> List.map fst |> Array.of_list
 
@@ -210,6 +224,11 @@ let climb cfg tree leaves eng ~prng ~hot =
     (false, 0, 0, 0, 0)
   end
 
+(* [f ()] inside a span; the epoch's phases are its children. *)
+let traced name f =
+  let sp = Trace.span name in
+  Fun.protect ~finally:(fun () -> Trace.finish sp) f
+
 let run ?exec cfg source =
   validate cfg;
   let table_of, tree =
@@ -252,13 +271,15 @@ let run ?exec cfg source =
   for e = 0 to cfg.epochs - 1 do
     let w = if e = 0 then w0 else table_of e in
     if e > 0 then check_table w;
+    let sp_epoch = Trace.span "serve.epoch" in
     bootstrap w cur;
-    let eng = Loads.of_copies w cur in
+    let eng = traced "serve.epoch.engine" (fun () -> Loads.of_copies w cur) in
     (* Epoch boundary: the previous epoch's alerts decide whether the
        hot objects get re-optimized before this epoch serves. *)
     let reopt, bytes, repl, migr, contr =
-      if e > 0 && !trigger_next then begin
-        let hot = hot_objects (Attribution.of_loads eng) ~k:cfg.top_k in
+      if e > 0 && !trigger_next then
+        traced "serve.epoch.climb" @@ fun () ->
+        let hot = hot_objects eng ~k:cfg.top_k in
         if Array.length hot = 0 then (false, 0, 0, 0, 0)
         else
           let prng =
@@ -266,7 +287,6 @@ let run ?exec cfg source =
               (Int64.to_int (Prng.hash ~seed:cfg.seed [ 5; e ]) land max_int)
           in
           climb cfg tree leaves eng ~prng ~hot
-      end
       else (false, 0, 0, 0, 0)
     in
     if reopt then begin
@@ -284,18 +304,19 @@ let run ?exec cfg source =
        engine's congestion is bit-identical to it). *)
     let priced copies = Placement.congestion w (Placement.nearest w ~copies) in
     let c_stale =
+      traced "serve.epoch.pricing" @@ fun () ->
       let st = Array.copy stale in
       bootstrap w st;
       priced st
     in
     (* The oracle is a fresh static re-place on this epoch's table. *)
     let c_oracle =
-      if cfg.oracle then begin
+      if cfg.oracle then
+        traced "serve.epoch.oracle" @@ fun () ->
         let res = Strategy.run ?exec w in
         priced
           (Array.init num_objects (fun obj ->
                Placement.copies res.Strategy.placement ~obj))
-      end
       else Float.nan
     in
     let sent = Array.fold_left ( + ) 0 el in
@@ -341,6 +362,14 @@ let run ?exec cfg source =
     let fresh = List.filteri (fun i _ -> i >= !prev_alert_count) all_alerts in
     prev_alert_count := count;
     trigger_next := List.exists triggering fresh;
+    (* The turnaround goes to the trace only: telemetry and monitor
+       series drive re-optimization and must not depend on the clock. *)
+    if Trace.enabled () then begin
+      Trace.gauge "serve.epoch.turnaround_ms" (Trace.elapsed_ms sp_epoch);
+      Trace.finish sp_epoch
+        ~attrs:
+          [ ("epoch", Sink.Int e); ("reoptimized", Sink.Bool reopt) ]
+    end;
     stats_rev :=
       {
         s_epoch = e;

@@ -13,10 +13,10 @@
     + Build the epoch's workload (a {!Drift} generator or a replayed
       table) and rebuild the load engine on the current copy sets.
     + If the {e previous} epoch raised any alert on a non-reconfiguration
-      series: attribute the engine's loads ({!Hbn_obs.Attribution.of_loads}
-      — built only in these epochs), take the [top_k] hottest objects
-      from the table's hotspot sites and hill-climb their copy sets through
-      checkpoint/rollback proposals. Every accepted move is priced at
+      series: rank the [top_k] hottest objects from the engine
+      ({!hot_objects}: each object's load over the [2 top_k] hottest
+      sites — computed only in these epochs) and hill-climb their copy
+      sets through checkpoint/rollback proposals. Every accepted move is priced at
       [obj_size * edges_moved] bytes (replication pays the distance to
       the nearest existing copy; migration the src-dst path; dropping a
       copy is free) against the hard per-epoch [budget_bytes]. The whole
@@ -36,6 +36,12 @@
     {!Hbn_placement.Placement.nearest}, the same nearest-copy model and
     bit-identical to the engine's congestion on the same copy sets. So
     each epoch builds exactly one engine, for the serving state.
+
+    Under a trace sink each epoch is a [serve.epoch] span with children
+    [serve.epoch.engine], [serve.epoch.climb], [serve.epoch.pricing] and
+    [serve.epoch.oracle], plus a [serve.epoch.turnaround_ms] gauge per
+    epoch. The gauge goes to the trace only, never to the telemetry or
+    the monitor: those drive re-optimization and stay clock-free.
 
     Everything downstream of the workload tables is sequential and
     PRNG-seeded per epoch; the parallel [exec] only accelerates the
@@ -110,6 +116,17 @@ val run : ?exec:Hbn_exec.Exec.t -> config -> source -> outcome
     frozen stale baseline, so the comparison stays fair). Raises
     [Invalid_argument] on an invalid config, [Tables [||]], or tables
     shorter than [config.epochs]. *)
+
+val hot_objects : Hbn_loads.Loads.t -> k:int -> int array
+(** The objects a re-optimization may touch: each object's load summed
+    over the [2k] sites (edges and buses) with the highest relative load,
+    at most [k] of them, largest total first, ties to the lower id;
+    objects with nothing on those sites are left out. Sites are ranked
+    as [Hbn_placement.Placement.congestion_of_edge_loads] rates them,
+    ties in its scan order (edges by id, then buses by id). A bus counts
+    its incident edges, so an edge that is hot itself and next to a hot
+    bus counts twice. Each object's per-edge load comes from
+    {!Hbn_loads.Loads.object_edge_loads}: O(objects · n) in all. *)
 
 val tables : Drift.t -> epochs:int -> Workload.t array
 (** The generator's first [epochs] tables — what {!save_tables} records

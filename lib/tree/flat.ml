@@ -185,3 +185,70 @@ let subtree_sums_into fl (scratch : Scratch.t) ~src ~src_off =
     let v = pre.(i) in
     acc.(parent.(v)) <- acc.(parent.(v)) + acc.(v)
   done
+
+module Diff = struct
+  (* Integer heapsort of [a.(0 .. len-1)]: in place, no closure. *)
+  let rec sift (a : int array) len i =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > a.(i) then begin
+        let x = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- x;
+        sift a len c
+      end
+    end
+
+  let sort_prefix (a : int array) len =
+    for i = (len / 2) - 1 downto 0 do
+      sift a len i
+    done;
+    for last = len - 1 downto 1 do
+      let x = a.(0) in
+      a.(0) <- a.(last);
+      a.(last) <- x;
+      sift a last 0
+    done
+
+  (* [a] on every u–v path edge, once subtree-summed. *)
+  let pair fl d u v a =
+    let c = lca fl u v in
+    d.(u) <- d.(u) + a;
+    d.(v) <- d.(v) + a;
+    d.(c) <- d.(c) - (2 * a)
+
+  let path fl d u v a = pair fl d u v (2 * a)
+
+  (* The closed tour through the nodes in preorder crosses each Steiner
+     edge once on the way down into the subtree below it and once on the
+     way back out, and crosses no other edge: [a] per pair is [2a] per
+     Steiner edge, the doubled amount. *)
+  let steiner fl d ~nodes ~len a =
+    if len >= 2 then begin
+      let pos = fl.ix.Tree.pos and pre = fl.r.Tree.preorder in
+      for i = 0 to len - 1 do
+        nodes.(i) <- pos.(nodes.(i))
+      done;
+      sort_prefix nodes len;
+      for i = 0 to len - 1 do
+        nodes.(i) <- pre.(nodes.(i))
+      done;
+      for i = 0 to len - 2 do
+        pair fl d nodes.(i) nodes.(i + 1) a
+      done;
+      pair fl d nodes.(len - 1) nodes.(0) a
+    end
+
+  let edges_into fl d ~dst =
+    let pre = fl.r.Tree.preorder
+    and parent = fl.r.Tree.parent
+    and parent_edge = fl.r.Tree.parent_edge in
+    for i = fl.n - 1 downto 1 do
+      let v = pre.(i) in
+      let s = d.(v) in
+      d.(parent.(v)) <- d.(parent.(v)) + s;
+      dst.(parent_edge.(v)) <- s asr 1
+    done
+end
+

@@ -3,10 +3,13 @@
     [Flat.t] packages the canonical {!Tree.rooted} arrays with the cached
     Euler-tour index ({!Tree.flat_index}) so the pipeline's inner loops —
     leaf→server path walks, Steiner-tree scans, subtree aggregations — run
-    over plain [int array]s with O(1) LCA and allocate nothing. It is the
-    only path, LCA and Steiner implementation of the library, and its
-    iteration orders are fixed (see each kernel): loads and simulated
-    schedules depend on them and are gated to be bit-identical.
+    over plain [int array]s with O(1) LCA and allocate nothing. Every
+    path, LCA and Steiner computation of the library goes through it, in
+    one of two forms: the iterators visit edges one by one in a fixed
+    order (see each kernel; simulated schedules and per-component
+    attribution depend on it), while {!Diff} sums amounts over many paths
+    and Steiner trees at once, with no order to depend on. Loads built
+    either way are gated to be bit-identical.
 
     Mutable state lives exclusively in {!Scratch.t} buffers. A scratch is
     single-owner: each domain (or each worker slot of an
@@ -130,3 +133,43 @@ val subtree_sums_into : t -> Scratch.t -> src:int array -> src_off:int -> unit
 (** Sums [src.(src_off + v)] over canonical subtrees into [scratch.acc]
     (valid until the scratch's next aggregation). Same sums as
     [Tree.subtree_sums] on the canonical rooting. *)
+
+(** {1 Path sums by endpoint differences}
+
+    Summing amounts over many paths does not need the paths walked. A
+    difference array [d] over nodes records an amount on the u–v path at
+    three nodes: plus at [u] and at [v], minus twice at their LCA. The
+    subtree sum at [v] then counts exactly the recorded paths that cross
+    [v]'s parent edge, so one bottom-up pass ({!Diff.edges_into}) yields
+    every edge's total: O(1) per path plus O(n) once, instead of O(path
+    length) per path.
+
+    A Steiner tree is a sum of paths too. Sort its nodes by preorder
+    position and close the tour: the paths between cyclically consecutive
+    nodes cross every Steiner edge exactly twice (once into the subtree
+    below it, once back out) and no other edge. So the array holds each
+    amount {e twice}: {!Diff.path} records [2a], {!Diff.steiner} records
+    [a] per tour pair, and {!Diff.edges_into} halves the sums, exactly.
+
+    [d] has [n] slots and starts all zero; the caller owns it. *)
+
+module Diff : sig
+  type flat := t
+
+  val path : flat -> int array -> int -> int -> int -> unit
+  (** [path fl d u v a] records [a] on every edge of the u–v path. O(1);
+      nothing when [u = v]. *)
+
+  val steiner : flat -> int array -> nodes:int array -> len:int -> int -> unit
+  (** [steiner fl d ~nodes ~len a] records [a] on every edge of the
+      minimal subtree spanning [nodes.(0 .. len-1)] (duplicates welcome;
+      fewer than two distinct nodes record nothing). Sorts that prefix of
+      [nodes] in place by preorder position (heapsort): O(len log len),
+      no allocation. *)
+
+  val edges_into : flat -> int array -> dst:int array -> unit
+  (** [edges_into fl d ~dst] writes every edge's recorded total to
+      [dst.(e)] ([dst] has [max 1 m] slots; every edge slot is written).
+      Turns [d] into its subtree sums on the way, so clear it before
+      recording again. O(n), no allocation. *)
+end

@@ -167,6 +167,18 @@ let prop_congestion_matches_across_jobs seed =
       = reference)
     [ 2; 4 ]
 
+(* Placement.edge_loads keeps one difference array per executor slot:
+   a slot recording into another's array, or a merge that skips one,
+   would show as a load off the component fold at jobs 2 or 4. *)
+let prop_edge_loads_identical_across_jobs seed =
+  let w, p = Test_placement.kernel_placement seed in
+  let want = Test_placement.component_fold w p in
+  List.for_all
+    (fun jobs ->
+      Exec.with_runner ~jobs (fun exec -> Placement.edge_loads ~exec w p)
+      = want)
+    [ 1; 2; 4 ]
+
 (* Placement.nearest keeps one scratch per executor slot: a slot mixing
    up another's sweep would show as a wrong server at jobs 2 or 4. *)
 let prop_nearest_identical_across_jobs seed =
@@ -262,6 +274,8 @@ let suite =
       Helpers.seed_arb prop_bit_identical_across_jobs;
     Helpers.qt ~count:40 "Strategy.congestion identical at jobs 1/2/4"
       Helpers.seed_arb prop_congestion_matches_across_jobs;
+    Helpers.qt ~count:40 "Placement.edge_loads equals the fold at jobs 1/2/4"
+      Helpers.seed_arb prop_edge_loads_identical_across_jobs;
     Helpers.qt ~count:40 "Placement.nearest identical at jobs 1/2/4"
       Helpers.seed_arb prop_nearest_identical_across_jobs;
     Helpers.tc "metrics survive concurrent incr/observe"

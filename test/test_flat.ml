@@ -178,6 +178,42 @@ let prop_workload_flat_agrees_with_matrices seed =
       && List.rev !req = requesting)
     (List.init (Workload.num_objects w) Fun.id)
 
+(* The difference kernel against the edge-by-edge walks: random paths
+   (some with [u = v]) and Steiner sets (a single node, duplicates, and
+   sets of up to 80 entries to exercise the heapsort) recorded into one
+   array and read out once must give what folding [iter_path] and
+   [iter_steiner] over the same amounts gives. Shapes: random trees,
+   stars and caterpillars up to spine 60. *)
+let prop_diff_matches_walks seed =
+  let tree, _ = Helpers.shaped_instance seed in
+  let prng = Prng.create (seed + 41) in
+  let fl = Flat.of_tree tree in
+  let scratch = Flat.Scratch.create fl in
+  let n = Tree.n tree and m = max 1 (Tree.num_edges tree) in
+  let d = Array.make n 0 and want = Array.make m 0 in
+  let add a e = want.(e) <- want.(e) + a in
+  for _ = 1 to Prng.int_in prng 0 30 do
+    let u = Prng.int prng n in
+    let v = if Prng.int prng 5 = 0 then u else Prng.int prng n in
+    let a = Prng.int prng 10 in
+    Flat.Diff.path fl d u v a;
+    Flat.iter_path fl scratch u v (add a)
+  done;
+  for _ = 1 to Prng.int_in prng 0 8 do
+    let k =
+      if Prng.int prng 4 = 0 then Prng.int_in prng 7 40 else Prng.int_in prng 1 6
+    in
+    let nodes = List.init k (fun _ -> Prng.int prng n) in
+    let nodes = if Prng.int prng 3 = 0 then nodes @ nodes else nodes in
+    let a = Prng.int_in prng 1 9 in
+    let buf = Array.of_list nodes in
+    Flat.Diff.steiner fl d ~nodes:buf ~len:(Array.length buf) a;
+    Flat.iter_steiner fl scratch ~nodes:(fun mark -> List.iter mark nodes) (add a)
+  done;
+  let got = Array.make m 0 in
+  Flat.Diff.edges_into fl d ~dst:got;
+  got = want
+
 (* Mutation invalidates the flat cache. *)
 let test_flat_invalidated_on_write () =
   let tree = Hbn_tree.Builders.star ~leaves:4 ~profile:(Hbn_tree.Builders.Uniform 1) in
@@ -207,6 +243,8 @@ let suite =
       Helpers.seed_arb prop_subtree_sums_agree;
     Helpers.qt ~count:80 "nearest_into matches the pairwise nearest-copy scan"
       Helpers.seed_arb prop_nearest_into_agrees;
+    Helpers.qt ~count:120 "Diff kernel equals the path and Steiner walks"
+      Helpers.seed_arb prop_diff_matches_walks;
     Helpers.qt ~count:40 "shared scratch gives fresh-buffer answers"
       Helpers.seed_arb prop_scratch_reuse_deterministic;
     Helpers.qt ~count:60 "Workload.Flat rows agree with read/write matrices"

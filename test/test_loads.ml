@@ -30,6 +30,11 @@ let agrees w eng =
   Loads.edge_loads eng = scratch
   && Loads.congestion eng = (Placement.evaluate w snap).Placement.value
   && Placement.validate w snap = Ok ()
+  && List.for_all
+       (fun obj ->
+         Loads.object_edge_loads eng ~obj
+         = Placement.object_edge_loads w snap ~obj)
+       (List.init (Workload.num_objects w) Fun.id)
 
 (* One random delta; [None] when nothing applies. Only nearest-rule ops,
    so the snapshot must equal [Placement.nearest] of the copy sets. *)
@@ -116,8 +121,9 @@ let fold_of_copies w copies =
     copies;
   eng
 
-(* Everything observable, including every node's server: hidden state
-   ([below], [sdist]) that differs shows up after later deltas. *)
+(* Everything observable, including every node's server and every
+   object's own loads: hidden state ([below], [sdist]) that differs shows
+   up after later deltas. *)
 let same_engines w a b =
   let snapshot eng =
     try Ok (Loads.snapshot eng) with Invalid_argument m -> Error m
@@ -129,7 +135,8 @@ let same_engines w a b =
   && Attribution.equal (Attribution.of_loads a) (Attribution.of_loads b)
   && List.for_all
        (fun obj ->
-         Loads.copies a ~obj = Loads.copies b ~obj
+         Loads.object_edge_loads a ~obj = Loads.object_edge_loads b ~obj
+         && Loads.copies a ~obj = Loads.copies b ~obj
          && Loads.num_copies a ~obj = Loads.num_copies b ~obj
          && List.for_all
               (fun v -> Loads.server a ~obj v = Loads.server b ~obj v)
@@ -148,8 +155,12 @@ let bulk_copies ~prng w =
       match Prng.int prng 5 with 0 -> [] | 1 -> cs @ List.rev cs | _ -> cs)
     (initial_copies ~prng w)
 
+(* Odd seeds run on stars and caterpillars up to spine 60 as well, where
+   the bulk path loads of deep leaves span many edges. *)
 let prop_bulk_matches_fold seed =
-  let _, w = Helpers.instance seed in
+  let _, w =
+    if seed mod 2 = 0 then Helpers.instance seed else Helpers.shaped_instance seed
+  in
   let prng = Prng.create (seed + 211) in
   let copies = bulk_copies ~prng w in
   let bulk = Loads.of_copies w copies and fold = fold_of_copies w copies in

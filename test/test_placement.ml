@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Flat = Hbn_tree.Flat
 module Builders = Hbn_tree.Builders
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
@@ -306,6 +307,64 @@ let prop_full_replication_reads_free seed =
   in
   Array.for_all (fun l -> l <= kappa_total) (Placement.edge_loads w p)
 
+(* {2 The difference kernel against the component fold} *)
+
+(* The oracle: every elementary contribution that
+   [iter_object_load_components_scratch] reports, folded edge by edge. *)
+let component_fold w p =
+  let fl = Flat.of_tree (Workload.tree w) in
+  let scratch = Flat.Scratch.create fl in
+  let loads = Array.make (max 1 fl.Flat.m) 0 in
+  Array.iter
+    (fun op ->
+      Placement.iter_object_load_components_scratch fl scratch op
+        (fun e _ a -> loads.(e) <- loads.(e) + a))
+    p;
+  loads
+
+(* Nearest assignments over random copy sets on random trees, stars and
+   caterpillars up to spine 60: a single copy or several, inner nodes
+   among them, and a requesting leaf holding one so that some leaf is
+   its own server. Then, per object, its writes zeroed or its copy list
+   doubled into duplicates. *)
+let kernel_placement seed =
+  let tree, w = Helpers.shaped_instance seed in
+  let prng = Prng.create (seed + 61) in
+  let n = Tree.n tree in
+  let copies =
+    Array.init (Workload.num_objects w) (fun obj ->
+        let own =
+          match Workload.requesting_leaves w ~obj with
+          | [] -> [ Prng.int prng n ]
+          | req -> [ Prng.pick prng req ]
+        in
+        if Prng.int prng 3 = 0 then own
+        else own @ List.init (Prng.int_in prng 1 4) (fun _ -> Prng.int prng n))
+  in
+  let p =
+    Array.map
+      (fun op ->
+        match Prng.int prng 4 with
+        | 0 ->
+          { op with
+            Placement.assigns =
+              List.map
+                (fun a -> { a with Placement.writes = 0 })
+                op.Placement.assigns }
+        | 1 -> { op with Placement.copies = op.Placement.copies @ op.Placement.copies }
+        | _ -> op)
+      (Placement.nearest w ~copies)
+  in
+  (w, p)
+
+let prop_edge_loads_match_component_fold seed =
+  let w, p = kernel_placement seed in
+  Placement.edge_loads w p = component_fold w p
+  && List.for_all
+       (fun obj ->
+         Placement.object_edge_loads w p ~obj = component_fold w [| p.(obj) |])
+       (List.init (Array.length p) Fun.id)
+
 let suite =
   [
     Helpers.tc "hand-computed loads" test_hand_computed_loads;
@@ -321,6 +380,8 @@ let suite =
     Helpers.tc "path/steiner overlap double-counted"
       test_path_steiner_overlap_counted_twice;
     Helpers.qt "nearest placements validate" Helpers.seed_arb prop_nearest_valid;
+    Helpers.qt ~count:150 "edge_loads equals the fold of load components"
+      Helpers.seed_arb prop_edge_loads_match_component_fold;
     Helpers.qt ~count:300 "validate matches the all-nodes oracle when corrupted"
       Helpers.seed_arb prop_validate_matches_oracle;
     Helpers.qt "full replication loads bounded by contention" Helpers.seed_arb

@@ -16,6 +16,7 @@ module Online = Hbn_dynamic.Online
 module Epoch = Hbn_serve.Epoch
 module Drift = Hbn_serve.Drift
 module Serve = Hbn_serve.Serve
+module Loads = Hbn_loads.Loads
 
 let raises_invalid f =
   match f () with exception Invalid_argument _ -> true | _ -> false
@@ -314,6 +315,123 @@ let test_online_violation_shape () =
   Alcotest.(check bool) "workload run carries no violation" true
     (wout.Online.violation = None)
 
+(* Tracing a run changes nothing it computes, and every epoch shows up
+   as one [serve.epoch] span holding its phases and one turnaround
+   sample. *)
+let test_traced_epochs () =
+  let module Sink = Hbn_obs.Sink in
+  let untraced = run_kind Drift.Hotspot_migration in
+  let sink, read = Sink.memory () in
+  let traced =
+    Hbn_obs.Trace.with_sink sink (fun () -> run_kind Drift.Hotspot_migration)
+  in
+  Alcotest.(check bool) "same outcome traced" true
+    (fingerprint traced = fingerprint untraced);
+  let events = read () in
+  let span_ends name =
+    List.filter
+      (fun (e : Sink.event) ->
+        e.Sink.name = name
+        && match e.Sink.payload with Sink.Span_end _ -> true | _ -> false)
+      events
+  in
+  let epochs = span_ends "serve.epoch" in
+  let epoch_ids = List.map (fun (e : Sink.event) -> e.Sink.id) epochs in
+  let n = small_cfg.Serve.epochs in
+  Alcotest.(check int) "one span per epoch" n (List.length epochs);
+  List.iter
+    (fun (name, expected) ->
+      let spans = span_ends name in
+      Alcotest.(check int) (name ^ " count") expected (List.length spans);
+      List.iter
+        (fun (e : Sink.event) ->
+          Alcotest.(check bool) (name ^ " inside an epoch") true
+            (List.mem e.Sink.parent epoch_ids))
+        spans)
+    [
+      ("serve.epoch.engine", n);
+      ("serve.epoch.pricing", n);
+      ("serve.epoch.oracle", n);
+    ];
+  Alcotest.(check bool) "a climb span per re-optimization" true
+    (List.length (span_ends "serve.epoch.climb")
+    >= traced.Serve.reoptimized_epochs
+    && traced.Serve.reoptimized_epochs > 0);
+  let turnarounds =
+    List.filter_map
+      (fun (e : Sink.event) ->
+        match e.Sink.payload with
+        | Sink.Gauge { value } when e.Sink.name = "serve.epoch.turnaround_ms" ->
+          Some value
+        | _ -> None)
+      events
+  in
+  Alcotest.(check int) "one turnaround per epoch" n (List.length turnarounds);
+  Alcotest.(check bool) "turnarounds are durations" true
+    (List.for_all (fun v -> v >= 0.) turnarounds)
+
+(* -- hot-object ranking against the attribution oracle ----------------- *)
+
+(* A star whose leaves all read and write every object alike, one copy
+   per object on its own leaf: every leaf edge but the copies' carries
+   the same load, and objects tie on their totals. *)
+let symmetric_star seed =
+  let leaves = 3 + (seed mod 5) in
+  let tree = Builders.star ~leaves ~profile:(Builders.Uniform 1) in
+  let objects = 1 + (seed mod 4) in
+  let w = Workload.empty tree ~objects in
+  let ls = Tree.leaves_array tree in
+  for obj = 0 to objects - 1 do
+    Array.iter
+      (fun l ->
+        Workload.set_read w ~obj l 2;
+        Workload.set_write w ~obj l 1)
+      ls
+  done;
+  let copies =
+    Array.init objects (fun obj -> [ ls.(obj mod Array.length ls) ])
+  in
+  (w, copies)
+
+(* Random copy sets over all nodes: some objects copyless (requested or
+   not), some with one copy, some with several. *)
+let random_engine_copies ~prng w =
+  let n = Tree.n (Workload.tree w) in
+  Array.init (Workload.num_objects w) (fun _ ->
+      match Prng.int prng 4 with
+      | 0 -> []
+      | 1 -> [ Prng.int prng n ]
+      | _ -> List.init (Prng.int_in prng 2 4) (fun _ -> Prng.int prng n))
+
+let prop_hot_objects_match_attribution seed =
+  let w, copies =
+    if seed mod 3 = 0 then symmetric_star seed
+    else
+      let _, w = Helpers.shaped_instance seed in
+      (w, random_engine_copies ~prng:(Prng.create (seed + 17)) w)
+  in
+  let eng = Loads.of_copies w copies in
+  let ks = [ 1; 2; 3; Workload.num_objects w + 2 ] in
+  let same () =
+    List.for_all
+      (fun k -> Serve.hot_objects eng ~k = Serve_ref.hot_objects eng ~k)
+      ks
+  in
+  let prng = Prng.create (seed + 31) in
+  let steps k =
+    let ok = ref true in
+    for _ = 1 to k do
+      if Test_loads.random_nearest_delta ~prng w eng then ok := !ok && same ()
+    done;
+    !ok
+  in
+  let ok = same () in
+  let cp = Loads.checkpoint eng in
+  let ok = ok && steps 6 in
+  Loads.rollback eng cp;
+  let ok = ok && same () in
+  ok && steps 4
+
 let suite =
   [
     Helpers.qt ~count:200 "epoch decomposition" layout_slot_arb prop_decompose;
@@ -332,4 +450,7 @@ let suite =
     Helpers.tc "counter validation" test_counter_validation;
     Helpers.tc "monitor prefix qualifies alerts" test_monitor_prefix_qualifies_alerts;
     Helpers.tc "online violations are structured" test_online_violation_shape;
+    Helpers.tc "traced epochs: same outcome, one span each" test_traced_epochs;
+    Helpers.qt ~count:120 "hot objects match the attribution ranking"
+      Helpers.seed_arb prop_hot_objects_match_attribution;
   ]
