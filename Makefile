@@ -6,7 +6,7 @@
 # `ocamlformat --enable-outside-detected-project` matches the style.
 
 .PHONY: all build test check record bench-check bench-loads bench-parallel \
-	bench-micro clean
+	bench-micro loc clean
 
 all: build
 
@@ -52,6 +52,16 @@ bench-loads:
 # the JSON records the detected core count).
 bench-parallel:
 	dune exec bench/parallel.exe
+
+# Lines of OCaml (.ml and .mli) per top-level source directory and in
+# total; run it before and after a change to report the net line change.
+LOC_DIRS = lib bin bench test examples
+loc:
+	@total=0; for d in $(LOC_DIRS); do \
+	  n=$$(find $$d -path '*/_build' -prune -o \( -name '*.ml' -o -name '*.mli' \) \
+	    -type f -print | xargs cat | wc -l); \
+	  printf '%-9s %6d\n' $$d $$n; total=$$((total + n)); \
+	done; printf '%-9s %6d\n' total $$total
 
 clean:
 	dune clean

@@ -993,13 +993,12 @@ let e14 ~quick () =
       full_r := (Placement.congestion w res.Strategy.placement /. lb) :: !full_r;
       if lemma_bound res.Strategy.placement res.Strategy.tau_max then
         incr full_l45;
-      let naive = Hbn_core.Ablation.naive_nearest_leaf w in
+      let naive = Strategy.naive_nearest_leaf w in
       naive_r := (Placement.congestion w naive /. lb) :: !naive_r;
       if lemma_bound naive res.Strategy.tau_max then incr naive_l45;
-      match Hbn_core.Ablation.skip_deletion w with
-      | Hbn_core.Ablation.Mapped p ->
-        skip_r := (Placement.congestion w p /. lb) :: !skip_r
-      | Hbn_core.Ablation.Stuck _ -> incr skip_failures
+      match Strategy.skip_deletion w with
+      | Strategy.Mapped p -> skip_r := (Placement.congestion w p /. lb) :: !skip_r
+      | Strategy.Stuck _ -> incr skip_failures
     end
   done;
   let row name rs failures lemma =

@@ -89,6 +89,40 @@ let stage_object ~scratch w cs =
       outcome.Deletion.splits,
       outcome.Deletion.ids_used )
 
+(* Step 3 over staged copies: every object that still holds a bus copy
+   has its copies mapped to processors (only the bus copies unless
+   [move_leaf_copies]); the others keep their placement. Returns every
+   staged copy in object order, the mapped objects, and the
+   [Mapping.run] outcome ([Ok None] when nothing needed mapping). *)
+let map_stages ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
+    tree stages =
+  let all_copies =
+    Array.to_list stages
+    |> List.concat_map (function Copies cs -> cs | Unused | Read_only _ -> [])
+  in
+  let on_bus c = not (Tree.is_leaf tree c.Copy.node) in
+  let mapped_objects = ref [] in
+  let movable =
+    Array.to_list stages
+    |> List.mapi (fun obj stage -> (obj, stage))
+    |> List.concat_map (fun (obj, stage) ->
+           match stage with
+           | Copies cs when List.exists on_bus cs ->
+             mapped_objects := obj :: !mapped_objects;
+             if move_leaf_copies then cs else List.filter on_bus cs
+           | Unused | Read_only _ | Copies _ -> [])
+  in
+  let mapping =
+    match movable with
+    | [] -> Ok None
+    | _ :: _ ->
+      let basic_up, basic_down = Mapping.basic_loads tree all_copies in
+      Result.map Option.some
+        (Mapping.run ~verify ?on_round:on_mapping_round tree ~basic_up
+           ~basic_down ~movable)
+  in
+  (all_copies, List.rev !mapped_objects, mapping)
+
 let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
     ?(exec = Exec.sequential) w =
   let sp_run = Trace.span "strategy.run" in
@@ -166,49 +200,20 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
           ("deletions", Sink.Int !deletions);
           ("splits", Sink.Int !splits);
         ];
-  let all_copies =
-    Array.to_list stages
-    |> List.concat_map (function Copies cs -> cs | Unused | Read_only _ -> [])
-  in
-  let has_bus_copy cs =
-    List.exists (fun c -> not (Tree.is_leaf tree c.Copy.node)) cs
-  in
   let sp_mapping = Trace.span "strategy.mapping" in
-  let mapped_objects = ref [] in
-  let movable =
-    Array.to_list stages
-    |> List.mapi (fun obj stage -> (obj, stage))
-    |> List.concat_map (fun (obj, stage) ->
-           match stage with
-           | Unused | Read_only _ -> []
-           | Copies cs ->
-             if has_bus_copy cs then begin
-               mapped_objects := obj :: !mapped_objects;
-               if move_leaf_copies then cs
-               else
-                 List.filter
-                   (fun c -> not (Tree.is_leaf tree c.Copy.node))
-                   cs
-             end
-             else [])
-  in
-  let mapping =
-    match movable with
-    | [] -> None
-    | _ :: _ -> (
-      let basic_up, basic_down = Mapping.basic_loads tree all_copies in
-      match
-        Mapping.run ~verify ?on_round:on_mapping_round tree ~basic_up
-          ~basic_down ~movable
-      with
-      | Ok stats -> Some stats
-      | Error _ ->
-        (* Unreachable: Step 2 leaves every copy with s(c) >= κ_x, so the
-           corrected Invariant 4.2 holds initially and every round keeps
-           it (re-checked under [verify]); by Lemma 4.1 each bus then has
-           a free child edge for each copy it holds, so no copy gets
-           stuck or stays on a bus. *)
-        assert false)
+  let all_copies, mapped_objects, mapping =
+    match
+      map_stages ~move_leaf_copies ~verify ?on_mapping_round tree stages
+    with
+    | all_copies, mapped_objects, Ok mapping ->
+      (all_copies, mapped_objects, mapping)
+    | _, _, Error _ ->
+      (* Unreachable: Step 2 leaves every copy with s(c) >= κ_x, so the
+         corrected Invariant 4.2 holds initially and every round keeps
+         it (re-checked under [verify]); by Lemma 4.1 each bus then has
+         a free child edge for each copy it holds, so no copy gets
+         stuck or stays on a bus. *)
+      assert false
   in
   if Trace.enabled () then
     Trace.finish sp_mapping
@@ -220,7 +225,7 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
          in
          [
            ("tau_max", Sink.Int tau);
-           ("mapped_objects", Sink.Int (List.length !mapped_objects));
+           ("mapped_objects", Sink.Int (List.length mapped_objects));
            ("moves_up", Sink.Int up);
            ("moves_down", Sink.Int down);
          ]);
@@ -235,7 +240,7 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
       mapping;
       deletions = !deletions;
       splits = !splits;
-      mapped_objects = List.rev !mapped_objects;
+      mapped_objects;
       copies = all_copies;
     }
   in
@@ -270,3 +275,69 @@ let modified_placement ?exec w res =
 
 let congestion ?move_leaf_copies ?exec w =
   Placement.congestion ?exec w (run ?move_leaf_copies ?exec w).placement
+
+(* -- Ablations (experiment E14) ------------------------------------- *)
+
+(* Step 1 with Step 2 skipped: an object gets the stage [degenerate]
+   gives it, else one raw copy per nibble node, at [home node], serving
+   the node's groups; ids in sequence in object order. *)
+let raw_stages w ~degenerate ~home =
+  let next_id = ref 0 in
+  Array.map
+    (fun cs ->
+      match degenerate cs with
+      | Some stage -> stage
+      | None ->
+        let obj = cs.Nibble.obj in
+        let groups = Nibble.served_groups w cs in
+        let kappa = Workload.write_contention w ~obj in
+        Copies
+          (List.mapi
+             (fun i v ->
+               let id = !next_id in
+               incr next_id;
+               Copy.make ~id ~obj ~kappa ~node:(home v) groups.(i))
+             cs.Nibble.nodes))
+    (Nibble.place_all w)
+
+(* The first processor a BFS from [node] dequeues. *)
+let nearest_leaf tree node =
+  let seen = Array.make (Tree.n tree) false in
+  let queue = Queue.create () in
+  let visit v =
+    if not seen.(v) then begin
+      seen.(v) <- true;
+      Queue.add v queue
+    end
+  in
+  visit node;
+  let rec go () =
+    let v = Queue.pop queue in
+    if Tree.is_leaf tree v then v
+    else begin
+      Array.iter (fun (u, _) -> visit u) (Tree.neighbors tree v);
+      go ()
+    end
+  in
+  go ()
+
+let naive_nearest_leaf w =
+  placement_of_stages w ~node:(fun c -> c.Copy.node)
+    (raw_stages w ~home:(nearest_leaf (Workload.tree w)) ~degenerate:(fun cs ->
+         if cs.Nibble.nodes = [] then Some Unused else None))
+
+type skip_deletion_outcome = Mapped of Placement.t | Stuck of { node : int }
+
+let skip_deletion w =
+  let stages =
+    raw_stages w ~home:Fun.id ~degenerate:(fun cs ->
+        bypass w ~obj:cs.Nibble.obj)
+  in
+  match map_stages (Workload.tree w) stages with
+  | _, _, Ok _ ->
+    Mapped (placement_of_stages w ~node:(fun c -> c.Copy.node) stages)
+  | _, _, Error (Mapping.No_free_edge { node; _ }) -> Stuck { node }
+  | _, _, Error (Mapping.Invariant_violated _ | Mapping.Copy_on_bus _) ->
+    (* No [verify] here, and a run that finds a free edge for every
+       held copy ends with every copy on a processor. *)
+    assert false

@@ -97,3 +97,32 @@ val modified_placement :
 val congestion :
   ?move_leaf_copies:bool -> ?exec:Hbn_exec.Exec.t -> Workload.t -> float
 (** Congestion of [run w].placement — convenience wrapper. *)
+
+(** {1 Ablations}
+
+    DESIGN.md calls out two design decisions the analysis depends on; the
+    variants here remove them so experiment E14 can measure what breaks.
+    Both start from the Step 1 copy sets with Step 2 skipped: one copy per
+    nibble node, serving the requests {!Hbn_nibble.Nibble.served_groups}
+    routes to it, ids in sequence in object order. They then build their
+    placement with {!run}'s own Step 3 and placement code. *)
+
+val naive_nearest_leaf : Workload.t -> Placement.t
+(** Replaces the Step 3 load balancing by "move every bus copy to its
+    nearest processor": each copy goes to the first processor a BFS from
+    its node reaches (neighbours in {!Hbn_tree.Tree.neighbors} order),
+    requests following their copy. No object bypasses this, write-free
+    ones included. Leaf-only and valid, but a popular bus's processors
+    absorb every forwarded request, so the Lemma 4.5 per-edge bound and
+    the approximation guarantee are lost. *)
+
+type skip_deletion_outcome =
+  | Mapped of Placement.t  (** the mapping happened to succeed *)
+  | Stuck of { node : int }  (** no free child edge (Lemma 4.1 violated) *)
+
+val skip_deletion : Workload.t -> skip_deletion_outcome
+(** Step 1 then Step 3 with Step 2 removed (degenerate objects bypass as
+    in {!run}). Copies may then serve fewer than [κ_x] requests, which
+    invalidates the initialization of Invariant 4.2 ([Σ(s+κ) ≤ 2Σs] needs
+    [s ≥ κ]) and with it Lemma 4.1's free-edge guarantee: the downwards
+    phase can fail, and E14 reports how often it does. *)

@@ -56,14 +56,11 @@ let broadcast_rounds tree objects =
 
 let sweep_messages tree objects = objects * (Tree.n tree - 1)
 
-let nibble_rounds w =
-  let tree = Workload.tree w in
-  let objects = Workload.num_objects w in
-  let sets = Nibble.place_all w in
-  let per_object = Array.map (fun cs -> cs.Nibble.nodes) sets in
-  (* Two convergecasts (subtree weights; gravity-candidate election) and
-     two broadcasts (totals and contention; elected center), pipelined
-     over objects within each sweep, sweeps run back to back. *)
+(* The nibble's cost: two convergecasts (subtree weights;
+   gravity-candidate election) and two broadcasts (totals and contention;
+   elected center), pipelined over objects within each sweep, sweeps run
+   back to back. It depends on the tree and the object count only. *)
+let nibble_cost tree objects =
   let rounds =
     (2 * convergecast_rounds tree objects) + (2 * broadcast_rounds tree objects)
   in
@@ -85,14 +82,17 @@ let nibble_rounds w =
           ("max_node_work", Sink.Int max_node_work);
         ]
   end;
-  (per_object, { rounds; messages; max_node_work })
+  { rounds; messages; max_node_work }
 
-let strategy_rounds w =
+let nibble_rounds w =
+  let per_object = Array.map (fun cs -> cs.Nibble.nodes) (Nibble.place_all w) in
+  (per_object, nibble_cost (Workload.tree w) (Workload.num_objects w))
+
+(* The full pipeline's cost, read off one strategy run on [w]. *)
+let strategy_cost w res =
   let tree = Workload.tree w in
   let height = Tree.height tree in
-  let _, nibble_stats = nibble_rounds w in
-  let res = Strategy.run w in
-  let sets = Nibble.place_all w in
+  let nibble_stats = nibble_cost tree (Workload.num_objects w) in
   (* Deletion: one bottom-up wave per component, pipelined over objects;
      each deletion forwards the deleted copy's bookkeeping to the parent. *)
   let deletion_rounds =
@@ -102,7 +102,7 @@ let strategy_rounds w =
         (fun acc v -> max acc (Flat.distance fl cs.Nibble.gravity v))
         0 cs.Nibble.nodes
     in
-    Array.to_list sets
+    Array.to_list res.Strategy.nibble_sets
     |> List.mapi (fun x cs -> x + 1 + component_height cs)
     |> List.fold_left max 0
   in
@@ -142,7 +142,11 @@ let strategy_rounds w =
           ("max_node_work", Sink.Int stats.max_node_work);
         ]
   end;
-  (res.Strategy.placement, stats)
+  stats
+
+let strategy_rounds w =
+  let res = Strategy.run w in
+  (res.Strategy.placement, strategy_cost w res)
 
 type fault_report =
   | Recovered of {
@@ -178,16 +182,24 @@ let run_with_faults ?max_rounds ?timeout ?(faults = Faults.none) ?telemetry
           log;
         }
     | Dist_nibble.Complete { placement = sets; stats = nibble; log } ->
-      let seq = Nibble.place_all w in
-      if not (Array.for_all2 (fun got cs -> got = cs.Nibble.nodes) sets seq)
-      then
-        Degraded { reason = `Diverged; partial = sets; nibble; log }
+      let res = Strategy.run w in
+      if
+        not
+          (Array.for_all2
+             (fun got cs -> got = cs.Nibble.nodes)
+             sets res.Strategy.nibble_sets)
+      then Degraded { reason = `Diverged; partial = sets; nibble; log }
       else
         (* The recovered copy sets equal the pristine nibble's, so the
            remainder of the pipeline (deletion, mapping) proceeds exactly
            as in the fault-free emulation. *)
-        let placement, emulated = strategy_rounds w in
-        Recovered { placement; emulated; nibble; log }
+        Recovered
+          {
+            placement = res.Strategy.placement;
+            emulated = strategy_cost w res;
+            nibble;
+            log;
+          }
   in
   if Trace.enabled () then begin
     match report with

@@ -67,10 +67,11 @@ val run_with_faults :
   Workload.t ->
   fault_report
 (** Runs the hardened distributed nibble ({!Dist_nibble.run_robust})
-    under the plan and verifies the recovered copy sets against the
-    sequential {!Hbn_nibble.Nibble.place_all}. On agreement the rest of
-    the strategy proceeds as in the fault-free emulation and the report
-    is [Recovered] with the centralized placement; any other ending —
+    under the plan, then the sequential {!Hbn_core.Strategy.run} once,
+    and verifies the recovered copy sets against that run's Step 1 copy
+    sets. On agreement the rest of the strategy proceeds as in the
+    fault-free emulation and the report is [Recovered] with that run's
+    placement and its cost model; any other ending —
     round budget exhausted, permanently crashed node, or (would be a
     bug) divergence — is a structured [Degraded]. Never raises on
     faults. [telemetry] and [link] are passed through to the hardened

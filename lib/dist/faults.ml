@@ -68,8 +68,6 @@ let round_of_time time =
   let c = Float.ceil time in
   if c >= float_of_int max_int then max_int else int_of_float c
 
-let node_down_at p ~time ~node = node_down p ~round:(round_of_time time) ~node
-
 (* -- spec grammar -------------------------------------------------------- *)
 
 let parse_window clause s =

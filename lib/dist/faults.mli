@@ -105,15 +105,14 @@ val edge_cut : plan -> round:int -> edge:int -> bool
     send round; only the target-down check uses the message's arrival
     time. Plans keep their round-window semantics on that axis: a window
     [A..B] covers the half-open virtual-time interval [(A-1, B]], so
-    [round_of_time] is [ceil], integer times land in their own round, and
-    on the synchronous regime (all times integral) {!node_down_at} is
-    bit-identical to {!node_down}. *)
+    [round_of_time] is [ceil] and integer times land in their own round:
+    the target-down check at arrival time [t] is
+    [node_down p ~round:(round_of_time t)], which on the synchronous
+    regime (all times integral) is the check at the arrival round. *)
 
 val round_of_time : float -> int
 (** [ceil time] as a round number ([max_int] on overflow). Raises
     [Invalid_argument] on NaN or negative times. *)
-
-val node_down_at : plan -> time:float -> node:int -> bool
 
 (** {1 Rendering} *)
 

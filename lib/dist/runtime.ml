@@ -174,7 +174,9 @@ let run ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry
                 | Some p ->
                   Faults.edge_cut p ~round ~edge
                   || Faults.drops p ~round ~edge ~src:v
-                  || Faults.node_down_at p ~time:arrival ~node:target
+                  || Faults.node_down p
+                       ~round:(Faults.round_of_time arrival)
+                       ~node:target
               in
               if lost then begin
                 (match telemetry with

@@ -29,27 +29,8 @@ module Raw = struct
 
   let loads t = Array.copy t.loads
 
-  (* Same scan order and arithmetic as [Placement.congestion_of_edge_loads]
-     so the float results are bit-identical — the hill climb's accept
-     decisions must not depend on which evaluator ran. *)
   let congestion_value t =
-    let tree = t.tree in
-    let best = ref 0. in
-    for e = 0 to Tree.num_edges tree - 1 do
-      let rel =
-        float_of_int t.loads.(e) /. float_of_int (Tree.edge_bandwidth tree e)
-      in
-      if rel > !best then best := rel
-    done;
-    Array.iter
-      (fun b ->
-        let rel =
-          float_of_int t.bus_loads2.(b)
-          /. (2. *. float_of_int (Tree.bus_bandwidth tree b))
-        in
-        if rel > !best then best := rel)
-      (Tree.buses_array tree);
-    !best
+    Placement.max_relative t.tree ~edge_loads:t.loads ~bus_loads2:t.bus_loads2
 end
 
 (* Undo-journal entries. [moved] records, per reassigned leaf, the server

@@ -46,9 +46,11 @@ module Raw : sig
   (** A fresh copy of the per-edge loads. *)
 
   val congestion_value : t -> float
-  (** Maximum relative load over edges and buses — bit-identical to
-      [Placement.congestion_of_edge_loads] on {!loads}, without
-      allocating. O(n). *)
+  (** Maximum relative load over edges and buses:
+      [Placement.max_relative] on the maintained edge and doubled bus
+      loads, so bit-identical to [Placement.congestion_of_edge_loads] on
+      {!loads} (same scan order, first maximum wins), without allocating
+      per site. O(n). *)
 end
 
 type t

@@ -15,6 +15,7 @@ type t = {
          sum. Packing the pair into an immediate int keeps [record] — the
          hottest call — free of tuple allocation and structural hashing. *)
   totals : int array;  (* index = edge; sum of the edge's cells *)
+  cong : Placement.congestion;  (* of [totals]: bus loads, ratings *)
 }
 
 type contribution = {
@@ -35,62 +36,59 @@ let component_of_rank = function
 
 let cell_key ~obj ~component = (obj * 3) + component_rank component
 
-let create tree =
-  {
-    tree;
-    cells = Array.init (Tree.num_edges tree) (fun _ -> Hashtbl.create 8);
-    totals = Array.make (Tree.num_edges tree) 0;
-  }
-
-let record t ~obj ~component ~edge ~amount =
-  if amount <> 0 then begin
-    t.totals.(edge) <- t.totals.(edge) + amount;
-    let tbl = t.cells.(edge) in
-    let key = cell_key ~obj ~component in
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r := !r + amount
-    | None -> Hashtbl.add tbl key (ref amount)
-  end
+(* A table of the contributions [fill] reports through the recorder it
+   is given, with a flat index and scratch for its path walks. *)
+let build tree fill =
+  let fl = Flat.of_tree tree in
+  let cells = Array.init (Tree.num_edges tree) (fun _ -> Hashtbl.create 8) in
+  let totals = Array.make (Tree.num_edges tree) 0 in
+  fill fl (Flat.Scratch.create fl) (fun ~obj ~component ~edge ~amount ->
+      if amount <> 0 then begin
+        totals.(edge) <- totals.(edge) + amount;
+        let tbl = cells.(edge) in
+        let key = cell_key ~obj ~component in
+        match Hashtbl.find_opt tbl key with
+        | Some r -> r := !r + amount
+        | None -> Hashtbl.add tbl key (ref amount)
+      end);
+  { tree; cells; totals; cong = Placement.congestion_of_edge_loads tree totals }
 
 let of_placement w p =
-  let t = create (Workload.tree w) in
-  let fl = Flat.of_tree t.tree in
-  let scratch = Flat.Scratch.create fl in
-  Array.iteri
-    (fun obj op ->
-      Placement.iter_object_load_components_scratch fl scratch op
-        (fun edge component amount -> record t ~obj ~component ~edge ~amount))
-    p;
-  t
+  build (Workload.tree w) (fun fl scratch record ->
+      Array.iteri
+        (fun obj op ->
+          Placement.iter_object_load_components_scratch fl scratch op
+            (fun edge component amount -> record ~obj ~component ~edge ~amount))
+        p)
 
 let of_loads eng =
   let w = Loads.workload eng in
-  let t = create (Workload.tree w) in
-  let fl = Flat.of_tree t.tree in
-  let scratch = Flat.Scratch.create fl in
   let wf = Workload.flat w in
-  for obj = 0 to Workload.num_objects w - 1 do
-    if Loads.num_copies eng ~obj > 0 then begin
-      Workload.Flat.iter_requesting wf ~obj (fun leaf ->
-          match Loads.server eng ~obj leaf with
-          | None -> ()
-          | Some server ->
-            if leaf <> server then begin
-              let rd = Workload.reads w ~obj leaf in
-              let wr = Workload.writes w ~obj leaf in
-              Flat.iter_path fl scratch leaf server (fun edge ->
-                  record t ~obj ~component:Placement.Read_path ~edge ~amount:rd;
-                  record t ~obj ~component:Placement.Write_path ~edge ~amount:wr)
-            end);
-      let kappa = Workload.Flat.kappa wf ~obj in
-      if kappa > 0 then
-        Flat.iter_steiner fl scratch
-          ~nodes:(fun mark -> List.iter mark (Loads.copies eng ~obj))
-          (fun edge ->
-            record t ~obj ~component:Placement.Write_steiner ~edge ~amount:kappa)
-    end
-  done;
-  t
+  build (Workload.tree w) (fun fl scratch record ->
+      for obj = 0 to Workload.num_objects w - 1 do
+        if Loads.num_copies eng ~obj > 0 then begin
+          Workload.Flat.iter_requesting wf ~obj (fun leaf ->
+              match Loads.server eng ~obj leaf with
+              | None -> ()
+              | Some server ->
+                if leaf <> server then begin
+                  let rd = Workload.reads w ~obj leaf in
+                  let wr = Workload.writes w ~obj leaf in
+                  Flat.iter_path fl scratch leaf server (fun edge ->
+                      record ~obj ~component:Placement.Read_path ~edge
+                        ~amount:rd;
+                      record ~obj ~component:Placement.Write_path ~edge
+                        ~amount:wr)
+                end);
+          let kappa = Workload.Flat.kappa wf ~obj in
+          if kappa > 0 then
+            Flat.iter_steiner fl scratch
+              ~nodes:(fun mark -> List.iter mark (Loads.copies eng ~obj))
+              (fun edge ->
+                record ~obj ~component:Placement.Write_steiner ~edge
+                  ~amount:kappa)
+        end
+      done)
 
 let attach = of_loads
 
@@ -115,56 +113,31 @@ let contributions_of_table tbl =
 
 let edge_contributions t ~edge = contributions_of_table t.cells.(edge)
 
-let incident_edges t bus =
-  Array.to_list (Array.map snd (Tree.neighbors t.tree bus))
-
 let bus_total2 t ~bus =
   if Tree.is_leaf t.tree bus then
     invalid_arg "Attribution.bus_total2: not a bus";
-  List.fold_left (fun s e -> s + t.totals.(e)) 0 (incident_edges t bus)
+  t.cong.Placement.bus_loads2.(bus)
 
 let bus_contributions t ~bus =
   if Tree.is_leaf t.tree bus then
     invalid_arg "Attribution.bus_contributions: not a bus";
   let merged = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
+  Array.iter
+    (fun (_, e) ->
       Hashtbl.iter
         (fun key r ->
           match Hashtbl.find_opt merged key with
           | Some m -> m := !m + !r
           | None -> Hashtbl.add merged key (ref !r))
         t.cells.(e))
-    (incident_edges t bus);
+    (Tree.neighbors t.tree bus);
   contributions_of_table merged
 
-type site = [ `Edge of int | `Bus of int ]
+type site = Placement.site
 
-(* Relative load: edge total over edge bandwidth, or [bus_total2] over
-   twice the bus bandwidth. These are the same float expressions as
-   Placement.congestion_of_edge_loads, so the maximum over sites is
-   bit-identical to the evaluator's value. *)
-let site_relative t = function
-  | `Edge e ->
-    float_of_int t.totals.(e) /. float_of_int (Tree.edge_bandwidth t.tree e)
-  | `Bus b ->
-    float_of_int (bus_total2 t ~bus:b)
-    /. (2. *. float_of_int (Tree.bus_bandwidth t.tree b))
+let hotspots t ~k = Placement.rank_sites t.tree t.cong ~k
 
-let all_sites t =
-  List.init (Array.length t.totals) (fun e -> `Edge e)
-  @ List.map (fun b -> `Bus b) (Tree.buses t.tree)
-
-let hotspots t ~k =
-  (* The site list is already in the evaluator's scan order (edges by id,
-     then buses by id); a stable sort on relative load alone therefore
-     breaks ties exactly like its strict-maximum argmax. *)
-  let rated = List.map (fun s -> (s, site_relative t s)) (all_sites t) in
-  let sorted = List.stable_sort (fun (_, a) (_, b) -> compare b a) rated in
-  List.filteri (fun i _ -> i < k) sorted
-
-let congestion_value t =
-  match hotspots t ~k:1 with [] -> 0. | (_, rel) :: _ -> rel
+let congestion_value t = t.cong.Placement.value
 
 let canonical_cells tbl =
   Hashtbl.fold (fun key r acc -> ((key / 3, key mod 3), !r) :: acc) tbl []
@@ -194,12 +167,7 @@ let json_contributions buf contribs =
     contribs;
   Buffer.add_char buf ']'
 
-let to_json ?k t =
-  let k =
-    match k with
-    | Some k -> k
-    | None -> Array.length t.totals + List.length (Tree.buses t.tree)
-  in
+let to_json ?(k = max_int) t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf {|{"schema":"hbn.explain/v1","congestion":|};
   Json.float_to_string buf (congestion_value t);
@@ -239,7 +207,10 @@ let heat_color ratio =
 
 let to_dot t =
   let top = congestion_value t in
-  let ratio_of rel = if top > 0. then rel /. top else 0. in
+  let relative = Hashtbl.of_seq (List.to_seq (hotspots t ~k:max_int)) in
+  let ratio_of site =
+    if top > 0. then Hashtbl.find relative site /. top else 0.
+  in
   let buf = Buffer.create 512 in
   Buffer.add_string buf "graph hbn_attribution {\n";
   for v = 0 to Tree.n t.tree - 1 do
@@ -251,12 +222,12 @@ let to_dot t =
         (Printf.sprintf
            "  n%d [shape=box,style=filled,fillcolor=\"%s\",label=\"bus %d\"];\n"
            v
-           (heat_color (ratio_of (site_relative t (`Bus v))))
+           (heat_color (ratio_of (`Bus v)))
            v)
   done;
   for e = 0 to Array.length t.totals - 1 do
     let u, v = Tree.edge_endpoints t.tree e in
-    let ratio = ratio_of (site_relative t (`Edge e)) in
+    let ratio = ratio_of (`Edge e) in
     Buffer.add_string buf
       (Printf.sprintf
          "  n%d -- n%d [label=\"%d\",color=\"%s\",penwidth=%.2f];\n" u v

@@ -23,10 +23,14 @@
     [Placement.congestion], and summing {!edge_contributions} per edge
     reproduces {!edge_total} exactly.
 
-    Two consumers read tables: [hbn_cli explain], which renders them
-    ({!to_json}, {!to_dot} or a text table), and the serving tier, which
-    picks the objects to re-optimize from {!of_loads}'s {!hotspots}.
-    Traces carry no attribution cells. *)
+    Sites are rated by [Placement.rank_sites] on one
+    [Placement.congestion] of the totals, the evaluator's own scan, so
+    hotspots, bus totals and the congestion value cannot drift from it.
+
+    [hbn_cli explain] reads tables and renders them ({!to_json},
+    {!to_dot} or a text table); the serving tier ranks its hot objects
+    from the load engine and builds no table. Traces carry no
+    attribution cells. *)
 
 module Tree = Hbn_tree.Tree
 module Workload = Hbn_workload.Workload
@@ -74,7 +78,7 @@ val edge_contributions : t -> edge:int -> contribution list
 val bus_total2 : t -> bus:int -> int
 (** Twice the bus's absolute load: the sum of its incident edges' totals
     (the paper defines bus load as half that sum; doubling keeps it
-    integral, mirroring [Placement.congestion.bus_loads2]). *)
+    integral), read from the table's [Placement.congestion.bus_loads2]. *)
 
 val bus_contributions : t -> bus:int -> contribution list
 (** Contributions summed over the bus's incident edges, in the same
@@ -83,12 +87,12 @@ val bus_contributions : t -> bus:int -> contribution list
 
 (** {1 Hotspots} *)
 
-type site = [ `Edge of int | `Bus of int ]
+type site = Placement.site
 
 val hotspots : t -> k:int -> (site * float) list
-(** The [k] hottest sites, relative load descending; ties order edges
-    before buses and lower ids first, matching the evaluator's argmax
-    (so the head is its [bottleneck]). *)
+(** The [k] hottest sites, relative load descending
+    ([Placement.rank_sites]): ties order edges before buses and lower ids
+    first, so the head is the evaluator's [bottleneck]. *)
 
 val congestion_value : t -> float
 (** The congestion of the attributed state — bit-identical to

@@ -288,12 +288,57 @@ let edge_loads ?(exec = Exec.sequential) w t =
   Flat.Diff.edges_into fl d ~dst:loads;
   loads
 
+type site = [ `Edge of int | `Bus of int ]
+
 type congestion = {
   value : float;
   edge_loads : int array;
   bus_loads2 : int array;
-  bottleneck : [ `Edge of int | `Bus of int ];
+  bottleneck : site;
 }
+
+(* Every rating reads the sites in one scan order: edge [e] at position
+   [e], then the [i]-th bus of [Tree.buses] at [num_edges + i]. A bus's
+   relative load is its doubled load over twice its bandwidth. *)
+let[@inline] relative tree ~edge_loads ~bus_loads2 i =
+  let m = Tree.num_edges tree in
+  if i < m then
+    float_of_int edge_loads.(i) /. float_of_int (Tree.edge_bandwidth tree i)
+  else
+    let b = (Tree.buses_array tree).(i - m) in
+    float_of_int bus_loads2.(b)
+    /. (2. *. float_of_int (Tree.bus_bandwidth tree b))
+
+let num_sites tree = Tree.num_edges tree + Array.length (Tree.buses_array tree)
+
+let site_at tree i =
+  let m = Tree.num_edges tree in
+  if i < m then `Edge i else `Bus (Tree.buses_array tree).(i - m)
+
+(* The position of the first site with the maximum relative load (strict
+   [>]), or -1 when no site is loaded. Allocates nothing. *)
+let hottest tree ~edge_loads ~bus_loads2 =
+  let best = ref 0. and arg = ref (-1) in
+  for i = 0 to num_sites tree - 1 do
+    let rel = relative tree ~edge_loads ~bus_loads2 i in
+    if rel > !best then begin
+      best := rel;
+      arg := i
+    end
+  done;
+  !arg
+
+let max_relative tree ~edge_loads ~bus_loads2 =
+  match hottest tree ~edge_loads ~bus_loads2 with
+  | -1 -> 0.
+  | i -> relative tree ~edge_loads ~bus_loads2 i
+
+let rank_sites tree c ~k =
+  let edge_loads = c.edge_loads and bus_loads2 = c.bus_loads2 in
+  List.init (num_sites tree) (fun i ->
+      (site_at tree i, relative tree ~edge_loads ~bus_loads2 i))
+  |> List.stable_sort (fun (_, a) (_, b) -> compare b a)
+  |> List.filteri (fun i _ -> i < k)
 
 let congestion_of_edge_loads tree loads =
   let bus_loads2 = Array.make (Tree.n tree) 0 in
@@ -304,26 +349,12 @@ let congestion_of_edge_loads tree loads =
     if not (Tree.is_leaf tree v) then
       bus_loads2.(v) <- bus_loads2.(v) + loads.(e)
   done;
-  let best = ref 0. and arg = ref (`Edge 0) in
-  for e = 0 to Tree.num_edges tree - 1 do
-    let rel = float_of_int loads.(e) /. float_of_int (Tree.edge_bandwidth tree e) in
-    if rel > !best then begin
-      best := rel;
-      arg := `Edge e
-    end
-  done;
-  List.iter
-    (fun b ->
-      let rel =
-        float_of_int bus_loads2.(b)
-        /. (2. *. float_of_int (Tree.bus_bandwidth tree b))
-      in
-      if rel > !best then begin
-        best := rel;
-        arg := `Bus b
-      end)
-    (Tree.buses tree);
-  { value = !best; edge_loads = loads; bus_loads2; bottleneck = !arg }
+  let value, bottleneck =
+    match hottest tree ~edge_loads:loads ~bus_loads2 with
+    | -1 -> (0., `Edge 0)
+    | i -> (relative tree ~edge_loads:loads ~bus_loads2 i, site_at tree i)
+  in
+  { value; edge_loads = loads; bus_loads2; bottleneck }
 
 let evaluate ?exec w t =
   congestion_of_edge_loads (Workload.tree w) (edge_loads ?exec w t)

@@ -77,11 +77,16 @@ val validate : Workload.t -> t -> (unit, string) result
 
 (** {1 Loads and congestion} *)
 
+(** A site is an edge or a bus: the places congestion rates. *)
+type site = [ `Edge of int | `Bus of int ]
+
 type congestion = {
   value : float;  (** the congestion [C] *)
   edge_loads : int array;  (** absolute load per edge *)
   bus_loads2 : int array;  (** per node, twice the bus load (integral) *)
-  bottleneck : [ `Edge of int | `Bus of int ];
+  bottleneck : site;
+      (** the first site in scan order ({!max_relative}) whose relative
+          load is [value]; [`Edge 0] when nothing is loaded *)
 }
 
 val edge_loads : ?exec:Hbn_exec.Exec.t -> Workload.t -> t -> int array
@@ -140,7 +145,30 @@ val total_load : Workload.t -> t -> int
 
 val congestion_of_edge_loads : Tree.t -> int array -> congestion
 (** Recomputes bus loads and congestion from raw edge loads (used by the
-    exact solver which manipulates edge-load vectors directly). *)
+    exact solver which manipulates edge-load vectors directly). Value and
+    bottleneck come from the {!max_relative} scan. *)
+
+(** {1 Rating sites}
+
+    Every congestion figure in the library — {!evaluate}, the load
+    engine's [Hbn_loads.Loads.congestion], attribution tables and the
+    serving tier's hot-object ranking — rates sites here, so they agree
+    bit for bit. An edge's relative load is its load over its bandwidth;
+    a bus's is its doubled load over twice its bandwidth. Sites are read
+    in one scan order: edges by id, then buses in [Tree.buses] order. *)
+
+val max_relative :
+  Tree.t -> edge_loads:int array -> bus_loads2:int array -> float
+(** The congestion of an edge-load array and the doubled bus loads that
+    go with it: the maximum relative load over the sites in scan order,
+    strict [>] so the first maximum wins (0 when nothing is loaded).
+    O(n); allocates nothing but its result, so hill climbs can price
+    every proposal with it. *)
+
+val rank_sites : Tree.t -> congestion -> k:int -> (site * float) list
+(** The [k] sites with the highest relative load, with that load: a
+    stable sort of the scan order, so ties keep edges before buses and
+    lower ids first, and the head is [bottleneck] with [value]. *)
 
 val to_dot : Tree.t -> t -> string
 (** Graphviz rendering of the network with each processor labeled by the

@@ -113,32 +113,19 @@ let bootstrap w copies =
   done
 
 (* The hot objects: each object's load summed over the [2k] hottest
-   sites, largest total first (ties: lower object id), objects with
-   nothing there dropped. Sites are rated with
-   [Placement.congestion_of_edge_loads]'s float expressions, edges by id
-   then buses by id, and the stable sort keeps that order among equal
-   ratings. A bus counts the load of its incident edges, so an edge that
-   is hot itself and next to a hot bus counts twice. *)
+   sites ([Placement.rank_sites]), largest total first (ties: lower
+   object id), objects with nothing there dropped. A bus counts the load
+   of its incident edges, so an edge that is hot itself and next to a
+   hot bus counts twice. *)
 let hot_objects eng ~k =
   let w = Loads.workload eng in
   let tree = Workload.tree w in
   let c = Placement.congestion_of_edge_loads tree (Loads.edge_loads eng) in
-  let rated =
-    List.init (Tree.num_edges tree) (fun e ->
-        ( [ e ],
-          float_of_int c.Placement.edge_loads.(e)
-          /. float_of_int (Tree.edge_bandwidth tree e) ))
-    @ List.map
-        (fun b ->
-          ( Array.to_list (Array.map snd (Tree.neighbors tree b)),
-            float_of_int c.Placement.bus_loads2.(b)
-            /. (2. *. float_of_int (Tree.bus_bandwidth tree b)) ))
-        (Tree.buses tree)
-  in
   let hot_edges =
-    List.stable_sort (fun (_, a) (_, b) -> compare b a) rated
-    |> List.filteri (fun i _ -> i < 2 * k)
-    |> List.concat_map fst
+    Placement.rank_sites tree c ~k:(2 * k)
+    |> List.concat_map (function
+         | `Edge e, _ -> [ e ]
+         | `Bus b, _ -> Array.to_list (Array.map snd (Tree.neighbors tree b)))
   in
   List.init (Workload.num_objects w) (fun obj ->
       let loads = Loads.object_edge_loads eng ~obj in

@@ -122,8 +122,8 @@ val hot_objects : Hbn_loads.Loads.t -> k:int -> int array
     over the [2k] sites (edges and buses) with the highest relative load,
     at most [k] of them, largest total first, ties to the lower id;
     objects with nothing on those sites are left out. Sites are ranked
-    as [Hbn_placement.Placement.congestion_of_edge_loads] rates them,
-    ties in its scan order (edges by id, then buses by id). A bus counts
+    by [Hbn_placement.Placement.rank_sites], ties in the evaluator's scan
+    order (edges by id, then buses by id). A bus counts
     its incident edges, so an edge that is hot itself and next to a hot
     bus counts twice. Each object's per-edge load comes from
     {!Hbn_loads.Loads.object_edge_loads}: O(objects · n) in all. *)

@@ -1,7 +1,16 @@
+(* Reference oracle for the strategy's ablations: the hand-written
+   pipeline experiment E14 ran before the variants moved into Strategy.
+   It builds its own raw stages, bypass, Step 3 call and placements, and
+   finds each bus copy's nearest processor by BFS. The tests check that
+   [Strategy.naive_nearest_leaf] and [Strategy.skip_deletion] return
+   exactly what these return. *)
+
 module Tree = Hbn_tree.Tree
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Nibble = Hbn_nibble.Nibble
+module Copy = Hbn_core.Copy
+module Mapping = Hbn_core.Mapping
 
 let nearest_leaf tree node =
   if Tree.is_leaf tree node then node

@@ -146,6 +146,81 @@ let test_renderings () =
     && String.sub dot 0 (String.length "graph hbn_attribution")
        = "graph hbn_attribution")
 
+(* Tie-heavy instances for the one site-rating scan: symmetric stars
+   with equal bandwidths (every edge ties; with 2b leaves and bus
+   bandwidth b, symmetric loads also tie each edge with the bus), a
+   workload with no requests (every site at 0), and a one-processor tree
+   with no sites at all. Copy sets are every leaf, one leaf, or a random
+   leaf set. *)
+let tie_instance seed =
+  let prng = Prng.create (seed + 2718) in
+  let symmetric tree ~objects =
+    let w = Workload.empty tree ~objects in
+    for obj = 0 to objects - 1 do
+      let rd = Prng.int prng 4 and wr = Prng.int prng 3 in
+      Array.iter
+        (fun leaf ->
+          Workload.set_read w ~obj leaf rd;
+          Workload.set_write w ~obj leaf wr)
+        (Tree.leaves_array tree)
+    done;
+    w
+  in
+  let w =
+    match Prng.int prng 4 with
+    | 0 ->
+      let b = Prng.int_in prng 1 4 in
+      symmetric (Hbn_tree.Builders.star ~leaves:(2 * b) ~profile:(Uniform b))
+        ~objects:(Prng.int_in prng 1 3)
+    | 1 ->
+      symmetric
+        (Hbn_tree.Builders.star ~leaves:(Prng.int_in prng 2 9)
+           ~profile:(Uniform (Prng.int_in prng 1 3)))
+        ~objects:(Prng.int_in prng 1 3)
+    | 2 ->
+      let tree, _ = Helpers.instance seed in
+      Workload.empty tree ~objects:(Prng.int_in prng 1 3)
+    | _ ->
+      let tree =
+        Tree.make ~kinds:[| Tree.Processor |] ~edges:[]
+          ~bus_bandwidth:(fun _ -> 1) ()
+      in
+      let w = Workload.empty tree ~objects:2 in
+      Workload.set_read w ~obj:0 0 (Prng.int prng 5);
+      Workload.set_write w ~obj:1 0 (Prng.int prng 5);
+      w
+  in
+  let leaves = Array.to_list (Tree.leaves_array (Workload.tree w)) in
+  let copies =
+    Array.init (Workload.num_objects w) (fun _ ->
+        match Prng.int prng 3 with
+        | 0 -> leaves
+        | 1 -> [ Prng.pick prng leaves ]
+        | _ ->
+          List.sort_uniq compare
+            (Prng.pick prng leaves
+            :: List.filter (fun _ -> Prng.bool prng) leaves))
+  in
+  (w, copies)
+
+(* The evaluator's bottleneck heads the shared ranking, and every
+   congestion figure agrees exactly on the same copy sets. *)
+let prop_ties_rate_alike seed =
+  let w, copies = tie_instance seed in
+  let tree = Workload.tree w in
+  let p = Placement.nearest w ~copies in
+  let c = Placement.evaluate w p in
+  let head =
+    match Placement.rank_sites tree c ~k:1 with
+    | [] -> (`Edge 0, 0.)
+    | site :: _ -> site
+  in
+  head = (c.Placement.bottleneck, c.Placement.value)
+  && Loads.congestion (Loads.of_copies w copies) = c.Placement.value
+  && Attribution.congestion_value (Attribution.of_placement w p)
+     = c.Placement.value
+  && Placement.congestion w p = c.Placement.value
+
 let suite =
   [
     Helpers.qt ~count:60 "sums reproduce the evaluator exactly"
@@ -155,4 +230,6 @@ let suite =
     Helpers.qt ~count:25 "attribution bit-identical at jobs 1/2/4"
       Helpers.seed_arb prop_attribution_invariant_across_jobs;
     Helpers.tc "json and dot renderings" test_renderings;
+    Helpers.qt ~count:200 "ties rate alike in every evaluator"
+      Helpers.seed_arb prop_ties_rate_alike;
   ]

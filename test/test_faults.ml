@@ -163,17 +163,15 @@ let test_time_queries_match_round_queries () =
     | Ok p -> p
     | Error e -> Alcotest.failf "of_spec: %s" e
   in
+  let down_at t = Faults.node_down p ~round:(Faults.round_of_time t) ~node:2 in
   Alcotest.(check (list bool))
     "crash window 5..8 on the time axis"
     [ false; true; true; true; false ]
-    (List.map
-       (fun t -> Faults.node_down_at p ~time:t ~node:2)
-       [ 4.0; 4.01; 5.0; 8.0; 8.5 ]);
+    (List.map down_at [ 4.0; 4.01; 5.0; 8.0; 8.5 ]);
   for r = 1 to 25 do
-    let t = float_of_int r in
-    Alcotest.(check bool) "node_down_at = node_down at integer times"
+    Alcotest.(check bool) "time query = round query at integer times"
       (Faults.node_down p ~round:r ~node:2)
-      (Faults.node_down_at p ~time:t ~node:2)
+      (down_at (float_of_int r))
   done
 
 let test_windows_inclusive () =
