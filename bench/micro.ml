@@ -32,19 +32,25 @@ let instance () =
 (* B4's instance at scale 8 never builds a backlog, so its cost is the
    hop builder's. B5 is the e2e simulate workload's shape: many objects at
    low rates on a 3-ary height-4 tree at scale 2, where thousands of hops
-   wait per tick and the scheduler's scan dominates. *)
+   wait per tick. The scheduler touches only the hops it can serve plus
+   one refused head per edge list, so the Fifo and Reversed rows cost
+   about the same; the Round_robin row adds its per-tick walk over every
+   waiting hop, which ranks them from the cut. *)
 let backlog_instance () =
   let prng = Prng.create 4242 in
   let tree = Builders.balanced ~arity:3 ~height:4 ~profile:(Builders.Uniform 2) in
   let w = Generators.uniform ~prng tree ~objects:48 ~max_rate:2 in
   (w, (Strategy.run w).Strategy.placement)
 
+let backlog_policies =
+  [ ("fifo", Sim.Fifo); ("reversed", Sim.Reversed); ("round_robin", Sim.Round_robin) ]
+
 let tests =
   let w = instance () in
   let placement = (Strategy.run w).Strategy.placement in
   let backlog_w, backlog_placement = backlog_instance () in
   Test.make_grouped ~name:"hbn"
-    [
+    ([
       Test.make ~name:"B1 nibble placement"
         (Staged.stage (fun () -> ignore (Nibble.placement w)));
       Test.make ~name:"B2 full strategy"
@@ -53,10 +59,14 @@ let tests =
         (Staged.stage (fun () -> ignore (Placement.evaluate w placement)));
       Test.make ~name:"B4 packet simulation (scale 8)"
         (Staged.stage (fun () -> ignore (Sim.run ~scale:8 w placement)));
-      Test.make ~name:"B5 packet simulation (backlog)"
-        (Staged.stage (fun () ->
-             ignore (Sim.run ~scale:2 backlog_w backlog_placement)));
     ]
+    @ List.map
+        (fun (pname, policy) ->
+          Test.make
+            ~name:(Printf.sprintf "B5 packet simulation (backlog, %s)" pname)
+            (Staged.stage (fun () ->
+                 ignore (Sim.run ~scale:2 ~policy backlog_w backlog_placement))))
+        backlog_policies)
 
 (* The flat-kernel instance is bigger than B1-B5's: primitive costs only
    separate from loop overhead on a few hundred nodes. The leaf pairs,
@@ -336,3 +346,23 @@ let smoke_flat () =
     (Array.length hops)
     (Array.length steiner_sets)
     (Array.length steiner_sets)
+
+(* B5's rows must do the same work: every policy delivers the same hops,
+   only in another order. *)
+let smoke_sim () =
+  let w, placement = backlog_instance () in
+  let counts =
+    List.map
+      (fun (_, policy) -> (Sim.run ~scale:2 ~policy w placement).Sim.transmissions)
+      backlog_policies
+  in
+  match counts with
+  | c :: rest when List.for_all (( = ) c) rest ->
+    Printf.printf
+      "bench/micro --smoke: B5's %d policies deliver the same %d transmissions\n"
+      (List.length counts) c
+  | _ ->
+    prerr_endline
+      ("bench/micro --smoke: B5 transmissions differ by policy: "
+      ^ String.concat "/" (List.map string_of_int counts));
+    exit 1

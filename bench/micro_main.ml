@@ -6,9 +6,13 @@
    primitives (path folds, batched LCA, Steiner scans with a reused and a
    fresh scratch, next hops, nearest-copy sweeps, a load build by walks
    and by endpoint differences). [--smoke] skips timing and instead cross-checks the
-   flat kernels against each other on the bench instances — the cheap
-   gate `dune runtest` runs (see bench/dune). *)
+   flat kernels against each other on the bench instances, and checks
+   that B5's three policy rows deliver the same transmissions — the
+   cheap gate `dune runtest` runs (see bench/dune). *)
 
 let () =
-  if Array.exists (( = ) "--smoke") Sys.argv then Micro.smoke_flat ()
+  if Array.exists (( = ) "--smoke") Sys.argv then begin
+    Micro.smoke_flat ();
+    Micro.smoke_sim ()
+  end
   else Micro.run_flat ()

@@ -84,10 +84,6 @@ let nibble_cost tree objects =
   end;
   { rounds; messages; max_node_work }
 
-let nibble_rounds w =
-  let per_object = Array.map (fun cs -> cs.Nibble.nodes) (Nibble.place_all w) in
-  (per_object, nibble_cost (Workload.tree w) (Workload.num_objects w))
-
 (* The full pipeline's cost, read off one strategy run on [w]. *)
 let strategy_cost w res =
   let tree = Workload.tree w in

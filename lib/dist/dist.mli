@@ -28,10 +28,12 @@ type stats = {
   max_node_work : int;  (** busiest node's accumulated work units *)
 }
 
-val nibble_rounds : Workload.t -> (int list array * stats)
-(** Emulates the distributed nibble computation; returns the per-object
-    copy sets (as decided locally by each node) and the cost. The test
-    suite asserts the copy sets equal {!Hbn_nibble.Nibble.place_all}'s. *)
+val nibble_cost : Hbn_tree.Tree.t -> int -> stats
+(** [nibble_cost tree objects] is the cost of the distributed nibble
+    for [objects] objects: two pipelined convergecasts and two
+    broadcasts. It depends on the tree and the object count only; each
+    node decides locally which copies it holds, and those are
+    {!Hbn_nibble.Nibble.place_all}'s copy sets. *)
 
 val strategy_rounds : Workload.t -> Placement.t * stats
 (** Emulates the full pipeline (nibble + deletion + mapping) and returns

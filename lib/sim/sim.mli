@@ -27,18 +27,35 @@
     congestion objective optimizes, skewing the congestion→makespan
     correspondence the simulator exists to measure. The unit test
     [bus capacity: the 2·b(B) cap permits full pipelining] pins the
-    constant. Scheduling is greedy and deterministic: every round scans
-    the queue of ready hops once, granting each hop whose edge and bus
-    endpoints still have capacity. The {!policy} only picks where the
-    scan starts and which way it goes: [Fifo] front to back, [Reversed]
-    back to front, [Round_robin] front to back from position
-    [round mod length], wrapping around. The hops the scan could not
-    grant form the next round's queue in the order the scan visited
-    them, followed by the newly ready hops in injection order. So [Fifo]
-    serves oldest-first, [Reversed] turns the waiting hops around every
-    round, and [Round_robin]'s rotations accumulate. Every transmission
-    moves one hop per round (store-and-forward). With all bandwidths 1
-    this is the standard [Ω(congestion + dilation)] routing regime.
+    constant. Scheduling is greedy and deterministic: every round
+    serves the waiting hops in the {!policy}'s service order, granting
+    each hop whose edge and bus endpoints still have capacity. Hops
+    enter the queue in index order as they become ready. [Fifo] serves
+    them in entry order. [Reversed], at round [r], serves first the hops
+    that entered at a round of [r]'s parity, newest first, then the
+    others, oldest first: the whole queue turned around every round.
+    [Round_robin] keeps the waiting hops on a cycle, newly ready ones
+    last, and starts round [r] [r mod length] hops past the first hop
+    the previous round left waiting, so its rotations accumulate.
+    Every transmission moves one hop per round (store-and-forward).
+    With all bandwidths 1 this is the standard
+    [Ω(congestion + dilation)] routing regime.
+
+    The waiting hops sit in per-edge queues in entry order (two per
+    edge under [Reversed], one per entry-round parity, read from the
+    back and from the front). A binary heap of the queue heads, keyed
+    by service order, merges them. A round's budgets only fall, so the
+    hops an edge is granted are a prefix of its queue, and a refused
+    hop changes nothing: a queue leaves the merge at its first refusal,
+    and the grants come out in the order a scan of the whole queue
+    would make them. A round costs its grants plus one refused head
+    per waiting edge, each [O(log edges)], not one visit per waiting
+    hop; [Round_robin] adds one walk over the waiting hops that ranks
+    them from the round's cut. Only the edges below their burst are
+    refilled and only the buses the last round drew on are reset. A
+    star whose single bus caps every edge still sends every waiting
+    edge through the merge each round: [O(leaves · log leaves)] per
+    round, however few hops the bus admits.
 
     Asynchrony: the round machine is a loop over ticks at whole virtual
     times, taken earliest first from a {!Hbn_util.Heap}. With a
@@ -120,7 +137,8 @@ val run :
     a {!Hbn_obs.Monitor} after the run.
 
     When {!Hbn_obs.Trace} is enabled the run is wrapped in a [sim.run]
-    span, every round streams the [sim.queue_depth] and
+    span with two children, [sim.build] (hop construction) and
+    [sim.schedule] (the tick loop), every round streams the [sim.queue_depth] and
     [sim.round_transmissions] gauges (ready hops after the round;
     hops delivered in it), a final ["sim.outcome"] event records
     makespan/packets/transmissions/dilation, and the [sim.packets] /

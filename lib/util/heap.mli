@@ -1,10 +1,12 @@
 (** Mutable binary min-heaps over float-keyed elements.
 
-    The one priority queue in the library. The mapping algorithm of the
+    The library's general priority queue. The mapping algorithm of the
     extended-nibble strategy keys free downward child edges by their
     integer slack, locating one in [O(log degree)] time, matching the
     runtime bound claimed in Theorem 4.3 of the paper; the packet
-    simulator keys its pending ticks by virtual time. Equal keys pop in
+    simulator keys its pending ticks by virtual time (its per-tick
+    merge of edge queues uses a fixed-size int heap of its own, which
+    allocates nothing). Equal keys pop in
     heap order, not insertion order; the mapping's downward phase
     depends on that order, so the sift comparisons stay strict. *)
 

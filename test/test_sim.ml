@@ -406,4 +406,68 @@ let empty_suite =
       test_no_requests_tiny_networks;
   ]
 
-let suite = suite @ policy_suite @ async_suite @ fingerprint_suite @ empty_suite
+(* --- the per-edge merge against the whole-queue scan -------------------- *)
+
+(* One run of [Sim.run] and of the oracle: outcome, telemetry points and
+   the digest of the per-tick gauges must all be equal. *)
+let same_as_oracle ?scale ?policy ?link w p =
+  let m = Tree.num_edges (Workload.tree w) in
+  let t1 = Telemetry.create ~num_edges:m () in
+  let t2 = Telemetry.create ~num_edges:m () in
+  let a, ga =
+    Sim_fingerprint.with_gauge_digest (fun () ->
+        Sim.run ?scale ?policy ?link ~telemetry:t1 w p)
+  in
+  let b, gb =
+    Sim_fingerprint.with_gauge_digest (fun () ->
+        Sim_ref.run ?scale ?policy ?link ~telemetry:t2 w p)
+  in
+  a = b && Telemetry.points t1 = Telemetry.points t2 && ga = gb
+
+let oracle_links =
+  None
+  :: List.map
+       (fun spec -> Some (Result.get_ok (Link.of_spec spec)))
+       [ "1:4,1:1"; "0.25:2,0.5:0.5"; "1e16:inf" ]
+
+(* Random copy sets (buses included) on the oracle shapes: random trees,
+   stars and long caterpillars, every policy, link and scale. *)
+let prop_matches_scan_oracle seed =
+  let _, w = Helpers.shaped_instance seed in
+  let prng = Prng.create (seed + 1009) in
+  let p = Placement.nearest w ~copies:(Sim_fingerprint.random_copies prng w) in
+  List.for_all
+    (fun policy ->
+      List.for_all
+        (fun link ->
+          List.for_all
+            (fun scale -> same_as_oracle ~scale ~policy ?link w p)
+            [ 1; 2 ])
+        oracle_links)
+    [ Sim.Fifo; Sim.Round_robin; Sim.Reversed ]
+
+(* A shape well beyond the bench sizes: 1,365 nodes, where thousands of
+   hops wait per tick. *)
+let test_large_tree_matches_oracle () =
+  let prng = Prng.create 20261019 in
+  let t = Builders.balanced ~arity:4 ~height:5 ~profile:(Builders.Uniform 1) in
+  let w = Hbn_workload.Generators.uniform ~prng t ~objects:8 ~max_rate:1 in
+  let p = (Strategy.run w).Strategy.placement in
+  let out = Sim.run w p in
+  Alcotest.(check bool) "same as the whole-queue scan" true (out = Sim_ref.run w p);
+  Alcotest.(check (array int))
+    "traffic = analytic loads" (Placement.edge_loads w p) out.Sim.edge_traffic;
+  Alcotest.(check bool) "makespan above lower bound" true
+    (float_of_int out.Sim.makespan >= Sim.lower_bound w p out -. 1e-9)
+
+let oracle_suite =
+  [
+    Helpers.qt ~count:25 "per-edge merge = whole-queue scan (all policies)"
+      Helpers.seed_arb prop_matches_scan_oracle;
+    Helpers.slow "1,365-node tree: merge = scan, traffic = loads"
+      test_large_tree_matches_oracle;
+  ]
+
+let suite =
+  suite @ policy_suite @ async_suite @ fingerprint_suite @ empty_suite
+  @ oracle_suite
