@@ -54,14 +54,19 @@ bench-parallel:
 	dune exec bench/parallel.exe
 
 # Lines of OCaml (.ml and .mli) per top-level source directory and in
-# total; run it before and after a change to report the net line change.
+# total, each with its net change against HEAD (`git diff --numstat`,
+# renames counted as a deletion and an addition, so moved code shows
+# where it went; a new file counts once it is staged with `git add`).
 LOC_DIRS = lib bin bench test examples
 loc:
-	@total=0; for d in $(LOC_DIRS); do \
+	@total=0; net_total=0; for d in $(LOC_DIRS); do \
 	  n=$$(find $$d -path '*/_build' -prune -o \( -name '*.ml' -o -name '*.mli' \) \
 	    -type f -print | xargs cat | wc -l); \
-	  printf '%-9s %6d\n' $$d $$n; total=$$((total + n)); \
-	done; printf '%-9s %6d\n' total $$total
+	  net=$$(git diff --no-renames --numstat HEAD -- "$$d/*.ml" "$$d/*.mli" \
+	    | awk '{ s += $$1 - $$2 } END { print s + 0 }'); \
+	  printf '%-9s %6d %+6d\n' $$d $$n $$net; \
+	  total=$$((total + n)); net_total=$$((net_total + net)); \
+	done; printf '%-9s %6d %+6d\n' total $$total $$net_total
 
 clean:
 	dune clean

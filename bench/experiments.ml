@@ -21,7 +21,7 @@ module Baselines = Hbn_baselines.Baselines
 module Sim = Hbn_sim.Sim
 module Dist = Hbn_dist.Dist
 module Table = Hbn_util.Table
-module Stats = Hbn_util.Stats
+module Stats = Hbn_ref.Stats
 module Capacitated = Hbn_core.Capacitated
 
 let header id title =
@@ -286,8 +286,8 @@ let e4 ~quick () =
       let nibble = Strategy.nibble_placement w res in
       let modified = Strategy.modified_placement w res in
       for obj = 0 to Workload.num_objects w - 1 do
-        let nib = Placement.object_edge_loads w nibble ~obj in
-        let del = Placement.object_edge_loads w modified ~obj in
+        let nib = Placement.edge_loads w [| nibble.(obj) |] in
+        let del = Placement.edge_loads w [| modified.(obj) |] in
         Array.iteri
           (fun e l ->
             if nib.(e) > 0 then

@@ -3,11 +3,13 @@
    Run with:  dune exec bench/loads.exe [-- OUTPUT.json]
           or  dune exec bench/loads.exe -- --smoke
    The full run drives [Baselines.hill_climb] (incremental deltas on one
-   [Hbn_loads.Loads] engine) and [Baselines.hill_climb_scratch] (rebuilds
-   Placement.nearest and re-evaluates everything per proposal) over the
-   same seed and records iterations/sec of each in BENCH_loads.json.
-   Both paths share one proposal generator, so the placements must come
-   out structurally equal — the bench fails (exit 1) if they diverge.
+   [Hbn_loads.Loads] engine) and the test oracle
+   [Hbn_ref.Baselines_ref.hill_climb_scratch] (rebuilds Placement.nearest
+   and re-evaluates everything per proposal) over the same seed and
+   records iterations/sec of each in BENCH_loads.json. The oracle replays
+   the engine climb's proposal stream draw for draw, so the placements
+   must come out structurally equal — the bench fails (exit 1) if they
+   diverge.
    [--smoke] runs a small instance under `dune runtest`: equality only,
    no JSON written. The instance and the engine climb live in Loads_case,
    which bench/check.exe re-runs to gate the committed congestion. *)
@@ -16,7 +18,7 @@ module Tree = Hbn_tree.Tree
 module Prng = Hbn_prng.Prng
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
-module Baselines = Hbn_baselines.Baselines
+module Baselines_ref = Hbn_ref.Baselines_ref
 module LC = Loads_case
 
 let time f =
@@ -31,8 +33,8 @@ let time f =
 let run_pair ~iterations w =
   let scratch, scratch_s =
     time (fun () ->
-        Baselines.hill_climb_scratch ~iterations ~prng:(Prng.create LC.seed) w
-          (LC.start_copies w))
+        Baselines_ref.hill_climb_scratch ~iterations
+          ~prng:(Prng.create LC.seed) w (LC.start_copies w))
   in
   let engine, engine_s = time (fun () -> LC.engine_climb ~iterations w) in
   (engine, engine_s, scratch, scratch_s)

@@ -15,18 +15,13 @@ let single_copy_per_object w pick =
   in
   Placement.nearest w ~copies
 
-let owner w =
-  single_copy_per_object w (fun obj leaves ->
-      let best = ref (-1) and best_w = ref (-1) in
-      List.iter
-        (fun leaf ->
-          let h = Workload.weight w ~obj leaf in
-          if h > !best_w then begin
-            best := leaf;
-            best_w := h
-          end)
-        leaves;
-      !best)
+(* One copy per object on its owner ([Workload.owner]); objects without
+   requests get none. *)
+let owner_copies w =
+  Array.init (Workload.num_objects w) (fun obj ->
+      Option.to_list (Workload.owner w ~obj))
+
+let owner w = Placement.nearest w ~copies:(owner_copies w)
 
 let gravity_leaf w =
   let tree = Workload.tree w in
@@ -50,44 +45,35 @@ let random_leaf ~prng w =
 
 let full_replication = Placement.full_replication
 
-(* One hill-climb proposal over the copy sets. The two evaluation paths
-   below (incremental engine, from-scratch rebuild) share this so their
-   PRNG streams and proposal sequences are identical: membership is an
-   O(1) set probe, copy lists are kept in canonical ascending order, and
-   a no-op proposal (removing the only copy) consumes no further PRNG
-   draws — matching the original structural-compare behaviour. *)
+(* One hill-climb proposal over the copy sets: a random processor is
+   removed if it holds a copy, otherwise added or moved onto from a
+   random copy. Copy lists are in ascending order, and a no-op proposal
+   (removing the only copy) consumes no further PRNG draws. The
+   from-scratch oracle in the tests replays this draw for draw. *)
 type proposal = Remove of int | Add of int | Move of int * int
 
-let propose ~prng ~leaves ~has ~count ~sorted obj =
+let propose ~prng ~leaves eng ~obj =
   let leaf = leaves.(Prng.int prng (Array.length leaves)) in
-  if has obj leaf then
-    if count obj > 1 then Some (Remove leaf) else None
+  if Loads.has_copy eng ~obj leaf then
+    if Loads.num_copies eng ~obj > 1 then Some (Remove leaf) else None
   else if Prng.bool prng then Some (Add leaf)
   else
     (* Move: replace a random existing copy by the new leaf. *)
-    Some (Move (Prng.pick prng (sorted obj), leaf))
-
-let active_objects ~count w =
-  List.filter
-    (fun obj -> count obj > 0)
-    (List.init (Workload.num_objects w) (fun i -> i))
+    Some (Move (Prng.pick prng (Loads.copies eng ~obj), leaf))
 
 let hill_climb ~iterations ~prng w copies =
   let leaves = Tree.leaves_array (Workload.tree w) in
   let eng = Loads.of_copies w copies in
-  let count obj = Loads.num_copies eng ~obj in
-  let active = active_objects ~count w in
+  let active =
+    List.filter
+      (fun obj -> Loads.num_copies eng ~obj > 0)
+      (List.init (Workload.num_objects w) Fun.id)
+  in
   if active <> [] && Array.length leaves > 0 then begin
     let current = ref (Loads.congestion eng) in
     for _ = 1 to iterations do
       let obj = Prng.pick prng active in
-      match
-        propose ~prng ~leaves
-          ~has:(fun obj l -> Loads.has_copy eng ~obj l)
-          ~count
-          ~sorted:(fun obj -> Loads.copies eng ~obj)
-          obj
-      with
+      match propose ~prng ~leaves eng ~obj with
       | None -> ()
       | Some p ->
         let cp = Loads.checkpoint eng in
@@ -101,62 +87,8 @@ let hill_climb ~iterations ~prng w copies =
   end;
   Loads.snapshot eng
 
-let hill_climb_scratch ?exec ~iterations ~prng w copies =
-  let leaves = Tree.leaves_array (Workload.tree w) in
-  let copies = Array.map (fun cs -> List.sort_uniq compare cs) copies in
-  (* Candidate scoring is the hot path: each proposal rebuilds the
-     nearest-copy assignment and re-evaluates every object's loads, both
-     of which fan out per object on a parallel [exec]. *)
-  let eval () =
-    Placement.congestion ?exec w (Placement.nearest ?exec w ~copies)
-  in
-  let count obj = List.length copies.(obj) in
-  let active = active_objects ~count w in
-  if active <> [] && Array.length leaves > 0 then begin
-    let current = ref (eval ()) in
-    for _ = 1 to iterations do
-      let obj = Prng.pick prng active in
-      match
-        propose ~prng ~leaves
-          ~has:(fun obj l -> List.mem l copies.(obj))
-          ~count
-          ~sorted:(fun obj -> copies.(obj))
-          obj
-      with
-      | None -> ()
-      | Some p ->
-        let old = copies.(obj) in
-        copies.(obj) <-
-          (match p with
-          | Remove l -> List.filter (fun x -> x <> l) old
-          | Add l -> List.sort compare (l :: old)
-          | Move (src, dst) ->
-            List.sort compare (dst :: List.filter (fun x -> x <> src) old));
-        let c = eval () in
-        if c <= !current then current := c else copies.(obj) <- old
-    done
-  end;
-  Placement.nearest w ~copies
-
 let local_search ?(iterations = 300) ~prng w =
-  let copies =
-    Array.init (Workload.num_objects w) (fun obj ->
-        match Workload.requesting_leaves w ~obj with
-        | [] -> []
-        | leaf :: _ ->
-          (* Start from the owner placement. *)
-          let best = ref leaf and best_w = ref (-1) in
-          List.iter
-            (fun l ->
-              let h = Workload.weight w ~obj l in
-              if h > !best_w then begin
-                best := l;
-                best_w := h
-              end)
-            (Workload.requesting_leaves w ~obj);
-          [ !best ])
-  in
-  hill_climb ~iterations ~prng w copies
+  hill_climb ~iterations ~prng w (owner_copies w)
 
 let polish ?(iterations = 300) ~prng w placement =
   let tree = Workload.tree w in

@@ -11,9 +11,10 @@ module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 
 val owner : Workload.t -> Placement.t
-(** One copy per object on its most-requesting processor (its "owner" or
-    home node; ties to the lowest id) — the classical directory-style
-    baseline. Objects without requests get no copy. *)
+(** One copy per object on its most-requesting processor
+    ({!Hbn_workload.Workload.owner}: its home node, ties to the lowest
+    id) — the classical directory-style baseline. Objects without
+    requests get no copy. *)
 
 val gravity_leaf : Workload.t -> Placement.t
 (** One copy per object on the processor closest to the object's center of
@@ -34,9 +35,8 @@ val local_search :
 (** Hill-climbing on the congestion, starting from {!owner}: each step
     proposes adding, removing, or moving one copy of a random object on a
     random processor and keeps the proposal if the congestion does not
-    increase (with strict improvement required every so often to
-    terminate). [iterations] proposals are made (default 300). Runs on
-    {!hill_climb}. *)
+    increase. Exactly [iterations] proposals are made (default 300).
+    Runs on {!hill_climb}. *)
 
 val hill_climb :
   iterations:int ->
@@ -47,24 +47,10 @@ val hill_climb :
 (** The climb itself, from explicit per-object copy sets. Proposals are
     applied as deltas to one incremental [Hbn_loads.Loads] engine and
     rolled back when the congestion worsens — O(height) per proposal
-    instead of a full re-evaluation. Produces exactly the same placements
-    as {!hill_climb_scratch} for the same seed (pinned by a regression
-    test); duplicate nodes in the input lists are collapsed, and the
-    input arrays are not mutated. *)
-
-val hill_climb_scratch :
-  ?exec:Hbn_exec.Exec.t ->
-  iterations:int ->
-  prng:Hbn_prng.Prng.t ->
-  Workload.t ->
-  int list array ->
-  Placement.t
-(** Reference implementation of {!hill_climb} that rebuilds
-    [Placement.nearest] and re-evaluates the whole workload on every
-    proposal. Kept for differential tests and [bench/loads.exe], which
-    records the speedup of the engine over this path. [exec] parallelizes
-    each proposal's candidate scoring per object; the proposal stream and
-    the resulting placement are identical at any job count. *)
+    instead of a full re-evaluation; the tests hold it to a from-scratch
+    oracle that re-evaluates the whole workload per proposal and must land
+    on the same placement for the same seed. Duplicate nodes in the input
+    lists are collapsed, and the input arrays are not mutated. *)
 
 val polish :
   ?iterations:int ->

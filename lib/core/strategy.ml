@@ -28,7 +28,7 @@ type stage =
    mutation is over by the time this runs), so it fans out too. [node]
    reads a copy's position: where it is now, or where Step 2 left it. *)
 let placement_of_stages ?exec w ~node stages =
-  Exec.map_chunked
+  Exec.map
     (Option.value exec ~default:Exec.sequential)
     (Array.length stages)
     (fun obj ->
@@ -138,7 +138,7 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
   let scratch () = scratches.(Exec.current_worker ()) in
   let sp_nibble = Trace.span "strategy.nibble" in
   let sets =
-    Exec.map_chunked exec num_objects (fun obj ->
+    Exec.map exec num_objects (fun obj ->
         Nibble.place ~scratch:(scratch ()) w ~obj)
   in
   if Trace.enabled () then
@@ -154,7 +154,7 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
         ];
   let sp_deletion = Trace.span "strategy.deletion" in
   let staged =
-    Exec.map_chunked exec num_objects (fun obj ->
+    Exec.map exec num_objects (fun obj ->
         stage_object ~scratch:(scratch ()) w sets.(obj))
   in
   (* Deterministic merge, in object order: global totals, copy-id
@@ -272,9 +272,6 @@ let modified_placement ?exec w res =
          match bypass w ~obj with
          | Some stage -> stage
          | None -> Copies per_object.(obj)))
-
-let congestion ?move_leaf_copies ?exec w =
-  Placement.congestion ?exec w (run ?move_leaf_copies ?exec w).placement
 
 (* -- Ablations (experiment E14) ------------------------------------- *)
 

@@ -94,10 +94,6 @@ val modified_placement :
     groups, plus the bypassed objects as {!run} places them. Same
     conditions on [w] as {!nibble_placement}. O(copies + requests). *)
 
-val congestion :
-  ?move_leaf_copies:bool -> ?exec:Hbn_exec.Exec.t -> Workload.t -> float
-(** Congestion of [run w].placement — convenience wrapper. *)
-
 (** {1 Ablations}
 
     DESIGN.md calls out two design decisions the analysis depends on; the

@@ -162,6 +162,34 @@ let run_pool pool n f =
   Mutex.unlock pool.mutex;
   match err with None -> () | Some e -> raise e
 
+(* Tasks claim blocks of [auto_chunk] consecutive indices from the
+   atomic counter instead of single indices, amortizing the fetch-and-add
+   and the per-task cache traffic (SNIPPETS snippet 3's BLOCK
+   partitioning, made dynamic). 8 blocks per executor keeps enough slack
+   for load balancing while shrinking counter contention by the chunk
+   factor. *)
+let auto_chunk ~jobs n = max 1 (n / (8 * jobs))
+
+let run_chunked pool n f =
+  let chunk = auto_chunk ~jobs:(pool.target + 1) n in
+  if chunk = 1 then run_pool pool n f
+  else
+    run_pool pool
+      ((n + chunk - 1) / chunk)
+      (fun ci ->
+        let lo = ci * chunk in
+        for i = lo to min n (lo + chunk) - 1 do
+          f i
+        done)
+
+let iter t n f =
+  match t with
+  | Sequential ->
+    for i = 0 to n - 1 do
+      f i
+    done
+  | Pool pool -> if n > 0 then run_chunked pool n f
+
 let map t n f =
   match t with
   | Sequential -> Array.init n f
@@ -173,73 +201,10 @@ let map t n f =
          arrays). The mutex handshake at task completion publishes the
          slot writes to the calling domain. *)
       let out = Array.make n None in
-      run_pool pool n (fun i -> out.(i) <- Some (f i));
+      run_chunked pool n (fun i -> out.(i) <- Some (f i));
       Array.map
         (function
           | Some v -> v
           | None -> invalid_arg "Exec.map: task skipped after error")
-        out
-    end
-
-let iter t n f =
-  match t with
-  | Sequential ->
-    for i = 0 to n - 1 do
-      f i
-    done
-  | Pool pool -> if n > 0 then run_pool pool n f
-
-(* Chunked scheduling: tasks claim blocks of [chunk] consecutive indices
-   from the atomic counter instead of single indices, amortizing the
-   fetch-and-add and the per-task cache traffic (SNIPPETS snippet 3's
-   BLOCK partitioning, made dynamic). 8 blocks per executor keeps enough
-   slack for load balancing while shrinking counter contention by the
-   chunk factor. *)
-let auto_chunk ~jobs n = max 1 (n / (8 * jobs))
-
-let run_chunked pool n f ~chunk =
-  if chunk = 1 then run_pool pool n f
-  else begin
-    let chunks = (n + chunk - 1) / chunk in
-    run_pool pool chunks (fun ci ->
-        let lo = ci * chunk in
-        let hi = min n (lo + chunk) in
-        for i = lo to hi - 1 do
-          f i
-        done)
-  end
-
-let resolve_chunk t n = function
-  | Some c ->
-    if c < 1 then invalid_arg "Exec: chunk must be at least 1";
-    c
-  | None -> auto_chunk ~jobs:(jobs t) n
-
-let iter_chunked ?chunk t n f =
-  match t with
-  | Sequential ->
-    ignore (resolve_chunk t n chunk);
-    for i = 0 to n - 1 do
-      f i
-    done
-  | Pool pool ->
-    if n > 0 then run_chunked pool n f ~chunk:(resolve_chunk t n chunk)
-
-let map_chunked ?chunk t n f =
-  match t with
-  | Sequential ->
-    ignore (resolve_chunk t n chunk);
-    Array.init n f
-  | Pool pool ->
-    if n = 0 then [||]
-    else begin
-      let out = Array.make n None in
-      run_chunked pool n
-        (fun i -> out.(i) <- Some (f i))
-        ~chunk:(resolve_chunk t n chunk);
-      Array.map
-        (function
-          | Some v -> v
-          | None -> invalid_arg "Exec.map_chunked: task skipped after error")
         out
     end

@@ -59,33 +59,20 @@ val with_runner : jobs:int -> (t -> 'a) -> 'a
 
 val map : t -> int -> (int -> 'a) -> 'a array
 (** [map r n f] computes [f i] for [0 <= i < n] — concurrently on a pool
-    backend — and returns the results in index order. If any task raises,
-    one of the raised exceptions is re-raised in the caller after all
-    domains quiesce (remaining tasks may be skipped). Not reentrant: do
-    not call [map] on the same pool from inside a task. *)
+    backend — and returns the results in index order. A pool hands out
+    the indices in blocks of {!auto_chunk} consecutive ones per claim on
+    its shared counter, and runs each block in ascending order; the block
+    size changes scheduling, never results. If any task raises, one of
+    the raised exceptions is re-raised in the caller after all domains
+    quiesce (remaining tasks may be skipped). Not reentrant: do not call
+    [map] on the same pool from inside a task. *)
 
 val iter : t -> int -> (int -> unit) -> unit
 (** [iter r n f] is [map] without result collection. *)
 
-(** {1 Chunked scheduling}
-
-    {!map} costs one atomic fetch-and-add (plus cache traffic on the
-    shared counter) per task. When tasks are small, batching [chunk]
-    consecutive indices per claim amortizes that overhead. Results are
-    still written to per-index slots and returned in index order, so
-    chunked maps are bit-identical to {!map} for pure [f] at any [jobs]
-    and any chunk size — chunking changes scheduling, never results. *)
-
 val auto_chunk : jobs:int -> int -> int
-(** [auto_chunk ~jobs n = max 1 (n / (8 * jobs))]: 8 claimable blocks
-    per executor — enough slack for dynamic load balancing, few enough
-    that counter contention becomes negligible. *)
-
-val map_chunked : ?chunk:int -> t -> int -> (int -> 'a) -> 'a array
-(** [map_chunked ?chunk r n f] is {!map} with [chunk] indices claimed
-    per counter round-trip ([chunk] defaults to {!auto_chunk}; a task
-    executes its chunk's indices in ascending order). Raises
-    [Invalid_argument] when [chunk < 1]. *)
-
-val iter_chunked : ?chunk:int -> t -> int -> (int -> unit) -> unit
-(** {!map_chunked} without result collection. *)
+(** [auto_chunk ~jobs n = max 1 (n / (8 * jobs))]: the block size of a
+    [jobs]-wide {!map} over [n] tasks. 8 claimable blocks per executor
+    leave enough slack for dynamic load balancing, few enough that
+    contention on the counter (one atomic fetch-and-add per claim)
+    becomes negligible. *)

@@ -128,9 +128,9 @@ val edge_loads : t -> int array
 val object_edge_loads : t -> obj:int -> int array
 (** The per-edge load one object induces in the current state: its
     requesting leaves' traffic to their servers plus [κ_x] on every
-    Steiner edge of its copy set — [Placement.object_edge_loads] of
-    {!snapshot}, also defined while the object is copyless (then all
-    zero). One {!Hbn_tree.Flat.Diff} pass: O(n + copies log copies). *)
+    Steiner edge of its copy set — [Placement.edge_loads w [| p.(obj) |]]
+    for [p] the {!snapshot}, also defined while the object is copyless
+    (then all zero). One {!Hbn_tree.Flat.Diff} pass: O(n + copies log copies). *)
 
 val congestion : t -> float
 (** Congestion of the current state — bit-identical to

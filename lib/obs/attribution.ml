@@ -1,6 +1,7 @@
 (* Per-edge load attribution. Cells live in one hash table per edge keyed
-   by (object, component). Tables are built in one shot from positive
-   contributions, so every cell is nonzero. *)
+   by (object, component). Tables are built in one shot from the
+   placement's load components, which are all positive, so every cell is
+   nonzero. *)
 
 module Tree = Hbn_tree.Tree
 module Flat = Hbn_tree.Flat
@@ -12,8 +13,9 @@ type t = {
   tree : Tree.t;
   cells : (int, int ref) Hashtbl.t array;
       (* index = edge; key = object * 3 + component rank; value = running
-         sum. Packing the pair into an immediate int keeps [record] — the
-         hottest call — free of tuple allocation and structural hashing. *)
+         sum. Packing the pair into an immediate int keeps the update per
+         contribution — the hottest call — free of tuple allocation and
+         structural hashing. *)
   totals : int array;  (* index = edge; sum of the edge's cells *)
   cong : Placement.congestion;  (* of [totals]: bus loads, ratings *)
 }
@@ -36,59 +38,44 @@ let component_of_rank = function
 
 let cell_key ~obj ~component = (obj * 3) + component_rank component
 
-(* A table of the contributions [fill] reports through the recorder it
-   is given, with a flat index and scratch for its path walks. *)
-let build tree fill =
+let of_placement w p =
+  let tree = Workload.tree w in
   let fl = Flat.of_tree tree in
+  let scratch = Flat.Scratch.create fl in
   let cells = Array.init (Tree.num_edges tree) (fun _ -> Hashtbl.create 8) in
   let totals = Array.make (Tree.num_edges tree) 0 in
-  fill fl (Flat.Scratch.create fl) (fun ~obj ~component ~edge ~amount ->
-      if amount <> 0 then begin
-        totals.(edge) <- totals.(edge) + amount;
-        let tbl = cells.(edge) in
-        let key = cell_key ~obj ~component in
-        match Hashtbl.find_opt tbl key with
-        | Some r -> r := !r + amount
-        | None -> Hashtbl.add tbl key (ref amount)
-      end);
+  Array.iteri
+    (fun obj op ->
+      Placement.iter_object_load_components_scratch fl scratch op
+        (fun edge component amount ->
+          totals.(edge) <- totals.(edge) + amount;
+          let tbl = cells.(edge) in
+          let key = cell_key ~obj ~component in
+          match Hashtbl.find_opt tbl key with
+          | Some r -> r := !r + amount
+          | None -> Hashtbl.add tbl key (ref amount)))
+    p;
   { tree; cells; totals; cong = Placement.congestion_of_edge_loads tree totals }
 
-let of_placement w p =
-  build (Workload.tree w) (fun fl scratch record ->
-      Array.iteri
-        (fun obj op ->
-          Placement.iter_object_load_components_scratch fl scratch op
-            (fun edge component amount -> record ~obj ~component ~edge ~amount))
-        p)
-
+(* The engine's state as a placement: its copy sets, and each requesting
+   leaf with its assigned server. *)
 let of_loads eng =
   let w = Loads.workload eng in
-  let wf = Workload.flat w in
-  build (Workload.tree w) (fun fl scratch record ->
-      for obj = 0 to Workload.num_objects w - 1 do
-        if Loads.num_copies eng ~obj > 0 then begin
-          Workload.Flat.iter_requesting wf ~obj (fun leaf ->
-              match Loads.server eng ~obj leaf with
-              | None -> ()
-              | Some server ->
-                if leaf <> server then begin
-                  let rd = Workload.reads w ~obj leaf in
-                  let wr = Workload.writes w ~obj leaf in
-                  Flat.iter_path fl scratch leaf server (fun edge ->
-                      record ~obj ~component:Placement.Read_path ~edge
-                        ~amount:rd;
-                      record ~obj ~component:Placement.Write_path ~edge
-                        ~amount:wr)
-                end);
-          let kappa = Workload.Flat.kappa wf ~obj in
-          if kappa > 0 then
-            Flat.iter_steiner fl scratch
-              ~nodes:(fun mark -> List.iter mark (Loads.copies eng ~obj))
-              (fun edge ->
-                record ~obj ~component:Placement.Write_steiner ~edge
-                  ~amount:kappa)
-        end
-      done)
+  of_placement w
+    (Array.init (Workload.num_objects w) (fun obj ->
+         match Loads.copies eng ~obj with
+         | [] -> { Placement.copies = []; assigns = [] }
+         | copies ->
+           let assign leaf =
+             {
+               Placement.leaf;
+               server = Option.get (Loads.server eng ~obj leaf);
+               reads = Workload.reads w ~obj leaf;
+               writes = Workload.writes w ~obj leaf;
+             }
+           in
+           { Placement.copies;
+             assigns = List.map assign (Workload.requesting_leaves w ~obj) }))
 
 let attach = of_loads
 

@@ -9,14 +9,9 @@
     path, write traffic on the same path, or the write broadcast over
     the copy set's Steiner tree.
 
-    A table is built in one shot, from either of two sources that agree
-    bit-for-bit on the same copy sets (integer cells, property-tested in
-    [test/test_attribution.ml]):
-
-    - {!of_placement} — a pass over
-      {!Placement.iter_object_load_components_scratch};
-    - {!of_loads} — a pass over a load engine's copy sets and
-      assignments.
+    A table is built in one shot by {!of_placement}, a pass over
+    {!Placement.iter_object_load_components_scratch}; {!of_loads} runs
+    the same pass over a load engine's copy sets and assignments.
 
     Invariants: {!totals} equals [Placement.edge_loads] of the
     attributed placement, {!congestion_value} equals
@@ -52,10 +47,11 @@ val of_placement : Workload.t -> Placement.t -> t
     {!Placement.iter_object_load_components_scratch}. *)
 
 val of_loads : Loads.t -> t
-(** One-shot attribution of a load engine's current state (copy sets and
-    nearest-copy assignments), without requiring every requested object
-    to hold copies yet — objects without copies contribute nothing,
-    matching the engine's zero loads for them. *)
+(** {!of_placement} of a load engine's current state: each object's copy
+    set ([Loads.copies]) with every requesting leaf assigned its
+    [Loads.server]. Objects with requests need not hold copies yet —
+    objects without copies contribute nothing, matching the engine's
+    zero loads for them. *)
 
 val attach : Loads.t -> t
 (** An alias of {!of_loads}, kept only because the end-to-end benchmark
@@ -101,9 +97,7 @@ val congestion_value : t -> float
 (** {1 Comparison} *)
 
 val equal : t -> t -> bool
-(** Same tree shape and exactly the same nonzero cells — the bit-for-bit
-    agreement {!of_placement} and {!of_loads} keep on the same copy
-    sets. *)
+(** Same tree shape and exactly the same nonzero cells. *)
 
 (** {1 Export} *)
 

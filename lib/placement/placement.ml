@@ -46,7 +46,7 @@ let nearest ?(exec = Exec.sequential) w ~copies =
   let jobs = Exec.jobs exec in
   (* One scratch per executor slot, as in [edge_loads]. *)
   let scratches = Array.init jobs (fun _ -> Flat.Scratch.create fl) in
-  Exec.map_chunked exec (Workload.num_objects w) (fun obj ->
+  Exec.map exec (Workload.num_objects w) (fun obj ->
       let slot = if jobs = 1 then 0 else Exec.current_worker () in
       nearest_object ~scratch:scratches.(slot) w ~obj ~copies:copies.(obj))
 
@@ -257,24 +257,16 @@ let diff_object fl d buf op =
     Flat.Diff.steiner fl d ~nodes:!buf ~len total_writes
   end
 
-let object_edge_loads w t ~obj =
-  let fl = Flat.of_tree (Workload.tree w) in
-  let loads = Array.make (max 1 fl.Flat.m) 0 in
-  let d = Array.make fl.Flat.n 0 in
-  diff_object fl d (ref [||]) t.(obj);
-  Flat.Diff.edges_into fl d ~dst:loads;
-  loads
-
 let edge_loads ?(exec = Exec.sequential) w t =
   let fl = Flat.of_tree (Workload.tree w) in
   let n = fl.Flat.n in
   let jobs = Exec.jobs exec in
   (* One difference array and copy buffer per executor slot, summed in
      slot order before the one read-out — integer addition commutes, so
-     the loads are identical at any job count or chunk size. *)
+     the loads are identical at any job count. *)
   let diffs = Array.init jobs (fun _ -> Array.make n 0) in
   let bufs = Array.init jobs (fun _ -> ref (Array.make n 0)) in
-  Exec.iter_chunked exec (Array.length t) (fun obj ->
+  Exec.iter exec (Array.length t) (fun obj ->
       let slot = if jobs = 1 then 0 else Exec.current_worker () in
       diff_object fl diffs.(slot) bufs.(slot) t.(obj));
   let d = diffs.(0) in

@@ -98,10 +98,6 @@ val edge_loads : ?exec:Hbn_exec.Exec.t -> Workload.t -> t -> int array
     records into its own array and the arrays are summed in slot order
     before the read-out — bit-identical to the sequential result. *)
 
-val object_edge_loads : Workload.t -> t -> obj:int -> int array
-(** Load per edge induced by a single object, by the same kernel;
-    allocates the difference array, the copy buffer and the result. *)
-
 (** The three ways Section 1.1 lets an object load an edge: read traffic
     along the path [P → c(P,x)], write traffic along the same path, and
     the write broadcast over the Steiner tree of the copy set [P_x].
@@ -129,7 +125,8 @@ val iter_object_load_components_scratch :
     caller-owned and must belong to the calling domain, so hot loops
     allocate nothing. This defines the accounting edge by edge, for the
     callers that need each component (attribution tables, certificates);
-    {!edge_loads}, {!object_edge_loads} and the incremental engine
+    {!edge_loads} (of one object: [edge_loads w [| p.(obj) |]]) and the
+    incremental engine
     ([Hbn_loads.Loads]) compute the same sums by endpoint differences,
     and the tests check them against the fold of this stream. *)
 

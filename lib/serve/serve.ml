@@ -91,25 +91,13 @@ let base_series name =
 
 let triggering a = not (List.mem (base_series a.Monitor.a_series) reconfig_series)
 
-(* One copy on the heaviest requesting leaf — the same owner rule for
+(* One copy on the object's owner ([Workload.owner]) — the same rule for
    the serving state and the stale baseline, so a late-appearing object
    never skews the comparison. *)
 let bootstrap w copies =
   for obj = 0 to Workload.num_objects w - 1 do
     if copies.(obj) = [] then
-      match Workload.requesting_leaves w ~obj with
-      | [] -> ()
-      | leaf :: _ as ls ->
-        let best = ref leaf and best_w = ref (-1) in
-        List.iter
-          (fun l ->
-            let h = Workload.weight w ~obj l in
-            if h > !best_w then begin
-              best := l;
-              best_w := h
-            end)
-          ls;
-        copies.(obj) <- [ !best ]
+      copies.(obj) <- Option.to_list (Workload.owner w ~obj)
   done
 
 (* The hot objects: each object's load summed over the [2k] hottest

@@ -99,10 +99,11 @@ val fold_path : t -> Scratch.t -> int -> int -> init:'a -> f:('a -> int -> 'a) -
 (** Folding flavor of {!iter_path}, same order. *)
 
 val iter_path_unordered : t -> int -> int -> (int -> unit) -> unit
-(** Scratch-free variant visiting [u]→LCA then [v]→LCA, both bottom-up —
-    the order the load-accounting engine historically used. Each path
-    edge is visited exactly once; only the order differs from
-    {!iter_path}. *)
+(** Scratch-free variant visiting [u]→LCA then [v]→LCA, both bottom-up.
+    Each path edge is visited exactly once; only the order differs from
+    {!iter_path}. For callers that only sum over the path, such as the
+    load engine moving a leaf's request load between servers: integer
+    addition commutes, so the order is free and no scratch is needed. *)
 
 (** {1 Steiner trees} *)
 

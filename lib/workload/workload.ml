@@ -181,6 +181,17 @@ let requesting_leaves t ~obj =
   done;
   !acc
 
+let owner t ~obj =
+  let f = flat t in
+  let best = ref (-1) and best_w = ref 0 in
+  Flat.iter_requesting f ~obj (fun leaf ->
+      let h = Flat.weight f ~obj leaf in
+      if h > !best_w then begin
+        best := leaf;
+        best_w := h
+      end);
+  if !best < 0 then None else Some !best
+
 let pp ppf t =
   Format.fprintf ppf "@[<v>workload: %d objects on %d nodes@," (num_objects t)
     (Tree.n t.tree);

@@ -95,4 +95,10 @@ val weight_vector : t -> obj:int -> int array
 val requesting_leaves : t -> obj:int -> int list
 (** Leaves with nonzero weight for the object, ascending. *)
 
+val owner : t -> obj:int -> int option
+(** The object's owner (home node): the processor with the largest
+    {!weight}, ties to the lowest id; [None] when nothing requests the
+    object. The single-copy baseline, the hill climb's start and the
+    serving tier's first copy all place here. *)
+
 val pp : Format.formatter -> t -> unit

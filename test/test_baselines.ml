@@ -73,6 +73,13 @@ let prop_all_baselines_valid seed =
       Baselines.local_search ~iterations:30 ~prng w;
     ]
 
+(* The climb starts from the owner placement: with no proposals it is
+   the owner baseline. *)
+let prop_local_search_starts_at_owner seed =
+  let _, w = Helpers.instance seed in
+  Baselines.local_search ~iterations:0 ~prng:(Prng.create seed) w
+  = Baselines.owner w
+
 let prop_local_search_never_worse seed =
   let _, w = Helpers.instance seed in
   let prng = Prng.create (seed + 17) in
@@ -88,18 +95,18 @@ let start_copies w =
       | leaf :: _ -> [ leaf ])
 
 let prop_hill_climb_matches_scratch seed =
-  (* The engine-backed climb and the from-scratch climb share one proposal
-     generator and evaluate congestion with bit-identical arithmetic, so
-     for the same seed they must walk the same trajectory and land on
-     structurally equal placements. *)
+  (* The from-scratch oracle replays the engine climb's proposal stream
+     with its own copy of the proposal step, and both evaluate congestion
+     with bit-identical arithmetic, so for the same seed they must walk
+     the same trajectory and land on structurally equal placements. *)
   let _, w = Helpers.instance seed in
   let copies = start_copies w in
   let engine =
     Baselines.hill_climb ~iterations:80 ~prng:(Prng.create (seed + 5)) w copies
   in
   let scratch =
-    Baselines.hill_climb_scratch ~iterations:80 ~prng:(Prng.create (seed + 5))
-      w copies
+    Hbn_ref.Baselines_ref.hill_climb_scratch ~iterations:80
+      ~prng:(Prng.create (seed + 5)) w copies
   in
   engine = scratch && Placement.validate w engine = Ok ()
 
@@ -126,6 +133,8 @@ let suite =
       prop_all_baselines_valid;
     Helpers.qt "local search never worse than owner" Helpers.seed_arb
       prop_local_search_never_worse;
+    Helpers.qt "local search of 0 iterations is the owner placement"
+      Helpers.seed_arb prop_local_search_starts_at_owner;
     Helpers.qt ~count:60 "hill climb matches from-scratch climb"
       Helpers.seed_arb prop_hill_climb_matches_scratch;
     Helpers.tc "local search pinned for seed 42" test_local_search_pinned;

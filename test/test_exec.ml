@@ -104,41 +104,52 @@ let test_auto_chunk_formula () =
         (Exec.auto_chunk ~jobs n))
     [ (1, 0); (1, 7); (1, 384); (2, 384); (4, 384); (4, 31); (3, 1000) ]
 
-(* The chunked contract: any chunk size, any job count, same array. *)
-let test_map_chunked_matches_map () =
-  let n = 257 in
+(* The sizes run both block shapes: [auto_chunk] is 1 below 16·jobs tasks
+   and larger from there (4096 tasks at jobs 4 claim blocks of 128), with
+   a short last block when the size is not a multiple of it. *)
+let test_map_matches_array_init () =
   let f i = (i * i) - (3 * i) in
-  let expect = Array.init n f in
   List.iter
     (fun jobs ->
       Exec.with_runner ~jobs @@ fun exec ->
       List.iter
-        (fun chunk ->
+        (fun n ->
           Alcotest.(check (array int))
-            (Printf.sprintf "jobs=%d chunk=%d" jobs chunk)
-            expect
-            (Exec.map_chunked ~chunk exec n f))
-        [ 1; 2; 3; 5; 64; 1000 ];
-      Alcotest.(check (array int))
-        (Printf.sprintf "jobs=%d auto chunk" jobs)
-        expect
-        (Exec.map_chunked exec n f))
+            (Printf.sprintf "jobs=%d n=%d (chunk %d)" jobs n
+               (Exec.auto_chunk ~jobs n))
+            (Array.init n f) (Exec.map exec n f))
+        [ 0; 1; 7; 257; 4096 ])
     [ 1; 2; 4 ]
 
-let test_map_chunked_rejects_bad_chunk () =
-  Alcotest.check_raises "chunk = 0"
-    (Invalid_argument "Exec: chunk must be at least 1") (fun () ->
-      ignore (Exec.map_chunked ~chunk:0 Exec.sequential 4 (fun i -> i)))
-
+(* Chunked iteration: blocks of more than one index, with a short last
+   block (1000 tasks at jobs 4 claim blocks of 31, the last one of 8),
+   still run every index exactly once. *)
 let test_iter_chunked_covers_every_index () =
-  Exec.with_runner ~jobs:4 @@ fun exec ->
-  let hits = Array.init 100 (fun _ -> Atomic.make 0) in
-  Exec.iter_chunked ~chunk:7 exec 100 (fun i -> Atomic.incr hits.(i));
-  Array.iteri
-    (fun i a ->
-      Alcotest.(check int) (Printf.sprintf "index %d hit once" i) 1
-        (Atomic.get a))
-    hits
+  List.iter
+    (fun (jobs, n) ->
+      Exec.with_runner ~jobs @@ fun exec ->
+      let hits = Array.init n (fun _ -> Atomic.make 0) in
+      Exec.iter exec n (fun i -> Atomic.incr hits.(i));
+      Array.iteri
+        (fun i a ->
+          Alcotest.(check int)
+            (Printf.sprintf "jobs=%d n=%d (chunk %d) index %d hit once" jobs n
+               (Exec.auto_chunk ~jobs n) i)
+            1 (Atomic.get a))
+        hits)
+    [ (2, 257); (4, 1000) ]
+
+(* A task raising in the middle of a multi-index block: the exception
+   reaches the caller, and the pool serves the next map. *)
+let test_exception_inside_a_chunk () =
+  Exec.with_runner ~jobs:2 @@ fun exec ->
+  let n = 1000 in
+  Alcotest.(check bool) "blocks of more than one index" true
+    (Exec.auto_chunk ~jobs:2 n > 1);
+  Alcotest.check_raises "raised inside a block" Boom (fun () ->
+      ignore (Exec.map exec n (fun i -> if i = 501 then raise Boom else i)));
+  Alcotest.(check (array int))
+    "usable after failure" (Array.init n Fun.id) (Exec.map exec n Fun.id)
 
 (* --- determinism of the pipeline ----------------------------------------- *)
 
@@ -160,11 +171,12 @@ let prop_bit_identical_across_jobs seed =
 
 let prop_congestion_matches_across_jobs seed =
   let _, w = Helpers.instance seed in
-  let reference = Strategy.congestion w in
+  let congestion exec =
+    Placement.congestion ~exec w (Strategy.run ~exec w).Strategy.placement
+  in
+  let reference = congestion Exec.sequential in
   List.for_all
-    (fun jobs ->
-      Exec.with_runner ~jobs (fun exec -> Strategy.congestion ~exec w)
-      = reference)
+    (fun jobs -> Exec.with_runner ~jobs congestion = reference)
     [ 2; 4 ]
 
 (* Placement.edge_loads keeps one difference array per executor slot:
@@ -265,14 +277,14 @@ let suite =
     Helpers.tc "workers spawn lazily with demand" test_lazy_spawn_counts;
     Helpers.tc "sequential runners never spawn" test_sequential_never_spawns;
     Helpers.tc "auto_chunk matches its formula" test_auto_chunk_formula;
-    Helpers.tc "map_chunked identical to map at any jobs/chunk"
-      test_map_chunked_matches_map;
-    Helpers.tc "map_chunked rejects chunk < 1" test_map_chunked_rejects_bad_chunk;
+    Helpers.tc "map equals Array.init at jobs 1/2/4" test_map_matches_array_init;
     Helpers.tc "iter_chunked covers every index once"
       test_iter_chunked_covers_every_index;
+    Helpers.tc "exception inside a multi-index chunk"
+      test_exception_inside_a_chunk;
     Helpers.qt ~count:40 "strategy + evaluate bit-identical at jobs 1/2/4"
       Helpers.seed_arb prop_bit_identical_across_jobs;
-    Helpers.qt ~count:40 "Strategy.congestion identical at jobs 1/2/4"
+    Helpers.qt ~count:40 "strategy congestion identical at jobs 1/2/4"
       Helpers.seed_arb prop_congestion_matches_across_jobs;
     Helpers.qt ~count:40 "Placement.edge_loads equals the fold at jobs 1/2/4"
       Helpers.seed_arb prop_edge_loads_identical_across_jobs;

@@ -33,7 +33,7 @@ let agrees w eng =
   && List.for_all
        (fun obj ->
          Loads.object_edge_loads eng ~obj
-         = Placement.object_edge_loads w snap ~obj)
+         = Placement.edge_loads w [| snap.(obj) |])
        (List.init (Workload.num_objects w) Fun.id)
 
 (* One random delta; [None] when nothing applies. Only nearest-rule ops,

@@ -188,7 +188,7 @@ let prop_component_edge_load_is_kappa seed =
     (fun cs ->
       let obj = cs.Nibble.obj in
       let kappa = Workload.write_contention w ~obj in
-      let loads = Placement.object_edge_loads w p ~obj in
+      let loads = Placement.edge_loads w [| p.(obj) |] in
       let in_component = Array.make (max 1 (Tree.num_edges tree)) false in
       List.iter
         (fun e -> in_component.(e) <- true)

@@ -362,7 +362,7 @@ let prop_edge_loads_match_component_fold seed =
   Placement.edge_loads w p = component_fold w p
   && List.for_all
        (fun obj ->
-         Placement.object_edge_loads w p ~obj = component_fold w [| p.(obj) |])
+         Placement.edge_loads w [| p.(obj) |] = component_fold w [| p.(obj) |])
        (List.init (Array.length p) Fun.id)
 
 let suite =

@@ -1,4 +1,4 @@
-module Stats = Hbn_util.Stats
+module Stats = Hbn_ref.Stats
 
 let feq ?(eps = 1e-9) what a b =
   if Float.abs (a -. b) > eps then Alcotest.failf "%s: %f <> %f" what a b

@@ -177,9 +177,25 @@ let prop_generators_valid seed =
   ignore (Workload.make t ~reads ~writes);
   true
 
+(* The owner is the heaviest requester; a tie goes to the lower id. *)
+let test_owner_ties_to_lowest_id () =
+  let t = star 4 in
+  let w = Workload.empty t ~objects:2 in
+  Workload.set_read w ~obj:0 1 2;
+  Workload.set_read w ~obj:0 3 1;
+  Workload.set_write w ~obj:0 3 4;
+  Workload.set_read w ~obj:0 4 5;
+  Alcotest.(check (option int)) "tie 5 = 5 goes to 3" (Some 3)
+    (Workload.owner w ~obj:0);
+  Alcotest.(check (option int)) "no requests" None (Workload.owner w ~obj:1);
+  Workload.set_read w ~obj:0 4 6;
+  Alcotest.(check (option int)) "heavier after an update" (Some 4)
+    (Workload.owner w ~obj:0)
+
 let suite =
   [
     Helpers.tc "empty and set" test_empty_and_set;
+    Helpers.tc "owner ties to the lowest id" test_owner_ties_to_lowest_id;
     Helpers.tc "set validation" test_set_validation;
     Helpers.tc "make validation" test_make_validation;
     Helpers.tc "vectors are copies" test_vectors_are_copies;
