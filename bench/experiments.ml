@@ -19,6 +19,7 @@ module Gadget_opt = Hbn_exact.Gadget_opt
 module Lower_bounds = Hbn_exact.Lower_bounds
 module Baselines = Hbn_baselines.Baselines
 module Sim = Hbn_sim.Sim
+module Sim_ref = Hbn_ref.Sim_ref
 module Dist = Hbn_dist.Dist
 module Table = Hbn_util.Table
 module Stats = Hbn_ref.Stats
@@ -1101,6 +1102,8 @@ let e15 ~quick () =
 
 (* ------------------------------------------------------------------ *)
 (* E16: scheduling-policy robustness of the simulator conclusions.      *)
+(* FIFO is [Sim.run]; round-robin and newest-first run in the reference *)
+(* scan [Hbn_ref.Sim_ref], their only implementation.                   *)
 
 let e16 ~quick () =
   header "E16" "Simulator scheduling ablation: makespan robustness";
@@ -1121,8 +1124,9 @@ let e16 ~quick () =
       List.iter
         (fun (sname, p) ->
           let c = Placement.congestion w p in
-          let mk policy = (Sim.run ~scale:2 ~policy w p).Sim.makespan in
-          let f = mk Sim.Fifo and rr = mk Sim.Round_robin and rv = mk Sim.Reversed in
+          let mk policy = (Sim_ref.run ~scale:2 ~policy w p).Sim.makespan in
+          let f = (Sim.run ~scale:2 w p).Sim.makespan in
+          let rr = mk Sim_ref.Round_robin and rv = mk Sim_ref.Reversed in
           let worst = max f (max rr rv) and best = min f (min rr rv) in
           List.iter
             (fun (pol, v) ->

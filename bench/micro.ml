@@ -17,6 +17,7 @@ module Placement = Hbn_placement.Placement
 module Nibble = Hbn_nibble.Nibble
 module Strategy = Hbn_core.Strategy
 module Sim = Hbn_sim.Sim
+module Sim_ref = Hbn_ref.Sim_ref
 module Table = Hbn_util.Table
 module Trace = Hbn_obs.Trace
 
@@ -32,18 +33,20 @@ let instance () =
 (* B4's instance at scale 8 never builds a backlog, so its cost is the
    hop builder's. B5 is the e2e simulate workload's shape: many objects at
    low rates on a 3-ary height-4 tree at scale 2, where thousands of hops
-   wait per tick. The scheduler touches only the hops it can serve plus
-   one refused head per edge list, so the Fifo and Reversed rows cost
-   about the same; the Round_robin row adds its per-tick walk over every
-   waiting hop, which ranks them from the cut. *)
+   wait per tick. Its two rows schedule the same backlog: [Sim.run]
+   touches only the hops it can serve plus one refused head per waiting
+   edge, the reference scan visits every waiting hop every tick. *)
 let backlog_instance () =
   let prng = Prng.create 4242 in
   let tree = Builders.balanced ~arity:3 ~height:4 ~profile:(Builders.Uniform 2) in
   let w = Generators.uniform ~prng tree ~objects:48 ~max_rate:2 in
   (w, (Strategy.run w).Strategy.placement)
 
-let backlog_policies =
-  [ ("fifo", Sim.Fifo); ("reversed", Sim.Reversed); ("round_robin", Sim.Round_robin) ]
+let backlog_runs =
+  [
+    ("per-edge merge, Sim", fun w p -> Sim.run ~scale:2 w p);
+    ("whole-queue scan, Sim_ref", fun w p -> Sim_ref.run ~scale:2 w p);
+  ]
 
 let tests =
   let w = instance () in
@@ -61,12 +64,11 @@ let tests =
         (Staged.stage (fun () -> ignore (Sim.run ~scale:8 w placement)));
     ]
     @ List.map
-        (fun (pname, policy) ->
+        (fun (rname, run) ->
           Test.make
-            ~name:(Printf.sprintf "B5 packet simulation (backlog, %s)" pname)
-            (Staged.stage (fun () ->
-                 ignore (Sim.run ~scale:2 ~policy backlog_w backlog_placement))))
-        backlog_policies)
+            ~name:(Printf.sprintf "B5 packet simulation (backlog, %s)" rname)
+            (Staged.stage (fun () -> ignore (run backlog_w backlog_placement))))
+        backlog_runs)
 
 (* The flat-kernel instance is bigger than B1-B5's: primitive costs only
    separate from loop overhead on a few hundred nodes. The leaf pairs,
@@ -347,22 +349,19 @@ let smoke_flat () =
     (Array.length steiner_sets)
     (Array.length steiner_sets)
 
-(* B5's rows must do the same work: every policy delivers the same hops,
-   only in another order. *)
+(* B5's rows must do the same work: the merge and the scan return the
+   same outcome on the backlog. *)
 let smoke_sim () =
   let w, placement = backlog_instance () in
-  let counts =
-    List.map
-      (fun (_, policy) -> (Sim.run ~scale:2 ~policy w placement).Sim.transmissions)
-      backlog_policies
-  in
-  match counts with
-  | c :: rest when List.for_all (( = ) c) rest ->
+  match List.map (fun (_, run) -> run w placement) backlog_runs with
+  | [ merge; scan ] when merge = scan ->
     Printf.printf
-      "bench/micro --smoke: B5's %d policies deliver the same %d transmissions\n"
-      (List.length counts) c
-  | _ ->
+      "bench/micro --smoke: B5's merge and scan agree (makespan %d, %d \
+       transmissions)\n"
+      merge.Sim.makespan merge.Sim.transmissions
+  | outs ->
     prerr_endline
-      ("bench/micro --smoke: B5 transmissions differ by policy: "
-      ^ String.concat "/" (List.map string_of_int counts));
+      ("bench/micro --smoke: B5 outcomes differ (makespans "
+      ^ String.concat "/" (List.map (fun o -> string_of_int o.Sim.makespan) outs)
+      ^ ")");
     exit 1

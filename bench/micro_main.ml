@@ -7,8 +7,9 @@
    fresh scratch, next hops, nearest-copy sweeps, a load build by walks
    and by endpoint differences). [--smoke] skips timing and instead cross-checks the
    flat kernels against each other on the bench instances, and checks
-   that B5's three policy rows deliver the same transmissions — the
-   cheap gate `dune runtest` runs (see bench/dune). *)
+   that B5's two rows (the simulator's merge and the reference scan)
+   return the same outcome — the cheap gate `dune runtest` runs (see
+   bench/dune). *)
 
 let () =
   if Array.exists (( = ) "--smoke") Sys.argv then begin

@@ -24,7 +24,3 @@ let absorb c ~from =
   c.served <- c.served + from.served;
   from.groups <- [];
   from.served <- 0
-
-let pp ppf c =
-  Format.fprintf ppf "copy#%d(obj %d, node %d, s=%d, kappa=%d)" c.id c.obj
-    c.node c.served c.kappa

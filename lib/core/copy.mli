@@ -30,5 +30,3 @@ val weight : t -> int
 val absorb : t -> from:t -> unit
 (** [absorb c ~from] transfers all of [from]'s groups to [c] (the deletion
     algorithm's reassignment step); [from] is left empty. *)
-
-val pp : Format.formatter -> t -> unit

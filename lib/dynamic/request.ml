@@ -66,7 +66,3 @@ let phases ~prng tree ~readers ~writer ~phase_length ~phases =
            Array.to_list reads
          end
          else List.init phase_length (fun _ -> { node = writer; kind = Write })))
-
-let pp ppf r =
-  Format.fprintf ppf "%s@%d" (match r.kind with Read -> "R" | Write -> "W")
-    r.node

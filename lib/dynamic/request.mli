@@ -42,5 +42,3 @@ val phases :
 (** Alternating read phases (all [readers] read [phase_length] times) and
     write phases (the [writer] writes [phase_length] times) — the
     adversarial pattern that separates static from dynamic management. *)
-
-val pp : Format.formatter -> t -> unit

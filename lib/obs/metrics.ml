@@ -5,15 +5,9 @@ type t = {
      plain mutex (no sharding) is enough. *)
   mutex : Mutex.t;
   counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
 }
 
-let create () =
-  {
-    mutex = Mutex.create ();
-    counters = Hashtbl.create 16;
-    gauges = Hashtbl.create 16;
-  }
+let create () = { mutex = Mutex.create (); counters = Hashtbl.create 16 }
 
 let global = create ()
 
@@ -27,28 +21,16 @@ let incr ?(by = 1) m name =
   | Some r -> r := !r + by
   | None -> Hashtbl.add m.counters name (ref by)
 
-let set_gauge m name v =
+let counters m =
   locked m @@ fun () ->
-  match Hashtbl.find_opt m.gauges name with
-  | Some r -> r := v
-  | None -> Hashtbl.add m.gauges name (ref v)
-
-let sorted_bindings tbl read =
-  Hashtbl.fold (fun k v acc -> (k, read v) :: acc) tbl []
+  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) m.counters []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let counters m = locked m @@ fun () -> sorted_bindings m.counters (fun r -> !r)
-
-let gauges m = locked m @@ fun () -> sorted_bindings m.gauges (fun r -> !r)
 
 let counter_value m name =
   locked m @@ fun () ->
   match Hashtbl.find_opt m.counters name with Some r -> !r | None -> 0
 
-let reset m =
-  locked m @@ fun () ->
-  Hashtbl.reset m.counters;
-  Hashtbl.reset m.gauges
+let reset m = locked m @@ fun () -> Hashtbl.reset m.counters
 
 let emit m (sink : Sink.t) =
   List.iter
@@ -61,15 +43,4 @@ let emit m (sink : Sink.t) =
           payload = Sink.Counter { value };
           attrs = [];
         })
-    (counters m);
-  List.iter
-    (fun (name, value) ->
-      sink.Sink.emit
-        {
-          Sink.name;
-          id = 0;
-          parent = 0;
-          payload = Sink.Gauge { value };
-          attrs = [];
-        })
-    (gauges m)
+    (counters m)

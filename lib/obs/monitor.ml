@@ -150,15 +150,14 @@ type series = {
   mutable ph_down_max : float;
 }
 
-type config = {
-  warmup : int;
-  half_life : float;
-  win_size : int;
-  cusum_h : float;
-  cusum_k : float;
-  ph_lambda : float;
-  ph_delta : float;
-}
+type config = { warmup : int; half_life : float; win_size : int }
+
+(* The detectors' thresholds, in sigma units: CUSUM's [h] and slack [k],
+   Page-Hinkley's [lambda] and [delta]. *)
+let cusum_h = 8.0
+let cusum_k = 0.5
+let ph_lambda = 8.0
+let ph_delta = 0.05
 
 type t = {
   cfg : config;
@@ -168,19 +167,11 @@ type t = {
   mutable alerts_rev : alert list;
 }
 
-let create ?prefix ?(warmup = 8) ?(half_life = 16.0) ?(window = 32)
-    ?(cusum_threshold = 8.0) ?(cusum_slack = 0.5) ?(ph_threshold = 8.0)
-    ?(ph_delta = 0.05) () =
+let create ?prefix ?(warmup = 8) ?(half_life = 16.0) ?(window = 32) () =
   if warmup < 2 then invalid_arg "Monitor.create: warmup < 2";
   if not (half_life > 0.0 && Float.is_finite half_life) then
     invalid_arg "Monitor.create: half_life must be positive";
   if window < 1 then invalid_arg "Monitor.create: window < 1";
-  if not (cusum_threshold > 0.0) then
-    invalid_arg "Monitor.create: cusum_threshold must be positive";
-  if cusum_slack < 0.0 then invalid_arg "Monitor.create: cusum_slack < 0";
-  if not (ph_threshold > 0.0) then
-    invalid_arg "Monitor.create: ph_threshold must be positive";
-  if ph_delta < 0.0 then invalid_arg "Monitor.create: ph_delta < 0";
   let prefix =
     match prefix with
     | None -> ""
@@ -189,16 +180,7 @@ let create ?prefix ?(warmup = 8) ?(half_life = 16.0) ?(window = 32)
   in
   {
     prefix;
-    cfg =
-      {
-        warmup;
-        half_life;
-        win_size = window;
-        cusum_h = cusum_threshold;
-        cusum_k = cusum_slack;
-        ph_lambda = ph_threshold;
-        ph_delta;
-      };
+    cfg = { warmup; half_life; win_size = window };
     table = Hashtbl.create 16;
     order = [];
     alerts_rev = [];
@@ -278,24 +260,23 @@ let raise_alert t s ~round ~vtime kind magnitude =
   re_anchor s
 
 let detect t s ~round ~vtime ~weight v =
-  let cfg = t.cfg in
   let z = (v -. s.mu) /. s.sigma in
-  s.s_up <- Float.max 0.0 (s.s_up +. (weight *. (z -. cfg.cusum_k)));
-  s.s_down <- Float.max 0.0 (s.s_down +. (weight *. (-.z -. cfg.cusum_k)));
-  if s.s_up > cfg.cusum_h then raise_alert t s ~round ~vtime Cusum_up s.s_up
-  else if s.s_down > cfg.cusum_h then
+  s.s_up <- Float.max 0.0 (s.s_up +. (weight *. (z -. cusum_k)));
+  s.s_down <- Float.max 0.0 (s.s_down +. (weight *. (-.z -. cusum_k)));
+  if s.s_up > cusum_h then raise_alert t s ~round ~vtime Cusum_up s.s_up
+  else if s.s_down > cusum_h then
     raise_alert t s ~round ~vtime Cusum_down s.s_down
   else begin
     s.z_sum <- s.z_sum +. (weight *. z);
     s.z_weight <- s.z_weight +. weight;
     let z_bar = s.z_sum /. s.z_weight in
-    s.ph_up <- s.ph_up +. (weight *. (z -. z_bar -. cfg.ph_delta));
+    s.ph_up <- s.ph_up +. (weight *. (z -. z_bar -. ph_delta));
     s.ph_up_min <- Float.min s.ph_up_min s.ph_up;
-    s.ph_down <- s.ph_down +. (weight *. (z -. z_bar +. cfg.ph_delta));
+    s.ph_down <- s.ph_down +. (weight *. (z -. z_bar +. ph_delta));
     s.ph_down_max <- Float.max s.ph_down_max s.ph_down;
-    if s.ph_up -. s.ph_up_min > cfg.ph_lambda then
+    if s.ph_up -. s.ph_up_min > ph_lambda then
       raise_alert t s ~round ~vtime Page_hinkley_up (s.ph_up -. s.ph_up_min)
-    else if s.ph_down_max -. s.ph_down > cfg.ph_lambda then
+    else if s.ph_down_max -. s.ph_down > ph_lambda then
       raise_alert t s ~round ~vtime Page_hinkley_down
         (s.ph_down_max -. s.ph_down)
   end

@@ -90,10 +90,6 @@ val create :
   ?warmup:int ->
   ?half_life:float ->
   ?window:int ->
-  ?cusum_threshold:float ->
-  ?cusum_slack:float ->
-  ?ph_threshold:float ->
-  ?ph_delta:float ->
   unit ->
   t
 (** A fresh monitor. [prefix] (default none, must be non-empty when
@@ -104,10 +100,9 @@ val create :
     observations per series freeze the reference mean/deviation before
     the detectors arm; [half_life] (default 16.0 rounds, positive) sets
     the EWMA decay; [window] (default 32, minimum 1) bounds the min/max
-    window; [cusum_threshold]/[cusum_slack] (defaults 8.0 / 0.5) are [h]
-    and [k] in sigma units; [ph_threshold]/[ph_delta] (defaults
-    8.0 / 0.05) are [lambda] and [delta]. Invalid parameters raise
-    [Invalid_argument]. *)
+    window. The detectors' thresholds are fixed, in sigma units: CUSUM
+    [h = 8.0] and [k = 0.5], Page-Hinkley [lambda = 8.0] and
+    [delta = 0.05]. Invalid parameters raise [Invalid_argument]. *)
 
 val observe :
   t -> series:string -> round:int -> vtime:float -> span:int -> float -> unit

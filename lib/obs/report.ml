@@ -348,24 +348,26 @@ let round_range t =
          (fun (lo, hi) (_, r, _, _, _, _) -> (min lo r, max hi r))
          (r, r) es)
 
+(* [hottest_edges] splits the covered rounds [lo .. hi] into 8 equal
+   buckets of this width (the last one may be short). *)
+let bucket_width lo hi = max 1 ((hi - lo + 8) / 8)
+
 (* The [(first_round, last_round)] intervals the [hottest_edges] buckets
    cover; empty when the trace has no per-edge series. *)
-let bucket_bounds ?(buckets = 8) t =
+let bucket_bounds t =
   match round_range t with
   | None -> [||]
   | Some (lo, hi) ->
-    let buckets = max 1 buckets in
-    let width = max 1 ((hi - lo + buckets) / buckets) in
+    let width = bucket_width lo hi in
     Array.init
       ((hi - lo) / width + 1)
       (fun i -> (lo + (i * width), min hi (lo + ((i + 1) * width) - 1)))
 
-let hottest_edges ?(top = 5) ?(buckets = 8) t =
+let hottest_edges ?(top = 5) t =
   match round_range t with
   | None -> [||]
   | Some (lo, hi) ->
-    let buckets = max 1 buckets in
-    let width = max 1 ((hi - lo + buckets) / buckets) in
+    let width = bucket_width lo hi in
     let nbuckets = ((hi - lo) / width) + 1 in
     let totals = Hashtbl.create 16 in
     List.iter

@@ -86,11 +86,11 @@ type alert_summary = {
 val alert_summaries : t -> alert_summary list
 (** {!Sink.Alert} events aggregated by (series, kind), in that order. *)
 
-val hottest_edges : ?top:int -> ?buckets:int -> t -> (int * int * int array) array
+val hottest_edges : ?top:int -> t -> (int * int * int array) array
 (** Per-edge utilization over time, from [Series] events carrying
     [edge >= 0]: the [top] (default 5) edges by total traversals, as
     [(edge, total, per_bucket)] with the covered round range split into
-    [buckets] (default 8) equal intervals, busiest first. *)
+    8 equal intervals, busiest first. *)
 
 (** {1 Renderers} *)
 

@@ -49,8 +49,6 @@ type event = {
 
 type t = { emit : event -> unit; flush : unit -> unit }
 
-let null = { emit = (fun _ -> ()); flush = (fun () -> ()) }
-
 (* -- JSON writing ------------------------------------------------------- *)
 
 let escape_to = Json.escape_string

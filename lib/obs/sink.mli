@@ -82,9 +82,6 @@ type event = {
 
 type t = { emit : event -> unit; flush : unit -> unit }
 
-val null : t
-(** Discards everything. *)
-
 val jsonl : out_channel -> t
 (** One JSON object per event, one per line; [flush] flushes the channel
     (closing it is the caller's business). *)

@@ -135,7 +135,6 @@ let gauge name value =
     match st.sink with
     | None -> ()
     | Some sink ->
-      Metrics.set_gauge Metrics.global name value;
       sink.Sink.emit
         {
           Sink.name;

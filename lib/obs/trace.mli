@@ -82,9 +82,9 @@ val count : ?by:int -> string -> unit
     snapshot ({!Metrics.emit}), not per bump. No-op when disabled. *)
 
 val gauge : string -> float -> unit
-(** Records the gauge in {!Metrics.global} {e and} streams a [Gauge]
-    event (gauges are time-varying; the per-sample history is the
-    point). No-op when disabled. *)
+(** Streams one [Gauge] event. Gauges are time-varying and the
+    per-sample history is the point, so no registry keeps them: the
+    trace holds each sample exactly once. No-op when disabled. *)
 
 val flush : unit -> unit
 (** Flushes the installed sink, if any. *)

@@ -387,13 +387,3 @@ let to_dot tree t =
   done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>placement of %d objects@," (Array.length t);
-  Array.iteri
-    (fun obj op ->
-      Format.fprintf ppf "  object %d: copies [%s], %d assignment groups@," obj
-        (String.concat "; " (List.map string_of_int op.copies))
-        (List.length op.assigns))
-    t;
-  Format.fprintf ppf "@]"

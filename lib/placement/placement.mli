@@ -170,5 +170,3 @@ val rank_sites : Tree.t -> congestion -> k:int -> (site * float) list
 val to_dot : Tree.t -> t -> string
 (** Graphviz rendering of the network with each processor labeled by the
     objects it holds copies of (buses as boxes, as in {!Tree.to_dot}). *)
-
-val pp : Format.formatter -> t -> unit

@@ -27,35 +27,29 @@
     congestion objective optimizes, skewing the congestion→makespan
     correspondence the simulator exists to measure. The unit test
     [bus capacity: the 2·b(B) cap permits full pipelining] pins the
-    constant. Scheduling is greedy and deterministic: every round
-    serves the waiting hops in the {!policy}'s service order, granting
-    each hop whose edge and bus endpoints still have capacity. Hops
-    enter the queue in index order as they become ready. [Fifo] serves
-    them in entry order. [Reversed], at round [r], serves first the hops
-    that entered at a round of [r]'s parity, newest first, then the
-    others, oldest first: the whole queue turned around every round.
-    [Round_robin] keeps the waiting hops on a cycle, newly ready ones
-    last, and starts round [r] [r mod length] hops past the first hop
-    the previous round left waiting, so its rotations accumulate.
-    Every transmission moves one hop per round (store-and-forward).
-    With all bandwidths 1 this is the standard
-    [Ω(congestion + dilation)] routing regime.
+    constant. Scheduling is greedy, deterministic and first in, first
+    out: hops enter the waiting queue in index order as they become
+    ready, and every round serves them in entry order, granting each hop
+    whose edge and bus endpoints still have capacity. Every transmission
+    moves one hop per round (store-and-forward). With all bandwidths 1
+    this is the standard [Ω(congestion + dilation)] routing regime.
+    Other work-conserving orders (round-robin, newest first) are not
+    implemented here: the whole-queue scan [Hbn_ref.Sim_ref]
+    (test/ref/sim_ref.ml, linked by the tests and benchmarks only) runs
+    them, and experiment E16 compares their makespans with this one.
 
-    The waiting hops sit in per-edge queues in entry order (two per
-    edge under [Reversed], one per entry-round parity, read from the
-    back and from the front). A binary heap of the queue heads, keyed
-    by service order, merges them. A round's budgets only fall, so the
-    hops an edge is granted are a prefix of its queue, and a refused
-    hop changes nothing: a queue leaves the merge at its first refusal,
-    and the grants come out in the order a scan of the whole queue
-    would make them. A round costs its grants plus one refused head
-    per waiting edge, each [O(log edges)], not one visit per waiting
-    hop; [Round_robin] adds one walk over the waiting hops that ranks
-    them from the round's cut. Only the edges below their burst are
-    refilled and only the buses the last round drew on are reset. A
-    star whose single bus caps every edge still sends every waiting
-    edge through the merge each round: [O(leaves · log leaves)] per
-    round, however few hops the bus admits.
+    The waiting hops sit in per-edge queues in entry order. A binary
+    heap of the queue heads, keyed by entry order, merges them. A
+    round's budgets only fall, so the hops an edge is granted are a
+    prefix of its queue, and a refused hop changes nothing: a queue
+    leaves the merge at its first refusal, and the grants come out in
+    the order a scan of the whole queue would make them. A round costs
+    its grants plus one refused head per waiting edge, each
+    [O(log edges)], not one visit per waiting hop. Only the edges below
+    their burst are refilled and only the buses the last round drew on
+    are reset. A star whose single bus caps every edge still sends every
+    waiting edge through the merge each round:
+    [O(leaves · log leaves)] per round, however few hops the bus admits.
 
     Asynchrony: the round machine is a loop over ticks at whole virtual
     times, taken earliest first from a {!Hbn_util.Heap}. With a
@@ -99,14 +93,8 @@ type outcome = {
   max_dilation : int;  (** longest dependency chain over all packets *)
 }
 
-type policy =
-  | Fifo  (** serve ready hops oldest-first (default) *)
-  | Round_robin  (** rotate the service order every round *)
-  | Reversed  (** youngest-first — the most unfair work-conserving order *)
-
 val run :
   ?scale:int ->
-  ?policy:policy ->
   ?telemetry:Hbn_obs.Telemetry.t ->
   ?link:Hbn_event.Link.config ->
   Workload.t ->
@@ -114,10 +102,7 @@ val run :
   outcome
 (** Simulates the workload under the placement. [scale] divides all
     frequencies (rounding up) to bound simulation cost on large workloads;
-    default 1. [policy] picks the service order of ready transmissions —
-    every policy is work-conserving, and experiment E16 shows the makespan
-    (and hence the congestion-predicts-performance conclusion of E10) is
-    robust to the choice.
+    default 1.
 
     [link] gives every tree level its own delay and bandwidth (see
     {!Hbn_event.Link}); omitting it — or passing {!Hbn_event.Link.sync} —

@@ -1,21 +1,11 @@
-type align = Left | Right
-
 type row = Cells of string list | Separator
 
 type t = {
   header : string list;
-  aligns : align list;
   mutable rows : row list; (* reverse order *)
 }
 
-let create ?aligns header =
-  let aligns =
-    match aligns with
-    | Some a -> a
-    | None ->
-      List.mapi (fun i _ -> if i = 0 then Left else Right) header
-  in
-  { header; aligns; rows = [] }
+let create header = { header; rows = [] }
 
 let add_row t cells =
   let n = List.length t.header and k = List.length cells in
@@ -36,22 +26,15 @@ let render t =
   in
   measure t.header;
   List.iter (function Cells c -> measure c | Separator -> ()) rows;
-  let pad align width s =
-    let missing = width - String.length s in
+  (* The first column is left-aligned, every other one right-aligned. *)
+  let pad i s =
+    let missing = widths.(i) - String.length s in
     if missing <= 0 then s
-    else
-      match align with
-      | Left -> s ^ String.make missing ' '
-      | Right -> String.make missing ' ' ^ s
+    else if i = 0 then s ^ String.make missing ' '
+    else String.make missing ' ' ^ s
   in
   let render_cells cells =
-    let padded =
-      List.mapi
-        (fun i c ->
-          let align = try List.nth t.aligns i with Failure _ -> Right in
-          pad align widths.(i) c)
-        cells
-    in
+    let padded = List.mapi pad cells in
     "| " ^ String.concat " | " padded ^ " |"
   in
   let rule =

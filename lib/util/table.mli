@@ -3,14 +3,12 @@
     The bench executable regenerates the paper's result rows as aligned
     ASCII tables; this module does the layout. *)
 
-type align = Left | Right
-
 type t
 (** A table under construction: a header plus accumulated rows. *)
 
-val create : ?aligns:align list -> string list -> t
-(** [create ?aligns header] starts a table with the given column names.
-    [aligns] defaults to right-aligning every column except the first. *)
+val create : string list -> t
+(** [create header] starts a table with the given column names: the
+    first column is left-aligned, every other one right-aligned. *)
 
 val add_row : t -> string list -> unit
 (** [add_row t cells] appends a row. Rows shorter than the header are padded

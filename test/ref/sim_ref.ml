@@ -1,11 +1,14 @@
 (* Reference oracle for the packet simulator: [Sim.run] as it was when
-   every tick scanned the whole ready queue. The queue is one buffer of
-   (hop, edge) pairs; each tick scans it once from where the policy says
-   ([Fifo] front to back, [Reversed] back to front, [Round_robin] front
-   to back from [round mod length], wrapping), grants what the edge and
-   bus budgets allow, and keeps the rest in scan order, followed by the
-   newly ready hops in index order. The tests check that [Sim.run]
-   returns the same outcome, telemetry series and trace gauges. *)
+   every tick scanned the whole ready queue, under any of three service
+   orders. The queue is one buffer of (hop, edge) pairs; each tick scans
+   it once from where the policy says ([Fifo] front to back, [Reversed]
+   back to front, [Round_robin] front to back from [round mod length],
+   wrapping), grants what the edge and bus budgets allow, and keeps the
+   rest in scan order, followed by the newly ready hops in index order.
+   The tests check that [Sim.run] returns the same outcome, telemetry
+   series and trace gauges as the [Fifo] scan. [Round_robin] and
+   [Reversed] run only here: experiment E16 and the policy tests compare
+   them with [Fifo]. *)
 
 module Tree = Hbn_tree.Tree
 module Flat = Hbn_tree.Flat
@@ -19,6 +22,13 @@ module Link = Hbn_event.Link
 module Sim = Hbn_sim.Sim
 
 open Sim
+
+(* Every order is work-conserving: it only reorders the hops a tick
+   could serve. *)
+type policy =
+  | Fifo  (** serve ready hops oldest-first, as [Sim.run] does *)
+  | Round_robin  (** rotate the service order every round *)
+  | Reversed  (** youngest-first — the most unfair work-conserving order *)
 
 let scale_up amount scale = if amount = 0 then 0 else ((amount - 1) / scale) + 1
 

@@ -7,14 +7,17 @@
    on shapes the BENCH matrices never reach. The third link has
    fractional latencies (0.75 at the root level, 2.5 below), so hops
    granted at one tick arrive at different instants and several of them
-   share one consuming tick. The committed table is
-   fixtures/sim_fingerprints.txt. *)
+   share one consuming tick. The fifo rows run [Sim.run]; the
+   round_robin and reversed rows run the whole-queue scan in
+   [Hbn_ref.Sim_ref], the only implementation of those orders. The
+   committed table is fixtures/sim_fingerprints.txt. *)
 
 module Tree = Hbn_tree.Tree
 module Prng = Hbn_prng.Prng
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Sim = Hbn_sim.Sim
+module Sim_ref = Hbn_ref.Sim_ref
 module Link = Hbn_event.Link
 module Telemetry = Hbn_obs.Telemetry
 module Trace = Hbn_obs.Trace
@@ -22,8 +25,19 @@ module Sink = Hbn_obs.Sink
 
 let instances = 40
 
+(* A simulator run under one service order: [Sim.run] for FIFO, the
+   reference scan for the others. *)
+let run_policy policy ?scale ?telemetry ?link w p =
+  match (policy : Sim_ref.policy) with
+  | Fifo -> Sim.run ?scale ?telemetry ?link w p
+  | Round_robin | Reversed -> Sim_ref.run ?scale ~policy ?telemetry ?link w p
+
 let policies =
-  [ ("fifo", Sim.Fifo); ("round_robin", Sim.Round_robin); ("reversed", Sim.Reversed) ]
+  [
+    ("fifo", Sim_ref.Fifo);
+    ("round_robin", Sim_ref.Round_robin);
+    ("reversed", Sim_ref.Reversed);
+  ]
 
 let links =
   ("sync", None)
@@ -88,7 +102,7 @@ let table () =
               let tel = Telemetry.create ~num_edges:(Tree.num_edges tree) () in
               let o, gauges =
                 with_gauge_digest (fun () ->
-                    Sim.run ~policy ~telemetry:tel ?link w p)
+                    run_policy policy ~telemetry:tel ?link w p)
               in
               Printf.sprintf
                 "%d %s %s makespan=%d completion=%h transmissions=%d \

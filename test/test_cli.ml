@@ -564,6 +564,33 @@ let test_serve_record_replay () =
   Sys.remove tables;
   Sys.remove tel
 
+(* A gauge reaches the trace once per sample: serve's turnaround gauge
+   has one sample per epoch, not one more from the final counter
+   snapshot. *)
+let test_serve_trace_gauge_samples () =
+  let trace = Filename.temp_file "hbn_cli_trace" ".jsonl" in
+  let epochs = 6 in
+  (match run_cli [ "serve"; "--epochs"; string_of_int epochs; "--trace"; trace ] with
+  | None -> ()
+  | Some (Unix.WEXITED 0, _) -> (
+    match run_cli [ "report"; trace; "--format"; "json" ] with
+    | Some (Unix.WEXITED 0, out) ->
+      let module Json = Hbn_obs.Json in
+      let gauge =
+        Option.bind (Json.member "gauges" (Json.parse out)) Json.to_list
+        |> Option.value ~default:[]
+        |> List.find_opt (fun g ->
+               Option.bind (Json.member "name" g) Json.to_string
+               = Some "serve.epoch.turnaround_ms")
+      in
+      Alcotest.(check (option int))
+        "turnaround samples = epochs" (Some epochs)
+        (Option.bind gauge (fun g -> Option.bind (Json.member "samples" g) Json.to_int))
+    | Some (_, out) -> Alcotest.failf "report failed:\n%s" out
+    | None -> ())
+  | Some (_, out) -> Alcotest.failf "serve --trace failed:\n%s" out);
+  Sys.remove trace
+
 let suite =
   [
     Helpers.tc "cli topology" test_topology;
@@ -605,4 +632,6 @@ let suite =
       test_simulate_health_verdicts;
     Helpers.tc "cli --trace to chrome trace-event JSON" test_trace_to_chrome;
     Helpers.tc "cli serve --record/--replay" test_serve_record_replay;
+    Helpers.tc "cli serve --trace: one gauge sample per epoch"
+      test_serve_trace_gauge_samples;
   ]

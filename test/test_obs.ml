@@ -64,10 +64,6 @@ let test_counter_aggregation () =
   Alcotest.(check int) "absent is 0" 0 (Metrics.counter_value m "z");
   Alcotest.(check (list (pair string int)))
     "sorted snapshot" [ ("x", 42); ("y", 7) ] (Metrics.counters m);
-  Metrics.set_gauge m "g" 1.5;
-  Metrics.set_gauge m "g" 2.5;
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "gauge keeps last" [ ("g", 2.5) ] (Metrics.gauges m);
   Metrics.reset m;
   Alcotest.(check (list (pair string int))) "reset" [] (Metrics.counters m)
 
@@ -87,16 +83,27 @@ let test_with_attrs_tags_events () =
       (List.assoc "domain" clash.Sink.attrs = Sink.Int 9)
   | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
 
+(* Counters aggregate in the registry; a gauge only streams, so a final
+   [Metrics.emit] adds no second copy of its sample. *)
 let test_trace_count_feeds_global () =
   Metrics.reset Metrics.global;
-  let sink, _ = Sink.memory () in
+  let sink, read = Sink.memory () in
   Trace.with_sink sink (fun () ->
       Trace.count "c";
       Trace.count ~by:4 "c";
-      Trace.gauge "g" 3.25);
+      Trace.gauge "g" 3.25;
+      Metrics.emit Metrics.global sink);
   Alcotest.(check int) "aggregated" 5 (Metrics.counter_value Metrics.global "c");
+  let gauges =
+    List.filter_map
+      (fun (ev : Sink.event) ->
+        match ev.Sink.payload with
+        | Sink.Gauge { value } -> Some (ev.Sink.name, value)
+        | _ -> None)
+      (read ())
+  in
   Alcotest.(check (list (pair string (float 1e-9))))
-    "gauge recorded" [ ("g", 3.25) ] (Metrics.gauges Metrics.global);
+    "gauge streamed once" [ ("g", 3.25) ] gauges;
   Metrics.reset Metrics.global
 
 let test_disabled_is_inert () =
@@ -112,8 +119,8 @@ let test_disabled_is_inert () =
   Trace.flush ();
   Alcotest.(check int) "no counter recorded" 0
     (Metrics.counter_value Metrics.global "ghost-counter");
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "no gauge recorded" [] (Metrics.gauges Metrics.global)
+  Alcotest.(check (list (pair string int)))
+    "registry empty" [] (Metrics.counters Metrics.global)
 
 (* Exercise every payload kind and every attribute type through the JSONL
    writer and back through the parser. *)

@@ -1,4 +1,4 @@
-(* The serving tier: epoch/slot arithmetic, drift generators, the
+(* The serving tier: slot numbering, drift generators, the
    record/replay round-trip, the adaptation loop's budget/hysteresis
    discipline, and the observability plumbing it rides on (batched
    telemetry, reconfiguration counters, monitor prefixes, the online
@@ -13,61 +13,12 @@ module Telemetry = Hbn_obs.Telemetry
 module Monitor = Hbn_obs.Monitor
 module Request = Hbn_dynamic.Request
 module Online = Hbn_dynamic.Online
-module Epoch = Hbn_serve.Epoch
 module Drift = Hbn_serve.Drift
 module Serve = Hbn_serve.Serve
 module Loads = Hbn_loads.Loads
 
 let raises_invalid f =
   match f () with exception Invalid_argument _ -> true | _ -> false
-
-(* -- epoch/slot arithmetic ---------------------------------------------- *)
-
-let layout_slot_arb =
-  QCheck.(pair (int_range 1 64) (int_range 0 20_000))
-
-(* Decomposition is exact: every absolute slot splits into (epoch,
-   offset) and reassembles, the offset stays in range, and boundary
-   detection agrees with offset zero — including slot 0 of epoch 0. *)
-let prop_decompose (spe, slot) =
-  let l = Epoch.layout ~slots_per_epoch:spe in
-  let e = Epoch.epoch_of_slot l slot in
-  let o = Epoch.slot_in_epoch l slot in
-  o >= 0 && o < spe
-  && (e * spe) + o = slot
-  && Epoch.first_slot l ~epoch:e <= slot
-  && slot <= Epoch.last_slot l ~epoch:e
-  && Epoch.absolute l ~epoch:e ~slot:o = slot
-  && Epoch.is_boundary l slot = (o = 0)
-
-let prop_epoch_bounds (spe, epoch) =
-  let epoch = epoch mod 512 in
-  let l = Epoch.layout ~slots_per_epoch:spe in
-  let first = Epoch.first_slot l ~epoch and last = Epoch.last_slot l ~epoch in
-  first = epoch * spe
-  && last = first + spe - 1
-  && last = Epoch.first_slot l ~epoch:(epoch + 1) - 1
-  && Epoch.epoch_of_slot l first = epoch
-  && Epoch.epoch_of_slot l last = epoch
-  && Epoch.is_boundary l first
-  && (spe = 1 || not (Epoch.is_boundary l last))
-
-let test_epoch_edges () =
-  let l = Epoch.layout ~slots_per_epoch:16 in
-  Alcotest.(check int) "epoch 0 starts at slot 0" 0 (Epoch.first_slot l ~epoch:0);
-  Alcotest.(check int) "slot 0 is epoch 0" 0 (Epoch.epoch_of_slot l 0);
-  Alcotest.(check bool) "slot 0 is a boundary" true (Epoch.is_boundary l 0);
-  Alcotest.(check int) "last slot of epoch 0" 15 (Epoch.last_slot l ~epoch:0);
-  Alcotest.(check int) "slot 15 still epoch 0" 0 (Epoch.epoch_of_slot l 15);
-  Alcotest.(check int) "slot 16 opens epoch 1" 1 (Epoch.epoch_of_slot l 16);
-  Alcotest.(check bool) "zero-width layout rejected" true
-    (raises_invalid (fun () -> Epoch.layout ~slots_per_epoch:0));
-  Alcotest.(check bool) "negative slot rejected" true
-    (raises_invalid (fun () -> Epoch.epoch_of_slot l (-1)));
-  Alcotest.(check bool) "offset past the epoch rejected" true
-    (raises_invalid (fun () -> Epoch.absolute l ~epoch:0 ~slot:16));
-  Alcotest.(check bool) "negative offset rejected" true
-    (raises_invalid (fun () -> Epoch.absolute l ~epoch:0 ~slot:(-1)))
 
 (* -- drift generators --------------------------------------------------- *)
 
@@ -136,6 +87,22 @@ let run_kind ?exec ?(cfg = small_cfg) kind =
 let fingerprint (o : Serve.outcome) =
   ( o.Serve.epochs, o.Serve.total_requests, o.Serve.total_bytes_migrated,
     o.Serve.reoptimized_epochs, o.Serve.alerts, o.Serve.final_copies )
+
+(* Slots are numbered absolutely: epoch [e] owns slots
+   [e * slots_per_epoch ..] with no gap or overlap, epoch 0 starting at
+   slot 0, so the telemetry holds one round per slot in order. An epoch
+   without slots is rejected. *)
+let test_epoch_edges () =
+  let out = run_kind Drift.Steady in
+  let slots = small_cfg.Serve.slots_per_epoch * small_cfg.Serve.epochs in
+  Alcotest.(check (list int))
+    "one round per slot, from 0" (List.init slots Fun.id)
+    (List.map
+       (fun (p : Telemetry.point) -> p.Telemetry.round)
+       (Telemetry.points out.Serve.telemetry));
+  Alcotest.(check bool) "zero-width epochs rejected" true
+    (raises_invalid (fun () ->
+         run_kind ~cfg:{ small_cfg with Serve.slots_per_epoch = 0 } Drift.Steady))
 
 let test_steady_stays_put () =
   let out = run_kind Drift.Steady in
@@ -434,8 +401,6 @@ let prop_hot_objects_match_attribution seed =
 
 let suite =
   [
-    Helpers.qt ~count:200 "epoch decomposition" layout_slot_arb prop_decompose;
-    Helpers.qt ~count:200 "epoch bounds" layout_slot_arb prop_epoch_bounds;
     Helpers.tc "epoch edge cases" test_epoch_edges;
     Helpers.tc "drift tables deterministic" test_drift_deterministic;
     Helpers.tc "drift kind names round-trip" test_drift_names;

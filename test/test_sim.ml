@@ -4,6 +4,7 @@ module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Strategy = Hbn_core.Strategy
 module Sim = Hbn_sim.Sim
+module Sim_ref = Hbn_ref.Sim_ref
 module Prng = Hbn_prng.Prng
 
 let test_single_packet_path () =
@@ -138,6 +139,11 @@ let suite =
 
 (* --- scheduling policies ------------------------------------------------ *)
 
+(* [Sim.run] serves FIFO only; the round-robin and newest-first orders
+   run in the reference scan. *)
+let all_policies = List.map snd Sim_fingerprint.policies
+let run_policy = Sim_fingerprint.run_policy
+
 let prop_policies_conserve_traffic seed =
   (* Any service order injects the same packets and delivers exactly the
      same hops — scheduling only reorders work, it never creates or
@@ -146,8 +152,8 @@ let prop_policies_conserve_traffic seed =
   let res = Strategy.run w in
   let p = res.Strategy.placement in
   let fifo = Sim.run ~scale:4 w p in
-  let rr = Sim.run ~scale:4 ~policy:Sim.Round_robin w p in
-  let rev = Sim.run ~scale:4 ~policy:Sim.Reversed w p in
+  let rr = Sim_ref.run ~scale:4 ~policy:Sim_ref.Round_robin w p in
+  let rev = Sim_ref.run ~scale:4 ~policy:Sim_ref.Reversed w p in
   fifo.Sim.edge_traffic = rr.Sim.edge_traffic
   && fifo.Sim.edge_traffic = rev.Sim.edge_traffic
   && fifo.Sim.packets = rr.Sim.packets
@@ -164,11 +170,11 @@ let prop_policies_respect_lower_bound seed =
   let p = res.Strategy.placement in
   List.for_all
     (fun policy ->
-      let out = Sim.run ~scale:4 ~policy w p in
+      let out = run_policy policy ~scale:4 w p in
       float_of_int out.Sim.makespan >= Sim.lower_bound w p out -. 1e-9
       && (out.Sim.transmissions = 0
          || out.Sim.makespan <= out.Sim.transmissions))
-    [ Sim.Fifo; Sim.Round_robin; Sim.Reversed ]
+    all_policies
 
 let policy_suite =
   [
@@ -260,13 +266,14 @@ let test_asymmetry_moves_completion () =
    other makespans with the heap-driven tick loop, the first scheduler
    to complete those runs. *)
 let test_extreme_latencies () =
-  let policies = [ Sim.Fifo; Sim.Round_robin; Sim.Reversed ] in
+  let policies = all_policies in
   let prng = Prng.create 20260808 in
   let t = Builders.balanced ~arity:3 ~height:3 ~profile:(Builders.Uniform 2) in
   let w = Hbn_workload.Generators.uniform ~prng t ~objects:8 ~max_rate:6 in
   let p = (Strategy.run w).Strategy.placement in
   let run policy spec =
-    let out = Sim.run ~scale:2 ~policy ~link:(Result.get_ok (Link.of_spec spec)) w p in
+    let link = Result.get_ok (Link.of_spec spec) in
+    let out = run_policy policy ~scale:2 ~link w p in
     Alcotest.(check int) (spec ^ ": transmissions") 4496 out.Sim.transmissions;
     out
   in
@@ -277,7 +284,7 @@ let test_extreme_latencies () =
       Alcotest.(check (float 0.)) "1e7: completion" completion out.Sim.completion)
     policies
     [ (1047, 120000120.); (992, 120000114.); (1014, 120000115.) ];
-  let out = run Sim.Fifo "0:1e30" in
+  let out = run Sim_ref.Fifo "0:1e30" in
   Alcotest.(check int) "1e-30: makespan" 375 out.Sim.makespan;
   Alcotest.(check (float 0.)) "1e-30: completion" 375. out.Sim.completion;
   List.iter
@@ -285,13 +292,13 @@ let test_extreme_latencies () =
       Alcotest.(check int) (spec ^ ": makespan") makespan
         (run policy spec).Sim.makespan)
     [
-      (Sim.Round_robin, "0:1e30", 347);
-      (Sim.Reversed, "0:1e30", 320);
-      (Sim.Round_robin, "1e-20:inf", 327);
-      (Sim.Reversed, "1e-20:inf", 316);
-      (Sim.Fifo, "1e16:inf", 773);
-      (Sim.Round_robin, "1e16:inf", 681);
-      (Sim.Reversed, "1e16:inf", 694);
+      (Sim_ref.Round_robin, "0:1e30", 347);
+      (Sim_ref.Reversed, "0:1e30", 320);
+      (Sim_ref.Round_robin, "1e-20:inf", 327);
+      (Sim_ref.Reversed, "1e-20:inf", 316);
+      (Sim_ref.Fifo, "1e16:inf", 773);
+      (Sim_ref.Round_robin, "1e16:inf", 681);
+      (Sim_ref.Reversed, "1e16:inf", 694);
     ];
   (* A write through a star: request up and down, then a two-hop
      broadcast, each hop 1e19 after the last. *)
@@ -309,7 +316,7 @@ let test_extreme_latencies () =
   let link = Result.get_ok (Link.of_spec "1e19:inf") in
   List.iter
     (fun policy ->
-      let out = Sim.run ~policy ~link w p in
+      let out = run_policy policy ~link w p in
       Alcotest.(check int) "1e19: makespan" 4 out.Sim.makespan;
       Alcotest.(check (float 0.)) "1e19: completion" 4e19 out.Sim.completion)
     policies
@@ -373,8 +380,8 @@ let test_no_requests () =
   let leaves = Tree.leaves t in
   let p = Placement.single w [ (0, List.hd leaves); (1, List.nth leaves 2) ] in
   List.iter
-    (fun policy -> check_idle "balanced" (Sim.run ~policy w p))
-    [ Sim.Fifo; Sim.Round_robin; Sim.Reversed ]
+    (fun policy -> check_idle "balanced" (run_policy policy w p))
+    all_policies
 
 (* The smallest networks Tree.make accepts: a bus needs two neighbours,
    so two nodes are two processors joined by one edge, and one node is a
@@ -408,19 +415,19 @@ let empty_suite =
 
 (* --- the per-edge merge against the whole-queue scan -------------------- *)
 
-(* One run of [Sim.run] and of the oracle: outcome, telemetry points and
-   the digest of the per-tick gauges must all be equal. *)
-let same_as_oracle ?scale ?policy ?link w p =
+(* One run of [Sim.run] and of the FIFO oracle: outcome, telemetry
+   points and the digest of the per-tick gauges must all be equal. *)
+let same_as_oracle ?scale ?link w p =
   let m = Tree.num_edges (Workload.tree w) in
   let t1 = Telemetry.create ~num_edges:m () in
   let t2 = Telemetry.create ~num_edges:m () in
   let a, ga =
     Sim_fingerprint.with_gauge_digest (fun () ->
-        Sim.run ?scale ?policy ?link ~telemetry:t1 w p)
+        Sim.run ?scale ?link ~telemetry:t1 w p)
   in
   let b, gb =
     Sim_fingerprint.with_gauge_digest (fun () ->
-        Sim_ref.run ?scale ?policy ?link ~telemetry:t2 w p)
+        Sim_ref.run ?scale ?link ~telemetry:t2 w p)
   in
   a = b && Telemetry.points t1 = Telemetry.points t2 && ga = gb
 
@@ -431,20 +438,15 @@ let oracle_links =
        [ "1:4,1:1"; "0.25:2,0.5:0.5"; "1e16:inf" ]
 
 (* Random copy sets (buses included) on the oracle shapes: random trees,
-   stars and long caterpillars, every policy, link and scale. *)
+   stars and long caterpillars, every link and scale. *)
 let prop_matches_scan_oracle seed =
   let _, w = Helpers.shaped_instance seed in
   let prng = Prng.create (seed + 1009) in
   let p = Placement.nearest w ~copies:(Sim_fingerprint.random_copies prng w) in
   List.for_all
-    (fun policy ->
-      List.for_all
-        (fun link ->
-          List.for_all
-            (fun scale -> same_as_oracle ~scale ~policy ?link w p)
-            [ 1; 2 ])
-        oracle_links)
-    [ Sim.Fifo; Sim.Round_robin; Sim.Reversed ]
+    (fun link ->
+      List.for_all (fun scale -> same_as_oracle ~scale ?link w p) [ 1; 2 ])
+    oracle_links
 
 (* A shape well beyond the bench sizes: 1,365 nodes, where thousands of
    hops wait per tick. *)
@@ -462,7 +464,7 @@ let test_large_tree_matches_oracle () =
 
 let oracle_suite =
   [
-    Helpers.qt ~count:25 "per-edge merge = whole-queue scan (all policies)"
+    Helpers.qt ~count:25 "per-edge merge = whole-queue scan (fifo)"
       Helpers.seed_arb prop_matches_scan_oracle;
     Helpers.slow "1,365-node tree: merge = scan, traffic = loads"
       test_large_tree_matches_oracle;
