@@ -6,7 +6,7 @@
 # `ocamlformat --enable-outside-detected-project` matches the style.
 
 .PHONY: all build test check record bench-check bench-loads bench-parallel \
-	bench-micro loc clean
+	bench-micro pairs loc clean
 
 all: build
 
@@ -52,6 +52,18 @@ bench-loads:
 # the JSON records the detected core count).
 bench-parallel:
 	dune exec bench/parallel.exe
+
+# Alternating parent/change pairs of the end-to-end benchmark
+# (bench/pairs.sh): PAIRS runs of PAIR_SECONDS each per side on one
+# workload, then each metric's medians and win count, e.g.
+#   make pairs PARENT=../parent WORKLOAD=place-deep
+PARENT ?= ../parent
+CHANGE ?= .
+WORKLOAD ?= place-deep
+PAIRS ?= 10
+PAIR_SECONDS ?= 20
+pairs:
+	bench/pairs.sh $(PARENT) $(CHANGE) $(WORKLOAD) $(PAIRS) $(PAIR_SECONDS)
 
 # Lines of OCaml (.ml and .mli) per top-level source directory and in
 # total, each with its net change against HEAD (`git diff --numstat`,

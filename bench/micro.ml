@@ -4,7 +4,8 @@
    F1-F6 cover the Tree.Flat primitives the
    hot path is built from (path folds, batched LCA, Steiner scans with a
    reused and a fresh scratch, next hops towards a target, nearest-copy
-   sweeps, a whole load build edge by edge and by endpoint differences).
+   sweeps, a whole load build edge by edge and by endpoint differences),
+   F7 the deletion pass over every object of the place-deep inputs.
    Results print as ns/run estimated by OLS. *)
 
 module Tree = Hbn_tree.Tree
@@ -16,6 +17,8 @@ module Generators = Hbn_workload.Generators
 module Placement = Hbn_placement.Placement
 module Nibble = Hbn_nibble.Nibble
 module Strategy = Hbn_core.Strategy
+module Deletion = Hbn_core.Deletion
+module Deletion_ref = Hbn_ref.Deletion_ref
 module Sim = Hbn_sim.Sim
 module Sim_ref = Hbn_ref.Sim_ref
 module Table = Hbn_util.Table
@@ -120,8 +123,34 @@ let loads_by_diff fl d buf pairs steiner_sets loads =
     steiner_sets;
   Flat.Diff.edges_into fl d ~dst:loads
 
+(* F7: Step 2 on the e2e place-deep shape (a height-1000 caterpillar, 32
+   write-heavy hotspot objects): [Deletion.run] on every object that
+   reaches it, through one scratch. The copy sets are placed once,
+   outside the timed region. *)
+let deletion_instance () =
+  let prng = Prng.create 1 in
+  let tree =
+    Builders.caterpillar ~spine:1000 ~leaves_per_bus:2
+      ~profile:(Builders.Uniform 2)
+  in
+  let w =
+    Generators.hotspot ~prng tree ~objects:32 ~writers_per_object:4
+      ~write_rate:8 ~read_rate:6
+  in
+  let sets =
+    Array.to_list (Nibble.place_all w)
+    |> List.filter (fun cs ->
+           cs.Nibble.nodes <> []
+           && Workload.write_contention w ~obj:cs.Nibble.obj > 0)
+  in
+  (w, sets, Flat.Scratch.create (Flat.of_tree (Workload.tree w)))
+
+let deletions (w, sets, scratch) =
+  List.map (fun cs -> Deletion.run ~scratch w cs) sets
+
 let flat_tests =
   let fl, pairs, steiner_sets, hops = flat_instance () in
+  let deletion_input = deletion_instance () in
   let scratch = Flat.Scratch.create fl in
   let set_arrays = Array.map Array.of_list steiner_sets in
   let loads = Array.make (max 1 fl.Flat.m) 0 in
@@ -182,6 +211,8 @@ let flat_tests =
       Test.make ~name:"F6' load build (endpoint differences)"
         (Staged.stage (fun () ->
              loads_by_diff fl d buf pairs set_arrays loads));
+      Test.make ~name:"F7 deletion pass (place-deep inputs)"
+        (Staged.stage (fun () -> ignore (deletions deletion_input)));
     ]
 
 let run_group ~banner tests =
@@ -258,7 +289,8 @@ let run () =
   Table.print table
 
 let run_flat () =
-  run_group ~banner:"\n=== F1-F6: Tree.Flat primitive kernels ===" flat_tests
+  run_group ~banner:"\n=== F1-F7: Tree.Flat kernels and the deletion pass ==="
+    flat_tests
 
 (* Fast correctness pass over the same kernels, for `dune runtest`:
    the flat kernels are checked against each other on the bench instance
@@ -348,6 +380,29 @@ let smoke_flat () =
     (Array.length hops)
     (Array.length steiner_sets)
     (Array.length steiner_sets)
+
+(* F7 does the work of the n-table oracle: every object's outcome is the
+   same. Also reports what one pass allocates. *)
+let smoke_deletion () =
+  let ((w, sets, _) as input) = deletion_instance () in
+  ignore (deletions input);
+  let before = Gc.minor_words () in
+  let outs = deletions input in
+  let words = Gc.minor_words () -. before in
+  List.iter2
+    (fun cs out ->
+      if out <> Deletion_ref.deletion w cs then begin
+        Printf.eprintf "bench/micro --smoke: F7 object %d differs from the oracle\n"
+          cs.Nibble.obj;
+        exit 1
+      end)
+    sets outs;
+  Printf.printf
+    "bench/micro --smoke: F7 matches the n-table oracle on %d objects (%d \
+     copies out); one pass allocates %.3f M minor words\n"
+    (List.length sets)
+    (List.fold_left (fun a o -> a + List.length o.Deletion.copies) 0 outs)
+    (words /. 1e6)
 
 (* B5's rows must do the same work: the merge and the scan return the
    same outcome on the backlog. *)

@@ -6,8 +6,8 @@ type t = {
   kappa : int;
   origin : int;
   mutable node : int;
-  mutable groups : Nibble.group list;
-  mutable served : int;
+  groups : Nibble.group list;
+  served : int;
 }
 
 let total_weight groups =
@@ -18,9 +18,3 @@ let make ~id ~obj ~kappa ~node groups =
   { id; obj; kappa; origin = node; node; groups; served = total_weight groups }
 
 let weight c = c.served + c.kappa
-
-let absorb c ~from =
-  c.groups <- List.rev_append from.groups c.groups;
-  c.served <- c.served + from.served;
-  from.groups <- [];
-  from.served <- 0

@@ -10,7 +10,18 @@
     serving between [κ_x] and [2κ_x] requests (Observation 3.2).
 
     The resulting "modified nibble placement" at most doubles the load of
-    the nibble placement on every edge. *)
+    the nibble placement on every edge.
+
+    Which copies survive depends only on request counts, so {!run}
+    decides it by one pass of integers over a BFS of [T(x)] from the
+    gravity center, children first: a copy's count starts at its leaves'
+    weight ({!Nibble.iter_servers}), and a deleted copy adds it to its
+    parent's. No order is sorted and no deleted copy is built; each
+    survivor's groups are then consed once, in the order the
+    step-by-step merges would leave them. Cost: O(copies + requesting
+    leaves + nodes the leaf walks resolve). Working memory is the
+    scratch's; [run] allocates the survivors, their groups (and a split
+    copy's buckets) and one [|cs.nodes|]-array. *)
 
 module Workload = Hbn_workload.Workload
 module Nibble = Hbn_nibble.Nibble
@@ -30,19 +41,17 @@ val run :
   outcome
 (** [run w cs] executes the deletion algorithm for object [cs.obj]. The
     function is pure per object: copy ids are [first_id] (default 0)
-    onwards, allocated deterministically, and no shared state is touched
+    onwards — the survivor on the [i]-th node of [cs.nodes] keeps
+    [first_id + i], and clones follow from [first_id + |cs.nodes|] in
+    node order — and no shared state is touched
     — so the strategy driver can fan objects out over domains and
     renumber ids into one global sequence at merge time (the
     ["deletion.object"] trace event is likewise emitted by the driver's
     sequential merge, not here). Requires [cs.nodes <> []] and [κ_x > 0];
     the strategy driver handles the degenerate cases separately. [cs] is
     taken as {!Nibble.place} returns it: [cs.nodes] ascending and
-    connected, holding [cs.gravity]. Its working tables are sized by the
-    copy set, not the tree.
+    connected, holding [cs.gravity]. A copy serving [s > 2κ_x] requests
+    splits into [s / κ_x] near-equal parts, each in [\[κ_x, 2κ_x\]];
+    a group that straddles two parts gives its reads first.
     [scratch] (fresh by default) must belong to the calling domain; the
     driver hands each worker slot its own. *)
-
-val split_sizes : served:int -> kappa:int -> int list
-(** The bucket sizes used when splitting a copy: [max 1 (served / kappa)]
-    near-equal parts, each in [\[kappa, 2·kappa\]] whenever
-    [served >= kappa > 0]. Exposed for property tests. *)

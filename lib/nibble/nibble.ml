@@ -93,27 +93,51 @@ let placement w =
 
 let edge_loads w = Placement.edge_loads w (placement w)
 
+(* A leaf's server is the first copy on its path to the gravity center.
+   T(x) is connected, so it lies in the canonical subtree of its
+   shallowest node [top], where the center's ancestors all hold copies:
+   a walk up canonical parents meets the server before the path turns
+   down, or reaches the root having started outside top's subtree,
+   whose paths enter T(x) at [top]. The first walk through a non-copy
+   node memoizes its server (stamp in [nstamp], slot in [acc]). *)
+let iter_servers scratch w cs nodes f =
+  let r = (Flat.of_tree (Workload.tree w)).Flat.r in
+  let parent = r.Tree.parent and depth = r.Tree.depth in
+  let top = ref 0 in
+  for i = 1 to Array.length nodes - 1 do
+    if depth.(nodes.(i)) < depth.(nodes.(!top)) then top := i
+  done;
+  let top = !top in
+  scratch.Flat.Scratch.stamp <- scratch.Flat.Scratch.stamp + 1;
+  let stamp = scratch.Flat.Scratch.stamp in
+  let nstamp = scratch.Flat.Scratch.nstamp and memo = scratch.Flat.Scratch.acc in
+  let rec server v =
+    let i = Flat.Scratch.find scratch nodes v in
+    if i >= 0 then i
+    else if nstamp.(v) = stamp then memo.(v)
+    else if v = r.Tree.root then top
+    else server parent.(v)
+  in
+  if nodes <> [||] then
+    Workload.Flat.iter_requesting (Workload.flat w) ~obj:cs.obj (fun leaf ->
+        let i = server leaf in
+        let v = ref leaf in
+        while Flat.Scratch.find scratch nodes !v < 0 && nstamp.(!v) <> stamp do
+          nstamp.(!v) <- stamp;
+          memo.(!v) <- i;
+          if !v <> r.Tree.root then v := parent.(!v)
+        done;
+        f leaf i)
+
 let served_groups ?scratch w cs =
   let fl = Flat.of_tree (Workload.tree w) in
   let scratch =
     match scratch with Some s -> s | None -> Flat.Scratch.create fl
   in
-  (* Copy-set membership as a sparse-set index: no per-call n-array. *)
   let nodes = Array.of_list cs.nodes in
   Flat.Scratch.index scratch nodes;
   let out = Array.make (Array.length nodes) [] in
-  let wf = Workload.flat w in
-  (* The server is the first copy on the leaf's path to the gravity
-     center. *)
-  let rec first_copy v =
-    let i = Flat.Scratch.find scratch nodes v in
-    if i >= 0 then i
-    else if v = cs.gravity then
-      invalid_arg "Nibble.served_groups: request with no copy on its path"
-    else first_copy (Flat.next_hop fl v cs.gravity)
-  in
-  Workload.Flat.iter_requesting wf ~obj:cs.obj (fun leaf ->
-      let i = first_copy leaf in
+  iter_servers scratch w cs nodes (fun leaf i ->
       let g =
         {
           leaf;

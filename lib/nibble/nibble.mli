@@ -53,14 +53,26 @@ val edge_loads : Workload.t -> int array
 
 type group = { leaf : int; reads : int; writes : int }
 
+val iter_servers :
+  Hbn_tree.Flat.Scratch.t -> Workload.t -> copy_set -> int array ->
+  (int -> int -> unit) -> unit
+(** [iter_servers scratch w cs nodes f] calls [f leaf i] for every
+    requesting leaf of [cs.obj], ascending, where [nodes.(i)] is the
+    first copy on the leaf's path to the gravity center. [nodes] holds
+    [cs.nodes] (any order, indexed in [scratch] by
+    {!Hbn_tree.Flat.Scratch.index}); with none, [f] is never called.
+    Walks go up canonical parents and resolve each non-copy node once:
+    O(copies + requesting leaves + nodes walked), no allocation. Writes
+    [scratch.nstamp] and [scratch.acc] at non-copy nodes only. *)
+
 val served_groups :
   ?scratch:Hbn_tree.Flat.Scratch.t -> Workload.t -> copy_set -> group list array
 (** [served_groups w cs] lists, for the [i]-th node of [cs.nodes], the
     request groups its copy serves: an array of [List.length cs.nodes]
     entries in [cs.nodes] order, each list in descending leaf order.
-    Every requesting leaf appears in exactly one group. O(copies +
-    requests · path length); nothing proportional to the tree is
-    allocated. [scratch] as in {!place}. *)
+    Every requesting leaf appears in exactly one group. The servers come
+    from {!iter_servers}; nothing proportional to the tree is allocated.
+    [scratch] as in {!place}. *)
 
 val group_weight : group -> int
 (** [reads + writes]. *)

@@ -31,6 +31,7 @@ module Scratch = struct
     mutable sp : int;
     queue : int array;
     slot : int array;
+    cells : int array;
   }
 
   let create fl =
@@ -43,6 +44,7 @@ module Scratch = struct
       sp = 0;
       queue = Array.make fl.n 0;
       slot = Array.make fl.n 0;
+      cells = Array.make (2 * fl.n) 0;
     }
 
   let index s nodes = Array.iteri (fun i v -> s.slot.(v) <- i) nodes

@@ -52,6 +52,10 @@ module Scratch : sig
         (** sparse-set index, [n] slots: [slot.(v)] is [v]'s position in a
             caller's dense array of nodes, trusted only where that array
             holds [v] back, so it is never cleared *)
+    cells : int array;
+        (** [2n] slots of per-slot working memory for a caller's dense
+            array of nodes: room for two ints per node, or one per node
+            plus one per leaf *)
   }
 
   val create : flat -> t

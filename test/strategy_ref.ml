@@ -1,12 +1,10 @@
 (* Reference oracles for Steps 1 and 2 of the strategy and for the
    placement validator: the direct per-node forms the library ran before
    its per-copy kernels. Step 1 asks Flat.next_hop for every node's
-   gravity parent; served groups and the deletion table are node-indexed
-   arrays of size n; deletion orders copies by sorting (distance, node)
-   pairs and looks for the nearest survivor by a BFS over the whole tree;
-   the Step 1 and Step 2 placements are built eagerly; validation scans
-   every node of every object. The tests check that the library computes
-   exactly what these compute. *)
+   gravity parent; Step 2 runs the n-table deletion oracle
+   (Hbn_ref.Deletion_ref); the Step 1 and Step 2 placements are built
+   eagerly; validation scans every node of every object. The tests check
+   that the library computes exactly what these compute. *)
 
 module Tree = Hbn_tree.Tree
 module Flat = Hbn_tree.Flat
@@ -15,6 +13,7 @@ module Placement = Hbn_placement.Placement
 module Nibble = Hbn_nibble.Nibble
 module Copy = Hbn_core.Copy
 module Deletion = Hbn_core.Deletion
+module Deletion_ref = Hbn_ref.Deletion_ref
 
 (* The nibble rule: every node asks next_hop which side of it the gravity
    center lies on. *)
@@ -40,168 +39,6 @@ let place w ~obj =
     { Nibble.obj; nodes = !nodes; gravity }
   end
 
-(* Request groups by serving node, an n-array (empty lists off the copy
-   set); each leaf goes to the first copy on its path to the center. *)
-let served_groups w cs =
-  let tree = Workload.tree w in
-  let fl = Flat.of_tree tree in
-  let in_set = Array.make (Tree.n tree) false in
-  List.iter (fun v -> in_set.(v) <- true) cs.Nibble.nodes;
-  let out = Array.make (Tree.n tree) [] in
-  let obj = cs.Nibble.obj in
-  let rec first_copy v =
-    if in_set.(v) then v else first_copy (Flat.next_hop fl v cs.Nibble.gravity)
-  in
-  List.iter
-    (fun leaf ->
-      let server = first_copy leaf in
-      out.(server) <-
-        {
-          Nibble.leaf;
-          reads = Workload.reads w ~obj leaf;
-          writes = Workload.writes w ~obj leaf;
-        }
-        :: out.(server))
-    (Workload.requesting_leaves w ~obj);
-  out
-
-let cut_groups groups sizes =
-  let buckets = ref [] in
-  let remaining = ref groups in
-  List.iter
-    (fun size ->
-      let bucket = ref [] and need = ref size in
-      while !need > 0 do
-        match !remaining with
-        | [] -> invalid_arg "cut_groups: sizes exceed requests"
-        | g :: rest ->
-          let w = Nibble.group_weight g in
-          if w = 0 then remaining := rest
-          else if w <= !need then begin
-            bucket := g :: !bucket;
-            need := !need - w;
-            remaining := rest
-          end
-          else begin
-            let take_reads = min g.Nibble.reads !need in
-            let take_writes = !need - take_reads in
-            bucket :=
-              { g with Nibble.reads = take_reads; writes = take_writes }
-              :: !bucket;
-            remaining :=
-              {
-                g with
-                Nibble.reads = g.Nibble.reads - take_reads;
-                writes = g.Nibble.writes - take_writes;
-              }
-              :: rest;
-            need := 0
-          end
-      done;
-      buckets := List.rev !bucket :: !buckets)
-    sizes;
-  List.rev !buckets
-
-(* The deletion algorithm over an n-sized node table. *)
-let deletion ?(first_id = 0) w cs =
-  let tree = Workload.tree w in
-  let fl = Flat.of_tree tree in
-  let n = Tree.n tree in
-  let kappa = Workload.write_contention w ~obj:cs.Nibble.obj in
-  let next_id = ref first_id in
-  let fresh () =
-    let id = !next_id in
-    incr next_id;
-    id
-  in
-  let groups = served_groups w cs in
-  let table = Array.make n None in
-  List.iter
-    (fun v ->
-      table.(v) <-
-        Some
-          (Copy.make ~id:(fresh ()) ~obj:cs.Nibble.obj ~kappa ~node:v
-             groups.(v)))
-    cs.Nibble.nodes;
-  let gravity = cs.Nibble.gravity in
-  let order =
-    List.map (fun v -> (Flat.distance fl gravity v, v)) cs.Nibble.nodes
-    |> List.sort (fun (da, a) (db, b) ->
-           if da <> db then Int.compare db da else Int.compare b a)
-    |> List.map snd
-  in
-  let deletions = ref 0 in
-  let nearest_survivor () =
-    let seen = Array.make n false in
-    let queue = Queue.create () in
-    Queue.add gravity queue;
-    seen.(gravity) <- true;
-    let found = ref None in
-    while !found = None && not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      match table.(v) with
-      | Some c when v <> gravity -> found := Some c
-      | Some _ | None ->
-        Array.iter
-          (fun (u, _) ->
-            if not seen.(u) then begin
-              seen.(u) <- true;
-              Queue.add u queue
-            end)
-          (Tree.neighbors tree v)
-    done;
-    !found
-  in
-  List.iter
-    (fun v ->
-      match table.(v) with
-      | Some copy when copy.Copy.served < kappa ->
-        let into =
-          if v <> gravity then table.(Flat.next_hop fl v gravity)
-          else nearest_survivor ()
-        in
-        Option.iter
-          (fun p ->
-            Copy.absorb p ~from:copy;
-            table.(v) <- None;
-            incr deletions)
-          into
-      | Some _ | None -> ())
-    order;
-  let splits = ref 0 in
-  let copies = ref [] in
-  Array.iteri
-    (fun v slot ->
-      match slot with
-      | None -> ()
-      | Some copy ->
-        if copy.Copy.served > 2 * kappa then begin
-          let sizes = Deletion.split_sizes ~served:copy.Copy.served ~kappa in
-          match cut_groups copy.Copy.groups sizes with
-          | [] -> assert false
-          | first :: rest ->
-            copy.Copy.groups <- first;
-            copy.Copy.served <-
-              List.fold_left (fun a g -> a + Nibble.group_weight g) 0 first;
-            copies := copy :: !copies;
-            List.iter
-              (fun bucket ->
-                incr splits;
-                copies :=
-                  Copy.make ~id:(fresh ()) ~obj:cs.Nibble.obj ~kappa ~node:v
-                    bucket
-                  :: !copies)
-              rest
-        end
-        else copies := copy :: !copies)
-    table;
-  {
-    Deletion.copies = List.rev !copies;
-    deletions = !deletions;
-    splits = !splits;
-    ids_used = !next_id - first_id;
-  }
-
 (* Steps 1 and 2 with both placements built eagerly. *)
 type steps = {
   sets : Nibble.copy_set array;
@@ -225,7 +62,7 @@ let steps w =
         else if Workload.write_contention w ~obj = 0 then
           `Read_only (Workload.requesting_leaves w ~obj)
         else begin
-          let out = deletion ~first_id:!next_id w cs in
+          let out = Deletion_ref.deletion ~first_id:!next_id w cs in
           next_id := !next_id + out.Deletion.ids_used;
           deletions := !deletions + out.Deletion.deletions;
           splits := !splits + out.Deletion.splits;

@@ -4,31 +4,35 @@ module Workload = Hbn_workload.Workload
 module Nibble = Hbn_nibble.Nibble
 module Copy = Hbn_core.Copy
 module Deletion = Hbn_core.Deletion
+module Deletion_ref = Hbn_ref.Deletion_ref
+module Generators = Hbn_workload.Generators
 module Prng = Hbn_prng.Prng
 
+(* The split-size rule of the oracle; the library is tied to it by the
+   oracle property below. *)
 let test_split_sizes_basic () =
   Alcotest.(check (list int)) "fits in one" [ 5 ]
-    (Deletion.split_sizes ~served:5 ~kappa:3);
+    (Deletion_ref.split_sizes ~served:5 ~kappa:3);
   Alcotest.(check (list int)) "exact double" [ 3; 3 ]
-    (Deletion.split_sizes ~served:6 ~kappa:3);
+    (Deletion_ref.split_sizes ~served:6 ~kappa:3);
   Alcotest.(check (list int)) "uneven" [ 4; 3 ]
-    (Deletion.split_sizes ~served:7 ~kappa:3);
+    (Deletion_ref.split_sizes ~served:7 ~kappa:3);
   Alcotest.(check (list int)) "many" [ 3; 3; 3; 3 ]
-    (Deletion.split_sizes ~served:12 ~kappa:3)
+    (Deletion_ref.split_sizes ~served:12 ~kappa:3)
 
 let test_split_sizes_validation () =
   Alcotest.check_raises "kappa 0"
-    (Invalid_argument "Deletion.split_sizes: kappa must be positive")
-    (fun () -> ignore (Deletion.split_sizes ~served:5 ~kappa:0));
+    (Invalid_argument "Deletion_ref.split_sizes: kappa must be positive")
+    (fun () -> ignore (Deletion_ref.split_sizes ~served:5 ~kappa:0));
   Alcotest.check_raises "served < kappa"
-    (Invalid_argument "Deletion.split_sizes: served < kappa") (fun () ->
-      ignore (Deletion.split_sizes ~served:2 ~kappa:3))
+    (Invalid_argument "Deletion_ref.split_sizes: served < kappa") (fun () ->
+      ignore (Deletion_ref.split_sizes ~served:2 ~kappa:3))
 
 let prop_split_sizes_invariants seed =
   let prng = Prng.create seed in
   let kappa = Prng.int_in prng 1 50 in
   let served = kappa + Prng.int prng 500 in
-  let sizes = Deletion.split_sizes ~served ~kappa in
+  let sizes = Deletion_ref.split_sizes ~served ~kappa in
   List.fold_left ( + ) 0 sizes = served
   && List.for_all (fun s -> s >= kappa && s <= 2 * kappa) sizes
 
@@ -188,19 +192,96 @@ let prop_copies_subset_of_component seed =
   done;
   !ok
 
-(* Bit-identity with the n-table oracle: the same copies (ids, nodes,
-   groups in order, served counts), deletions, splits and ids used, with
-   a shifted first id. *)
-let prop_matches_n_table_oracle seed =
-  let _, w = Helpers.shaped_instance seed in
-  List.for_all
+(* The instances the oracle property draws: the shaped instances,
+   hotspot caterpillars up to spine 300, and low-rate caterpillars where
+   one heavy writer sets κ and every other leaf reads at most once, so
+   one-request copies hand their requests up for dozens of levels before
+   a copy reaches κ. *)
+let oracle_instance seed =
+  let prng = Prng.create (seed + 9090) in
+  match seed mod 3 with
+  | 0 -> snd (Helpers.shaped_instance seed)
+  | 1 ->
+    let tree =
+      Builders.caterpillar ~spine:(Prng.int_in prng 2 300)
+        ~leaves_per_bus:(Prng.int_in prng 1 3) ~profile:(Builders.Uniform 2)
+    in
+    Generators.hotspot ~prng tree ~objects:(Prng.int_in prng 1 3)
+      ~writers_per_object:(Prng.int_in prng 1 4)
+      ~write_rate:(Prng.int_in prng 1 8) ~read_rate:(Prng.int_in prng 1 6)
+  | _ ->
+    let spine = Prng.int_in prng 150 300 in
+    let tree =
+      Builders.caterpillar ~spine ~leaves_per_bus:(Prng.int_in prng 1 2)
+        ~profile:(Builders.Uniform 1)
+    in
+    let w = Workload.empty tree ~objects:1 in
+    let leaves = Tree.leaves_array tree in
+    Array.iter
+      (fun leaf -> if Prng.int prng 4 > 0 then Workload.set_read w ~obj:0 leaf 1)
+      leaves;
+    Workload.set_write w ~obj:0
+      leaves.(Prng.int prng (Array.length leaves))
+      (Prng.int_in prng 50 (spine / 3));
+    w
+
+(* Bit-identity with the n-table oracle on every object: the same copies
+   (ids, nodes, groups in order, served counts), deletions, splits and
+   ids used, with [first_id] shifted by the seed. *)
+let oracle_runs seed =
+  let w = oracle_instance seed in
+  List.filter_map
     (fun obj ->
-      Workload.write_contention w ~obj = 0
-      || Workload.total_weight w ~obj = 0
-      ||
-      let cs = Nibble.place w ~obj in
-      Deletion.run ~first_id:seed w cs = Strategy_ref.deletion ~first_id:seed w cs)
+      if Workload.write_contention w ~obj = 0 || Workload.total_weight w ~obj = 0
+      then None
+      else
+        let cs = Nibble.place w ~obj in
+        let want, info = Deletion_ref.deletion_with_info ~first_id:seed w cs in
+        Some (Deletion.run ~first_id:seed w cs = want, info))
     (List.init (Workload.num_objects w) Fun.id)
+
+let prop_matches_n_table_oracle seed =
+  List.for_all fst (oracle_runs seed)
+
+(* The property is not vacuous: over a fixed run of its instances, the
+   library matches the oracle through gravity-center deletions, splits of
+   the copy that took the center's requests, absorb chains of at least 50
+   levels, and shifted first ids. *)
+let test_oracle_property_coverage () =
+  let centers = ref 0 and host_splits = ref 0 and chains = ref 0 in
+  let shifted = ref 0 in
+  for seed = 0 to 299 do
+    List.iter
+      (fun (same, info) ->
+        if not same then Alcotest.failf "seed %d: deletion differs from the oracle" seed;
+        if info.Deletion_ref.gravity_deleted then incr centers;
+        if info.Deletion_ref.host_split then incr host_splits;
+        if info.Deletion_ref.longest_chain >= 50 then incr chains;
+        if seed > 0 then incr shifted)
+      (oracle_runs seed)
+  done;
+  Alcotest.(check bool) "a gravity center was deleted" true (!centers > 0);
+  Alcotest.(check bool) "its survivor then split" true (!host_splits > 0);
+  Alcotest.(check bool) "an absorb chain ran 50 levels" true (!chains > 0);
+  Alcotest.(check bool) "first ids were shifted" true (!shifted > 0)
+
+(* Far beyond the bench sizes: a caterpillar of 5·10^4 buses, one heavy
+   writer at one end and a 1-read leaf on every bus, so copies hand
+   their requests up for thousands of levels before one reaches κ. The
+   library must match the oracle, raise nothing and keep its recursion
+   within the stack. *)
+let test_deep_caterpillar () =
+  let spine = 50_000 in
+  let t = Builders.caterpillar ~spine ~leaves_per_bus:1 ~profile:(Builders.Uniform 1) in
+  let w = Workload.empty t ~objects:1 in
+  let leaves = Tree.leaves_array t in
+  Array.iter (fun leaf -> Workload.set_read w ~obj:0 leaf 1) leaves;
+  Workload.set_write w ~obj:0 leaves.(0) 3000;
+  let cs = Nibble.place w ~obj:0 in
+  let want, info = Deletion_ref.deletion_with_info w cs in
+  Alcotest.(check bool) "chains run thousands of levels" true
+    (info.Deletion_ref.longest_chain >= 2000);
+  Alcotest.(check bool) "matches the oracle" true (Deletion.run w cs = want)
 
 let suite =
   [
@@ -217,4 +298,8 @@ let suite =
     Helpers.qt "surviving copies stay in the component" Helpers.seed_arb prop_copies_subset_of_component;
     Helpers.qt ~count:150 "deletion matches the n-table oracle" Helpers.seed_arb
       prop_matches_n_table_oracle;
+    Helpers.tc "oracle property covers center deletions and deep chains"
+      test_oracle_property_coverage;
+    Helpers.slow "deep caterpillar (spine 5e4) matches the oracle"
+      test_deep_caterpillar;
   ]

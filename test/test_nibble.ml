@@ -169,7 +169,7 @@ let prop_place_matches_oracle seed =
       cs = Strategy_ref.place w ~obj
       && (cs.Nibble.nodes = []
          ||
-         let old = Strategy_ref.served_groups w cs in
+         let old = Hbn_ref.Deletion_ref.served_groups w cs in
          Nibble.served_groups w cs
          = Array.of_list (List.map (Array.get old) cs.Nibble.nodes)
          && List.for_all
