@@ -6,7 +6,7 @@
 # `ocamlformat --enable-outside-detected-project` matches the style.
 
 .PHONY: all build test check record bench-check bench-loads bench-parallel \
-	bench-micro pairs loc clean
+	bench-micro pairs loc exports clean
 
 all: build
 
@@ -79,6 +79,41 @@ loc:
 	  printf '%-9s %6d %+6d\n' $$d $$n $$net; \
 	  total=$$((total + n)); net_total=$$((net_total + net)); \
 	done; printf '%-9s %6d %+6d\n' total $$total $$net_total
+
+# The export audit of lib/: for every `val` in lib/**/*.mli (one inside
+# a nested `module M : sig` as `M.value`), how many files outside the
+# value's own module name `Module.value` in lib/, bin/ and examples/
+# (the product), in bench/e2e, in the rest of bench/ and in test/. A
+# grep, so module aliases and opens can hide a use: confirm a zero with
+# a build before deleting. Ends with totals and the number of optional
+# arguments in lib's interfaces.
+EXPORT_DIRS = lib bin examples bench test
+exports:
+	@{ find lib -path '*/_build' -prune -o -name '*.mli' -type f -print | sort \
+	  | xargs awk 'FNR == 1 { f = FILENAME; sub(/.*\//, "", f); sub(/\.mli$$/, "", f); \
+	      top = toupper(substr(f, 1, 1)) substr(f, 2) "."; nested = "" } \
+	    /^module [A-Z][A-Za-z0-9_]* : sig/ { nested = $$2 "." } \
+	    /^end/ { nested = "" } \
+	    /^ *val [a-z_]/ { v = $$2; sub(/:.*/, "", v); \
+	      print f, (/^val/ ? top : nested) v }'; \
+	  echo '--'; \
+	  grep -rEo --exclude-dir=_build --include='*.ml' --include='*.mli' \
+	    '[A-Z][A-Za-z0-9_]*\.[a-z_][A-Za-z0-9_]*' $(EXPORT_DIRS) | sort -u \
+	  | awk -F: '{ f = $$1; sub(/.*\//, "", f); sub(/\.mli?$$/, "", f); \
+	      d = $$1 ~ /^bench\/e2e\// ? "e2e" : $$1 ~ /^bench\// ? "bench" \
+	        : $$1 ~ /^test\// ? "test" : "product"; print d, f, $$2 }'; } \
+	| awk '$$0 == "--" { refs = 1; next } \
+	  !refs { if (!($$2 in own)) { own[$$2] = $$1; keys[++n] = $$2 }; next } \
+	  ($$3 in own) && own[$$3] != $$2 { c[$$3, $$1]++ } \
+	  END { printf "%-34s %7s %5s %5s %5s\n", "value", "product", "e2e", "bench", "test"; \
+	    for (i = 1; i <= n; i++) { k = keys[i]; \
+	      p = c[k, "product"] + 0; e = c[k, "e2e"] + 0; b = c[k, "bench"] + 0; t = c[k, "test"] + 0; \
+	      printf "%-34s %7d %5d %5d %5d\n", k, p, e, b, t; \
+	      if (p + e + b + t == 0) none++; else if (p + e == 0) side++ } \
+	    printf "%d values: %d named by no other file, %d only by bench/ or test/\n", \
+	      n, none, side }'
+	@printf 'optional arguments in lib/**/*.mli: %d\n' \
+	  $$(grep -rhoE '\?[a-z_0-9]+:' lib --include=*.mli | wc -l)
 
 clean:
 	dune clean

@@ -356,21 +356,17 @@ let e5 ~quick () =
     let w = Generators.hotspot ~prng tree ~objects:4 ~writers_per_object:3
         ~write_rate:6 ~read_rate:6
     in
-    (* Rebuild steps 1-2 by hand so we can inject into step 3. *)
-    let next_id = ref 0 in
+    (* Rebuild steps 1-2 by hand so we can inject into step 3. Step 3
+       never reads copy ids, so each object keeps its local ones. *)
     let all =
       List.concat_map
         (fun obj ->
           if
             Workload.write_contention w ~obj > 0
             && Workload.total_weight w ~obj > 0
-          then begin
-            let out =
-              Hbn_core.Deletion.run ~first_id:!next_id w (Nibble.place w ~obj)
-            in
-            next_id := !next_id + out.Hbn_core.Deletion.ids_used;
+          then
+            let out = Hbn_core.Deletion.run w (Nibble.place w ~obj) in
             out.Hbn_core.Deletion.copies
-          end
           else [])
         (List.init (Workload.num_objects w) (fun i -> i))
     in
@@ -379,13 +375,22 @@ let e5 ~quick () =
     in
     if movable <> [] then begin
       incr total;
+      (* Basic loads lowered by 500_000 start every acceptable load at
+         2 L_b - 1_000_000; a run breaks when a round violates the
+         invariant or a bus finds no free child edge. *)
+      let lowered b = Array.map (fun l -> l - 500_000) b in
       let basic_up, basic_down = Mapping.basic_loads tree all in
+      let on_round st =
+        match Mapping.check_invariant st with
+        | Ok () -> ()
+        | Error msg -> failwith msg
+      in
       match
-        Mapping.run ~verify:true ~inject_lacc_error:1_000_000 tree ~basic_up
-          ~basic_down ~movable
+        Mapping.run ~on_round tree ~basic_up:(lowered basic_up)
+          ~basic_down:(lowered basic_down) ~movable
       with
       | Ok _ -> ()
-      | Error _ -> incr broken
+      | Error _ | (exception Failure _) -> incr broken
     end
   done;
   Table.add_row t
@@ -931,7 +936,7 @@ let e13 ~quick () =
   List.iter
     (fun cap ->
       match Capacitated.apply w ~capacity:(fun _ -> cap) res.Strategy.placement with
-      | out ->
+      | Ok out ->
         let c = Placement.congestion w out.Capacitated.placement in
         Table.add_row t
           [
@@ -942,7 +947,7 @@ let e13 ~quick () =
             Table.fmt_ratio c unlimited;
             Table.fmt_float lb;
           ]
-      | exception Capacitated.Infeasible _ ->
+      | Error _ ->
         Table.add_row t [ string_of_int cap; "-"; "-"; "infeasible" ])
     [ 1000; 16; 8; 4; 2; 1 ];
   Table.print t;

@@ -284,13 +284,13 @@ let place_cmd =
       | Some cap ->
         (match Hbn_core.Capacitated.apply w ~capacity:(fun _ -> cap)
                  res.Strategy.placement with
-        | out ->
+        | Ok out ->
           Printf.printf
             "capacity %d: %d relocations, %d merges applied\n" cap
             out.Hbn_core.Capacitated.relocations
             out.Hbn_core.Capacitated.merges;
           { res with Strategy.placement = out.Hbn_core.Capacitated.placement }
-        | exception Hbn_core.Capacitated.Infeasible msg ->
+        | Error msg ->
           Printf.printf "capacity %d infeasible: %s\n" cap msg;
           res)
     in

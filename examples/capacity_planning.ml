@@ -52,7 +52,7 @@ let () =
       match
         Capacitated.apply w ~capacity:(fun _ -> cap) res.Strategy.placement
       with
-      | out ->
+      | Ok out ->
         let p = out.Capacitated.placement in
         let copies =
           Array.fold_left (fun a op -> a + List.length op.Placement.copies) 0 p
@@ -67,7 +67,7 @@ let () =
             Table.fmt_float ~digits:1 c;
             Table.fmt_ratio c unconstrained;
           ]
-      | exception Capacitated.Infeasible msg ->
+      | Error msg ->
         Table.add_row t [ string_of_int cap; "-"; "-"; "-"; "infeasible"; msg ])
     [ 64; 16; 8; 6; 4; 3; 2 ];
   Table.print t;

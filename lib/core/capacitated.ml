@@ -2,12 +2,14 @@ module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Tree = Hbn_tree.Tree
 
-type result = {
+type outcome = {
   placement : Placement.t;
   relocations : int;
   merges : int;
 }
 
+(* Ends the eviction pass early; [apply] returns its message as the
+   [Error]. *)
 exception Infeasible of string
 
 let usage tree p =
@@ -46,14 +48,10 @@ let reassign op ~from ~to_ =
         op.Placement.assigns;
   }
 
-let apply w ~capacity p =
+(* The eviction pass over a leaf-only placement and non-negative
+   capacities; raises [Infeasible]. *)
+let evict w ~capacity p =
   let tree = Workload.tree w in
-  if not (Placement.leaf_only tree p) then
-    invalid_arg "Capacitated.apply: placement must be leaf-only";
-  List.iter
-    (fun v ->
-      if capacity v < 0 then invalid_arg "Capacitated.apply: negative capacity")
-    (Tree.leaves tree);
   let p = Array.map (fun op -> op) p in
   let u = usage tree p in
   let relocations = ref 0 and merges = ref 0 in
@@ -164,6 +162,14 @@ let apply w ~capacity p =
     (Tree.leaves tree);
   { placement = p; relocations = !relocations; merges = !merges }
 
-let run ?move_leaf_copies w ~capacity =
-  let res = Strategy.run ?move_leaf_copies w in
-  apply w ~capacity res.Strategy.placement
+let apply w ~capacity p =
+  let tree = Workload.tree w in
+  if not (Placement.leaf_only tree p) then
+    invalid_arg "Capacitated.apply: placement must be leaf-only";
+  match List.find_opt (fun v -> capacity v < 0) (Tree.leaves tree) with
+  | Some v ->
+    Error (Printf.sprintf "negative capacity %d at processor %d" (capacity v) v)
+  | None -> (
+    match evict w ~capacity p with
+    | out -> Ok out
+    | exception Infeasible msg -> Error msg)

@@ -20,32 +20,20 @@ module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Tree = Hbn_tree.Tree
 
-type result = {
+type outcome = {
   placement : Placement.t;
   relocations : int;  (** copies moved to another processor *)
   merges : int;  (** copies folded into an existing copy of the object *)
 }
 
-exception Infeasible of string
-(** Raised when some evicted copy has no processor left to go to. *)
-
-val usage : Tree.t -> Placement.t -> int array
-(** [usage t p] counts, per node, the distinct objects with a copy
-    there. *)
-
 val respects : Tree.t -> capacity:(int -> int) -> Placement.t -> bool
 (** Does the placement fit the capacities? *)
 
 val apply :
-  Workload.t -> capacity:(int -> int) -> Placement.t -> result
+  Workload.t -> capacity:(int -> int) -> Placement.t -> (outcome, string) result
 (** [apply w ~capacity p] rewrites the leaf-only placement [p] to respect
-    [capacity]. Raises [Invalid_argument] if [p] stores copies on buses,
-    {!Infeasible} if capacities cannot host every object. The result
-    covers the workload exactly (same requests, possibly new servers). *)
-
-val run :
-  ?move_leaf_copies:bool ->
-  Workload.t ->
-  capacity:(int -> int) ->
-  result
-(** Convenience: {!Hbn_core.Strategy.run} followed by {!apply}. *)
+    [capacity]. [Error] names the first processor with a negative
+    capacity, or the first evicted copy no processor can host. Raises
+    [Invalid_argument] if [p] stores copies on buses ({!Strategy.run}'s
+    placements never do). The result covers the workload exactly (same
+    requests, possibly new servers). *)

@@ -44,7 +44,7 @@ let split groups ~served ~kappa =
    items (own leaves, absorbed children) it lists, then where they start
    in [cells], which ends up holding every slot's items back to back;
    [stack.(j)] the server of the [j]-th requesting leaf. *)
-let run ?(first_id = 0) ?scratch w cs =
+let run ?scratch w cs =
   let tree = Workload.tree w in
   let scratch =
     match scratch with
@@ -190,12 +190,12 @@ let run ?(first_id = 0) ?scratch w cs =
       let groups = build i [] in
       let groups = if i = host then rev_build g groups else groups in
       let make id groups = Copy.make ~id ~obj ~kappa ~node:v groups in
-      let copy = make (first_id + i) groups in
+      let copy = make i groups in
       if copy.Copy.served <= 2 * kappa then copies := copy :: !copies
       else
         List.iteri
           (fun b bucket ->
-            let id = if b = 0 then first_id + i else first_id + k + !splits in
+            let id = if b = 0 then i else k + !splits in
             if b > 0 then incr splits;
             copies := make id bucket :: !copies)
           (split groups ~served:copy.Copy.served ~kappa)

@@ -34,17 +34,15 @@ type outcome = {
 }
 
 val run :
-  ?first_id:int ->
   ?scratch:Hbn_tree.Flat.Scratch.t ->
   Workload.t ->
   Nibble.copy_set ->
   outcome
 (** [run w cs] executes the deletion algorithm for object [cs.obj]. The
-    function is pure per object: copy ids are [first_id] (default 0)
-    onwards — the survivor on the [i]-th node of [cs.nodes] keeps
-    [first_id + i], and clones follow from [first_id + |cs.nodes|] in
-    node order — and no shared state is touched
-    — so the strategy driver can fan objects out over domains and
+    function is pure per object: copy ids are local from 0 — the
+    survivor on the [i]-th node of [cs.nodes] keeps [i], and clones
+    follow from [|cs.nodes|] in node order — and no shared state is
+    touched, so the strategy driver can fan objects out over domains and
     renumber ids into one global sequence at merge time (the
     ["deletion.object"] trace event is likewise emitted by the driver's
     sequential merge, not here). Requires [cs.nodes <> []] and [κ_x > 0];

@@ -19,7 +19,6 @@ type stats = { tau_max : int; moves_up : int; moves_down : int; final : state }
 
 type error =
   | No_free_edge of { node : int; copy : Copy.t }
-  | Invariant_violated of string
   | Copy_on_bus of Copy.t
 
 (* Ends a run early from inside the level loops; [run] turns it into an
@@ -95,8 +94,7 @@ let check_invariant st =
     (Tree.buses tree);
   match !problem with None -> Ok () | Some msg -> Error msg
 
-let run ?(verify = false) ?(inject_lacc_error = 0) ?on_round tree ~basic_up
-    ~basic_down ~movable =
+let run ?on_round tree ~basic_up ~basic_down ~movable =
   let r = Tree.rooting tree in
   let m = max 1 (Tree.num_edges tree) in
   let tau_max = List.fold_left (fun a c -> max a (Copy.weight c)) 0 movable in
@@ -104,8 +102,8 @@ let run ?(verify = false) ?(inject_lacc_error = 0) ?on_round tree ~basic_up
     {
       tree;
       tau_max;
-      lacc_up = Array.map (fun b -> (2 * b) - inject_lacc_error) basic_up;
-      lacc_down = Array.map (fun b -> (2 * b) - inject_lacc_error) basic_down;
+      lacc_up = Array.map (fun b -> 2 * b) basic_up;
+      lacc_down = Array.map (fun b -> 2 * b) basic_down;
       lmap_up = Array.make m 0;
       lmap_down = Array.make m 0;
       node_copies = Array.make (Tree.n tree) [];
@@ -118,9 +116,9 @@ let run ?(verify = false) ?(inject_lacc_error = 0) ?on_round tree ~basic_up
   let levels = Tree.nodes_by_level_bottom_up r in
   let height = Array.length levels - 1 in
   let round = ref 0 in
-  (* [checkpoint phase level] closes one round: it feeds [on_round], emits
-     the per-round trace event, and re-checks Invariant 4.2 when asked.
-     [phase] is "init" before the first round, then "up" / "down". *)
+  (* [checkpoint phase level] closes one round: it feeds [on_round] and
+     emits the per-round trace event. [phase] is "init" before the first
+     round, then "up" / "down". *)
   let checkpoint phase level =
     (match on_round with Some f -> f st | None -> ());
     if Trace.enabled () then
@@ -134,11 +132,7 @@ let run ?(verify = false) ?(inject_lacc_error = 0) ?on_round tree ~basic_up
             ("moves_up", Sink.Int !moves_up);
             ("moves_down", Sink.Int !moves_down);
           ];
-    incr round;
-    if verify then
-      match check_invariant st with
-      | Ok () -> ()
-      | Error msg -> raise (Stop (Invariant_violated msg))
+    incr round
   in
   let phases () =
     (* Upwards phase: rounds 0 .. height-1 (every node but the root). *)

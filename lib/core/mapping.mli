@@ -26,8 +26,9 @@
     movement's load on both sides, is implied at initialization because
     [s(c) ≥ κ_x(c)] after Step 2, and still gives Lemma 4.1 (free edges
     exist, since the sum dominates the weight of any single held copy) and
-    Lemma 4.6. See DESIGN.md, section "Errata". The [verify] flag re-checks the invariant after every round
-    (used by tests and experiment E5). *)
+    Lemma 4.6. See DESIGN.md, section "Errata". {!check_invariant} tests
+    the corrected form on a state; the [on_round] hook of {!run} hands
+    it every round's state (tests and experiment E5 check it that way). *)
 
 module Tree = Hbn_tree.Tree
 
@@ -53,9 +54,6 @@ type error =
       (** the downwards phase found no free child edge at [node] for
           [copy] — impossible per Lemma 4.1 unless the bookkeeping is
           corrupted (exercised by the failure-injection tests) *)
-  | Invariant_violated of string
-      (** under [verify]: the {!check_invariant} message of the first
-          round that broke Invariant 4.2 *)
   | Copy_on_bus of Copy.t
       (** a movable copy still sits on a bus after both phases *)
 
@@ -64,8 +62,6 @@ val basic_loads : Tree.t -> Copy.t list -> int array * int array
     groups (paths run from the serving copy to the requesting leaf). *)
 
 val run :
-  ?verify:bool ->
-  ?inject_lacc_error:int ->
   ?on_round:(state -> unit) ->
   Tree.t ->
   basic_up:int array ->
@@ -75,19 +71,20 @@ val run :
 (** Executes both phases, mutating the [node] field of each movable copy.
     On [Ok] all movable copies end on processors; an [Error] stops the
     run where it went wrong and leaves the copies where they were then.
-    [basic_up]/[basic_down] must
-    come from {!basic_loads} over {e all} copies (movable or not) so that
-    Invariant 4.2 holds initially. [inject_lacc_error] subtracts the given
-    amount from every initial acceptable load — a deliberate corruption
-    used by failure-injection tests to show the free-edge guarantee is not
-    vacuous. [verify] checks Invariant 4.2 after every level and stops
-    with [Invariant_violated] on a violation. [on_round] is called with the live state before
-    the first round and after every level of both phases (instrumentation
-    for tests and experiments; do not mutate the state). The same
-    checkpoints additionally emit a ["mapping.round"] trace event (attrs:
+    [basic_up]/[basic_down] must come from {!basic_loads} over {e all}
+    copies (movable or not) so that Invariant 4.2 holds initially; they
+    are read only to initialise the acceptable loads, so smaller basic
+    loads are how failure-injection tests corrupt the bookkeeping.
+
+    [on_round] is called with the live state before the first round and
+    after every level of both phases (do not mutate the state); an
+    exception it raises propagates out of [run]. Right after each call
+    the same checkpoint emits a ["mapping.round"] trace event (attrs:
     [round], [phase] of ["init"|"up"|"down"], [level], [tau_max],
-    [moves_up], [moves_down]) when {!Hbn_obs.Trace} is enabled, so
-    [on_round] stays supported but external observers no longer need it. *)
+    [moves_up], [moves_down]) when {!Hbn_obs.Trace} is enabled. The event
+    carries counters only; [on_round] is the one way to see the
+    acceptable and mapping loads themselves, which the Invariant 4.2
+    oracle ({!check_invariant} after every round) needs. *)
 
 val check_invariant : state -> (unit, string) result
 (** Invariant 4.2 at every internal node of the tree. *)

@@ -94,8 +94,7 @@ let stage_object ~scratch w cs =
    [move_leaf_copies]); the others keep their placement. Returns every
    staged copy in object order, the mapped objects, and the
    [Mapping.run] outcome ([Ok None] when nothing needed mapping). *)
-let map_stages ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
-    tree stages =
+let map_stages ?(move_leaf_copies = false) ?on_mapping_round tree stages =
   let all_copies =
     Array.to_list stages
     |> List.concat_map (function Copies cs -> cs | Unused | Read_only _ -> [])
@@ -118,13 +117,13 @@ let map_stages ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
     | _ :: _ ->
       let basic_up, basic_down = Mapping.basic_loads tree all_copies in
       Result.map Option.some
-        (Mapping.run ~verify ?on_round:on_mapping_round tree ~basic_up
-           ~basic_down ~movable)
+        (Mapping.run ?on_round:on_mapping_round tree ~basic_up ~basic_down
+           ~movable)
   in
   (all_copies, List.rev !mapped_objects, mapping)
 
-let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
-    ?(exec = Exec.sequential) w =
+let run ?(move_leaf_copies = false) ?on_mapping_round ?(exec = Exec.sequential)
+    w =
   let sp_run = Trace.span "strategy.run" in
   let tree = Workload.tree w in
   (* Force the shared flat structures before fanning out: the tasks then
@@ -202,17 +201,14 @@ let run ?(move_leaf_copies = false) ?(verify = false) ?on_mapping_round
         ];
   let sp_mapping = Trace.span "strategy.mapping" in
   let all_copies, mapped_objects, mapping =
-    match
-      map_stages ~move_leaf_copies ~verify ?on_mapping_round tree stages
-    with
+    match map_stages ~move_leaf_copies ?on_mapping_round tree stages with
     | all_copies, mapped_objects, Ok mapping ->
       (all_copies, mapped_objects, mapping)
     | _, _, Error _ ->
       (* Unreachable: Step 2 leaves every copy with s(c) >= κ_x, so the
          corrected Invariant 4.2 holds initially and every round keeps
-         it (re-checked under [verify]); by Lemma 4.1 each bus then has
-         a free child edge for each copy it holds, so no copy gets
-         stuck or stays on a bus. *)
+         it; by Lemma 4.1 each bus then has a free child edge for each
+         copy it holds, so no copy gets stuck or stays on a bus. *)
       assert false
   in
   if Trace.enabled () then
@@ -334,7 +330,7 @@ let skip_deletion w =
   | _, _, Ok _ ->
     Mapped (placement_of_stages w ~node:(fun c -> c.Copy.node) stages)
   | _, _, Error (Mapping.No_free_edge { node; _ }) -> Stuck { node }
-  | _, _, Error (Mapping.Invariant_violated _ | Mapping.Copy_on_bus _) ->
-    (* No [verify] here, and a run that finds a free edge for every
-       held copy ends with every copy on a processor. *)
+  | _, _, Error (Mapping.Copy_on_bus _) ->
+    (* A run that finds a free edge for every held copy ends with every
+       copy on a processor. *)
     assert false

@@ -47,15 +47,13 @@ type result = {
 
 val run :
   ?move_leaf_copies:bool ->
-  ?verify:bool ->
   ?on_mapping_round:(Mapping.state -> unit) ->
   ?exec:Hbn_exec.Exec.t ->
   Workload.t ->
   result
-(** [run w] executes the full strategy. [verify] turns on Invariant 4.2
-    checking after every mapping round (slow; meant for tests);
-    [on_mapping_round] is forwarded to {!Mapping.run}.
-    [move_leaf_copies] defaults to [false].
+(** [run w] executes the full strategy. [on_mapping_round] is forwarded
+    to {!Mapping.run} as its [on_round] hook (tests check Invariant 4.2
+    through it). [move_leaf_copies] defaults to [false].
 
     Per object, Step 1 is O(n) (the weight sums and the rule) and Step 2
     works over the copy set and the requests only; neither allocates

@@ -163,12 +163,9 @@ let reason_name = function
   | `Undecided -> "undecided"
   | `Diverged -> "diverged"
 
-let run_with_faults ?max_rounds ?timeout ?(faults = Faults.none) ?telemetry
-    ?link w =
+let run_with_faults ?max_rounds ?(faults = Faults.none) ?telemetry ?link w =
   let report =
-    match
-      Dist_nibble.run_robust ?max_rounds ?timeout ~faults ?telemetry ?link w
-    with
+    match Dist_nibble.run_robust ?max_rounds ~faults ?telemetry ?link w with
     | Dist_nibble.Degraded { reason; partial; stats; log } ->
       Degraded
         {

@@ -62,7 +62,6 @@ type fault_report =
 
 val run_with_faults :
   ?max_rounds:int ->
-  ?timeout:int ->
   ?faults:Faults.plan ->
   ?telemetry:Hbn_obs.Telemetry.t ->
   ?link:Hbn_event.Link.config ->

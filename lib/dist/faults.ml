@@ -196,18 +196,6 @@ let to_spec p =
 
 (* -- rendering ----------------------------------------------------------- *)
 
-let describe ev =
-  let what =
-    match ev.kind with
-    | Dropped { edge; src; dst } ->
-      Printf.sprintf "message %d->%d dropped on edge %d" src dst edge
-    | Crashed { node } -> Printf.sprintf "crash of node %d" node
-    | Restarted { node } -> Printf.sprintf "restart of node %d" node
-    | Cut { edge } -> Printf.sprintf "outage of edge %d" edge
-    | Restored { edge } -> Printf.sprintf "edge %d restored" edge
-  in
-  Printf.sprintf "round %d: %s" ev.round what
-
 let sink_event ev =
   let fault, node, edge =
     match ev.kind with

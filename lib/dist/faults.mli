@@ -116,9 +116,6 @@ val round_of_time : float -> int
 
 (** {1 Rendering} *)
 
-val describe : event -> string
-(** One human-readable line, e.g. ["round 7: crash of node 3"]. *)
-
 val sink_event : event -> Hbn_obs.Sink.event
 (** The [Fault] observability event for one log entry (name
     ["runtime.fault"]), ready for {!Hbn_obs.Trace.emit}. *)

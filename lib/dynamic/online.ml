@@ -1,13 +1,9 @@
 module Tree = Hbn_tree.Tree
 module Flat = Hbn_tree.Flat
-module Workload = Hbn_workload.Workload
-module Placement = Hbn_placement.Placement
-module Prng = Hbn_prng.Prng
 module Raw = Hbn_loads.Loads.Raw
 
 type violation = {
   v_request : int;
-  v_object : int;
   v_reason : string;
   v_set : int list;
 }
@@ -221,8 +217,7 @@ let serve st (req : Request.t) =
 
 (* The invariants the per-edge automaton maintains by construction. A
    breach is a bug, but one the caller chooses how to absorb: the result
-   carries the reason and the offending copy set instead of raising, so
-   a long-running serve loop can drop the object and keep going. *)
+   carries the reason and the offending copy set instead of raising. *)
 let check_consistent st =
   let members =
     List.filter (fun v -> st.in_set.(v)) (List.init (Tree.n st.tree) Fun.id)
@@ -236,8 +231,7 @@ let check_consistent st =
     Error ("copy set disconnected", members)
   else Ok members
 
-let run ?(size = 1) ?threshold ?(validate = false) ?(obj = -1) tree ~initial
-    reqs =
+let run ?(size = 1) ?threshold ?(validate = false) tree ~initial reqs =
   if size < 1 then invalid_arg "Online.run: size must be >= 1";
   let threshold = match threshold with Some t -> t | None -> size in
   if threshold < 1 then invalid_arg "Online.run: threshold must be >= 1";
@@ -285,13 +279,7 @@ let run ?(size = 1) ?threshold ?(validate = false) ?(obj = -1) tree ~initial
            | Ok _ -> ()
            | Error (reason, set) ->
              violation :=
-               Some
-                 {
-                   v_request = !served - 1;
-                   v_object = obj;
-                   v_reason = reason;
-                   v_set = set;
-                 };
+               Some { v_request = !served - 1; v_reason = reason; v_set = set };
              raise Exit)
        reqs
    with Exit -> ());
@@ -306,43 +294,3 @@ let run ?(size = 1) ?threshold ?(validate = false) ?(obj = -1) tree ~initial
       List.filter (fun v -> st.in_set.(v)) (List.init n Fun.id);
     violation = !violation;
   }
-
-let run_workload ?size ?threshold ?validate ~prng w =
-  let tree = Workload.tree w in
-  let m = max 1 (Tree.num_edges tree) in
-  let loads = Array.make m 0 in
-  let served = ref 0
-  and repl = ref 0
-  and migr = ref 0
-  and contr = ref 0
-  and maxc = ref 0
-  and violation = ref None in
-  for obj = 0 to Workload.num_objects w - 1 do
-    match Request.of_workload ~prng w ~obj with
-    | [] -> ()
-    | first :: _ as reqs ->
-      let out =
-        run ?size ?threshold ?validate ~obj tree ~initial:first.Request.node
-          reqs
-      in
-      Array.iteri (fun e l -> loads.(e) <- loads.(e) + l) out.edge_loads;
-      served := !served + out.served;
-      repl := !repl + out.replications;
-      migr := !migr + out.migrations;
-      contr := !contr + out.contractions;
-      maxc := max !maxc out.max_copies;
-      if !violation = None then violation := out.violation
-  done;
-  {
-    edge_loads = loads;
-    served = !served;
-    replications = !repl;
-    migrations = !migr;
-    contractions = !contr;
-    max_copies = !maxc;
-    final_set = [];
-    violation = !violation;
-  }
-
-let congestion tree outcome =
-  (Placement.congestion_of_edge_loads tree outcome.edge_loads).Placement.value

@@ -34,17 +34,15 @@
     known and copies must sit on processors. *)
 
 module Tree = Hbn_tree.Tree
-module Workload = Hbn_workload.Workload
 
 type violation = {
   v_request : int;  (** index of the request whose service broke it *)
-  v_object : int;  (** object id; [-1] when run outside a workload *)
   v_reason : string;  (** which invariant, e.g. ["copy set disconnected"] *)
   v_set : int list;  (** the copy set as found at detection *)
 }
 (** A breached automaton invariant, caught by [validate]. Any violation
-    is a bug in the scheme, but a long-running caller (the serving tier)
-    needs the context — not an exception mid-run. *)
+    is a bug in the scheme; the run reports it with its context instead
+    of raising mid-run. *)
 
 type outcome = {
   edge_loads : int array;  (** accumulated dynamic load per edge *)
@@ -64,7 +62,6 @@ val run :
   ?size:int ->
   ?threshold:int ->
   ?validate:bool ->
-  ?obj:int ->
   Tree.t ->
   initial:int ->
   Request.t list ->
@@ -79,24 +76,5 @@ val run :
     independent of the size.
     [validate] re-checks after every request that the copy set encoded by
     the edge states is nonempty, connected, and spans every marked edge
-    (slow; for tests and the serving tier). A breach does not raise: the
-    run stops early and the outcome carries the {!violation}, tagged
-    with [obj] (default [-1]) as its object id. *)
-
-val run_workload :
-  ?size:int ->
-  ?threshold:int ->
-  ?validate:bool ->
-  prng:Hbn_prng.Prng.t ->
-  Workload.t ->
-  outcome
-(** Expands every object of the workload into a shuffled sequence
-    ({!Request.of_workload}), runs each object independently (each
-    starting on its first requester) and sums the edge loads. With
-    [validate], a violating object stops early (its remaining requests
-    are unserved), the other objects still run, and the outcome carries
-    the first violation. *)
-
-val congestion : Tree.t -> outcome -> float
-(** Relative-load congestion of the accumulated dynamic loads (edges and
-    buses, same definition as the static evaluator). *)
+    (slow; for tests). A breach does not raise: the run stops early and
+    the outcome carries the {!violation}. *)

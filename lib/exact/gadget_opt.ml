@@ -1,14 +1,12 @@
 module Partition = Hbn_workload.Partition
 
-let achievable_sums = Partition.achievable_sums
-
 let family_optimum i =
   let k =
     match Partition.half i with
     | Some k -> k
     | None -> invalid_arg "Gadget_opt.family_optimum: odd item sum"
   in
-  let reachable = achievable_sums i in
+  let reachable = Partition.achievable_sums i in
   let best = ref max_int in
   Array.iteri
     (fun sigma ok ->

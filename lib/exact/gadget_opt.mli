@@ -14,7 +14,3 @@
 val family_optimum : Hbn_workload.Partition.instance -> int
 (** The canonical-family optimum (= the true optimal congestion). Raises
     [Invalid_argument] on instances with odd sums. *)
-
-val achievable_sums : Hbn_workload.Partition.instance -> bool array
-(** [achievable_sums i] has index [σ] true iff some subset of the items
-    sums to [σ] (the subset-sum DP used by {!family_optimum}). *)

@@ -3,8 +3,6 @@ module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 module Nibble = Hbn_nibble.Nibble
 
-let nibble w = Placement.congestion w (Nibble.placement w)
-
 let single_object w =
   let tree = Workload.tree w in
   let best = ref 0 in
@@ -23,4 +21,5 @@ let single_object w =
   done;
   float_of_int !best
 
-let combined w = Float.max (nibble w) (single_object w)
+let combined w =
+  Float.max (Placement.congestion w (Nibble.placement w)) (single_object w)

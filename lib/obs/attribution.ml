@@ -79,8 +79,6 @@ let of_loads eng =
 
 let attach = of_loads
 
-let tree t = t.tree
-
 let edge_total t ~edge = t.totals.(edge)
 
 let totals t = Array.copy t.totals

@@ -59,8 +59,6 @@ val attach : Loads.t -> t
 
 (** {1 Per-edge and per-bus lookup} *)
 
-val tree : t -> Tree.t
-
 val edge_total : t -> edge:int -> int
 (** The edge's absolute load — the sum of its contributions. *)
 

@@ -150,7 +150,11 @@ type series = {
   mutable ph_down_max : float;
 }
 
-type config = { warmup : int; half_life : float; win_size : int }
+(* Observations that freeze a series' reference before the detectors
+   arm, the EWMA half-life in rounds, and the min/max window length. *)
+let warmup = 8
+let half_life = 16.0
+let win_size = 32
 
 (* The detectors' thresholds, in sigma units: CUSUM's [h] and slack [k],
    Page-Hinkley's [lambda] and [delta]. *)
@@ -160,18 +164,13 @@ let ph_lambda = 8.0
 let ph_delta = 0.05
 
 type t = {
-  cfg : config;
   prefix : string; (* "" or "<prefix>." — prepended to every series name *)
   table : (string, series) Hashtbl.t;
   mutable order : string list; (* creation order, reversed *)
   mutable alerts_rev : alert list;
 }
 
-let create ?prefix ?(warmup = 8) ?(half_life = 16.0) ?(window = 32) () =
-  if warmup < 2 then invalid_arg "Monitor.create: warmup < 2";
-  if not (half_life > 0.0 && Float.is_finite half_life) then
-    invalid_arg "Monitor.create: half_life must be positive";
-  if window < 1 then invalid_arg "Monitor.create: window < 1";
+let create ?prefix () =
   let prefix =
     match prefix with
     | None -> ""
@@ -180,13 +179,12 @@ let create ?prefix ?(warmup = 8) ?(half_life = 16.0) ?(window = 32) () =
   in
   {
     prefix;
-    cfg = { warmup; half_life; win_size = window };
     table = Hashtbl.create 16;
     order = [];
     alerts_rev = [];
   }
 
-let series_create t name =
+let series_create name =
   {
     name;
     points = 0;
@@ -196,10 +194,10 @@ let series_create t name =
     ewvar = 0.0;
     p50 = p2_create 0.5;
     p95 = p2_create 0.95;
-    window = Array.make t.cfg.win_size 0.0;
+    window = Array.make win_size 0.0;
     win_len = 0;
     win_next = 0;
-    warm = Array.make t.cfg.warmup 0.0;
+    warm = Array.make warmup 0.0;
     armed = false;
     mu = 0.0;
     sigma = 1.0;
@@ -221,7 +219,7 @@ let series_of t name =
   match Hashtbl.find_opt t.table name with
   | Some s -> s
   | None ->
-      let s = series_create t name in
+      let s = series_create name in
       Hashtbl.add t.table name s;
       t.order <- name :: t.order;
       s
@@ -286,14 +284,13 @@ let observe t ~series:name ~round ~vtime ~span v =
   if not (Float.is_finite v) then
     invalid_arg "Monitor.observe: non-finite value";
   let s = series_of t name in
-  let cfg = t.cfg in
   (* estimators *)
   if s.points = 0 then begin
     s.ewma <- v;
     s.ewvar <- 0.0
   end
   else begin
-    let a = Float.pow 2.0 (-.float_of_int span /. cfg.half_life) in
+    let a = Float.pow 2.0 (-.float_of_int span /. half_life) in
     let d = v -. s.ewma in
     s.ewvar <- (a *. s.ewvar) +. ((1.0 -. a) *. d *. d);
     s.ewma <- (a *. s.ewma) +. ((1.0 -. a) *. v)
@@ -301,19 +298,19 @@ let observe t ~series:name ~round ~vtime ~span v =
   p2_observe s.p50 v;
   p2_observe s.p95 v;
   s.window.(s.win_next) <- v;
-  s.win_next <- (s.win_next + 1) mod cfg.win_size;
-  s.win_len <- min (s.win_len + 1) cfg.win_size;
+  s.win_next <- (s.win_next + 1) mod win_size;
+  s.win_len <- min (s.win_len + 1) win_size;
   s.last <- v;
   (* warm up, then detect *)
   if s.armed then detect t s ~round ~vtime ~weight:(float_of_int span) v
   else begin
     s.warm.(s.points) <- v;
-    if s.points + 1 = cfg.warmup then begin
+    if s.points + 1 = warmup then begin
       let sum = Array.fold_left ( +. ) 0.0 s.warm in
-      let mu = sum /. float_of_int cfg.warmup in
+      let mu = sum /. float_of_int warmup in
       let var =
         Array.fold_left (fun acc x -> acc +. ((x -. mu) *. (x -. mu))) 0.0 s.warm
-        /. float_of_int cfg.warmup
+        /. float_of_int warmup
       in
       s.mu <- mu;
       s.sigma <- scale_floor mu (sqrt var);

@@ -15,16 +15,16 @@
       five markers per quantile, piecewise-parabolic adjustment, exact
       over the first five observations.
     - [mean]: an exponentially weighted moving average whose half-life
-      is measured in {e rounds}, not observations — a folded point
-      spanning [s] rounds decays the average by [2^(-s/half_life)], so
-      the estimate is invariant to when folding happened.
-    - [min]/[max]: exact over a sliding window of the last [window]
+      of 16 is measured in {e rounds}, not observations — a folded point
+      spanning [s] rounds decays the average by [2^(-s/16)], so the
+      estimate is invariant to when folding happened.
+    - [min]/[max]: exact over a sliding window of the last 32
       observations.
 
     {2 Detectors (deterministic, no RNG)}
 
     Both detectors run on standardized residuals [z = (v - mu) / sigma]
-    where [mu]/[sigma] are frozen from the first [warmup] observations
+    where [mu]/[sigma] are frozen from the first 8 observations
     (and re-anchored to the EWMA after each alert, so a detector signals
     each shift once instead of latching):
 
@@ -85,24 +85,18 @@ type estimate = {
   e_max : float;  (** windowed maximum *)
 }
 
-val create :
-  ?prefix:string ->
-  ?warmup:int ->
-  ?half_life:float ->
-  ?window:int ->
-  unit ->
-  t
+val create : ?prefix:string -> unit -> t
 (** A fresh monitor. [prefix] (default none, must be non-empty when
     given) is prepended as ["<prefix>."] to every series name at
     {!observe} time, so alerts carry the same fully-qualified name the
     matching telemetry series is emitted under ([Telemetry.emit
-    ~prefix]) — no downstream re-keying. [warmup] (default 8, minimum 2)
+    ~prefix]) — no downstream re-keying; an empty [prefix] raises
+    [Invalid_argument]. The estimators and detectors are fixed: 8
     observations per series freeze the reference mean/deviation before
-    the detectors arm; [half_life] (default 16.0 rounds, positive) sets
-    the EWMA decay; [window] (default 32, minimum 1) bounds the min/max
-    window. The detectors' thresholds are fixed, in sigma units: CUSUM
-    [h = 8.0] and [k = 0.5], Page-Hinkley [lambda = 8.0] and
-    [delta = 0.05]. Invalid parameters raise [Invalid_argument]. *)
+    the detectors arm, the EWMA half-life is 16 rounds, the min/max
+    window holds 32 observations, and the thresholds, in sigma units,
+    are CUSUM [h = 8.0] and [k = 0.5], Page-Hinkley [lambda = 8.0] and
+    [delta = 0.05]. *)
 
 val observe :
   t -> series:string -> round:int -> vtime:float -> span:int -> float -> unit
@@ -111,22 +105,16 @@ val observe :
     Creates the series on first sight. Raises [Invalid_argument] on
     [span < 1] or a non-finite value. *)
 
-val observe_point : t -> Telemetry.point -> unit
-(** Feeds every derived series of one telemetry point: counter fields as
-    per-round rates ([sent], [delivered], [dropped], [bytes],
-    [retransmits], [dup_suppressed], [replications], [migrations],
-    [contractions] — the last three unconditionally, zeros included, so
-    a quiet baseline is armed before any migration storm),
-    [live_nodes] as a level, the
+val ingest : t -> Telemetry.t -> unit
+(** Feeds every derived series of each of [Telemetry.points], in order —
+    what the engines call at end of run: counter fields as per-round
+    rates ([sent], [delivered], [dropped], [bytes], [retransmits],
+    [dup_suppressed], [replications], [migrations], [contractions] —
+    the last three unconditionally, zeros included, so a quiet baseline
+    is armed before any migration storm), [live_nodes] as a level, the
     busiest edge's rate as [edge_peak], the remainder as [edge_rest],
     and the busiest edge's share of all traversals as [hotspot_share]
-    (skipped on traffic-free points) — the congestion and attribution
-    signals of the tentpole. *)
-
-val ingest : t -> Telemetry.t -> unit
-(** [observe_point] over [Telemetry.points] — what the engines call at
-    end of run. A monitor fed incrementally and one fed the final folded
-    series see the same points. *)
+    (skipped on traffic-free points). *)
 
 val alerts : t -> alert list
 (** Every alert so far, in emission order (chronological; within one
@@ -153,8 +141,6 @@ val kind_name : kind -> string
 val kind_of_name : string -> kind option
 (** Inverse of {!kind_name}. *)
 
-val sink_event : alert -> Sink.event
-(** The alert as a [Sink.Alert] event named ["monitor.alert"]. *)
-
 val emit : t -> (Sink.event -> unit) -> unit
-(** Streams {!alerts} as {!sink_event}s, in order. *)
+(** Streams {!alerts}, in order, as [Sink.Alert] events named
+    ["monitor.alert"]. *)

@@ -16,8 +16,10 @@ type point = {
   other_edges : int;
 }
 
+(* The busiest edges each point keeps exactly. *)
+let top_k = 4
+
 type t = {
-  top_k : int;
   capacity : int;
   (* closed points, newest first; folded when the count tops capacity *)
   mutable history : point list;
@@ -38,11 +40,9 @@ type t = {
   mutable touched : int list;  (* edges with a non-zero count, unordered *)
 }
 
-let create ?(top_k = 4) ?(capacity = 256) ~num_edges () =
-  if top_k < 1 then invalid_arg "Telemetry.create: top_k must be >= 1";
+let create ?(capacity = 256) ~num_edges () =
   if capacity < 2 then invalid_arg "Telemetry.create: capacity must be >= 2";
   {
-    top_k;
     capacity;
     history = [];
     count = 0;
@@ -114,9 +114,9 @@ let reconfig t ~replications ~migrations ~contractions =
   t.cur_migrations <- t.cur_migrations + migrations;
   t.cur_contractions <- t.cur_contractions + contractions
 
-(* Cut an unordered (edge, count) list down to the top-[k]: count
+(* Cut an unordered (edge, count) list down to the top [top_k]: count
    descending, ties by edge id ascending, remainder summed. *)
-let top_cut k pairs =
+let top_cut pairs =
   let sorted =
     List.sort
       (fun (e1, c1) (e2, c2) ->
@@ -124,14 +124,14 @@ let top_cut k pairs =
       pairs
   in
   let rec split i acc = function
-    | rest when i = k -> (List.rev acc, rest)
+    | rest when i = top_k -> (List.rev acc, rest)
     | x :: rest -> split (i + 1) (x :: acc) rest
     | [] -> (List.rev acc, [])
   in
   let top, rest = split 0 [] sorted in
   (top, List.fold_left (fun acc (_, c) -> acc + c) 0 rest)
 
-let fold_pair t a b =
+let fold_pair a b =
   (* [a] precedes [b] in time. *)
   let merged = Hashtbl.create 8 in
   let add (e, c) =
@@ -140,7 +140,7 @@ let fold_pair t a b =
   List.iter add a.edges;
   List.iter add b.edges;
   let pairs = Hashtbl.fold (fun e c acc -> (e, c) :: acc) merged [] in
-  let edges, spill = top_cut t.top_k pairs in
+  let edges, spill = top_cut pairs in
   {
     round = b.round;
     vtime = b.vtime;
@@ -164,7 +164,7 @@ let fold_pair t a b =
 let compact t =
   let chron = List.rev t.history in
   let rec go = function
-    | a :: b :: rest -> fold_pair t a b :: go rest
+    | a :: b :: rest -> fold_pair a b :: go rest
     | tail -> tail
   in
   let folded = go chron in
@@ -174,7 +174,7 @@ let compact t =
 let end_round t ~live_nodes =
   open_check t "end_round";
   let pairs = List.map (fun e -> (e, t.edge_count.(e))) t.touched in
-  let edges, other_edges = top_cut t.top_k pairs in
+  let edges, other_edges = top_cut pairs in
   let p =
     {
       round = t.cur_round;

@@ -5,7 +5,7 @@
     it {e evolved}: one sample per runtime round holding messages
     sent/delivered/dropped, payload bytes, retransmissions, duplicate
     suppressions, the live-node count, and per-edge utilization — the
-    [k] busiest edges of the round exactly, everything else folded into
+    4 busiest edges of the round exactly, everything else folded into
     one aggregate. That is the congestion-over-rounds signal the paper's
     claim (congestion, not hop count, predicts execution time) needs
     under drift and faults.
@@ -13,7 +13,7 @@
     Memory is bounded no matter how long the run: a collector holds at
     most [capacity] points. When round [capacity + 1] arrives, adjacent
     points are folded pairwise — counters summed, [live_nodes] taking
-    the minimum, edge tables merged and re-cut to the top [k] — so the
+    the minimum, edge tables merged and re-cut to the top 4 — so the
     series keeps full time coverage at halved resolution. Every point
     records how many rounds it spans, and folding is a pure function of
     the sample sequence, so the resulting series is deterministic: the
@@ -49,13 +49,12 @@ type point = {
   live_nodes : int;  (** nodes not crashed (minimum over folded rounds) *)
   edges : (int * int) list;
       (** the busiest edges as [(edge, traversals)], traversal count
-          descending, ties by edge id; at most [top_k] entries *)
+          descending, ties by edge id; at most 4 entries *)
   other_edges : int;  (** traversals over edges outside [edges] *)
 }
 
-val create : ?top_k:int -> ?capacity:int -> num_edges:int -> unit -> t
-(** A fresh collector. [top_k] (default 4) bounds the exact per-edge
-    table of each point; [capacity] (default 256, minimum 2) bounds the
+val create : ?capacity:int -> num_edges:int -> unit -> t
+(** A fresh collector. [capacity] (default 256, minimum 2) bounds the
     number of retained points. [num_edges] sizes the per-round scratch
     counters. *)
 
@@ -97,7 +96,7 @@ val reconfig :
 
 val end_round : t -> live_nodes:int -> unit
 (** Closes the open round with the number of live (non-crashed) nodes,
-    cuts the per-edge counters down to the top-[k] table, and folds the
+    cuts the per-edge counters down to the top-4 table, and folds the
     history if it now exceeds [capacity]. Folding a pair keeps the later
     point's [round] and [vtime] (the bucket's position is its end) and
     sums the counters, so series totals are conserved on both axes. *)
@@ -116,7 +115,7 @@ val emit : t -> prefix:string -> (Sink.event -> unit) -> unit
     [.retransmits], [.dup_suppressed], [.replications]/[.migrations]/
     [.contractions] (reconfiguration counters, emitted only when
     non-zero so pre-serving traces are unchanged), [.live_nodes] (all
-    with [edge = -1]), one [<prefix>.edge] per top-[k] entry carrying
+    with [edge = -1]), one [<prefix>.edge] per top-4 entry carrying
     its edge id, and [<prefix>.edge_rest] for the aggregate remainder.
     Every
     event carries the point's [round], [vtime] (as the [time] field) and

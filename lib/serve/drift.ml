@@ -36,9 +36,7 @@ let create kind ~seed ~tree ~objects ~rate =
     invalid_arg "Drift.create: tree has no leaves";
   { kind; seed; tree; leaves; objects; rate }
 
-let kind t = t.kind
 let tree t = t.tree
-let objects t = t.objects
 
 (* Epochs per sinusoid cycle, per flash-crowd cycle (the burst covers 2
    of them) and per hotspot region. *)
@@ -120,5 +118,3 @@ let workload t ~epoch =
 let slot_jitter ~seed ~slot =
   if slot < 0 then invalid_arg "Drift.slot_jitter: negative slot";
   hash_mod ~seed [ tag_jitter; slot ] 3
-
-let jitter t ~slot = slot_jitter ~seed:t.seed ~slot

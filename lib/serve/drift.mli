@@ -39,22 +39,15 @@ val create : kind -> seed:int -> tree:Tree.t -> objects:int -> rate:int -> t
     per-(leaf, object) request rates; [objects] must be >= 1 and the
     tree must have at least one leaf. *)
 
-val kind : t -> kind
-
 val tree : t -> Tree.t
-
-val objects : t -> int
 
 val workload : t -> epoch:int -> Workload.t
 (** The epoch's request table — a pure function of (seed, kind, epoch);
     epochs may be generated in any order. *)
 
-val jitter : t -> slot:int -> int
-(** Deterministic per-slot wobble in [0..2], hashed from the absolute
-    slot — off-edge noise the serving loop adds to the sent/bytes
-    series so the monitor sees realistic variance during warmup. *)
-
 val slot_jitter : seed:int -> slot:int -> int
-(** {!jitter} as a standalone hash of [(seed, slot)] — what the serving
-    loop uses, so a table replay reproduces the generator run's series
-    byte for byte without holding a generator. *)
+(** Deterministic per-slot wobble in [0..2], a hash of [(seed, slot)]
+    with [slot] absolute — off-edge noise the serving loop adds to the
+    sent/bytes series so the monitor sees realistic variance during
+    warmup. It needs no generator, so a table replay reproduces the
+    generator run's series byte for byte. *)

@@ -155,7 +155,7 @@ let skip_deletion w =
     match Mapping.run tree ~basic_up ~basic_down ~movable with
     | Ok _ -> Mapped (build ())
     | Error (Mapping.No_free_edge { node; _ }) -> Stuck { node }
-    | Error (Mapping.Invariant_violated _ | Mapping.Copy_on_bus _) ->
-      (* No [verify] here, and a run that finds a free edge for every
-         held copy ends with every copy on a processor. *)
+    | Error (Mapping.Copy_on_bus _) ->
+      (* A run that finds a free edge for every held copy ends with
+         every copy on a processor. *)
       assert false)

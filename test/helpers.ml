@@ -24,6 +24,15 @@ let check_ok what = function
   | Ok () -> ()
   | Error msg -> Alcotest.failf "%s: %s" what msg
 
+(* The Invariant 4.2 oracle, as the [on_round] hook of [Mapping.run] (or
+   [~on_mapping_round] of [Strategy.run]): fails the run with
+   [check_invariant]'s message, which names the node, at the first round
+   that breaks the invariant. *)
+let check_mapping_round st =
+  match Hbn_core.Mapping.check_invariant st with
+  | Ok () -> ()
+  | Error msg -> failwith msg
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in

@@ -6,6 +6,11 @@ module Strategy = Hbn_core.Strategy
 module Capacitated = Hbn_core.Capacitated
 module Prng = Hbn_prng.Prng
 
+let apply w ~capacity p =
+  match Capacitated.apply w ~capacity p with
+  | Ok out -> out
+  | Error msg -> Alcotest.failf "unexpected Error: %s" msg
+
 let star_many_objects () =
   let t = Builders.star ~leaves:4 ~profile:(Builders.Uniform 2) in
   let w = Workload.empty t ~objects:6 in
@@ -19,7 +24,7 @@ let star_many_objects () =
 let test_unconstrained_noop () =
   let t, w = star_many_objects () in
   let res = Strategy.run w in
-  let out = Capacitated.apply w ~capacity:(fun _ -> 100) res.Strategy.placement in
+  let out = apply w ~capacity:(fun _ -> 100) res.Strategy.placement in
   Alcotest.(check int) "no moves" 0
     (out.Capacitated.relocations + out.Capacitated.merges);
   Alcotest.(check bool) "same loads" true
@@ -33,7 +38,7 @@ let test_eviction_respects_capacity () =
   let res = Strategy.run w in
   (* Everything piles onto processor 1; capacity 2 forces 4 objects out. *)
   let cap _ = 2 in
-  let out = Capacitated.apply w ~capacity:cap res.Strategy.placement in
+  let out = apply w ~capacity:cap res.Strategy.placement in
   Alcotest.(check bool) "respects capacity" true
     (Capacitated.respects t ~capacity:cap out.Capacitated.placement);
   Helpers.check_ok "still covers workload"
@@ -53,7 +58,7 @@ let test_eviction_prefers_light_copies () =
   let res = Strategy.run w in
   ignore t;
   let cap v = if v = 1 then 1 else 5 in
-  let out = Capacitated.apply w ~capacity:cap res.Strategy.placement in
+  let out = apply w ~capacity:cap res.Strategy.placement in
   (* The heavy object stays home; the light one moves. *)
   Alcotest.(check bool) "heavy object kept" true
     (List.mem 1 (Placement.copies out.Capacitated.placement ~obj:0));
@@ -76,7 +81,7 @@ let test_merge_preferred_over_move () =
     && List.mem 2 (Placement.copies res.Strategy.placement ~obj:0)
   then begin
     let cap v = if v = 1 then 1 else 5 in
-    let out = Capacitated.apply w ~capacity:cap res.Strategy.placement in
+    let out = apply w ~capacity:cap res.Strategy.placement in
     (* Object 0's copy on 1 merges into its existing copy on 2. *)
     Alcotest.(check int) "merged" 1 out.Capacitated.merges;
     Alcotest.(check (list int)) "single copy left" [ 2 ]
@@ -88,10 +93,15 @@ let test_infeasible () =
   ignore t;
   let res = Strategy.run w in
   (* 6 objects, total capacity 4. *)
-  (try
-     ignore (Capacitated.apply w ~capacity:(fun _ -> 1) res.Strategy.placement);
-     Alcotest.fail "expected Infeasible"
-   with Capacitated.Infeasible _ -> ())
+  (match Capacitated.apply w ~capacity:(fun _ -> 1) res.Strategy.placement with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "expected an infeasible Error");
+  (* A negative capacity is an Error too, not an exception. *)
+  match Capacitated.apply w ~capacity:(fun _ -> -1) res.Strategy.placement with
+  | Error msg ->
+    Alcotest.(check string) "names the processor"
+      "negative capacity -1 at processor 1" msg
+  | Ok _ -> Alcotest.fail "expected a negative-capacity Error"
 
 let test_bus_placement_rejected () =
   let t, w = star_many_objects () in
@@ -128,12 +138,13 @@ let prop_capacity_respected_and_valid seed =
   in
   if active > cap_base * Tree.num_leaves t then true
   else
-    match Capacitated.run w ~capacity:cap with
-    | out ->
+    let res = Strategy.run w in
+    match Capacitated.apply w ~capacity:cap res.Strategy.placement with
+    | Ok out ->
       Capacitated.respects t ~capacity:cap out.Capacitated.placement
       && Placement.validate w out.Capacitated.placement = Ok ()
       && Placement.leaf_only t out.Capacitated.placement
-    | exception Capacitated.Infeasible _ ->
+    | Error _ ->
       (* Greedy packing may fail even when feasible in principle; accept
          only when tight. *)
       active > (cap_base * Tree.num_leaves t) / 2
@@ -141,9 +152,7 @@ let prop_capacity_respected_and_valid seed =
 let prop_unconstrained_is_identity seed =
   let _, w = Helpers.instance seed in
   let res = Strategy.run w in
-  let out =
-    Capacitated.apply w ~capacity:(fun _ -> max_int) res.Strategy.placement
-  in
+  let out = apply w ~capacity:(fun _ -> max_int) res.Strategy.placement in
   out.Capacitated.relocations = 0 && out.Capacitated.merges = 0
 
 let suite =

@@ -90,6 +90,22 @@ let test_place_deterministic () =
     Alcotest.(check string) "identical output" a b
   | _ -> ()
 
+(* Capacities the eviction pass cannot meet are reported on stdout and
+   the run goes on with the unconstrained placement (exit 0); a
+   negative capacity takes the same path instead of escaping as an
+   exception. *)
+let test_place_capacity_infeasible () =
+  let place cap =
+    [ "place"; "--kind"; "star"; "--leaves"; "4"; "--objects"; "8";
+      "--capacity=" ^ cap ]
+  in
+  check_run "place --capacity 1" (place "1")
+    [ "capacity 1 infeasible: no processor can host object 6 evicted from 3\n";
+      "certificates: skipped" ];
+  check_run "place --capacity=-1" (place "-1")
+    [ "capacity -1 infeasible: negative capacity -1 at processor 1\n";
+      "certificates: skipped" ]
+
 let test_compare () =
   check_run "compare"
     [ "compare"; "--kind"; "star"; "--leaves"; "6"; "--workload"; "zipf" ]
@@ -597,6 +613,7 @@ let suite =
     Helpers.tc "cli topology dot" test_topology_dot;
     Helpers.tc "cli place" test_place;
     Helpers.tc "cli place deterministic" test_place_deterministic;
+    Helpers.tc "cli place --capacity infeasible" test_place_capacity_infeasible;
     Helpers.tc "cli compare" test_compare;
     Helpers.tc "cli gadget solvable" test_gadget;
     Helpers.tc "cli gadget unsolvable" test_gadget_unsolvable;

@@ -239,17 +239,15 @@ let prop_request_generators_cover seed =
   done;
   !ok
 
-let test_workload_runner () =
-  let prng = Prng.create 5 in
-  let tree = star 5 in
-  let w =
-    Hbn_workload.Generators.uniform ~prng tree ~objects:4 ~max_rate:6
+let test_online_violation_shape () =
+  let reqs =
+    List.concat_map (fun node -> reads node 1 @ writes node 1) [ 1; 2; 3; 1; 2 ]
   in
-  let out = Online.run_workload ~prng w in
-  Alcotest.(check int) "served everything" (Workload.total_requests w)
-    out.Online.served;
-  Alcotest.(check bool) "congestion finite" true
-    (Online.congestion tree out >= 0.)
+  let out = Online.run ~validate:true (star 4) ~initial:1 reqs in
+  Alcotest.(check bool) "a valid run carries no violation" true
+    (out.Online.violation = None);
+  Alcotest.(check int) "every request served" (List.length reqs)
+    out.Online.served
 
 let suite =
   [
@@ -261,7 +259,7 @@ let suite =
       test_phases_dynamic_beats_static;
     Helpers.tc "adversarial alternation hits ratio 3"
       test_adversarial_alternation_ratio_3;
-    Helpers.tc "workload runner serves everything" test_workload_runner;
+    Helpers.tc "online violations are structured" test_online_violation_shape;
     Helpers.qt ~count:40 "copy set stays connected and nonempty"
       Helpers.seed_arb prop_copy_set_always_valid;
     Helpers.qt ~count:120 "per-edge load <= 3*OPT + slack" Helpers.seed_arb

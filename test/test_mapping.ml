@@ -7,6 +7,8 @@ module Copy = Hbn_core.Copy
 module Mapping = Hbn_core.Mapping
 module Strategy = Hbn_core.Strategy
 module Prng = Hbn_prng.Prng
+module Trace = Hbn_obs.Trace
+module Sink = Hbn_obs.Sink
 
 let test_basic_loads_directions () =
   (* Balanced binary tree of height 2; a copy on the root serving a leaf
@@ -43,13 +45,56 @@ let test_self_serving_copy_no_load () =
   Alcotest.(check int) "no load" 0
     (Array.fold_left ( + ) 0 up + Array.fold_left ( + ) 0 down)
 
-(* Run the full strategy with verification on: Invariant 4.2 is checked
-   after every round internally. *)
+(* Run the full strategy with the Invariant 4.2 oracle after every
+   round; a violation reports the node it broke at. *)
 let prop_invariant_throughout seed =
   let _, w = Helpers.instance seed in
-  match Strategy.run ~verify:true w with
+  match Strategy.run ~on_mapping_round:Helpers.check_mapping_round w with
   | _ -> true
   | exception Failure msg -> QCheck.Test.fail_report msg
+
+(* Step 3 reports each round twice, to the [on_mapping_round] hook and as
+   a traced "mapping.round" event, and the two stay in lockstep: each
+   hook call is followed by its round's event before the next call. On
+   a tree of height h, round r is (init, 0) for r = 0, (up, r - 1) for
+   1 <= r <= h and (down, 2h + 1 - r) after that: 2h + 1 rounds when
+   anything is mapped, none otherwise. *)
+let prop_round_channels_in_lockstep seed =
+  let _, w = Helpers.instance seed in
+  let sink, read = Sink.memory () in
+  let res =
+    Trace.with_sink sink (fun () ->
+        Strategy.run ~on_mapping_round:(fun _ -> Trace.event "test.hook") w)
+  in
+  let h = Tree.height (Workload.tree w) in
+  let expected r =
+    if r = 0 then ("init", 0) else if r <= h then ("up", r - 1)
+    else ("down", (2 * h) + 1 - r)
+  in
+  let attr (ev : Sink.event) k = List.assoc_opt k ev.Sink.attrs in
+  let rec walk r = function
+    | [] -> r
+    | (hook : Sink.event) :: ev :: rest
+      when hook.Sink.name = "test.hook" && ev.Sink.name = "mapping.round" ->
+      let phase, level = expected r in
+      if
+        attr ev "round" <> Some (Sink.Int r)
+        || attr ev "phase" <> Some (Sink.Str phase)
+        || attr ev "level" <> Some (Sink.Int level)
+      then QCheck.Test.fail_reportf "round %d is not (%s, %d)" r phase level
+      else walk (r + 1) rest
+    | _ -> QCheck.Test.fail_reportf "hook and event out of step at round %d" r
+  in
+  let rounds =
+    walk 0
+      (List.filter
+         (fun (ev : Sink.event) ->
+           ev.Sink.name = "test.hook" || ev.Sink.name = "mapping.round")
+         (read ()))
+  in
+  let want = match res.Strategy.mapping with None -> 0 | Some _ -> (2 * h) + 1 in
+  rounds = want
+  || QCheck.Test.fail_reportf "%d rounds, expected %d" rounds want
 
 let prop_movable_end_on_leaves seed =
   let _, w = Helpers.instance seed in
@@ -164,25 +209,30 @@ let test_failure_injection () =
   in
   (* Uncorrupted run succeeds. *)
   let basic_up, basic_down, movable = fresh () in
-  (match Mapping.run ~verify:true t ~basic_up ~basic_down ~movable with
+  (match
+     Mapping.run ~on_round:Helpers.check_mapping_round t ~basic_up ~basic_down
+       ~movable
+   with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "sound run stopped with an error");
-  (* Heavy corruption: all acceptable loads very negative. *)
+  (* Heavy corruption: basic loads lowered by 500_000 start every
+     acceptable load at 2 L_b - 1_000_000. *)
   let basic_up, basic_down, movable = fresh () in
+  let lowered b = Array.map (fun l -> l - 500_000) b in
   let failed =
     match
-      Mapping.run ~inject_lacc_error:1_000_000 t ~basic_up ~basic_down
-        ~movable
+      Mapping.run t ~basic_up:(lowered basic_up)
+        ~basic_down:(lowered basic_down) ~movable
     with
     | Error (Mapping.No_free_edge _ | Mapping.Copy_on_bus _) -> true
-    | Error (Mapping.Invariant_violated _) | Ok _ -> false
+    | Ok _ -> false
   in
   Alcotest.(check bool) "corrupted bookkeeping fails" true failed
 
 let test_papers_printed_invariant_is_too_strong () =
   (* DESIGN.md erratum: find an instance where the paper's literal
      "+ 2 Σ s(c)" form is violated at some point of the mapping while the
-     corrected "+ Σ (s + κ)" form (checked by verify) always holds. *)
+     corrected "+ Σ (s + κ)" form (checked every round) always holds. *)
   let printed_form_violated = ref false in
   let check_printed (st : Mapping.state) =
     let r = Tree.rooting st.Mapping.tree in
@@ -210,7 +260,12 @@ let test_papers_printed_invariant_is_too_strong () =
   let seed = ref 0 in
   while (not !printed_form_violated) && !seed < 200 do
     let _, w = Helpers.instance !seed in
-    ignore (Strategy.run ~verify:true ~on_mapping_round:check_printed w);
+    ignore
+      (Strategy.run
+         ~on_mapping_round:(fun st ->
+           Helpers.check_mapping_round st;
+           check_printed st)
+         w);
     incr seed
   done;
   Alcotest.(check bool)
@@ -240,6 +295,8 @@ let suite =
       test_papers_printed_invariant_is_too_strong;
     Helpers.tc "empty movable set is a no-op" test_empty_movable_is_noop;
     Helpers.qt "Invariant 4.2 holds throughout" Helpers.seed_arb prop_invariant_throughout;
+    Helpers.qt "hook and trace see the same rounds in order" Helpers.seed_arb
+      prop_round_channels_in_lockstep;
     Helpers.qt "all movable copies end on processors" Helpers.seed_arb prop_movable_end_on_leaves;
     Helpers.qt "Observation 3.3" Helpers.seed_arb prop_observation_3_3;
     Helpers.qt "upward L_map = L_acc after adjustment" Helpers.seed_arb prop_upward_lmap_matches_lacc;

@@ -25,8 +25,8 @@ let load_fixture () =
 
 (* Drives [rounds] synthetic rounds with a skewed edge pattern; returns
    the collector. Deterministic in all arguments. *)
-let drive ?top_k ?capacity ~rounds ~num_edges () =
-  let tel = Telemetry.create ?top_k ?capacity ~num_edges () in
+let drive ?capacity ~rounds ~num_edges () =
+  let tel = Telemetry.create ?capacity ~num_edges () in
   for r = 1 to rounds do
     Telemetry.begin_round tel ~round:r;
     for e = 0 to num_edges - 1 do

@@ -1,8 +1,7 @@
 (* The serving tier: slot numbering, drift generators, the
    record/replay round-trip, the adaptation loop's budget/hysteresis
    discipline, and the observability plumbing it rides on (batched
-   telemetry, reconfiguration counters, monitor prefixes, the online
-   automaton's structured violations). *)
+   telemetry, reconfiguration counters, monitor prefixes). *)
 
 module Tree = Hbn_tree.Tree
 module Builders = Hbn_tree.Builders
@@ -11,8 +10,6 @@ module Prng = Hbn_prng.Prng
 module Exec = Hbn_exec.Exec
 module Telemetry = Hbn_obs.Telemetry
 module Monitor = Hbn_obs.Monitor
-module Request = Hbn_dynamic.Request
-module Online = Hbn_dynamic.Online
 module Drift = Hbn_serve.Drift
 module Serve = Hbn_serve.Serve
 module Loads = Hbn_loads.Loads
@@ -259,29 +256,6 @@ let test_monitor_prefix_qualifies_alerts () =
   Alcotest.(check bool) "empty prefix rejected" true
     (raises_invalid (fun () -> Monitor.create ~prefix:"" ()))
 
-(* -- online automaton violations ---------------------------------------- *)
-
-let test_online_violation_shape () =
-  let star = Builders.star ~leaves:4 ~profile:(Builders.Uniform 1) in
-  let reqs =
-    List.concat_map
-      (fun node ->
-        [ { Request.node; kind = Request.Read };
-          { Request.node; kind = Request.Write } ])
-      [ 1; 2; 3; 1; 2 ]
-  in
-  let out = Online.run ~validate:true star ~initial:1 reqs in
-  Alcotest.(check bool) "a valid run carries no violation" true
-    (out.Online.violation = None);
-  Alcotest.(check int) "every request served" (List.length reqs)
-    out.Online.served;
-  let tree, w = Helpers.instance 424242 in
-  ignore tree;
-  let prng = Prng.create 5 in
-  let wout = Online.run_workload ~validate:true ~prng w in
-  Alcotest.(check bool) "workload run carries no violation" true
-    (wout.Online.violation = None)
-
 (* Tracing a run changes nothing it computes, and every epoch shows up
    as one [serve.epoch] span holding its phases and one turnaround
    sample. *)
@@ -414,7 +388,6 @@ let suite =
     Helpers.tc "send_many and reconfig counters" test_send_many_and_reconfig;
     Helpers.tc "counter validation" test_counter_validation;
     Helpers.tc "monitor prefix qualifies alerts" test_monitor_prefix_qualifies_alerts;
-    Helpers.tc "online violations are structured" test_online_violation_shape;
     Helpers.tc "traced epochs: same outcome, one span each" test_traced_epochs;
     Helpers.qt ~count:120 "hot objects match the attribution ranking"
       Helpers.seed_arb prop_hot_objects_match_attribution;

@@ -58,7 +58,7 @@ let test_gadget_within_7 () =
       let inst = Hbn_workload.Partition.make items in
       let g = Hbn_workload.Partition.gadget inst in
       let w = g.Hbn_workload.Partition.workload in
-      let res = Strategy.run ~verify:true w in
+      let res = Strategy.run ~on_mapping_round:Helpers.check_mapping_round w in
       Helpers.check_ok "certificates" (Certificates.check_all w res);
       let opt = float_of_int (Hbn_exact.Gadget_opt.family_optimum inst) in
       Helpers.check_ok "theorem 4.3"
@@ -76,7 +76,10 @@ let prop_certificates_hold_literal_variant seed =
   (* The move_leaf_copies=true variant (paper's Figure 5 verbatim) also
      satisfies every certificate. *)
   let _, w = Helpers.instance seed in
-  let res = Strategy.run ~move_leaf_copies:true ~verify:true w in
+  let res =
+    Strategy.run ~move_leaf_copies:true
+      ~on_mapping_round:Helpers.check_mapping_round w
+  in
   match Certificates.check_all w res with
   | Ok () -> true
   | Error msg -> QCheck.Test.fail_report msg
@@ -150,7 +153,7 @@ let prop_stable_under_all_topologies seed =
       (Builders.sample_ring_of_rings ~prng ~depth:3 ~fanout:2 ~procs_per_ring:2)
   in
   let w = Helpers.random_workload prng t in
-  let res = Strategy.run ~verify:true w in
+  let res = Strategy.run ~on_mapping_round:Helpers.check_mapping_round w in
   Certificates.check_all w res = Ok ()
 
 (* The on-demand Step 1 and Step 2 placements, the copy sets and every
@@ -247,7 +250,8 @@ let prop_nibble_scale_invariance seed =
 let prop_scaled_instance_still_certified seed =
   let _, w = Helpers.instance seed in
   let w' = scale_workload w (2 + (seed mod 3)) in
-  match Certificates.check_all w' (Strategy.run ~verify:true w') with
+  let res = Strategy.run ~on_mapping_round:Helpers.check_mapping_round w' in
+  match Certificates.check_all w' res with
   | Ok () -> true
   | Error msg -> QCheck.Test.fail_report msg
 
@@ -260,7 +264,7 @@ let prop_single_processor_network seed =
   let w = Workload.empty t ~objects:2 in
   Workload.set_read w ~obj:0 0 (1 + (seed mod 9));
   Workload.set_write w ~obj:1 0 (1 + (seed mod 5));
-  let res = Strategy.run ~verify:true w in
+  let res = Strategy.run ~on_mapping_round:Helpers.check_mapping_round w in
   Certificates.check_all w res = Ok ()
   && Placement.congestion w res.Strategy.placement = 0.
 
@@ -275,7 +279,7 @@ let prop_two_processors seed =
       Workload.set_write w ~obj:0 leaf (Prng.int prng 6);
       Workload.set_write w ~obj:1 leaf (Prng.int prng 6))
     (Tree.leaves t);
-  let res = Strategy.run ~verify:true w in
+  let res = Strategy.run ~on_mapping_round:Helpers.check_mapping_round w in
   (match Certificates.check_all w res with
   | Ok () -> true
   | Error msg -> QCheck.Test.fail_report msg)
