@@ -405,15 +405,20 @@ let smoke_deletion () =
     (words /. 1e6)
 
 (* B5's rows must do the same work: the merge and the scan return the
-   same outcome on the backlog. *)
+   same outcome on the backlog. Also reports what one [Sim.run] of the
+   backlog allocates per hop, hop construction included. *)
 let smoke_sim () =
   let w, placement = backlog_instance () in
   match List.map (fun (_, run) -> run w placement) backlog_runs with
   | [ merge; scan ] when merge = scan ->
+    let before = Gc.minor_words () in
+    ignore ((snd (List.hd backlog_runs)) w placement);
+    let words = Gc.minor_words () -. before in
     Printf.printf
       "bench/micro --smoke: B5's merge and scan agree (makespan %d, %d \
-       transmissions)\n"
+       transmissions); Sim.run allocates %.2f minor words per hop\n"
       merge.Sim.makespan merge.Sim.transmissions
+      (words /. float_of_int merge.Sim.transmissions)
   | outs ->
     prerr_endline
       ("bench/micro --smoke: B5 outcomes differ (makespans "

@@ -10,7 +10,8 @@
    flat kernels against each other on the bench instances, checks F7's
    outcomes against the n-table deletion oracle, and checks that B5's
    two rows (the simulator's merge and the reference scan) return the
-   same outcome — the cheap gate `dune runtest` runs (see bench/dune). *)
+   same outcome, printing what F7's pass and one B5 [Sim.run] allocate —
+   the cheap gate `dune runtest` runs (see bench/dune). *)
 
 let () =
   if Array.exists (( = ) "--smoke") Sys.argv then begin

@@ -75,6 +75,9 @@ let run ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry
         Array.iter (fun (u, e) -> Hashtbl.add tbl u e) nbrs;
         tbl)
   in
+  (* [sent_to.(u) = stamp] once the node stepping under [stamp] has sent
+     to [u]; every node step takes a fresh stamp. *)
+  let sent_to = Array.make n (-1) and stamp = ref (-1) in
   (* Crash/outage window transitions, logged as they open and close. *)
   let down_prev = Array.make n false in
   let cut_prev = Array.make (Tree.num_edges tree) false in
@@ -136,7 +139,7 @@ let run ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry
         if k > !max_inbox then max_inbox := k;
         let state, sends = step ~round ~node:v states.(v) ~inbox in
         states.(v) <- state;
-        let used = Hashtbl.create 4 in
+        incr stamp;
         List.iter
           (fun (target, msg) ->
             match Hashtbl.find_opt edge_of.(v) target with
@@ -145,13 +148,13 @@ let run ?(max_rounds = 100_000) ?(quiet_rounds = 1) ?faults ?telemetry
                 (Printf.sprintf "Runtime.run: node %d is no neighbor of %d"
                    target v)
             | Some edge ->
-              if Hashtbl.mem used target then
+              if sent_to.(target) = !stamp then
                 invalid_arg
                   (Printf.sprintf
                      "Runtime.run: node %d sent twice over edge to %d in \
                       round %d"
                      v target round);
-              Hashtbl.add used target ();
+              sent_to.(target) <- !stamp;
               any_sent := true;
               incr messages;
               through.(v) <- through.(v) + 1;

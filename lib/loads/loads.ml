@@ -28,9 +28,6 @@ module Raw = struct
     end
 
   let loads t = Array.copy t.loads
-
-  let congestion_value t =
-    Placement.max_relative t.tree ~edge_loads:t.loads ~bus_loads2:t.bus_loads2
 end
 
 (* Undo-journal entries. [moved] records, per reassigned leaf, the server
@@ -385,7 +382,9 @@ let object_edge_loads t ~obj =
   Flat.Diff.edges_into fl d ~dst:loads;
   loads
 
-let congestion t = Raw.congestion_value t.raw
+let congestion t =
+  Placement.max_relative t.raw.Raw.tree ~edge_loads:t.raw.Raw.loads
+    ~bus_loads2:t.raw.Raw.bus_loads2
 
 let snapshot t =
   Array.map

@@ -44,13 +44,6 @@ module Raw : sig
 
   val loads : t -> int array
   (** A fresh copy of the per-edge loads. *)
-
-  val congestion_value : t -> float
-  (** Maximum relative load over edges and buses:
-      [Placement.max_relative] on the maintained edge and doubled bus
-      loads, so bit-identical to [Placement.congestion_of_edge_loads] on
-      {!loads} (same scan order, first maximum wins), without allocating
-      per site. O(n). *)
 end
 
 type t
@@ -135,7 +128,9 @@ val object_edge_loads : t -> obj:int -> int array
 val congestion : t -> float
 (** Congestion of the current state — bit-identical to
     [Placement.congestion] of {!snapshot}, in O(n) instead of a full
-    re-evaluation. *)
+    re-evaluation: [Placement.max_relative] on the maintained edge and
+    doubled bus loads (same scan order, first maximum wins), without
+    allocating per site. *)
 
 val snapshot : t -> Placement.t
 (** Materialize the current state as a placement — structurally equal to

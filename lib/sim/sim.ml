@@ -114,7 +114,7 @@ let run ?(scale = 1) ?telemetry ?link w placement =
      already stamped. The Steiner edges carry the scan's stamp in
      [estamp], the visited nodes a fresh one in [nstamp], and [acc] holds
      the index of the hop that reached each queued node. *)
-  let add_multicast ~source ~nodes ~dep =
+  let build_multicast ~source ~nodes ~dep =
     let open Flat.Scratch in
     let r = fl.Flat.r and sc = scratch in
     let spanned = ref false in
@@ -151,8 +151,41 @@ let run ?(scale = 1) ?telemetry ?link w placement =
       done
     end
   in
+  (* Every write of one object through one server sends the same
+     multicast, so only the first is built. Its hops are recorded as
+     [hop_edge]/[hop_dep] indices [tmpl_start.(source) ..] of length
+     [tmpl_len.(source)], valid while [tmpl_obj.(source)] is the object,
+     and later writes copy them: a dependency inside that range moves
+     with the copy, and one before it (the first write's arrival hop, or
+     -1) becomes [dep]. *)
+  let tmpl_obj = Array.make (Tree.n tree) (-1) in
+  let tmpl_start = Array.make (Tree.n tree) 0 in
+  let tmpl_len = Array.make (Tree.n tree) 0 in
+  let add_multicast ~obj ~source ~nodes ~dep =
+    if tmpl_obj.(source) = obj then begin
+      let start = tmpl_start.(source) and len = tmpl_len.(source) in
+      let base = hop_edge.Buf.len in
+      Buf.reserve hop_edge len;
+      Buf.reserve hop_dep len;
+      let edges = hop_edge.Buf.data and deps = hop_dep.Buf.data in
+      for j = 0 to len - 1 do
+        let d = deps.(start + j) in
+        edges.(base + j) <- edges.(start + j);
+        deps.(base + j) <- (if d < start then dep else d - start + base)
+      done;
+      hop_edge.Buf.len <- base + len;
+      hop_dep.Buf.len <- base + len
+    end
+    else begin
+      let start = hop_edge.Buf.len in
+      build_multicast ~source ~nodes ~dep;
+      tmpl_obj.(source) <- obj;
+      tmpl_start.(source) <- start;
+      tmpl_len.(source) <- hop_edge.Buf.len - start
+    end
+  in
   Array.iteri
-    (fun _obj (op : Placement.obj_placement) ->
+    (fun obj (op : Placement.obj_placement) ->
       List.iter
         (fun (a : Placement.assignment) ->
           let reads = scale_up a.Placement.reads scale in
@@ -166,8 +199,8 @@ let run ?(scale = 1) ?telemetry ?link w placement =
             let arrival =
               add_unicast ~from:a.Placement.leaf ~target:a.Placement.server
             in
-            add_multicast ~source:a.Placement.server ~nodes:op.Placement.copies
-              ~dep:arrival
+            add_multicast ~obj ~source:a.Placement.server
+              ~nodes:op.Placement.copies ~dep:arrival
           done)
         op.Placement.assigns)
     placement;
@@ -218,6 +251,25 @@ let run ?(scale = 1) ?telemetry ?link w placement =
       match attached with
       | None -> 1.
       | Some l -> Link.latency l ~edge:e ~bytes:1)
+  in
+  (* Latency classes: [lat_class.(e)] numbers [hop_latency.(e)] among the
+     [n_classes] distinct latencies (one per link level at most). The
+     hops a tick grants over the edges of one class all become ready at
+     the same tick. *)
+  let lat_class = Array.make m 0 in
+  let n_classes =
+    let ids = Hashtbl.create 8 in
+    Array.iteri
+      (fun e lat ->
+        lat_class.(e) <-
+          (match Hashtbl.find_opt ids lat with
+          | Some c -> c
+          | None ->
+            let c = Hashtbl.length ids in
+            Hashtbl.add ids lat c;
+            c))
+      hop_latency;
+    Hashtbl.length ids
   in
   let bus_cap = Array.make (Tree.n tree) 0 in
   List.iter (fun b -> bus_cap.(b) <- 2 * Tree.bus_bandwidth tree b) (Tree.buses tree);
@@ -273,23 +325,23 @@ let run ?(scale = 1) ?telemetry ?link w placement =
      granted hop with children goes into the bucket of that tick, and a
      tick that leaves hops waiting books [next_tick now]. [pending] maps
      the time of every booked tick still to run to its bucket, [ticks]
-     orders those times, and drained buckets go to [free]. [newly]
-     collects the hops a tick releases, starting with the ungated ones
-     at tick 1. *)
+     orders those times, and drained buckets go to [free]. A tick looks
+     a bucket up in [pending] once per latency class it grants on, not
+     once per hop: [class_bucket.(c)] is class [c]'s bucket while
+     [class_stamp.(c)] is the tick's round. [newly] collects the hops a
+     tick releases, starting with the ungated ones at tick 1. *)
   let pending = Hashtbl.create 16 and ticks = Heap.create () in
   let free = Stack.create () and newly = Buf.create () in
   for i = 0 to n_hops - 1 do
     if hop_dep.(i) < 0 then Buf.push newly i
   done;
+  let class_bucket = Array.make n_classes newly in
+  let class_stamp = Array.make n_classes 0 in
   let remaining = ref n_hops in
   let rounds = ref 0 in
-  let completion = ref 0. in
-  let last_tick = ref 0. in
-  (* Past 2^53 every float is whole and [now +. 1.] may round to [now]. *)
-  let next_tick now =
-    let t = now +. 1. in
-    if t = now then Float.succ now else t
-  in
+  (* One-cell float arrays, so the per-hop updates store unboxed. *)
+  let completion = [| 0. |] in
+  let last_tick = [| 0. |] in
   let bucket_at time =
     match Hashtbl.find_opt pending time with
     | Some b -> b
@@ -298,20 +350,6 @@ let run ?(scale = 1) ?telemetry ?link w placement =
       Hashtbl.add pending time b;
       Heap.add ticks ~key:time b;
       b
-  in
-  let enter h =
-    let e = hop_edge.(h) in
-    key.(h) <- !entered;
-    incr entered;
-    incr waiting;
-    if head.(e) < 0 then begin
-      head.(e) <- h;
-      slot.(e) <- !n_active;
-      active.(!n_active) <- e;
-      incr n_active
-    end
-    else next.(tail.(e)) <- h;
-    tail.(e) <- h
   in
   (* Takes one of bus [b]'s packet-hops for this tick (none for -1). *)
   let draw b =
@@ -330,12 +368,18 @@ let run ?(scale = 1) ?telemetry ?link w placement =
     | Some tel ->
       Telemetry.begin_round ~vtime:now tel ~round:(int_of_float now));
     let remaining_before = !remaining in
-    let dt = now -. !last_tick in
-    last_tick := now;
+    (* Past 2^53 every float is whole and [now +. 1.] may round to [now]. *)
+    let next_tick =
+      let t = now +. 1. in
+      if t = now then Float.succ now else t
+    in
+    let dt = now -. last_tick.(0) in
+    last_tick.(0) <- now;
     let kept = ref 0 in
     for i = 0 to !n_low - 1 do
       let e = low.(i) in
-      credit.(e) <- Float.min (credit.(e) +. (rate.(e) *. dt)) burst.(e);
+      let c = credit.(e) +. (rate.(e) *. dt) in
+      credit.(e) <- (if c < burst.(e) then c else burst.(e));
       if credit.(e) < burst.(e) then begin
         low.(!kept) <- e;
         incr kept
@@ -357,10 +401,24 @@ let run ?(scale = 1) ?telemetry ?link w placement =
     done;
     arrived.Buf.len <- 0;
     Stack.push arrived free;
-    let sorted = Array.sub newly.Buf.data 0 newly.Buf.len in
+    (* The released hops enter their edges' queues in index order. *)
+    Heap.sort_prefix newly.Buf.data newly.Buf.len;
+    for k = 0 to newly.Buf.len - 1 do
+      let h = newly.Buf.data.(k) in
+      let e = hop_edge.(h) in
+      key.(h) <- !entered;
+      incr entered;
+      if head.(e) < 0 then begin
+        head.(e) <- h;
+        slot.(e) <- !n_active;
+        active.(!n_active) <- e;
+        incr n_active
+      end
+      else next.(tail.(e)) <- h;
+      tail.(e) <- h
+    done;
+    waiting := !waiting + newly.Buf.len;
     newly.Buf.len <- 0;
-    Array.sort Int.compare sorted;
-    Array.iter enter sorted;
     (* Every waiting edge joins the merge at its queue's head. The merge
        grants hops in entry order. A tick's budgets only fall, so the
        hops an edge is granted are a prefix of its queue, and a refused
@@ -394,11 +452,18 @@ let run ?(scale = 1) ?telemetry ?link w placement =
         decr remaining;
         decr waiting;
         let arrival = now +. hop_latency.(edge) in
-        if arrival > !completion then completion := arrival;
+        if arrival > completion.(0) then completion.(0) <- arrival;
         let fanout = child_start.(h + 1) - child_start.(h) in
         if fanout > 0 then begin
           enabled := !enabled + fanout;
-          Buf.push (bucket_at (Float.max (Float.ceil arrival) (next_tick now))) h
+          let c = lat_class.(edge) in
+          if class_stamp.(c) <> !rounds then begin
+            let ready = Float.ceil arrival in
+            class_bucket.(c) <-
+              bucket_at (if ready > next_tick then ready else next_tick);
+            class_stamp.(c) <- !rounds
+          end;
+          Buf.push class_bucket.(c) h
         end;
         if h = tail.(edge) then begin
           head.(edge) <- -1;
@@ -415,7 +480,7 @@ let run ?(scale = 1) ?telemetry ?link w placement =
       end
       else Heads.pop heads
     done;
-    if !waiting > 0 then ignore (bucket_at (next_tick now));
+    if !waiting > 0 then ignore (bucket_at next_tick);
     (match telemetry with
     | None -> ()
     | Some tel -> Telemetry.end_round tel ~live_nodes:(Tree.n tree));
@@ -439,7 +504,7 @@ let run ?(scale = 1) ?telemetry ?link w placement =
   let outcome =
     {
       makespan = !rounds;
-      completion = !completion;
+      completion = completion.(0);
       packets = !packets;
       transmissions = n_hops;
       edge_traffic;

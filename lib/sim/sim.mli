@@ -47,8 +47,14 @@
     its grants plus one refused head per waiting edge, each
     [O(log edges)], not one visit per waiting hop. Only the edges below
     their burst are refilled and only the buses the last round drew on
-    are reset. A star whose single bus caps every edge still sends every
-    waiting edge through the merge each round:
+    are reset. The hops a round releases are sorted by hop index in one
+    reused buffer with {!Hbn_util.Heap.sort_prefix}, and a granted hop's
+    dependents go to the bucket of the round they become ready in,
+    looked up once per round and latency class (one class per distinct
+    link latency). Without [telemetry], a round's per-hop work calls no
+    closure and allocates nothing beyond amortised buffer growth. A
+    star whose single bus caps every edge still sends every waiting
+    edge through the merge each round:
     [O(leaves · log leaves)] per round, however few hops the bus admits.
 
     Asynchrony: the round machine is a loop over ticks at whole virtual

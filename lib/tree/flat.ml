@@ -189,30 +189,6 @@ let subtree_sums_into fl (scratch : Scratch.t) ~src ~src_off =
   done
 
 module Diff = struct
-  (* Integer heapsort of [a.(0 .. len-1)]: in place, no closure. *)
-  let rec sift (a : int array) len i =
-    let l = (2 * i) + 1 in
-    if l < len then begin
-      let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
-      if a.(c) > a.(i) then begin
-        let x = a.(i) in
-        a.(i) <- a.(c);
-        a.(c) <- x;
-        sift a len c
-      end
-    end
-
-  let sort_prefix (a : int array) len =
-    for i = (len / 2) - 1 downto 0 do
-      sift a len i
-    done;
-    for last = len - 1 downto 1 do
-      let x = a.(0) in
-      a.(0) <- a.(last);
-      a.(last) <- x;
-      sift a last 0
-    done
-
   (* [a] on every u–v path edge, once subtree-summed. *)
   let pair fl d u v a =
     let c = lca fl u v in
@@ -232,7 +208,7 @@ module Diff = struct
       for i = 0 to len - 1 do
         nodes.(i) <- pos.(nodes.(i))
       done;
-      sort_prefix nodes len;
+      Hbn_util.Heap.sort_prefix nodes len;
       for i = 0 to len - 1 do
         nodes.(i) <- pre.(nodes.(i))
       done;

@@ -169,8 +169,8 @@ module Diff : sig
   (** [steiner fl d ~nodes ~len a] records [a] on every edge of the
       minimal subtree spanning [nodes.(0 .. len-1)] (duplicates welcome;
       fewer than two distinct nodes record nothing). Sorts that prefix of
-      [nodes] in place by preorder position (heapsort): O(len log len),
-      no allocation. *)
+      [nodes] in place by preorder position with
+      {!Hbn_util.Heap.sort_prefix}: O(len log len), no allocation. *)
 
   val edges_into : flat -> int array -> dst:int array -> unit
   (** [edges_into fl d ~dst] writes every edge's recorded total to

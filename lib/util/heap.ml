@@ -52,3 +52,27 @@ let pop_min h =
     end;
     Some (e.key, e.value)
   end
+
+(* Sifts [a.(i)] down the max-heap [a.(0 .. len - 1)]. *)
+let rec sift_ints (a : int array) len i =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift_ints a len c
+    end
+  end
+
+let sort_prefix (a : int array) len =
+  for i = (len / 2) - 1 downto 0 do
+    sift_ints a len i
+  done;
+  for last = len - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift_ints a last 0
+  done

@@ -75,6 +75,39 @@ let prop_growth seed =
   done;
   pop_all h = List.init n (fun i -> i + 1)
 
+(* An int array of up to 40 cells and a prefix length to sort: many
+   duplicates, negatives, the extreme ints, and prefixes of length 0 and 1
+   as often as longer ones. *)
+let prefix_arb =
+  let open QCheck.Gen in
+  let cell =
+    frequency
+      [ (6, int_range (-8) 8); (2, int); (1, oneofl [ min_int; max_int; 0 ]) ]
+  in
+  let gen =
+    array_size (int_range 0 40) cell >>= fun a ->
+    let n = Array.length a in
+    map
+      (fun len -> (a, len))
+      (frequency [ (1, return 0); (1, return (min 1 n)); (4, int_range 0 n) ])
+  in
+  QCheck.make
+    ~print:(fun (a, len) ->
+      Printf.sprintf "len %d of [%s]" len
+        (String.concat "; " (Array.to_list (Array.map string_of_int a))))
+    gen
+
+(* [sort_prefix] sorts exactly the prefix, as [Array.sort compare] does,
+   and leaves the tail past [len] as it was. *)
+let prop_sort_prefix (a, len) =
+  let n = Array.length a in
+  let b = Array.copy a in
+  Heap.sort_prefix b len;
+  let expected = Array.sub a 0 len in
+  Array.sort compare expected;
+  Array.sub b 0 len = expected
+  && Array.sub b len (n - len) = Array.sub a len (n - len)
+
 let suite =
   [
     Helpers.tc "empty heap" test_empty;
@@ -82,4 +115,6 @@ let suite =
     Helpers.tc "interleaved add/pop" test_interleaved;
     Helpers.qt "random keys pop sorted" Helpers.seed_arb prop_sorted_pops;
     Helpers.qt "capacity growth" Helpers.seed_arb prop_growth;
+    Helpers.qt ~count:300 "sort_prefix = Array.sort on the prefix" prefix_arb
+      prop_sort_prefix;
   ]

@@ -437,16 +437,53 @@ let oracle_links =
        (fun spec -> Some (Result.get_ok (Link.of_spec spec)))
        [ "1:4,1:1"; "0.25:2,0.5:0.5"; "1e16:inf" ]
 
+(* A star of unit bandwidth: its one bus admits 2 packet-hops a tick, so
+   it refuses the head of every other waiting edge, tick after tick. *)
+let capped_star seed =
+  let prng = Prng.create (seed + 2027) in
+  let t =
+    Builders.star ~leaves:(Prng.int_in prng 8 48) ~profile:(Builders.Uniform 1)
+  in
+  let w = Helpers.random_workload prng t in
+  (w, Sim_fingerprint.random_copies prng w)
+
+(* Every leaf writes one object with a copy in each subtree of the root.
+   A write's broadcast is released when its request reaches its server,
+   and requests from leaves far apart in hop order reach their servers
+   in the same tick, so a tick releases hops out of index order. *)
+let many_writers seed =
+  let prng = Prng.create (seed + 3037) in
+  let t =
+    Builders.balanced ~arity:4 ~height:2 ~profile:(Helpers.profile_of prng)
+  in
+  let w = Workload.empty t ~objects:1 in
+  List.iter
+    (fun leaf -> Workload.set_write w ~obj:0 leaf (Prng.int_in prng 1 3))
+    (Tree.leaves t);
+  let r = Tree.rooting t in
+  let copy bus =
+    let below = r.Tree.children.(bus) in
+    let k = Prng.int prng (Array.length below + 1) in
+    if k = 0 then bus else below.(k - 1)
+  in
+  (w, [| Array.to_list (Array.map copy r.Tree.children.(r.Tree.root)) |])
+
 (* Random copy sets (buses included) on the oracle shapes: random trees,
-   stars and long caterpillars, every link and scale. *)
+   stars and long caterpillars, a bus-capped star and many writers to
+   one object, every link and scale. *)
 let prop_matches_scan_oracle seed =
-  let _, w = Helpers.shaped_instance seed in
-  let prng = Prng.create (seed + 1009) in
-  let p = Placement.nearest w ~copies:(Sim_fingerprint.random_copies prng w) in
+  let shaped =
+    let _, w = Helpers.shaped_instance seed in
+    (w, Sim_fingerprint.random_copies (Prng.create (seed + 1009)) w)
+  in
   List.for_all
-    (fun link ->
-      List.for_all (fun scale -> same_as_oracle ~scale ?link w p) [ 1; 2 ])
-    oracle_links
+    (fun (w, copies) ->
+      let p = Placement.nearest w ~copies in
+      List.for_all
+        (fun link ->
+          List.for_all (fun scale -> same_as_oracle ~scale ?link w p) [ 1; 2 ])
+        oracle_links)
+    [ shaped; capped_star seed; many_writers seed ]
 
 (* A shape well beyond the bench sizes: 1,365 nodes, where thousands of
    hops wait per tick. *)
