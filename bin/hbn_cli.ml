@@ -246,8 +246,9 @@ let topology_cmd =
     (match save with
     | None -> ()
     | Some path ->
-      Hbn_tree.Topology_io.save t ~path;
-      Printf.printf "saved to %s\n" path);
+      match Hbn_tree.Topology_io.save t ~path with
+      | Ok () -> Printf.printf "saved to %s\n" path
+      | Error m -> die "cannot save %s: %s" path m);
     if dot then print_string (Tree.to_dot t)
     else begin
       Format.printf "%a@." Tree.pp t;
@@ -466,8 +467,9 @@ let workload_cmd =
     (match save with
     | None -> ()
     | Some path ->
-      Hbn_workload.Workload_io.save w ~path;
-      Printf.printf "saved to %s\n" path);
+      match Hbn_workload.Workload_io.save w ~path with
+      | Ok () -> Printf.printf "saved to %s\n" path
+      | Error m -> die "cannot save %s: %s" path m);
     Format.printf "%a@." Workload.pp w
   in
   Cmd.v

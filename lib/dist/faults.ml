@@ -1,5 +1,6 @@
 module Prng = Hbn_prng.Prng
 module Sink = Hbn_obs.Sink
+module Text = Hbn_util.Text
 
 type kind =
   | Dropped of { edge : int; src : int; dst : int }
@@ -90,84 +91,61 @@ let parse_window clause s =
   | _ -> fail ()
 
 let of_spec ?(seed = 0) s =
-  let ( let* ) r f = Result.bind r f in
-  (* Split on commas, keeping each clause's start offset so every error
-     can point at the offending token: "clause N at char C: ...". *)
-  let raw_clauses =
-    let acc = ref [] and start = ref 0 in
-    String.iteri
-      (fun i ch ->
-        if ch = ',' then begin
-          acc := (!start, String.sub s !start (i - !start)) :: !acc;
-          start := i + 1
-        end)
-      s;
-    acc := (!start, String.sub s !start (String.length s - !start)) :: !acc;
-    List.rev !acc
-  in
+  let ( let* ) = Result.bind in
+  (* Empty clauses are dropped before the rest are numbered. *)
   let clauses =
-    List.filter (fun (_, c) -> String.trim c <> "") raw_clauses
-    |> List.mapi (fun i (pos, c) -> (i + 1, pos, String.trim c))
+    List.filter (fun c -> c.Text.text <> "") (Text.clauses s)
+    |> List.mapi (fun i c -> { c with Text.index = i + 1 })
   in
   let* () =
     if clauses = [] then
       Error "empty fault spec (an explicitly fault-free plan is \"drop=0\")"
     else Ok ()
   in
-  let err idx pos fmt =
-    Printf.ksprintf
-      (fun msg -> Error (Printf.sprintf "clause %d at char %d: %s" idx pos msg))
-      fmt
-  in
-  let window what idx pos v =
-    let* w =
-      match parse_window what v with
-      | Ok w -> Ok w
-      | Error m -> err idx pos "%s" m
-    in
-    let id, a, b = w in
-    if id < 0 then err idx pos "negative %s id %d" what id
+  let window what v =
+    let* ((id, a, b) as w) = parse_window what v in
+    if id < 0 then Error (Printf.sprintf "negative %s id %d" what id)
     else if a < 1 || b < a then
-      err idx pos "bad %s window %d-%d (rounds start at 1)" what a b
+      Error (Printf.sprintf "bad %s window %d-%d (rounds start at 1)" what a b)
     else Ok w
   in
   let* parsed =
-    List.fold_left
-      (fun acc (idx, pos, clause) ->
-        let* acc = acc in
-        match String.index_opt clause '=' with
-        | None -> err idx pos "clause %S has no '='" clause
+    Text.map_clauses clauses (fun c ->
+        match String.index_opt c.text '=' with
+        | None -> Error (Printf.sprintf "clause %S has no '='" c.text)
         | Some i ->
-          let key = String.sub clause 0 i in
-          let v = String.sub clause (i + 1) (String.length clause - i - 1) in
+          let key = String.sub c.text 0 i in
+          let v = String.sub c.text (i + 1) (String.length c.text - i - 1) in
           let* item =
             match key with
             | "drop" -> (
               match float_of_string_opt v with
               | Some p when p >= 0. && p <= 1. -> Ok (`Drop p)
-              | _ -> err idx pos "bad drop probability %S (expected [0, 1])" v)
+              | _ ->
+                Error
+                  (Printf.sprintf "bad drop probability %S (expected [0, 1])" v))
             | "until" -> (
               match int_of_string_opt v with
               | Some r when r >= 0 -> Ok (`Until r)
-              | _ -> err idx pos "bad drop horizon %S (expected a round)" v)
+              | _ ->
+                Error (Printf.sprintf "bad drop horizon %S (expected a round)" v))
             | "crash" ->
-              let* w = window "crash" idx pos v in
+              let* w = window "crash" v in
               Ok (`Crash w)
             | "cut" ->
-              let* w = window "cut" idx pos v in
+              let* w = window "cut" v in
               Ok (`Cut w)
-            | _ -> err idx pos "unknown fault clause %S" key
+            | _ -> Error (Printf.sprintf "unknown fault clause %S" key)
           in
-          Ok ((idx, pos, item) :: acc))
-      (Ok []) clauses
+          Ok (c, item))
   in
-  let parsed = List.rev parsed in
-  let pick f = List.filter_map (fun (_, _, item) -> f item) parsed in
+  let pick f = List.filter_map (fun (_, item) -> f item) parsed in
   let unique what f =
-    match List.filter (fun (_, _, item) -> f item <> None) parsed with
+    match List.filter (fun (_, item) -> f item <> None) parsed with
     | [] -> Ok None
-    | [ (_, _, item) ] -> Ok (f item)
-    | _ :: (idx, pos, _) :: _ -> err idx pos "duplicate %s clause" what
+    | [ (_, item) ] -> Ok (f item)
+    | _ :: (c, _) :: _ ->
+      Text.clause_error c (Printf.sprintf "duplicate %s clause" what)
   in
   let* drop = unique "drop" (function `Drop p -> Some p | _ -> None) in
   let drop = Option.value drop ~default:0. in

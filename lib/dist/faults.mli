@@ -66,11 +66,13 @@ val of_spec : ?seed:int -> string -> (plan, string) result
     v}
 
     e.g. ["drop=0.2,until=40,crash=3:5-15,cut=2:10-14"]. [seed]
-    (default 0) keys the drop schedule. Errors name the offending
-    clause by index and character offset, e.g.
-    ["clause 2 at char 9: bad drop probability \"2.0\" …"]. An empty
-    spec is rejected — an explicitly fault-free plan is spelled
-    ["drop=0"]. *)
+    (default 0) keys the drop schedule. Clauses are split by
+    {!Hbn_util.Text.clauses}; empty ones are dropped before the rest are
+    numbered, so ["drop=0.1,,until=5"] is accepted. Errors name the
+    offending clause by index and character offset, e.g.
+    ["clause 2 at char 9: bad drop probability \"2.0\" …"]; [drop] and
+    [until] may appear once. A spec with no clause is rejected — an
+    explicitly fault-free plan is spelled ["drop=0"]. Never raises. *)
 
 val to_spec : plan -> string
 (** Renders a plan back into the {!of_spec} grammar (canonical clause

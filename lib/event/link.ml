@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Text = Hbn_util.Text
 
 (* Per-level (delay, bandwidth) pairs, root-down: index 0 describes the
    links incident to the root (level 1). Specs shorter than the tree are
@@ -37,8 +38,7 @@ let bandwidth c ~level = snd (clause c ~level)
 (* -- spec grammar -------------------------------------------------------- *)
 
 (* "D1:B1,D2:B2,..." — delay, colon, bandwidth per level root-down;
-   bandwidth may be "inf". Errors carry the clause index (1-based) and
-   the character offset of the offending clause in the spec string. *)
+   bandwidth may be "inf". Every clause must be non-empty. *)
 
 let num_to_string x =
   if x = Float.infinity then "inf" else Printf.sprintf "%g" x
@@ -52,28 +52,13 @@ let to_spec c =
           c.levels))
 
 let of_spec s =
-  let ( let* ) r f = Result.bind r f in
-  (* Split on commas, keeping each clause's start offset for errors. *)
-  let clauses =
-    let acc = ref [] and start = ref 0 in
-    String.iteri (fun i ch -> if ch = ',' then begin
-        acc := (!start, String.sub s !start (i - !start)) :: !acc;
-        start := i + 1
-      end) s;
-    acc := (!start, String.sub s !start (String.length s - !start)) :: !acc;
-    List.rev !acc
-  in
-  let err idx pos fmt =
-    Printf.ksprintf
-      (fun msg -> Error (Printf.sprintf "clause %d at char %d: %s" idx pos msg))
-      fmt
-  in
-  let parse_clause idx (pos, raw) =
-    let c = String.trim raw in
-    if c = "" then err idx pos "empty clause (expected DELAY:BANDWIDTH)"
+  let ( let* ) = Result.bind in
+  let parse_clause { Text.text = c; _ } =
+    if c = "" then Error "empty clause (expected DELAY:BANDWIDTH)"
     else
       match String.index_opt c ':' with
-      | None -> err idx pos "clause %S has no ':' (expected DELAY:BANDWIDTH)" c
+      | None ->
+        Error (Printf.sprintf "clause %S has no ':' (expected DELAY:BANDWIDTH)" c)
       | Some i ->
         let ds = String.sub c 0 i in
         let bs = String.sub c (i + 1) (String.length c - i - 1) in
@@ -81,7 +66,9 @@ let of_spec s =
           match float_of_string_opt ds with
           | Some d when d >= 0. && d < Float.infinity && not (Float.is_nan d)
             -> Ok d
-          | _ -> err idx pos "bad delay %S (expected a finite number >= 0)" ds
+          | _ ->
+            Error
+              (Printf.sprintf "bad delay %S (expected a finite number >= 0)" ds)
         in
         let* b =
           if bs = "inf" then Ok Float.infinity
@@ -89,26 +76,18 @@ let of_spec s =
             match float_of_string_opt bs with
             | Some b when b > 0. && not (Float.is_nan b) -> Ok b
             | _ ->
-              err idx pos
-                "bad bandwidth %S (expected a positive number or \"inf\")" bs
+              Error
+                (Printf.sprintf
+                   "bad bandwidth %S (expected a positive number or \"inf\")"
+                   bs)
         in
         if d = 0. && b = Float.infinity then
-          err idx pos
-            "zero delay with infinite bandwidth means zero transit time"
+          Error "zero delay with infinite bandwidth means zero transit time"
         else Ok (d, b)
   in
-  let* levels =
-    List.fold_left
-      (fun acc (idx, clause) ->
-        let* acc = acc in
-        let* lv = parse_clause idx clause in
-        Ok (lv :: acc))
-      (Ok [])
-      (List.mapi (fun i c -> (i + 1, c)) clauses)
-  in
-  match List.rev levels with
-  | [] -> Error "empty link spec (the synchronous regime is \"1:inf\")"
-  | levels -> Ok { levels = Array.of_list levels }
+  (* [clauses] is never empty: [""] is one empty clause. *)
+  let* levels = Text.map_clauses (Text.clauses s) parse_clause in
+  Ok { levels = Array.of_list levels }
 
 (* -- attached links ------------------------------------------------------ *)
 

@@ -50,9 +50,12 @@ val bandwidth : config -> level:int -> float
 
 val of_spec : string -> (config, string) result
 (** Parses the CLI grammar ["D1:B1,D2:B2,…"] — one [DELAY:BANDWIDTH]
-    clause per level, root-down; bandwidth may be ["inf"]. Errors name
-    the offending clause by index and character offset, e.g.
-    ["clause 2 at char 4: bad bandwidth \"x\" …"]. *)
+    clause per level, root-down, split by {!Hbn_util.Text.clauses};
+    bandwidth may be ["inf"]. The delay is finite and [>= 0], the
+    bandwidth positive, and not both [0] and ["inf"]. An empty clause is
+    an error, so is the empty spec. Errors name the offending clause by
+    index and character offset, e.g.
+    ["clause 2 at char 4: bad bandwidth \"x\" …"]. Never raises. *)
 
 val to_spec : config -> string
 (** Canonical spec; [of_spec (to_spec c)] reproduces [c]. *)

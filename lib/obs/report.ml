@@ -1,4 +1,5 @@
 module Table = Hbn_util.Table
+module Text = Hbn_util.Text
 
 (* One reconstructed span. [dur_ns < 0] marks a span whose end never
    made it into the trace (crash mid-run, truncated file): it still
@@ -89,25 +90,23 @@ let unknown_kind line =
     | _ -> false)
 
 let load ~path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error m -> Error m
-  | text ->
-    let lines = String.split_on_char '\n' text in
-    let rec parse acc skipped lineno = function
-      | [] -> Ok (List.rev acc, skipped)
-      | [ "" ] -> Ok (List.rev acc, skipped)  (* trailing newline *)
-      | line :: rest -> (
-        if String.trim line = "" then parse acc skipped (lineno + 1) rest
-        else
-          match Sink.of_json line with
-          | Ok ev -> parse (ev :: acc) skipped (lineno + 1) rest
-          | Error _ when unknown_kind line ->
-            parse acc (skipped + 1) (lineno + 1) rest
-          | Error m -> Error (Printf.sprintf "%s:%d: %s" path lineno m))
-    in
-    Result.map
-      (fun (evs, skipped) -> { (of_events evs) with unknown = skipped })
-      (parse [] 0 1 lines)
+  Text.load ~path @@ fun text ->
+  let lines = String.split_on_char '\n' text in
+  let rec parse acc skipped lineno = function
+    | [] -> Ok (List.rev acc, skipped)
+    | [ "" ] -> Ok (List.rev acc, skipped)  (* trailing newline *)
+    | line :: rest -> (
+      if String.trim line = "" then parse acc skipped (lineno + 1) rest
+      else
+        match Sink.of_json line with
+        | Ok ev -> parse (ev :: acc) skipped (lineno + 1) rest
+        | Error _ when unknown_kind line ->
+          parse acc (skipped + 1) (lineno + 1) rest
+        | Error m -> Error (Printf.sprintf "%s:%d: %s" path lineno m))
+  in
+  Result.map
+    (fun (evs, skipped) -> { (of_events evs) with unknown = skipped })
+    (parse [] 0 1 lines)
 
 (* -- phases ------------------------------------------------------------- *)
 

@@ -9,6 +9,7 @@ module Sink = Hbn_obs.Sink
 module Telemetry = Hbn_obs.Telemetry
 module Monitor = Hbn_obs.Monitor
 module Strategy = Hbn_core.Strategy
+module Text = Hbn_util.Text
 
 type config = {
   slots_per_epoch : int;
@@ -380,103 +381,91 @@ let tables d ~epochs =
 
 let save_tables path ts =
   if Array.length ts = 0 then Error "no tables to save"
-  else
-    match open_out path with
-    | exception Sys_error m -> Error m
-    | oc ->
-      let w0 = ts.(0) in
-      let tree = Workload.tree w0 in
-      Printf.fprintf oc "hbn-serve-tables 1\n";
-      Printf.fprintf oc "epochs %d\nnodes %d\nobjects %d\n" (Array.length ts)
-        (Tree.n tree) (Workload.num_objects w0);
-      Array.iteri
-        (fun e w ->
-          for obj = 0 to Workload.num_objects w - 1 do
-            List.iter
-              (fun leaf ->
-                let r = Workload.reads w ~obj leaf
-                and wr = Workload.writes w ~obj leaf in
-                if r > 0 || wr > 0 then
-                  Printf.fprintf oc "e %d %d %d %d %d\n" e obj leaf r wr)
-              (Workload.requesting_leaves w ~obj)
-          done)
-        ts;
-      close_out oc;
-      Ok ()
+  else begin
+    let w0 = ts.(0) in
+    let buf = Buffer.create 4096 in
+    Printf.bprintf buf "hbn-serve-tables 1\nepochs %d\nnodes %d\nobjects %d\n"
+      (Array.length ts) (Tree.n (Workload.tree w0)) (Workload.num_objects w0);
+    Array.iteri
+      (fun e w ->
+        for obj = 0 to Workload.num_objects w - 1 do
+          List.iter
+            (fun leaf ->
+              let r = Workload.reads w ~obj leaf
+              and wr = Workload.writes w ~obj leaf in
+              if r > 0 || wr > 0 then
+                Printf.bprintf buf "e %d %d %d %d %d\n" e obj leaf r wr)
+            (Workload.requesting_leaves w ~obj)
+        done)
+      ts;
+    Text.save ~path (Buffer.contents buf)
+  end
+
+(* The three header counts in file order, after the magic line; the
+   tables are allocated once the last is read, and only if
+   epochs x objects x nodes cells fit in an array. *)
+let header = [| "epochs"; "nodes"; "objects" |]
+
+type reading =
+  | Magic
+  | Header of int list  (* the counts read so far, newest first *)
+  | Cells of Workload.t array * (int * int, int) Hashtbl.t array
+
+let header_count ~tree got v =
+  let n = Tree.n tree and max = Sys.max_array_length in
+  match v :: got with
+  | [ nodes; _ ] when nodes <> n ->
+    Error (Printf.sprintf "file recorded over %d nodes, tree has %d" nodes n)
+  | ([ _ ] | [ _; _; _ ]) when v < 1 ->
+    Error
+      (Printf.sprintf "bad %s count %d (expected at least 1)"
+         header.(List.length got) v)
+  | [ objects; _; epochs ] when objects > max / n || epochs > max / (objects * n)
+    ->
+    Error
+      (Printf.sprintf "%d epochs of %d objects over %d nodes exceed %d cells"
+         epochs objects n max)
+  | [ objects; _; epochs ] ->
+    Ok
+      (Cells
+         ( Array.init epochs (fun _ -> Workload.empty tree ~objects),
+           Array.init epochs (fun _ -> Hashtbl.create 16) ))
+  | got -> Ok (Header got)
 
 let load_tables ~tree path =
-  match open_in path with
-  | exception Sys_error m -> Error m
-  | ic ->
-    let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-    let line () = try Some (input_line ic) with End_of_file -> None in
-    let finish r =
-      close_in ic;
-      r
-    in
-    let scan_header name =
-      match line () with
-      | Some l -> (
-        try Scanf.sscanf l "%s %d" (fun k v ->
-                if k = name then Ok v else Error ("expected " ^ name))
-        with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-          Error ("malformed " ^ name ^ " header"))
-      | None -> Error "truncated header"
-    in
-    (match line () with
-    | Some "hbn-serve-tables 1" -> (
-      match (scan_header "epochs", scan_header "nodes", scan_header "objects")
-      with
-      | Ok epochs, Ok nodes, Ok objects ->
-        if epochs < 1 then finish (fail "bad epoch count %d" epochs)
-        else if nodes <> Tree.n tree then
-          finish
-            (fail "file recorded over %d nodes, tree has %d" nodes
-               (Tree.n tree))
-        else if objects < 1 then finish (fail "bad object count %d" objects)
-        else begin
-          let reads =
-            Array.init epochs (fun _ -> Array.make_matrix objects (Tree.n tree) 0)
-          in
-          let writes =
-            Array.init epochs (fun _ -> Array.make_matrix objects (Tree.n tree) 0)
-          in
-          let err = ref None in
-          let rec go () =
-            match line () with
-            | None -> ()
-            | Some "" -> go ()
-            | Some l ->
-              (try
-                 Scanf.sscanf l "e %d %d %d %d %d" (fun e obj leaf r w ->
-                     if e < 0 || e >= epochs then
-                       err := Some (Printf.sprintf "epoch %d out of range" e)
-                     else if obj < 0 || obj >= objects then
-                       err := Some (Printf.sprintf "object %d out of range" obj)
-                     else if leaf < 0 || leaf >= Tree.n tree then
-                       err := Some (Printf.sprintf "node %d out of range" leaf)
-                     else if not (Tree.is_leaf tree leaf) then
-                       err :=
-                         Some (Printf.sprintf "node %d is not a leaf" leaf)
-                     else begin
-                       reads.(e).(obj).(leaf) <- r;
-                       writes.(e).(obj).(leaf) <- w
-                     end)
-               with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-                 err := Some ("malformed line: " ^ l));
-              if !err = None then go ()
-          in
-          go ();
-          match !err with
-          | Some m -> finish (Error m)
-          | None ->
-            finish
-              (try
-                 Ok
-                   (Array.init epochs (fun e ->
-                        Workload.make tree ~reads:reads.(e) ~writes:writes.(e)))
-               with Invalid_argument m -> Error m)
-        end
-      | Error m, _, _ | _, Error m, _ | _, _, Error m -> finish (Error m))
-    | Some _ -> finish (Error "not an hbn-serve-tables file")
-    | None -> finish (Error "empty file"))
+  let ( let* ) = Result.bind in
+  let state = ref Magic in
+  Text.load ~path (fun text ->
+      let* () =
+        Text.iter_lines text (fun line word args ->
+            match (!state, word, args) with
+            | Magic, "hbn-serve-tables", [ "1" ] -> Ok (state := Header [])
+            | Magic, _, _ -> Error "not an hbn-serve-tables file"
+            | Header got, w, [ v ] when w = header.(List.length got) ->
+              let* v = Text.count w v in
+              let* next = header_count ~tree got v in
+              Ok (state := next)
+            | Header got, _, _ ->
+              Error (Printf.sprintf "expected \"%s N\"" header.(List.length got))
+            | Cells (ws, first), "e", [ e; obj; leaf; r; wr ] ->
+              let* e = Text.int e in
+              let* obj = Text.int obj in
+              let* node = Text.int leaf in
+              let* reads = Text.int r in
+              let* writes = Text.int wr in
+              if e < 0 || e >= Array.length ws then
+                Error (Printf.sprintf "epoch %d out of range" e)
+              else
+                Hbn_workload.Workload_io.set_rate ws.(e) first.(e) ~line ~obj
+                  ~node ~reads ~writes
+            | Cells _, _, _ ->
+              Error "expected \"e EPOCH OBJECT LEAF READS WRITES\"")
+      in
+      let eof = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 1 text in
+      match !state with
+      | Cells (ws, _) -> Ok ws
+      | Header got ->
+        Text.line_error eof
+          (Printf.sprintf "truncated header (expected \"%s N\")"
+             header.(List.length got))
+      | Magic -> Text.line_error eof "empty file")

@@ -133,11 +133,25 @@ val tables : Drift.t -> epochs:int -> Workload.t array
     for a replay. *)
 
 val save_tables : string -> Workload.t array -> (unit, string) result
-(** Writes the tables to a file in a line-oriented text format (header
-    plus one sparse [e <epoch> <obj> <leaf> <reads> <writes>] line per
-    non-zero cell). *)
+(** Writes the tables to a file:
+
+    {v
+    hbn-serve-tables 1
+    epochs 2
+    nodes 7
+    objects 3
+    e 0 1 4 12 3    # e <epoch> <object> <leaf> <reads> <writes>
+    v}
+
+    one sparse [e] line per non-zero cell. An empty array or an
+    unwritable path is an [Error]. *)
 
 val load_tables : tree:Tree.t -> string -> (Workload.t array, string) result
-(** Reads tables saved by {!save_tables} back over [tree]. Fails with a
-    message on a malformed file or one recorded over a different
-    topology shape. *)
+(** Reads tables saved by {!save_tables} back over [tree], under the file
+    conventions of {!Hbn_util.Text}. The magic line and the three counts
+    come first, in that order; [nodes] must be [Tree.n tree], the other
+    counts at least 1, and epochs x objects x nodes cells must fit in
+    [Sys.max_array_length]. [e] lines follow the rules of a workload's
+    [rate] lines ({!Hbn_workload.Workload_io.set_rate}), per epoch. Every
+    error carries its line (["line 6: duplicate rate …"]); an
+    unreadable file is an [Error]. Never raises. *)

@@ -1,3 +1,5 @@
+module Text = Hbn_util.Text
+
 let to_string t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "# hierarchical bus network\n";
@@ -25,121 +27,60 @@ type parse_state = {
 }
 
 let of_string s =
+  let ( let* ) = Result.bind in
   let st = { nodes = -1; kinds = []; edges = []; root = None } in
-  let error lineno msg =
-    Error (Printf.sprintf "line %d: %s" lineno msg)
+  let* () =
+    Text.iter_lines s (fun _ word args ->
+        match (word, args) with
+        | "nodes", [ n ] ->
+          let* n = Text.count "nodes" n in
+          if st.nodes >= 0 then Error "duplicate nodes declaration"
+          else Ok (st.nodes <- n)
+        | "bus", [ id; bw ] ->
+          let* id = Text.int id in
+          let* bw = Text.int bw in
+          Ok (st.kinds <- (id, Tree.Bus, bw) :: st.kinds)
+        | "proc", [ id ] ->
+          let* id = Text.int id in
+          Ok (st.kinds <- (id, Tree.Processor, 1) :: st.kinds)
+        | "edge", [ u; v; bw ] ->
+          let* u = Text.int u in
+          let* v = Text.int v in
+          let* bw = Text.int bw in
+          Ok (st.edges <- (u, v, bw) :: st.edges)
+        | "root", [ r ] ->
+          let* r = Text.int r in
+          Ok (st.root <- Some r)
+        | w, _ -> Error (Printf.sprintf "unknown directive %S" w))
   in
-  let parse_line lineno line =
-    let line =
-      match String.index_opt line '#' with
-      | Some i -> String.sub line 0 i
-      | None -> line
-    in
-    let words =
-      String.split_on_char ' ' (String.trim line)
-      |> List.filter (fun w -> w <> "")
-    in
-    let int_arg w =
-      match int_of_string_opt w with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "line %d: not an integer: %s" lineno w)
-    in
-    let ( let* ) r f = Result.bind r f in
-    match words with
-    | [] -> Ok ()
-    | [ "nodes"; n ] ->
-      let* n = int_arg n in
-      if st.nodes >= 0 then error lineno "duplicate nodes declaration"
-      else begin
-        st.nodes <- n;
-        Ok ()
-      end
-    | [ "bus"; id; bw ] ->
-      let* id = int_arg id in
-      let* bw = int_arg bw in
-      st.kinds <- (id, Tree.Bus, bw) :: st.kinds;
-      Ok ()
-    | [ "proc"; id ] ->
-      let* id = int_arg id in
-      st.kinds <- (id, Tree.Processor, 1) :: st.kinds;
-      Ok ()
-    | [ "edge"; u; v; bw ] ->
-      let* u = int_arg u in
-      let* v = int_arg v in
-      let* bw = int_arg bw in
-      st.edges <- (u, v, bw) :: st.edges;
-      Ok ()
-    | [ "root"; r ] ->
-      let* r = int_arg r in
-      st.root <- Some r;
-      Ok ()
-    | w :: _ -> error lineno (Printf.sprintf "unknown directive %S" w)
-  in
-  let lines = String.split_on_char '\n' s in
-  let rec go lineno = function
-    | [] -> Ok ()
-    | line :: rest -> (
-      match parse_line lineno line with
-      | Ok () -> go (lineno + 1) rest
-      | Error _ as e -> e)
-  in
-  match go 1 lines with
-  | Error _ as e -> e
-  | Ok () ->
-    if st.nodes < 0 then Error "missing nodes declaration"
-    else begin
-      let kinds = Array.make (max st.nodes 1) None in
-      let bus_bw = Array.make (max st.nodes 1) 1 in
-      let dup = ref None in
-      List.iter
-        (fun (id, kind, bw) ->
-          if id < 0 || id >= st.nodes then
-            dup := Some (Printf.sprintf "node id %d out of range" id)
-          else begin
-            if kinds.(id) <> None then
-              dup := Some (Printf.sprintf "node %d declared twice" id);
-            kinds.(id) <- Some kind;
-            bus_bw.(id) <- bw
-          end)
-        st.kinds;
-      match !dup with
-      | Some msg -> Error msg
-      | None ->
-        let missing = ref None in
-        let kind_arr =
-          Array.mapi
-            (fun i k ->
-              match k with
-              | Some k -> k
-              | None ->
-                if i < st.nodes && !missing = None then
-                  missing := Some (Printf.sprintf "node %d undeclared" i);
-                Tree.Processor)
-            kinds
-        in
-        (match !missing with
-        | Some msg -> Error msg
-        | None -> (
-          let kind_arr = Array.sub kind_arr 0 st.nodes in
-          match
-            Tree.make ~kinds:kind_arr ~edges:(List.rev st.edges)
-              ~bus_bandwidth:(fun v -> bus_bw.(v))
-              ?root:st.root ()
-          with
-          | t -> Ok t
-          | exception Invalid_argument msg -> Error msg))
-    end
+  if st.nodes < 0 then Error "missing nodes declaration"
+  else begin
+    let kinds = Array.make st.nodes None and bus_bw = Array.make st.nodes 1 in
+    let problem = ref None in
+    List.iter
+      (fun (id, kind, bw) ->
+        if id < 0 || id >= st.nodes then
+          problem := Some (Printf.sprintf "node id %d out of range" id)
+        else begin
+          if kinds.(id) <> None then
+            problem := Some (Printf.sprintf "node %d declared twice" id);
+          kinds.(id) <- Some kind;
+          bus_bw.(id) <- bw
+        end)
+      st.kinds;
+    match (!problem, Array.find_index Option.is_none kinds) with
+    | Some msg, _ -> Error msg
+    | None, Some i -> Error (Printf.sprintf "node %d undeclared" i)
+    | None, None -> (
+      match
+        Tree.make ~kinds:(Array.map Option.get kinds) ~edges:(List.rev st.edges)
+          ~bus_bandwidth:(fun v -> bus_bw.(v))
+          ?root:st.root ()
+      with
+      | t -> Ok t
+      | exception Invalid_argument msg -> Error msg)
+  end
 
-let save t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
+let save t ~path = Text.save ~path (to_string t)
 
-let load ~path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> of_string (In_channel.input_all ic))
+let load ~path = Text.load ~path of_string

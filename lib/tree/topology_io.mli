@@ -13,19 +13,21 @@
     root 0         # optional; defaults to the lowest-numbered bus
     v}
 
-    Every node id in [0, nodes) must be declared exactly once; edges must
-    form a tree. {!of_string} returns the same errors as
-    {!Tree.make} for structural violations. *)
+    The file conventions ([#] comments, blank lines, space-separated
+    words) are {!Hbn_util.Text}'s. [nodes] is a count below
+    [Sys.max_array_length], declared once. Every node id in
+    [[0, nodes)] must be declared exactly once; edges must form a tree.
+    Errors of a line carry it (["line 3: not an integer: x"]); the
+    others name a node or are {!Tree.make}'s. No function here raises. *)
 
 val to_string : Tree.t -> string
 (** Render a network in the format above (parses back to an identical
     network). *)
 
 val of_string : string -> (Tree.t, string) result
-(** Parse a network; the error carries the offending line number. *)
 
-val save : Tree.t -> path:string -> unit
+val save : Tree.t -> path:string -> (unit, string) result
 (** Write [to_string] to a file. *)
 
 val load : path:string -> (Tree.t, string) result
-(** Read and parse a file. *)
+(** Read and parse a file; an unreadable file is an [Error]. *)

@@ -1,4 +1,5 @@
 module Tree = Hbn_tree.Tree
+module Text = Hbn_util.Text
 
 let to_string w =
   let buf = Buffer.create 256 in
@@ -14,101 +15,61 @@ let to_string w =
   done;
   Buffer.contents buf
 
+(* A (object, node) pair may be declared once. Accumulating duplicates
+   silently used to double rates on concatenated or hand-edited files;
+   the error names both lines involved. *)
+let set_rate w first ~line ~obj ~node ~reads ~writes =
+  if obj < 0 || obj >= Workload.num_objects w then
+    Error (Printf.sprintf "object %d out of range" obj)
+  else if node < 0 || node >= Tree.n (Workload.tree w) then
+    Error (Printf.sprintf "node %d out of range" node)
+  else
+    match Hashtbl.find_opt first (obj, node) with
+    | Some l ->
+      Error
+        (Printf.sprintf
+           "duplicate rate for object %d at node %d (first declared on line %d)"
+           obj node l)
+    | None -> (
+      Hashtbl.add first (obj, node) line;
+      match
+        Workload.set_read w ~obj node reads;
+        Workload.set_write w ~obj node writes
+      with
+      | () -> Ok ()
+      | exception Invalid_argument msg -> Error msg)
+
 let of_string tree s =
-  let objects = ref (-1) in
-  let rates = ref [] in
-  let error lineno msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
-  let parse_line lineno line =
-    let line =
-      match String.index_opt line '#' with
-      | Some i -> String.sub line 0 i
-      | None -> line
-    in
-    let words =
-      String.split_on_char ' ' (String.trim line)
-      |> List.filter (fun w -> w <> "")
-    in
-    let int_arg w =
-      match int_of_string_opt w with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "line %d: not an integer: %s" lineno w)
-    in
-    let ( let* ) r f = Result.bind r f in
-    match words with
-    | [] -> Ok ()
-    | [ "objects"; n ] ->
-      let* n = int_arg n in
-      if !objects >= 0 then error lineno "duplicate objects declaration"
-      else begin
-        objects := n;
-        Ok ()
-      end
-    | [ "rate"; obj; node; r; wr ] ->
-      let* obj = int_arg obj in
-      let* node = int_arg node in
-      let* r = int_arg r in
-      let* wr = int_arg wr in
-      rates := (lineno, obj, node, r, wr) :: !rates;
-      Ok ()
-    | w :: _ -> error lineno (Printf.sprintf "unknown directive %S" w)
+  let ( let* ) = Result.bind in
+  let objects = ref (-1) and rates = ref [] in
+  let* () =
+    Text.iter_lines s (fun line word args ->
+        match (word, args) with
+        | "objects", [ n ] ->
+          let* n = Text.count "objects" n in
+          if !objects >= 0 then Error "duplicate objects declaration"
+          else Ok (objects := n)
+        | "rate", [ obj; node; r; wr ] ->
+          let* obj = Text.int obj in
+          let* node = Text.int node in
+          let* reads = Text.int r in
+          let* writes = Text.int wr in
+          Ok (rates := (line, obj, node, reads, writes) :: !rates)
+        | w, _ -> Error (Printf.sprintf "unknown directive %S" w))
   in
-  let rec go lineno = function
-    | [] -> Ok ()
-    | line :: rest -> (
-      match parse_line lineno line with
-      | Ok () -> go (lineno + 1) rest
-      | Error _ as e -> e)
-  in
-  match go 1 (String.split_on_char '\n' s) with
-  | Error _ as e -> e
-  | Ok () ->
-    if !objects < 0 then Error "missing objects declaration"
-    else begin
-      let w = Workload.empty tree ~objects:!objects in
-      let problem = ref None in
-      (* A (object, node) pair may be declared once. Accumulating
-         duplicates silently used to double rates on concatenated or
-         hand-edited files; the error names both lines involved. *)
-      let declared = Hashtbl.create 64 in
-      List.iter
-        (fun (lineno, obj, node, r, wr) ->
-          if !problem = None then
-            if obj < 0 || obj >= !objects then
-              problem := Some (Printf.sprintf "line %d: object %d out of range" lineno obj)
-            else if node < 0 || node >= Tree.n tree then
-              problem := Some (Printf.sprintf "line %d: node %d out of range" lineno node)
-            else
-              match Hashtbl.find_opt declared (obj, node) with
-              | Some first ->
-                problem :=
-                  Some
-                    (Printf.sprintf
-                       "line %d: duplicate rate for object %d at node %d \
-                        (first declared on line %d)"
-                       lineno obj node first)
-              | None -> (
-                Hashtbl.add declared (obj, node) lineno;
-                match
-                  Workload.set_read w ~obj node r;
-                  Workload.set_write w ~obj node wr
-                with
-                | () -> ()
-                | exception Invalid_argument msg ->
-                  problem := Some (Printf.sprintf "line %d: %s" lineno msg)))
-        (List.rev !rates);
-      match !problem with None -> Ok w | Some msg -> Error msg
-    end
+  if !objects < 0 then Error "missing objects declaration"
+  else
+    (* Rates may precede the [objects] line, so they are checked here. *)
+    let w = Workload.empty tree ~objects:!objects in
+    let first = Hashtbl.create 64 in
+    let failed (line, obj, node, reads, writes) =
+      Result.fold ~ok:(fun () -> None) ~error:(fun m -> Some (line, m))
+        (set_rate w first ~line ~obj ~node ~reads ~writes)
+    in
+    match List.find_map failed (List.rev !rates) with
+    | None -> Ok w
+    | Some (line, m) -> Text.line_error line m
 
-let save w ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string w))
+let save w ~path = Text.save ~path (to_string w)
 
-let load tree ~path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> of_string tree (In_channel.input_all ic))
+let load tree ~path = Text.load ~path (of_string tree)

@@ -303,7 +303,54 @@ let test_failures_exit_nonzero () =
     [ "unknown option"; "--bogus" ];
   check_fails "place unknown flag"
     [ "place"; "--bogus" ]
-    [ "unknown option"; "--bogus" ]
+    [ "unknown option"; "--bogus" ];
+  (* Oversized counts, unwritable paths and directories are user
+     errors: exit 1 with a diagnostic, never an uncaught exception (exit
+     125). *)
+  let dir = Filename.temp_dir "hbn_cli" "" in
+  let file name text =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let huge = string_of_int max_int in
+  let tables counts =
+    file "tables.txt" ("hbn-serve-tables 1\n" ^ counts)
+  in
+  let serve_nodes = "nodes 40\n" (* the default serve tree *) in
+  let cases =
+    [ ("topology huge nodes",
+       [ "topology"; "--load"; file "nodes.hbn" ("nodes " ^ huge ^ "\n") ],
+       "cannot load");
+      ("workload huge objects",
+       [ "workload"; "--load"; file "objects.txt" ("objects " ^ huge ^ "\n") ],
+       "cannot load");
+      ("serve huge epochs",
+       [ "serve"; "--replay"; tables ("epochs " ^ huge ^ "\n") ],
+       "cannot replay");
+      ("serve huge objects",
+       [ "serve"; "--replay";
+         tables ("epochs 2\n" ^ serve_nodes ^ "objects " ^ huge ^ "\n") ],
+       "cannot replay");
+      ("topology save to a missing dir",
+       [ "topology"; "--save"; "/nonexistent/x" ], "cannot save");
+      ("workload save to a missing dir",
+       [ "workload"; "--save"; "/nonexistent/x" ], "cannot save");
+      ("topology load a dir", [ "topology"; "--load"; dir ], "cannot load");
+      ("workload load a dir", [ "workload"; "--load"; dir ], "cannot load");
+      ("serve replay a dir", [ "serve"; "--replay"; dir ], "cannot replay") ]
+  in
+  List.iter
+    (fun (name, args, what) ->
+      match run_cli_merged args with
+      | None -> ()
+      | Some (status, out) ->
+        if status <> Unix.WEXITED 1 || contains out "internal error"
+           || not (contains out ("hbn_cli: " ^ what)) then
+          Alcotest.failf "%s: expected exit 1 with %S\n%s" name what out)
+    cases;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
 
 (* The acceptance-criterion invocation: --trace must produce valid JSONL
    with spans for all three pipeline steps plus per-round mapping events,

@@ -115,14 +115,14 @@ let test_file_round_trip () =
   Unix.mkdir dir 0o755;
   let t = Builders.caterpillar ~spine:3 ~leaves_per_bus:2 ~profile:(Builders.Uniform 3) in
   let tp = Filename.concat dir "net.hbn" in
-  Topology_io.save t ~path:tp;
+  Helpers.check_ok "save topology" (Topology_io.save t ~path:tp);
   (match Topology_io.load ~path:tp with
   | Ok t' -> Alcotest.(check bool) "tree file round trip" true (trees_equal t t')
   | Error m -> Alcotest.failf "load failed: %s" m);
   let prng = Prng.create 4 in
   let w = Hbn_workload.Generators.uniform ~prng t ~objects:4 ~max_rate:7 in
   let wp = Filename.concat dir "load.hbn" in
-  Workload_io.save w ~path:wp;
+  Helpers.check_ok "save workload" (Workload_io.save w ~path:wp);
   (match Workload_io.load t ~path:wp with
   | Ok w' ->
     Alcotest.(check int) "workload file round trip"
@@ -159,6 +159,133 @@ let prop_workload_round_trip seed =
       (Tree.leaves t)
   | Error _ -> false
 
+(* -- the parser fuzz corpus ----------------------------------------------- *)
+
+(* Every text entry point, seeded with a valid rendering of its format
+   and fed mutations of it, must return [Ok] or [Error]: none may raise.
+   The file loaders read their input through a temp file. *)
+
+let fuzz_targets =
+  lazy
+    (let tree =
+       Builders.balanced ~arity:2 ~height:2 ~profile:(Builders.Uniform 2)
+     in
+     let w =
+       Hbn_workload.Generators.uniform ~prng:(Prng.create 1) tree ~objects:2
+         ~max_rate:3
+     in
+     let through_file load text =
+       let path = Filename.temp_file "hbn_fuzz" ".txt" in
+       Fun.protect
+         ~finally:(fun () -> Sys.remove path)
+         (fun () ->
+           Out_channel.with_open_bin path (fun oc -> output_string oc text);
+           load path)
+     in
+     let tables =
+       let path = Filename.temp_file "hbn_fuzz" ".txt" in
+       Fun.protect
+         ~finally:(fun () -> Sys.remove path)
+         (fun () ->
+           Helpers.check_ok "save_tables"
+             (Hbn_serve.Serve.save_tables path [| w; w |]);
+           In_channel.with_open_bin path In_channel.input_all)
+     in
+     let trace =
+       {|{"ev":"span_start","name":"strategy.run","id":1,"parent":0,"attrs":{"domain":0}}
+{"ev":"span_end","name":"strategy.run","id":1,"parent":0,"dur_ns":5000000,"attrs":{"domain":0}}
+{"ev":"gauge","name":"sim.queue_depth","id":0,"parent":5,"value":7.0,"attrs":{}}
+{"ev":"counter","name":"sim.packets","id":0,"parent":0,"value":42,"attrs":{}}
+{"ev":"series","name":"sim.edge","id":0,"parent":0,"round":1,"span":1,"value":3,"edge":0,"attrs":{}}
+{"ev":"fault","name":"runtime.fault","id":0,"parent":0,"round":3,"fault":"crashed","node":2,"edge":-1,"attrs":{}}
+|}
+     in
+     (* Any [Ok] or [Error] passes; a raise fails the property. *)
+     let ok (_ : (_, string) result) = true in
+     [|
+       ("topology", Topology_io.to_string tree,
+         fun s -> ok (Topology_io.of_string s));
+       ("workload", Workload_io.to_string w,
+         fun s -> ok (Workload_io.of_string tree s));
+       ("tables", tables,
+         through_file (fun path -> ok (Hbn_serve.Serve.load_tables ~tree path)));
+       ("trace", trace,
+         through_file (fun path -> ok (Hbn_obs.Report.load ~path)));
+       ("faults", "drop=0.2,until=40,crash=3:5-15,cut=2:10-inf",
+         fun s -> ok (Hbn_dist.Faults.of_spec ~seed:3 s));
+       ("link", "0.5:2,2:16,1:inf", fun s -> ok (Hbn_event.Link.of_spec s));
+     |])
+
+(* Replacements for a whole number: sizes no array holds, ints beyond
+   [int_of_string], and float words. A mid-size count would only probe
+   the host's memory, so none is generated, and no edit follows a
+   replacement that could shrink one. *)
+let odd_numbers =
+  [ string_of_int Sys.max_array_length; string_of_int max_int;
+    string_of_int min_int; "99999999999999999999"; "nan"; "inf"; "-inf";
+    "infinity" ]
+
+let digit_runs s =
+  let digit i = i < String.length s && s.[i] >= '0' && s.[i] <= '9' in
+  let rec go acc i =
+    if i >= String.length s then List.rev acc
+    else if digit i then begin
+      let j = ref i in
+      while digit !j do incr j done;
+      go ((i, !j - i) :: acc) !j
+    end
+    else go acc (i + 1)
+  in
+  go [] 0
+
+let mutate seed =
+  let open QCheck.Gen in
+  let flip s =
+    if s = "" then return s
+    else
+      let+ i = int_bound (String.length s - 1) and+ b = int_bound 7 in
+      String.mapi
+        (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c)
+        s
+  in
+  let truncate s =
+    let+ k = int_bound (String.length s) in
+    String.sub s 0 k
+  in
+  let replace_number s =
+    match digit_runs s with
+    | [] -> return s
+    | runs ->
+      let+ i, len = oneofl runs and+ tok = oneofl odd_numbers in
+      String.sub s 0 i ^ tok ^ String.sub s (i + len) (String.length s - i - len)
+  in
+  let rec edits n s =
+    if n = 0 then return s
+    else
+      let* s = oneof [ flip s; flip s; truncate s ] in
+      edits (n - 1) s
+  in
+  frequency
+    [ (1, return "");
+      (19,
+        let* n = int_bound 3 in
+        let* s = edits n seed in
+        let* last = bool in
+        if last then replace_number s else return s) ]
+
+let fuzz_arb =
+  let gen =
+    QCheck.Gen.(
+      let* i = int_bound (Array.length (Lazy.force fuzz_targets) - 1) in
+      let name, seed, _ = (Lazy.force fuzz_targets).(i) in
+      map (fun s -> (i, name, s)) (mutate seed))
+  in
+  QCheck.make ~print:(fun (_, name, s) -> Printf.sprintf "%s: %S" name s) gen
+
+let prop_parsers_never_raise (i, _, s) =
+  let _, _, parse = (Lazy.force fuzz_targets).(i) in
+  parse s
+
 let suite =
   [
     Helpers.tc "topology round trip" test_topology_round_trip_example;
@@ -173,4 +300,6 @@ let suite =
       prop_topology_round_trip;
     Helpers.qt "random workloads round trip" Helpers.seed_arb
       prop_workload_round_trip;
+    Helpers.qt ~count:3000 "parsers never raise on mutated input" fuzz_arb
+      prop_parsers_never_raise;
   ]

@@ -202,7 +202,67 @@ let test_load_tables_rejects_garbage () =
     "hbn-serve-tables 1\nepochs 1\nnodes 3\nobjects 1\n";
   let n = Tree.n tree in
   reject "non-leaf cell"
-    (Printf.sprintf "hbn-serve-tables 1\nepochs 1\nnodes %d\nobjects 1\ne 0 0 0 1 0\n" n)
+    (Printf.sprintf "hbn-serve-tables 1\nepochs 1\nnodes %d\nobjects 1\ne 0 0 0 1 0\n" n);
+  (* The rules of a workload file's rate lines: every error names its
+     line, a second line for a cell names the first, and trailing words
+     are rejected. *)
+  let reject_with name content subs =
+    let path = Filename.temp_file "hbn_serve_bad" ".txt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc -> output_string oc content);
+        match Serve.load_tables ~tree path with
+        | Ok _ -> Alcotest.failf "%s: accepted a malformed file" name
+        | Error m ->
+          List.iter
+            (fun sub ->
+              if not (Helpers.contains m sub) then
+                Alcotest.failf "%s: error %S does not mention %S" name m sub)
+            subs)
+  in
+  let leaf = List.hd (Tree.leaves tree) in
+  let head = Printf.sprintf "hbn-serve-tables 1\nepochs 2\nnodes %d\nobjects 1\n" n in
+  reject_with "duplicate cell"
+    (Printf.sprintf "%se 1 0 %d 1 0\ne 0 0 %d 2 0\ne 1 0 %d 3 0\n" head leaf
+       leaf leaf)
+    [ "line 7"; "line 5"; "duplicate rate" ];
+  reject_with "trailing word on a cell"
+    (Printf.sprintf "%se 0 0 %d 1 0 9\n" head leaf) [ "line 5" ];
+  reject_with "trailing word on a count"
+    (Printf.sprintf "hbn-serve-tables 1\nepochs 2 junk\nnodes %d\n" n)
+    [ "line 2" ];
+  reject_with "trailing word on the magic line" "hbn-serve-tables 1 x\n"
+    [ "line 1" ];
+  reject_with "wrong magic, positioned" "not-a-table 1\n" [ "line 1" ];
+  reject_with "wrong node count, positioned"
+    "hbn-serve-tables 1\nepochs 1\nnodes 3\nobjects 1\n" [ "line 3" ];
+  reject_with "non-leaf cell, positioned"
+    (Printf.sprintf "%se 0 0 0 1 0\n" head) [ "line 5" ];
+  reject_with "epoch out of range" (Printf.sprintf "%se 2 0 %d 1 0\n" head leaf)
+    [ "line 5"; "epoch 2" ];
+  reject_with "negative rate" (Printf.sprintf "%se 0 0 %d -1 0\n" head leaf)
+    [ "line 5" ];
+  reject_with "zero epochs" "hbn-serve-tables 1\nepochs 0\n" [ "line 2" ];
+  reject_with "cells beyond an array"
+    (Printf.sprintf "hbn-serve-tables 1\nepochs %d\nnodes %d\nobjects 2\n"
+       (Sys.max_array_length / 2) n)
+    [ "line 4" ];
+  reject_with "truncated header" "hbn-serve-tables 1\nepochs 1\n" [ "line 3" ];
+  reject_with "empty file" "" [ "line 1" ];
+  (* Comments and blank lines are the shared file conventions. *)
+  let path = Filename.temp_file "hbn_serve_ok" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Printf.fprintf oc "# recorded by hand\n\n%se 1 0 %d 4 1  # hot\n"
+            head leaf);
+      match Serve.load_tables ~tree path with
+      | Error m -> Alcotest.failf "commented table file rejected: %s" m
+      | Ok ts ->
+        Alcotest.(check int) "epochs" 2 (Array.length ts);
+        Alcotest.(check int) "reads" 4 (Workload.reads ts.(1) ~obj:0 leaf))
 
 (* -- telemetry batching and reconfiguration counters -------------------- *)
 
