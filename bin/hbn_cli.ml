@@ -191,7 +191,25 @@ let with_run_opts opts f =
   with_observability ~trace:opts.ro_trace ~timings:opts.ro_timings @@ fun () ->
   with_jobs opts.ro_jobs f
 
+(* The size flags are checked here, before a builder or generator that
+   would raise on them, so a bad value exits 1 with its flag named. *)
+let at_least flag min got =
+  if got < min then die "%s must be >= %d (got %d)" flag min got
+
 let build_topology kind ~prng ~leaves ~arity ~height ~spine ~buses ~bandwidth =
+  if kind <> `Rings then at_least "--bandwidth" 1 bandwidth;
+  (match kind with
+  | `Star -> at_least "--leaves" 2 leaves
+  | `Balanced ->
+    at_least "--arity" 2 arity;
+    at_least "--height" 1 height
+  | `Caterpillar ->
+    at_least "--spine" 1 spine;
+    if spine = 1 then at_least "--leaves" 2 leaves
+  | `Random ->
+    at_least "--buses" 1 buses;
+    at_least "--leaves" 2 leaves
+  | `Rings -> ());
   let profile = Builders.Uniform bandwidth in
   match kind with
   | `Star -> Builders.star ~leaves ~profile
@@ -206,6 +224,7 @@ let build_topology kind ~prng ~leaves ~arity ~height ~spine ~buses ~bandwidth =
          ~procs_per_ring:3)
 
 let build_workload kind ~prng tree ~objects =
+  at_least "--objects" (if kind = `Zipf then 1 else 0) objects;
   match kind with
   | `Uniform -> Generators.uniform ~prng tree ~objects ~max_rate:8
   | `Zipf ->
@@ -304,10 +323,10 @@ let place_cmd =
       (match c.Placement.bottleneck with
       | `Edge e -> Printf.sprintf "edge %d" e
       | `Bus b -> Printf.sprintf "bus %d" b);
+    let lb = Lower_bounds.combined w in
     Printf.printf "lower bound: %.3f  (certified ratio <= %.3f; proven <= 7)\n"
-      (Lower_bounds.combined w)
-      (if Lower_bounds.combined w > 0. then c.Placement.value /. Lower_bounds.combined w
-       else Float.nan);
+      lb
+      (if lb > 0. then c.Placement.value /. lb else Float.nan);
     Printf.printf "deletions: %d, clone splits: %d, tau_max: %d\n"
       res.Strategy.deletions res.Strategy.splits res.Strategy.tau_max;
     (if capacity = None then

@@ -55,7 +55,7 @@ let () =
       | Ok out ->
         let p = out.Capacitated.placement in
         let copies =
-          Array.fold_left (fun a op -> a + List.length op.Placement.copies) 0 p
+          Array.fold_left (fun a op -> a + Array.length op.Placement.copies) 0 p
         in
         let c = Placement.congestion w p in
         Table.add_row t

@@ -77,7 +77,7 @@ let () =
   List.iter
     (fun (name, p) ->
       let copies =
-        Array.fold_left (fun a op -> a + List.length op.Placement.copies) 0 p
+        Array.fold_left (fun a op -> a + Array.length op.Placement.copies) 0 p
       in
       Table.add_row t
         [

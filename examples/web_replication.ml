@@ -47,12 +47,12 @@ let () =
       let res = Strategy.run w in
       let p = res.Strategy.placement in
       let pages_with_copies =
-        Array.to_list p |> List.filter (fun op -> op.Placement.copies <> [])
+        Array.to_list p |> List.filter (fun op -> op.Placement.copies <> [||])
       in
       let avg_copies =
         float_of_int
           (List.fold_left
-             (fun a op -> a + List.length op.Placement.copies)
+             (fun a op -> a + Array.length op.Placement.copies)
              0 pages_with_copies)
         /. float_of_int (max 1 (List.length pages_with_copies))
       in

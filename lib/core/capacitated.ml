@@ -16,7 +16,7 @@ let usage tree p =
   let u = Array.make (Tree.n tree) 0 in
   Array.iter
     (fun op ->
-      List.iter (fun v -> u.(v) <- u.(v) + 1) op.Placement.copies)
+      Array.iter (fun v -> u.(v) <- u.(v) + 1) op.Placement.copies)
     p;
   u
 
@@ -28,24 +28,24 @@ let respects tree ~capacity p =
 
 (* Requests served at [server] for object [obj] in placement [p]. *)
 let served_at p ~obj server =
-  List.fold_left
-    (fun acc a ->
-      if a.Placement.server = server then acc + a.Placement.reads + a.Placement.writes
-      else acc)
-    0
-    p.(obj).Placement.assigns
+  let op = p.(obj) in
+  let acc = ref 0 in
+  Array.iteri
+    (fun i s ->
+      if s = server then
+        acc := !acc + op.Placement.reads.(i) + op.Placement.writes.(i))
+    op.Placement.server;
+  !acc
 
 let reassign op ~from ~to_ =
   {
+    op with
     Placement.copies =
-      List.sort_uniq compare
-        (to_ :: List.filter (fun c -> c <> from) op.Placement.copies);
-    assigns =
-      List.map
-        (fun a ->
-          if a.Placement.server = from then { a with Placement.server = to_ }
-          else a)
-        op.Placement.assigns;
+      Array.of_list
+        (List.sort_uniq Int.compare
+           (to_ :: List.filter (fun c -> c <> from)
+                     (Array.to_list op.Placement.copies)));
+    server = Array.map (fun s -> if s = from then to_ else s) op.Placement.server;
   }
 
 (* The eviction pass over a leaf-only placement and non-negative
@@ -55,7 +55,7 @@ let evict w ~capacity p =
   let p = Array.map (fun op -> op) p in
   let u = usage tree p in
   let relocations = ref 0 and merges = ref 0 in
-  let has_copy obj v = List.mem v p.(obj).Placement.copies in
+  let has_copy obj v = Array.mem v p.(obj).Placement.copies in
   (* Nearest destination by BFS: a leaf already holding the object
      (merge) or a leaf with a free slot (relocate). *)
   let bfs_find from pred =
@@ -78,7 +78,7 @@ let evict w ~capacity p =
     done;
     !found
   in
-  let copy_count obj = List.length p.(obj).Placement.copies in
+  let copy_count obj = Array.length p.(obj).Placement.copies in
   let destination obj from =
     let direct =
       bfs_find from (fun v ->

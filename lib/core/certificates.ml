@@ -1,5 +1,4 @@
 module Tree = Hbn_tree.Tree
-module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
 
@@ -42,21 +41,11 @@ let observation_3_2 w (res : Strategy.result) ~nibble ~modified =
       (Ok ()) res.Strategy.copies
   in
   let* () = per_copy in
-  (* Per-object edge loads into two arrays and one scratch reused across
-     objects. *)
-  let fl = Flat.of_tree (Workload.tree w) in
-  let scratch = Flat.Scratch.create fl in
-  let nib = Array.make (max 1 fl.Flat.m) 0 and del = Array.make (max 1 fl.Flat.m) 0 in
-  let loads_into a op =
-    Array.fill a 0 (Array.length a) 0;
-    Placement.iter_object_load_components_scratch fl scratch op
-      (fun e _component amount -> a.(e) <- a.(e) + amount)
-  in
   let rec per_object obj =
     if obj >= Workload.num_objects w then Ok ()
     else begin
-      loads_into nib nibble.(obj);
-      loads_into del modified.(obj);
+      let nib = Placement.edge_loads w [| nibble.(obj) |] in
+      let del = Placement.edge_loads w [| modified.(obj) |] in
       let bad = ref None in
       Array.iteri
         (fun e l ->

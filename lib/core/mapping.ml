@@ -25,36 +25,43 @@ type error =
    [Error]. *)
 exception Stop of error
 
+(* A serving path runs up from the copy to the LCA, then down to the
+   requesting leaf. Each direction is recorded at its two ends: [+a] at
+   the server and [-a] at the LCA for up, [+a] at the leaf and [-a] at
+   the LCA for down, so one subtree sum at [v] is the load of [v]'s
+   parent edge in that direction. *)
 let basic_loads tree copies =
-  let m = max 1 (Tree.num_edges tree) in
-  let up = Array.make m 0 and down = Array.make m 0 in
   let fl = Flat.of_tree tree in
-  let r = fl.Flat.r in
+  let n = fl.Flat.n in
+  let du = Array.make n 0 and dd = Array.make n 0 in
   List.iter
     (fun c ->
+      let server = c.Copy.node in
       List.iter
         (fun g ->
-          let amount = Nibble.group_weight g in
-          let server = c.Copy.node and leaf = g.Nibble.leaf in
+          let amount = Nibble.group_weight g and leaf = g.Nibble.leaf in
           if amount > 0 && server <> leaf then begin
-            (* The serving path runs from the copy to the requesting leaf:
-               up from the server to the LCA, then down to the leaf. *)
             let a = Flat.lca fl server leaf in
-            let v = ref server in
-            while !v <> a do
-              let e = r.Tree.parent_edge.(!v) in
-              up.(e) <- up.(e) + amount;
-              v := r.Tree.parent.(!v)
-            done;
-            let v = ref leaf in
-            while !v <> a do
-              let e = r.Tree.parent_edge.(!v) in
-              down.(e) <- down.(e) + amount;
-              v := r.Tree.parent.(!v)
-            done
+            du.(server) <- du.(server) + amount;
+            du.(a) <- du.(a) - amount;
+            dd.(leaf) <- dd.(leaf) + amount;
+            dd.(a) <- dd.(a) - amount
           end)
         c.Copy.groups)
     copies;
+  let m = max 1 (Tree.num_edges tree) in
+  let up = Array.make m 0 and down = Array.make m 0 in
+  let r = fl.Flat.r in
+  let pre = r.Tree.preorder
+  and parent = r.Tree.parent
+  and parent_edge = r.Tree.parent_edge in
+  for i = n - 1 downto 1 do
+    let v = pre.(i) and p = parent.(pre.(i)) in
+    du.(p) <- du.(p) + du.(v);
+    dd.(p) <- dd.(p) + dd.(v);
+    up.(parent_edge.(v)) <- du.(v);
+    down.(parent_edge.(v)) <- dd.(v)
+  done;
   (up, down)
 
 let check_invariant st =

@@ -59,7 +59,11 @@ type error =
 
 val basic_loads : Tree.t -> Copy.t list -> int array * int array
 (** [(up, down)] basic loads per edge induced by the given copies' request
-    groups (paths run from the serving copy to the requesting leaf). *)
+    groups (paths run from the serving copy to the requesting leaf). Each
+    path is recorded by directed endpoint differences (up: the server and
+    the LCA; down: the leaf and the LCA) and one reverse-preorder subtree
+    sum reads both directions: O(1) per group plus O(n), whatever the
+    height of the tree. *)
 
 val run :
   ?on_round:(state -> unit) ->

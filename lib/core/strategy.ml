@@ -24,49 +24,58 @@ type stage =
   | Read_only of int list  (* requesting leaves; copies serve locally *)
   | Copies of Copy.t list
 
-(* Building one object's placement from its stage is pure (all copy
-   mutation is over by the time this runs), so it fans out too. [node]
-   reads a copy's position: where it is now, or where Step 2 left it. *)
+(* One object's placement from its stage: its copies' positions, and per
+   copy in order each of its groups with requests. A count pass sizes the
+   arrays, a second fills them. *)
+let object_placement w ~node ~obj = function
+  | Unused -> Placement.empty
+  | Read_only leaves ->
+    let leaf = Array.of_list leaves in
+    {
+      Placement.copies = leaf;
+      leaf;
+      server = leaf;
+      reads = Array.map (Workload.reads w ~obj) leaf;
+      writes = Array.map (Workload.writes w ~obj) leaf;
+    }
+  | Copies cs ->
+    let k = ref 0 in
+    List.iter
+      (fun c ->
+        List.iter
+          (fun g -> if Nibble.group_weight g <> 0 then incr k)
+          c.Copy.groups)
+      cs;
+    let leaf = Array.make !k 0
+    and server = Array.make !k 0
+    and reads = Array.make !k 0
+    and writes = Array.make !k 0 in
+    let i = ref 0 in
+    List.iter
+      (fun c ->
+        let v = node c in
+        List.iter
+          (fun g ->
+            if Nibble.group_weight g <> 0 then begin
+              leaf.(!i) <- g.Nibble.leaf;
+              server.(!i) <- v;
+              reads.(!i) <- g.Nibble.reads;
+              writes.(!i) <- g.Nibble.writes;
+              incr i
+            end)
+          c.Copy.groups)
+      cs;
+    let copies = Array.of_list (List.sort_uniq Int.compare (List.map node cs)) in
+    { Placement.copies; leaf; server; reads; writes }
+
+(* Building the placement is pure (all copy mutation is over by the time
+   this runs), so it fans out too. [node] reads a copy's position: where
+   it is now, or where Step 2 left it. *)
 let placement_of_stages ?exec w ~node stages =
   Exec.map
     (Option.value exec ~default:Exec.sequential)
     (Array.length stages)
-    (fun obj ->
-      match stages.(obj) with
-      | Unused -> { Placement.copies = []; assigns = [] }
-      | Read_only leaves ->
-        let assigns =
-          List.map
-            (fun leaf ->
-              {
-                Placement.leaf;
-                server = leaf;
-                reads = Workload.reads w ~obj leaf;
-                writes = Workload.writes w ~obj leaf;
-              })
-            leaves
-        in
-        { Placement.copies = leaves; assigns }
-      | Copies cs ->
-        let copies = List.sort_uniq compare (List.map node cs) in
-        let assigns =
-          List.concat_map
-            (fun c ->
-              List.filter_map
-                (fun g ->
-                  if Nibble.group_weight g = 0 then None
-                  else
-                    Some
-                      {
-                        Placement.leaf = g.Nibble.leaf;
-                        server = node c;
-                        reads = g.Nibble.reads;
-                        writes = g.Nibble.writes;
-                      })
-                c.Copy.groups)
-            cs
-        in
-        { Placement.copies; assigns })
+    (fun obj -> object_placement w ~node ~obj stages.(obj))
 
 (* Objects without requests and write-free objects bypass Step 2. *)
 let bypass w ~obj =

@@ -391,17 +391,12 @@ let snapshot t =
     (fun os ->
       if os.ncopies = 0 && Array.length os.req > 0 then
         invalid_arg "Loads.snapshot: requests but no copies";
-      let assigns =
-        Array.fold_right
-          (fun leaf acc ->
-            {
-              Placement.leaf;
-              server = os.server.(leaf);
-              reads = os.reads.(leaf);
-              writes = os.writes.(leaf);
-            }
-            :: acc)
-          os.req []
-      in
-      { Placement.copies = os.copies; assigns })
+      let at a = Array.map (fun leaf -> a.(leaf)) os.req in
+      {
+        Placement.copies = Array.of_list os.copies;
+        leaf = os.req;
+        server = at os.server;
+        reads = at os.reads;
+        writes = at os.writes;
+      })
     t.objs

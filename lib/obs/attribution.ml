@@ -64,18 +64,17 @@ let of_loads eng =
   of_placement w
     (Array.init (Workload.num_objects w) (fun obj ->
          match Loads.copies eng ~obj with
-         | [] -> { Placement.copies = []; assigns = [] }
+         | [] -> Placement.empty
          | copies ->
-           let assign leaf =
-             {
-               Placement.leaf;
-               server = Option.get (Loads.server eng ~obj leaf);
-               reads = Workload.reads w ~obj leaf;
-               writes = Workload.writes w ~obj leaf;
-             }
-           in
-           { Placement.copies;
-             assigns = List.map assign (Workload.requesting_leaves w ~obj) }))
+           let leaf = Array.of_list (Workload.requesting_leaves w ~obj) in
+           {
+             Placement.copies = Array.of_list copies;
+             leaf;
+             server =
+               Array.map (fun l -> Option.get (Loads.server eng ~obj l)) leaf;
+             reads = Array.map (Workload.reads w ~obj) leaf;
+             writes = Array.map (Workload.writes w ~obj) leaf;
+           }))
 
 let attach = of_loads
 

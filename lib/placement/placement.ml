@@ -3,42 +3,47 @@ module Flat = Hbn_tree.Flat
 module Workload = Hbn_workload.Workload
 module Exec = Hbn_exec.Exec
 
-type assignment = { leaf : int; server : int; reads : int; writes : int }
-
-type obj_placement = { copies : int list; assigns : assignment list }
+type obj_placement = {
+  copies : int array;
+  leaf : int array;
+  server : int array;
+  reads : int array;
+  writes : int array;
+}
 
 type t = obj_placement array
 
-let dedup_sorted xs = List.sort_uniq compare xs
+let empty =
+  { copies = [||]; leaf = [||]; server = [||]; reads = [||]; writes = [||] }
 
 let nearest_object ~scratch w ~obj ~copies =
   let fl = Flat.of_tree (Workload.tree w) in
   let wf = Workload.flat w in
-  let cs = dedup_sorted copies in
+  let cs = Array.of_list (List.sort_uniq Int.compare copies) in
   let lo = wf.Workload.Flat.req_off.(obj)
   and hi = wf.Workload.Flat.req_off.(obj + 1) in
-  if hi > lo && cs = [] then
-    invalid_arg "Placement.nearest: requests but no copies";
-  let assigns = ref [] in
-  if hi > lo then begin
+  if hi = lo then { empty with copies = cs }
+  else if cs = [||] then
+    invalid_arg "Placement.nearest: requests but no copies"
+  else begin
     (* The sweep's (distance, id) minimum sends ties to the lowest node
        id — the canonical tie-break every evaluator and the incremental
        engine reproduce. *)
-    Flat.nearest_into fl scratch ~copies:(fun mark -> List.iter mark cs);
+    Flat.nearest_into fl scratch ~copies:(fun mark -> Array.iter mark cs);
     let key = scratch.Flat.Scratch.acc and n = fl.Flat.n in
-    for i = hi - 1 downto lo do
-      let leaf = wf.Workload.Flat.req_leaf.(i) in
-      assigns :=
-        {
-          leaf;
-          server = key.(leaf) mod n;
-          reads = Workload.reads w ~obj leaf;
-          writes = Workload.writes w ~obj leaf;
-        }
-        :: !assigns
-    done
-  end;
-  { copies = cs; assigns = !assigns }
+    let k = hi - lo in
+    let leaf = Array.sub wf.Workload.Flat.req_leaf lo k in
+    let server = Array.make k 0
+    and reads = Array.make k 0
+    and writes = Array.make k 0 in
+    for i = 0 to k - 1 do
+      let l = leaf.(i) in
+      server.(i) <- key.(l) mod n;
+      reads.(i) <- Workload.reads w ~obj l;
+      writes.(i) <- Workload.writes w ~obj l
+    done;
+    { copies = cs; leaf; server; reads; writes }
+  end
 
 let nearest ?(exec = Exec.sequential) w ~copies =
   ignore (Workload.flat w);
@@ -75,62 +80,10 @@ let full_replication w =
   in
   nearest w ~copies
 
-let copies t ~obj = t.(obj).copies
-
-let is_strict t =
-  Array.for_all
-    (fun op ->
-      let seen = Hashtbl.create 16 in
-      List.for_all
-        (fun a ->
-          if Hashtbl.mem seen a.leaf then false
-          else begin
-            Hashtbl.add seen a.leaf ();
-            true
-          end)
-        op.assigns)
-    t
-
-let to_strict t =
-  Array.map
-    (fun op ->
-      let by_leaf = Hashtbl.create 16 in
-      List.iter
-        (fun a ->
-          let prev = try Hashtbl.find by_leaf a.leaf with Not_found -> [] in
-          Hashtbl.replace by_leaf a.leaf (a :: prev))
-        op.assigns;
-      let assigns =
-        Hashtbl.fold
-          (fun leaf parts acc ->
-            let reads = List.fold_left (fun s a -> s + a.reads) 0 parts in
-            let writes = List.fold_left (fun s a -> s + a.writes) 0 parts in
-            let server =
-              (* majority server; ties to the lowest node id *)
-              let best = ref (-1) and best_w = ref (-1) in
-              List.iter
-                (fun a ->
-                  let wgt = a.reads + a.writes in
-                  if
-                    wgt > !best_w
-                    || (wgt = !best_w && a.server < !best)
-                  then begin
-                    best := a.server;
-                    best_w := wgt
-                  end)
-                parts;
-              !best
-            in
-            { leaf; server; reads; writes } :: acc)
-          by_leaf []
-      in
-      { op with assigns = List.sort compare assigns })
-    t
+let copies t ~obj = Array.to_list t.(obj).copies
 
 let leaf_only tree t =
-  Array.for_all
-    (fun op -> List.for_all (fun c -> Tree.is_leaf tree c) op.copies)
-    t
+  Array.for_all (fun op -> Array.for_all (Tree.is_leaf tree) op.copies) t
 
 (* The first problem found ends the check. *)
 exception Invalid of string
@@ -147,37 +100,43 @@ let validate w t =
   let reads = Array.make n 0 and writes = Array.make n 0 in
   let touched = Array.make n 0 in
   let check_object obj op =
+    let len = Array.length op.leaf in
+    if
+      Array.length op.server <> len
+      || Array.length op.reads <> len
+      || Array.length op.writes <> len
+    then fail "object %d: assignment arrays differ in length" obj;
     (* Copies: duplicates first, then nodes out of range. *)
     let bad = ref [] and dup = ref false in
-    List.iter
+    Array.iter
       (fun c ->
         if c < 0 || c >= n then bad := c :: !bad
         else if held.(c) = obj then dup := true
         else held.(c) <- obj)
       op.copies;
-    if !dup || List.length (dedup_sorted !bad) <> List.length !bad then
-      fail "object %d: duplicate copies" obj;
+    if !dup || List.length (List.sort_uniq Int.compare !bad) <> List.length !bad
+    then fail "object %d: duplicate copies" obj;
     if !bad <> [] then fail "object %d: bad copy node" obj;
     (* Assignments, in order; [touched] lists the nodes they credit. *)
     let k = ref 0 in
-    List.iter
-      (fun a ->
-        if a.reads < 0 || a.writes < 0 then
-          fail "object %d: negative assignment" obj;
-        if a.server < 0 || a.server >= n || held.(a.server) <> obj then
-          fail "object %d: server %d holds no copy" obj a.server;
-        if a.leaf < 0 || a.leaf >= n || not (Tree.is_leaf tree a.leaf) then
-          fail "object %d: requests from non-processor %d" obj a.leaf;
-        if seen.(a.leaf) <> obj then begin
-          seen.(a.leaf) <- obj;
-          reads.(a.leaf) <- 0;
-          writes.(a.leaf) <- 0;
-          touched.(!k) <- a.leaf;
-          incr k
-        end;
-        reads.(a.leaf) <- reads.(a.leaf) + a.reads;
-        writes.(a.leaf) <- writes.(a.leaf) + a.writes)
-      op.assigns;
+    for i = 0 to len - 1 do
+      let leaf = op.leaf.(i) and server = op.server.(i) in
+      if op.reads.(i) < 0 || op.writes.(i) < 0 then
+        fail "object %d: negative assignment" obj;
+      if server < 0 || server >= n || held.(server) <> obj then
+        fail "object %d: server %d holds no copy" obj server;
+      if leaf < 0 || leaf >= n || not (Tree.is_leaf tree leaf) then
+        fail "object %d: requests from non-processor %d" obj leaf;
+      if seen.(leaf) <> obj then begin
+        seen.(leaf) <- obj;
+        reads.(leaf) <- 0;
+        writes.(leaf) <- 0;
+        touched.(!k) <- leaf;
+        incr k
+      end;
+      reads.(leaf) <- reads.(leaf) + op.reads.(i);
+      writes.(leaf) <- writes.(leaf) + op.writes.(i)
+    done;
     (* Coverage: only credited nodes and requesting leaves can differ
        from the workload; report the lowest such node. *)
     let assigned v =
@@ -218,42 +177,46 @@ let component_name = function
    contribution of one object — read and write request traffic along
    leaf→server paths, then the write broadcast over the copies' Steiner
    tree — is reported through [f edge component amount]. Attribution
-   tables and certificates fold it; the summing entry points below do
+   tables fold it; the summing entry points below do
    the same sums by endpoint differences, and the tests hold them to
    this fold. *)
 let iter_object_load_components_scratch fl scratch op f =
-  List.iter
-    (fun a ->
-      if a.reads + a.writes > 0 && a.leaf <> a.server then
-        Flat.iter_path fl scratch a.leaf a.server (fun e ->
-            if a.reads > 0 then f e Read_path a.reads;
-            if a.writes > 0 then f e Write_path a.writes))
-    op.assigns;
-  let total_writes = List.fold_left (fun s a -> s + a.writes) 0 op.assigns in
+  let total_writes = ref 0 in
+  for i = 0 to Array.length op.leaf - 1 do
+    let reads = op.reads.(i) and writes = op.writes.(i) in
+    total_writes := !total_writes + writes;
+    if reads + writes > 0 && op.leaf.(i) <> op.server.(i) then
+      Flat.iter_path fl scratch op.leaf.(i) op.server.(i) (fun e ->
+          if reads > 0 then f e Read_path reads;
+          if writes > 0 then f e Write_path writes)
+  done;
+  let total_writes = !total_writes in
   if total_writes > 0 then
     Flat.iter_steiner fl scratch
-      ~nodes:(fun mark -> List.iter mark op.copies)
+      ~nodes:(fun mark -> Array.iter mark op.copies)
       (fun e -> f e Write_steiner total_writes)
 
 (* The same accounting as [iter_object_load_components_scratch], summed
    instead of attributed: each assignment's path and the copy set's
-   Steiner tree go into the difference array [d], [buf] holding the copy
-   list for the Steiner tour (grown when a list outgrows it). A component
-   counts only when positive, and a path only when its total is. *)
+   Steiner tree go into the difference array [d], [buf] holding a copy of
+   the copy array for the Steiner tour, which sorts it in place (grown
+   when a copy array outgrows it). A component counts only when
+   positive, and a path only when its total is. *)
 let diff_object fl d buf op =
   let positive (x : int) = if x > 0 then x else 0 in
   let total_writes = ref 0 in
-  List.iter
-    (fun a ->
-      total_writes := !total_writes + a.writes;
-      if a.reads + a.writes > 0 then
-        Flat.Diff.path fl d a.leaf a.server (positive a.reads + positive a.writes))
-    op.assigns;
+  for i = 0 to Array.length op.leaf - 1 do
+    let reads = op.reads.(i) and writes = op.writes.(i) in
+    total_writes := !total_writes + writes;
+    if reads + writes > 0 then
+      Flat.Diff.path fl d op.leaf.(i) op.server.(i)
+        (positive reads + positive writes)
+  done;
   let total_writes = !total_writes in
   if total_writes > 0 then begin
-    let len = List.length op.copies in
+    let len = Array.length op.copies in
     if len > Array.length !buf then buf := Array.make len 0;
-    List.iteri (fun i c -> !buf.(i) <- c) op.copies;
+    Array.blit op.copies 0 !buf 0 len;
     Flat.Diff.steiner fl d ~nodes:!buf ~len total_writes
   end
 
@@ -354,36 +317,3 @@ let evaluate ?exec w t =
 let congestion ?exec w t = (evaluate ?exec w t).value
 
 let total_load w t = Array.fold_left ( + ) 0 (edge_loads w t)
-
-let to_dot tree t =
-  let held = Array.make (Tree.n tree) [] in
-  Array.iteri
-    (fun obj op ->
-      List.iter (fun v -> held.(v) <- obj :: held.(v)) op.copies)
-    t;
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "graph hbn_placement {\n";
-  for v = 0 to Tree.n tree - 1 do
-    if Tree.is_leaf tree v then begin
-      let label =
-        match List.rev held.(v) with
-        | [] -> Printf.sprintf "P%d" v
-        | objs ->
-          Printf.sprintf "P%d\\nx%s" v
-            (String.concat ",x" (List.map string_of_int objs))
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d [shape=circle,label=\"%s\"];\n" v label)
-    end
-    else
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d [shape=box,label=\"bus %d\"];\n" v v)
-  done;
-  for e = 0 to Tree.num_edges tree - 1 do
-    let u, v = Tree.edge_endpoints tree e in
-    Buffer.add_string buf
-      (Printf.sprintf "  n%d -- n%d [label=\"%d\"];\n" u v
-         (Tree.edge_bandwidth tree e))
-  done;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

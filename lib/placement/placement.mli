@@ -7,8 +7,7 @@
     extended-nibble strategy may split one processor's requests between
     co-located clones that the mapping step then moves apart, so the
     representation allows one processor's requests to be divided among
-    servers ({!is_strict} tells the two cases apart, {!to_strict} collapses
-    a split assignment).
+    servers.
 
     Loads follow Section 1.1 verbatim:
     - a read by [P] loads every edge on the path [P → c(P,x)] by 1;
@@ -21,20 +20,38 @@
 module Tree = Hbn_tree.Tree
 module Workload = Hbn_workload.Workload
 
-type assignment = {
-  leaf : int;  (** the requesting processor *)
-  server : int;  (** node of [P_x] serving these requests *)
-  reads : int;
-  writes : int;
-}
+(** One object's placement, as flat arrays. [copies] is [P_x], ascending
+    and duplicate-free. The assignments are parallel arrays of one
+    length, one slot per (processor, server) pair: slot [i] sends
+    [reads.(i)] reads and [writes.(i)] writes of processor [leaf.(i)] to
+    the copy on [server.(i)]. A processor whose requests are split among
+    servers has one slot per server.
 
+    Every array has exactly its length, with no slack, so two placements
+    are equal under [=] when they hold the same copies and the same
+    assignments in the same order. That order is part of the contract:
+    {!Hbn_sim.Sim} builds its packets and the attribution tables read
+    their contributions slot by slot. {!nearest} lists one slot per
+    requesting processor, ascending; the extended-nibble strategy lists
+    its copies' request groups copy by copy.
+
+    The arrays are read-only once built: a producer may share one array
+    between fields (a read-only object's copies, processors and servers
+    can be the same array) or with the state it was built from
+    ({!Hbn_loads.Loads.snapshot} shares the engine's requester arrays). *)
 type obj_placement = {
-  copies : int list;  (** distinct nodes holding copies of the object *)
-  assigns : assignment list;
+  copies : int array;
+  leaf : int array;  (** the requesting processor of each slot *)
+  server : int array;  (** the node of [P_x] serving the slot *)
+  reads : int array;
+  writes : int array;
 }
 
 type t = obj_placement array
 (** Indexed by object. *)
+
+val empty : obj_placement
+(** No copies and no assignments: an object without requests. *)
 
 (** {1 Constructors} *)
 
@@ -60,20 +77,16 @@ val full_replication : Workload.t -> t
 (** {1 Inspection} *)
 
 val copies : t -> obj:int -> int list
-
-val is_strict : t -> bool
-(** No processor's requests for one object are split between servers. *)
-
-val to_strict : t -> t
-(** Reassigns each (processor, object) wholly to the server that handled
-    the majority of its requests. *)
+(** [P_x] as an ascending list. *)
 
 val leaf_only : Tree.t -> t -> bool
 (** All copies are on processors — required of hierarchical bus networks. *)
 
 val validate : Workload.t -> t -> (unit, string) result
 (** Checks that assignments exactly cover the workload's frequencies, that
-    servers hold copies, and that copy lists are duplicate-free. *)
+    servers hold copies, that copy arrays are duplicate-free and that
+    the assignment arrays have one length. The first problem found is
+    the message. *)
 
 (** {1 Loads and congestion} *)
 
@@ -124,11 +137,11 @@ val iter_object_load_components_scratch :
     edge). Zero-amount components are skipped. The scratch is
     caller-owned and must belong to the calling domain, so hot loops
     allocate nothing. This defines the accounting edge by edge, for the
-    callers that need each component (attribution tables, certificates);
-    {!edge_loads} (of one object: [edge_loads w [| p.(obj) |]]) and the
-    incremental engine
-    ([Hbn_loads.Loads]) compute the same sums by endpoint differences,
-    and the tests check them against the fold of this stream. *)
+    callers that need each component (attribution tables);
+    {!edge_loads} (of one object: [edge_loads w [| p.(obj) |]], which the
+    certificates read) and the incremental engine ([Hbn_loads.Loads])
+    compute the same sums by endpoint differences, and the tests check
+    them against the fold of this stream. *)
 
 val evaluate : ?exec:Hbn_exec.Exec.t -> Workload.t -> t -> congestion
 (** Full congestion accounting. *)
@@ -166,7 +179,3 @@ val rank_sites : Tree.t -> congestion -> k:int -> (site * float) list
 (** The [k] sites with the highest relative load, with that load: a
     stable sort of the scan order, so ties keep edges before buses and
     lower ids first, and the head is [bottleneck] with [value]. *)
-
-val to_dot : Tree.t -> t -> string
-(** Graphviz rendering of the network with each processor labeled by the
-    objects it holds copies of (buses as boxes, as in {!Tree.to_dot}). *)

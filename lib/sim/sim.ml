@@ -119,7 +119,7 @@ let run ?(scale = 1) ?telemetry ?link w placement =
     let r = fl.Flat.r and sc = scratch in
     let spanned = ref false in
     Flat.iter_steiner fl sc
-      ~nodes:(fun mark -> List.iter mark nodes)
+      ~nodes:(fun mark -> Array.iter mark nodes)
       (fun e ->
         sc.estamp.(e) <- sc.stamp;
         spanned := true);
@@ -186,23 +186,21 @@ let run ?(scale = 1) ?telemetry ?link w placement =
   in
   Array.iteri
     (fun obj (op : Placement.obj_placement) ->
-      List.iter
-        (fun (a : Placement.assignment) ->
-          let reads = scale_up a.Placement.reads scale in
-          let writes = scale_up a.Placement.writes scale in
-          for _ = 1 to reads do
-            incr packets;
-            ignore (add_unicast ~from:a.Placement.leaf ~target:a.Placement.server)
-          done;
-          for _ = 1 to writes do
-            incr packets;
-            let arrival =
-              add_unicast ~from:a.Placement.leaf ~target:a.Placement.server
-            in
-            add_multicast ~obj ~source:a.Placement.server
-              ~nodes:op.Placement.copies ~dep:arrival
-          done)
-        op.Placement.assigns)
+      for i = 0 to Array.length op.Placement.leaf - 1 do
+        let leaf = op.Placement.leaf.(i) and server = op.Placement.server.(i) in
+        let reads = scale_up op.Placement.reads.(i) scale in
+        let writes = scale_up op.Placement.writes.(i) scale in
+        for _ = 1 to reads do
+          incr packets;
+          ignore (add_unicast ~from:leaf ~target:server)
+        done;
+        for _ = 1 to writes do
+          incr packets;
+          let arrival = add_unicast ~from:leaf ~target:server in
+          add_multicast ~obj ~source:server ~nodes:op.Placement.copies
+            ~dep:arrival
+        done
+      done)
     placement;
   let n_hops = hop_edge.Buf.len in
   let hop_edge = hop_edge.Buf.data and hop_dep = hop_dep.Buf.data in

@@ -11,6 +11,7 @@ module Placement = Hbn_placement.Placement
 module Nibble = Hbn_nibble.Nibble
 module Copy = Hbn_core.Copy
 module Mapping = Hbn_core.Mapping
+module Placement_ref = Hbn_ref.Placement_ref
 
 let nearest_leaf tree node =
   if Tree.is_leaf tree node then node
@@ -38,9 +39,9 @@ let nearest_leaf tree node =
 let naive_nearest_leaf w =
   let tree = Workload.tree w in
   let sets = Nibble.place_all w in
-  Array.map
+  Placement_ref.of_lists @@ Array.map
     (fun cs ->
-      if cs.Nibble.nodes = [] then { Placement.copies = []; assigns = [] }
+      if cs.Nibble.nodes = [] then { Placement_ref.copies = []; assigns = [] }
       else begin
         let groups = Nibble.served_groups w cs in
         let assigns = ref [] in
@@ -54,7 +55,7 @@ let naive_nearest_leaf w =
                 if Nibble.group_weight g > 0 then
                   assigns :=
                     {
-                      Placement.leaf = g.Nibble.leaf;
+                      Placement_ref.leaf = g.Nibble.leaf;
                       server = home;
                       reads = g.Nibble.reads;
                       writes = g.Nibble.writes;
@@ -63,7 +64,7 @@ let naive_nearest_leaf w =
               groups.(i))
           cs.Nibble.nodes;
         {
-          Placement.copies = List.sort_uniq compare !copies;
+          Placement_ref.copies = List.sort_uniq compare !copies;
           assigns = List.rev !assigns;
         }
       end)
@@ -108,46 +109,7 @@ let skip_deletion w =
   let movable =
     List.filter (fun c -> not (Tree.is_leaf tree c.Copy.node)) all_copies
   in
-  let build () =
-    Array.init (Array.length stages) (fun obj ->
-        match stages.(obj) with
-        | `Unused -> { Placement.copies = []; assigns = [] }
-        | `Read_only leaves ->
-          {
-            Placement.copies = leaves;
-            assigns =
-              List.map
-                (fun leaf ->
-                  {
-                    Placement.leaf;
-                    server = leaf;
-                    reads = Workload.reads w ~obj leaf;
-                    writes = Workload.writes w ~obj leaf;
-                  })
-                leaves;
-          }
-        | `Copies cs ->
-          {
-            Placement.copies =
-              List.sort_uniq compare (List.map (fun c -> c.Copy.node) cs);
-            assigns =
-              List.concat_map
-                (fun c ->
-                  List.filter_map
-                    (fun g ->
-                      if Nibble.group_weight g = 0 then None
-                      else
-                        Some
-                          {
-                            Placement.leaf = g.Nibble.leaf;
-                            server = c.Copy.node;
-                            reads = g.Nibble.reads;
-                            writes = g.Nibble.writes;
-                          })
-                    c.Copy.groups)
-                cs;
-          })
-  in
+  let build () = Placement_ref.of_stages w ~node:(fun c -> c.Copy.node) stages in
   match movable with
   | [] -> Mapped (build ())
   | _ :: _ -> (

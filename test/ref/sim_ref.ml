@@ -123,26 +123,23 @@ let run ?(scale = 1) ?(policy = Fifo) ?telemetry ?link w placement =
       done
     end
   in
-  Array.iteri
-    (fun _obj (op : Placement.obj_placement) ->
+  Array.iter
+    (fun (op : Placement_ref.obj) ->
       List.iter
-        (fun (a : Placement.assignment) ->
-          let reads = scale_up a.Placement.reads scale in
-          let writes = scale_up a.Placement.writes scale in
+        (fun (a : Placement_ref.assignment) ->
+          let reads = scale_up a.reads scale in
+          let writes = scale_up a.writes scale in
           for _ = 1 to reads do
             incr packets;
-            ignore (add_unicast ~from:a.Placement.leaf ~target:a.Placement.server)
+            ignore (add_unicast ~from:a.leaf ~target:a.server)
           done;
           for _ = 1 to writes do
             incr packets;
-            let arrival =
-              add_unicast ~from:a.Placement.leaf ~target:a.Placement.server
-            in
-            add_multicast ~source:a.Placement.server ~nodes:op.Placement.copies
-              ~dep:arrival
+            let arrival = add_unicast ~from:a.leaf ~target:a.server in
+            add_multicast ~source:a.server ~nodes:op.copies ~dep:arrival
           done)
-        op.Placement.assigns)
-    placement;
+        op.assigns)
+    (Placement_ref.to_lists placement);
   let n_hops = hop_edge.Buf.len in
   let hop_edge = hop_edge.Buf.data and hop_dep = hop_dep.Buf.data in
   let edge_traffic = Array.make m 0 in

@@ -3,7 +3,7 @@
    its per-copy kernels. Step 1 asks Flat.next_hop for every node's
    gravity parent; Step 2 runs the n-table deletion oracle
    (Hbn_ref.Deletion_ref); the Step 1 and Step 2 placements are built
-   eagerly; validation scans every node of every object. The tests check
+   eagerly, as lists (Hbn_ref.Placement_ref); validation scans every node of every object. The tests check
    that the library computes exactly what these compute. *)
 
 module Tree = Hbn_tree.Tree
@@ -14,6 +14,7 @@ module Nibble = Hbn_nibble.Nibble
 module Copy = Hbn_core.Copy
 module Deletion = Hbn_core.Deletion
 module Deletion_ref = Hbn_ref.Deletion_ref
+module Placement_ref = Hbn_ref.Placement_ref
 
 (* The nibble rule: every node asks next_hop which side of it the gravity
    center lies on. *)
@@ -52,7 +53,9 @@ type steps = {
 let steps w =
   let objects = Workload.num_objects w in
   let sets = Array.init objects (fun obj -> place w ~obj) in
-  let nibble = Placement.nearest w ~copies:(Array.map (fun cs -> cs.Nibble.nodes) sets) in
+  let nibble =
+    Placement_ref.nearest w ~copies:(Array.map (fun cs -> cs.Nibble.nodes) sets)
+  in
   let next_id = ref 0 and deletions = ref 0 and splits = ref 0 in
   let per_object =
     Array.map
@@ -71,46 +74,7 @@ let steps w =
       sets
   in
   let modified =
-    Array.mapi
-      (fun obj stage ->
-        match stage with
-        | `Unused -> { Placement.copies = []; assigns = [] }
-        | `Read_only leaves ->
-          {
-            Placement.copies = leaves;
-            assigns =
-              List.map
-                (fun leaf ->
-                  {
-                    Placement.leaf;
-                    server = leaf;
-                    reads = Workload.reads w ~obj leaf;
-                    writes = Workload.writes w ~obj leaf;
-                  })
-                leaves;
-          }
-        | `Copies cs ->
-          {
-            Placement.copies =
-              List.sort_uniq compare (List.map (fun c -> c.Copy.node) cs);
-            assigns =
-              List.concat_map
-                (fun c ->
-                  List.filter_map
-                    (fun g ->
-                      if Nibble.group_weight g = 0 then None
-                      else
-                        Some
-                          {
-                            Placement.leaf = g.Nibble.leaf;
-                            server = c.Copy.node;
-                            reads = g.Nibble.reads;
-                            writes = g.Nibble.writes;
-                          })
-                    c.Copy.groups)
-                cs;
-          })
-      per_object
+    Placement_ref.of_stages w ~node:(fun c -> c.Copy.node) per_object
   in
   let copies =
     Array.to_list per_object
@@ -130,8 +94,8 @@ let validate w t =
     fail "placement has %d objects, workload %d" (Array.length t)
       (Workload.num_objects w);
   Array.iteri
-    (fun obj op ->
-      let copies = op.Placement.copies in
+    (fun obj (op : Placement_ref.obj) ->
+      let copies = op.copies in
       if List.length (List.sort_uniq compare copies) <> List.length copies then
         fail "object %d: duplicate copies" obj;
       let held = Array.make (Tree.n tree) false in
@@ -143,7 +107,7 @@ let validate w t =
       let reads = Array.make (Tree.n tree) 0 in
       let writes = Array.make (Tree.n tree) 0 in
       List.iter
-        (fun (a : Placement.assignment) ->
+        (fun (a : Placement_ref.assignment) ->
           if a.reads < 0 || a.writes < 0 then
             fail "object %d: negative assignment" obj;
           if a.server < 0 || a.server >= Tree.n tree || not held.(a.server) then
@@ -152,7 +116,7 @@ let validate w t =
             fail "object %d: requests from non-processor %d" obj a.leaf;
           reads.(a.leaf) <- reads.(a.leaf) + a.reads;
           writes.(a.leaf) <- writes.(a.leaf) + a.writes)
-        op.Placement.assigns;
+        op.assigns;
       for v = 0 to Tree.n tree - 1 do
         let hr = if Tree.is_leaf tree v then Workload.reads w ~obj v else 0 in
         let hw = if Tree.is_leaf tree v then Workload.writes w ~obj v else 0 in
@@ -163,5 +127,5 @@ let validate w t =
           fail "object %d: node %d writes %d assigned, %d required" obj v
             writes.(v) hw
       done)
-    t;
+    (Placement_ref.to_lists t);
   match !problem with None -> Ok () | Some msg -> Error msg

@@ -2,6 +2,7 @@ module Tree = Hbn_tree.Tree
 module Builders = Hbn_tree.Builders
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
+module Placement_ref = Hbn_ref.Placement_ref
 module Baselines = Hbn_baselines.Baselines
 module Prng = Hbn_prng.Prng
 
@@ -155,10 +156,10 @@ let test_polish_rejects_bus_placements () =
   let w = Workload.empty t ~objects:1 in
   Workload.set_write w ~obj:0 1 3;
   let bad =
-    [|
+    Placement_ref.of_lists [|
       {
-        Placement.copies = [ 0 ];
-        assigns = [ { Placement.leaf = 1; server = 0; reads = 0; writes = 3 } ];
+        Placement_ref.copies = [ 0 ];
+        assigns = [ { Placement_ref.leaf = 1; server = 0; reads = 0; writes = 3 } ];
       };
     |]
   in

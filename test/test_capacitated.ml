@@ -2,6 +2,7 @@ module Tree = Hbn_tree.Tree
 module Builders = Hbn_tree.Builders
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
+module Placement_ref = Hbn_ref.Placement_ref
 module Strategy = Hbn_core.Strategy
 module Capacitated = Hbn_core.Capacitated
 module Prng = Hbn_prng.Prng
@@ -106,13 +107,13 @@ let test_infeasible () =
 let test_bus_placement_rejected () =
   let t, w = star_many_objects () in
   let bad =
-    [|
+    Placement_ref.of_lists [|
       {
-        Placement.copies = [ 0 ];
+        Placement_ref.copies = [ 0 ];
         assigns =
           [
-            { Placement.leaf = 1; server = 0; reads = 0; writes = 10 };
-            { Placement.leaf = 2; server = 0; reads = 1; writes = 0 };
+            { Placement_ref.leaf = 1; server = 0; reads = 0; writes = 10 };
+            { Placement_ref.leaf = 2; server = 0; reads = 1; writes = 0 };
           ];
       };
     |]

@@ -45,7 +45,7 @@ let test_check_valid_detects_bus_copy () =
           (fun op ->
             {
               op with
-              Placement.copies = 0 :: op.Placement.copies;
+              Placement.copies = Array.append [| 0 |] op.Placement.copies;
               (* node 0 is the root bus *)
             })
           res.Strategy.placement;
@@ -61,7 +61,7 @@ let test_check_valid_detects_coverage_gap () =
       res with
       Strategy.placement =
         Array.map
-          (fun op -> { op with Placement.assigns = [] })
+          (fun op -> { Placement.empty with copies = op.Placement.copies })
           res.Strategy.placement;
     }
   in

@@ -338,7 +338,21 @@ let test_failures_exit_nonzero () =
        [ "workload"; "--save"; "/nonexistent/x" ], "cannot save");
       ("topology load a dir", [ "topology"; "--load"; dir ], "cannot load");
       ("workload load a dir", [ "workload"; "--load"; dir ], "cannot load");
-      ("serve replay a dir", [ "serve"; "--replay"; dir ], "cannot replay") ]
+      ("serve replay a dir", [ "serve"; "--replay"; dir ], "cannot replay");
+      (* Size flags a builder or generator would raise on. *)
+      ("star with one leaf",
+       [ "topology"; "--kind"; "star"; "--leaves"; "1" ],
+       "--leaves must be >= 2 (got 1)");
+      ("balanced arity 1",
+       [ "topology"; "--kind"; "balanced"; "--arity"; "1" ],
+       "--arity must be >= 2 (got 1)");
+      ("zero bandwidth", [ "topology"; "--bandwidth"; "0" ],
+       "--bandwidth must be >= 1 (got 0)");
+      ("negative objects", [ "workload"; "--objects=-1" ],
+       "--objects must be >= 0 (got -1)");
+      ("zipf without objects",
+       [ "place"; "--workload"; "zipf"; "--objects"; "0" ],
+       "--objects must be >= 1 (got 0)") ]
   in
   List.iter
     (fun (name, args, what) ->

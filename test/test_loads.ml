@@ -206,7 +206,7 @@ let test_far_beyond_bench_shapes () =
       let p = res.Hbn_core.Strategy.placement in
       Helpers.check_ok name (Placement.validate w p);
       ignore (Placement.evaluate w p);
-      let copies = Array.map (fun op -> op.Placement.copies) p in
+      let copies = Array.map (fun op -> Array.to_list op.Placement.copies) p in
       let eng = Loads.of_copies w copies in
       Alcotest.(check (float 0.)) (name ^ ": engine congestion")
         (Placement.congestion w (Placement.nearest w ~copies))

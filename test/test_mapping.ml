@@ -285,9 +285,36 @@ let test_empty_movable_is_noop () =
     (stats.Mapping.moves_up + stats.Mapping.moves_down);
   Alcotest.(check int) "tau 0" 0 stats.Mapping.tau_max
 
+(* Step 2's copies (bus copies among them) on random trees, stars,
+   caterpillars up to spine 60 and caterpillars with spines of 100 to
+   600, against the edge-by-edge climb. *)
+let prop_basic_loads_match_edge_walk seed =
+  let tree, w =
+    if seed mod 3 <> 0 then Helpers.shaped_instance seed
+    else begin
+      let prng = Prng.create (seed + 17) in
+      let tree =
+        Builders.caterpillar ~spine:(Prng.int_in prng 100 600)
+          ~leaves_per_bus:(Prng.int_in prng 1 3)
+          ~profile:(Builders.Uniform 2)
+      in
+      (tree, Helpers.random_workload prng tree)
+    end
+  in
+  let copies =
+    List.concat_map
+      (fun obj ->
+        if Workload.write_contention w ~obj = 0 then []
+        else (Hbn_core.Deletion.run w (Nibble.place w ~obj)).Hbn_core.Deletion.copies)
+      (List.init (Workload.num_objects w) Fun.id)
+  in
+  Mapping.basic_loads tree copies = Hbn_ref.Mapping_ref.basic_loads tree copies
+
 let suite =
   [
     Helpers.tc "basic load directions" test_basic_loads_directions;
+    Helpers.qt "basic_loads = edge-walk oracle" Helpers.seed_arb
+      prop_basic_loads_match_edge_walk;
     Helpers.tc "self-serving copies add no load" test_self_serving_copy_no_load;
     Helpers.tc "check_invariant detects corruption" test_check_invariant_detects_corruption;
     Helpers.tc "failure injection breaks the run" test_failure_injection;

@@ -3,6 +3,7 @@ module Flat = Hbn_tree.Flat
 module Builders = Hbn_tree.Builders
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
+module Placement_ref = Hbn_ref.Placement_ref
 module Prng = Hbn_prng.Prng
 
 (* Star: bus 0 (bw 2), processors 1, 2, 3; edge i connects processor i+1. *)
@@ -35,9 +36,11 @@ let test_nearest_tie_breaking () =
   let p = Placement.nearest w ~copies:[| [ 3; 1 ] |] in
   (* Processor 2 is equidistant from 1 and 3: ties go to the lowest id. *)
   let server_of_2 =
-    List.find (fun a -> a.Placement.leaf = 2) p.(0).Placement.assigns
+    List.find
+      (fun a -> a.Placement_ref.leaf = 2)
+      (Placement_ref.to_lists p).(0).Placement_ref.assigns
   in
-  Alcotest.(check int) "tie to lowest id" 1 server_of_2.Placement.server;
+  Alcotest.(check int) "tie to lowest id" 1 server_of_2.Placement_ref.server;
   Alcotest.(check (list int)) "copies sorted deduped" [ 1; 3 ]
     (Placement.copies p ~obj:0)
 
@@ -98,79 +101,91 @@ let test_validate_catches_errors () =
   let _, w = star_instance () in
   let good = Placement.nearest w ~copies:[| [ 1 ] |] in
   Helpers.check_ok "good placement" (Placement.validate w good);
+  let good0 = (Placement_ref.to_lists good).(0) in
   (* Wrong coverage: drop one assignment. *)
   let bad =
-    [| { good.(0) with Placement.assigns = List.tl good.(0).Placement.assigns } |]
+    Placement_ref.of_lists
+      [| { good0 with Placement_ref.assigns = List.tl good0.Placement_ref.assigns } |]
   in
   (match Placement.validate w bad with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "missing assignment accepted");
   (* Server outside the copy set. *)
   let bad2 =
-    [|
-      {
-        good.(0) with
-        Placement.assigns =
-          List.map
-            (fun a -> { a with Placement.server = 2 })
-            good.(0).Placement.assigns;
-      };
-    |]
+    Placement_ref.of_lists
+      [|
+        {
+          good0 with
+          Placement_ref.assigns =
+            List.map
+              (fun a -> { a with Placement_ref.server = 2 })
+              good0.Placement_ref.assigns;
+        };
+      |]
   in
   (match Placement.validate w bad2 with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "foreign server accepted");
   (* Duplicate copies. *)
-  let bad3 = [| { good.(0) with Placement.copies = [ 1; 1 ] } |] in
-  match Placement.validate w bad3 with
+  let bad3 = [| { good.(0) with Placement.copies = [| 1; 1 |] } |] in
+  (match Placement.validate w bad3 with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "duplicate copies accepted"
+  | Ok () -> Alcotest.fail "duplicate copies accepted");
+  (* Assignment arrays of different lengths. *)
+  let bad4 = [| { good.(0) with Placement.reads = [||] } |] in
+  match Placement.validate w bad4 with
+  | Error msg ->
+    Alcotest.(check string) "names the arrays"
+      "object 0: assignment arrays differ in length" msg
+  | Ok () -> Alcotest.fail "ragged assignment arrays accepted"
 
 (* One random corruption of a placement: a copy list, an assignment or
    the object array itself changed the way a buggy producer might. *)
 let corrupt prng w (p : Placement.t) =
+  let open Placement_ref in
   let n = Tree.n (Workload.tree w) in
   let pick xs = List.nth xs (Prng.int prng (List.length xs)) in
   let edit_nth xs f =
     let i = Prng.int prng (List.length xs) in
     List.concat (List.mapi (fun j x -> if j = i then f x else [ x ]) xs)
   in
-  let p = Array.copy p in
+  let p = to_lists p in
   let obj = Prng.int prng (Array.length p) in
   let op = p.(obj) in
-  let copies = op.Placement.copies and assigns = op.Placement.assigns in
+  let copies = op.copies and assigns = op.assigns in
   let node () = Prng.int prng n in
   let edit_assign f =
     if assigns <> [] then
-      p.(obj) <- { op with Placement.assigns = edit_nth assigns f }
+      p.(obj) <- { op with assigns = edit_nth assigns f }
   in
   (match Prng.int prng 11 with
   | 0 ->
     if copies <> [] then
-      p.(obj) <- { op with Placement.copies = pick copies :: copies }
+      p.(obj) <- { op with copies = pick copies :: copies }
   | 1 ->
     let outside = if Prng.bool prng then -1 else n in
-    p.(obj) <- { op with Placement.copies = copies @ [ outside ] }
-  | 2 -> edit_assign (fun a -> [ { a with Placement.reads = -1 } ])
-  | 3 -> edit_assign (fun a -> [ { a with Placement.server = node () } ])
+    p.(obj) <- { op with copies = copies @ [ outside ] }
+  | 2 -> edit_assign (fun a -> [ { a with reads = -1 } ])
+  | 3 -> edit_assign (fun a -> [ { a with server = node () } ])
   | 4 ->
     let leaf = if Prng.int prng 8 = 0 then n else node () in
-    edit_assign (fun a -> [ { a with Placement.leaf } ])
+    edit_assign (fun a -> [ { a with leaf } ])
   | 5 -> edit_assign (fun _ -> [])
   | 6 ->
     edit_assign (fun a ->
         if Prng.bool prng then
-          [ { a with Placement.reads = a.Placement.reads + 1 } ]
-        else [ { a with Placement.writes = a.Placement.writes + 1 } ])
-  | 7 -> edit_assign (fun a -> [ a; { a with Placement.leaf = node () } ])
+          [ { a with reads = a.reads + 1 } ]
+        else [ { a with writes = a.writes + 1 } ])
+  | 7 -> edit_assign (fun a -> [ a; { a with leaf = node () } ])
   | 8 ->
     if copies <> [] then
-      p.(obj) <- { op with Placement.copies = edit_nth copies (fun _ -> []) }
+      p.(obj) <- { op with copies = edit_nth copies (fun _ -> []) }
   | 9 ->
     let other = Prng.int prng (Array.length p) in
     p.(obj) <- p.(other);
     p.(other) <- op
   | _ -> ());
+  let p = of_lists p in
   if Prng.int prng 12 = 0 then Array.sub p 0 (Array.length p - 1) else p
 
 (* The per-object-linear validator returns exactly the all-nodes oracle's
@@ -197,29 +212,33 @@ let prop_validate_matches_oracle seed =
 let test_strictness () =
   let _, w = star_instance () in
   let split =
-    [|
-      {
-        Placement.copies = [ 1; 3 ];
-        assigns =
-          [
-            { Placement.leaf = 1; server = 1; reads = 2; writes = 3 };
-            { Placement.leaf = 2; server = 1; reads = 1; writes = 0 };
-            { Placement.leaf = 3; server = 3; reads = 0; writes = 1 };
-            { Placement.leaf = 3; server = 1; reads = 0; writes = 3 };
-          ];
-      };
-    |]
+    Placement_ref.of_lists
+      [|
+        {
+          Placement_ref.copies = [ 1; 3 ];
+          assigns =
+            [
+              { Placement_ref.leaf = 1; server = 1; reads = 2; writes = 3 };
+              { Placement_ref.leaf = 2; server = 1; reads = 1; writes = 0 };
+              { Placement_ref.leaf = 3; server = 3; reads = 0; writes = 1 };
+              { Placement_ref.leaf = 3; server = 1; reads = 0; writes = 3 };
+            ];
+        };
+      |]
   in
   Helpers.check_ok "split covers workload" (Placement.validate w split);
-  Alcotest.(check bool) "split is not strict" false (Placement.is_strict split);
-  let strict = Placement.to_strict split in
-  Alcotest.(check bool) "to_strict strict" true (Placement.is_strict strict);
+  Alcotest.(check bool) "split is not strict" false
+    (Placement_ref.is_strict split);
+  let strict = Placement_ref.to_strict split in
+  Alcotest.(check bool) "to_strict strict" true (Placement_ref.is_strict strict);
   Helpers.check_ok "strict still covers" (Placement.validate w strict);
   (* Processor 3's majority server is copy 1 (3 vs 1 requests). *)
   let a3 =
-    List.find (fun a -> a.Placement.leaf = 3) strict.(0).Placement.assigns
+    List.find
+      (fun a -> a.Placement_ref.leaf = 3)
+      (Placement_ref.to_lists strict).(0).Placement_ref.assigns
   in
-  Alcotest.(check int) "majority server" 1 a3.Placement.server
+  Alcotest.(check int) "majority server" 1 a3.Placement_ref.server
 
 let test_leaf_only () =
   let t, w = star_instance () in
@@ -228,11 +247,9 @@ let test_leaf_only () =
   let bus =
     [|
       {
-        Placement.copies = [ 0 ];
-        assigns =
-          List.map
-            (fun a -> { a with Placement.server = 0 })
-            leafy.(0).Placement.assigns;
+        leafy.(0) with
+        Placement.copies = [| 0 |];
+        server = Array.map (fun _ -> 0) leafy.(0).Placement.server;
       };
     |]
   in
@@ -251,17 +268,18 @@ let test_path_steiner_overlap_counted_twice () =
   Workload.set_write w ~obj:0 l0 1;
   Workload.set_write w ~obj:0 l1 1;
   let p =
-    [|
-      {
-        Placement.copies = [ l0; l1 ];
-        assigns =
-          [
-            (* l0 uses the far copy: its path lies inside the Steiner tree. *)
-            { Placement.leaf = l0; server = l1; reads = 0; writes = 1 };
-            { Placement.leaf = l1; server = l1; reads = 0; writes = 1 };
-          ];
-      };
-    |]
+    Placement_ref.of_lists
+      [|
+        {
+          Placement_ref.copies = [ l0; l1 ];
+          assigns =
+            [
+              (* l0 uses the far copy: its path lies inside the Steiner tree. *)
+              { Placement_ref.leaf = l0; server = l1; reads = 0; writes = 1 };
+              { Placement_ref.leaf = l1; server = l1; reads = 0; writes = 1 };
+            ];
+        };
+      |]
   in
   let loads = Placement.edge_loads w p in
   let path = Tree_ref.path_edges t l0 l1 in
@@ -285,14 +303,13 @@ let prop_nearest_valid seed =
   let p = Placement.nearest w ~copies in
   (* Every server is the one the pairwise scan picks. *)
   Placement.validate w p = Ok ()
-  && Placement.is_strict p
+  && Placement_ref.is_strict p
   && Array.for_all
-       (fun op ->
-         List.for_all
-           (fun a ->
-             fst (Tree_ref.nearest_copy t op.Placement.copies a.Placement.leaf)
-             = a.Placement.server)
-           op.Placement.assigns)
+       (fun (op : Placement.obj_placement) ->
+         let copies = Array.to_list op.copies in
+         Array.for_all2
+           (fun leaf server -> fst (Tree_ref.nearest_copy t copies leaf) = server)
+           op.leaf op.server)
        p
 
 let prop_full_replication_reads_free seed =
@@ -327,7 +344,7 @@ let component_fold w p =
    among them, and a requesting leaf holding one so that some leaf is
    its own server. Then, per object, its writes zeroed or its copy list
    doubled into duplicates. *)
-let kernel_placement seed =
+let kernel_copies seed =
   let tree, w = Helpers.shaped_instance seed in
   let prng = Prng.create (seed + 61) in
   let n = Tree.n tree in
@@ -341,21 +358,25 @@ let kernel_placement seed =
         if Prng.int prng 3 = 0 then own
         else own @ List.init (Prng.int_in prng 1 4) (fun _ -> Prng.int prng n))
   in
+  (w, prng, copies)
+
+let kernel_placement seed =
+  let w, prng, copies = kernel_copies seed in
   let p =
     Array.map
-      (fun op ->
+      (fun (op : Placement.obj_placement) ->
         match Prng.int prng 4 with
-        | 0 ->
-          { op with
-            Placement.assigns =
-              List.map
-                (fun a -> { a with Placement.writes = 0 })
-                op.Placement.assigns }
-        | 1 -> { op with Placement.copies = op.Placement.copies @ op.Placement.copies }
+        | 0 -> { op with writes = Array.map (fun _ -> 0) op.writes }
+        | 1 -> { op with copies = Array.append op.copies op.copies }
         | _ -> op)
       (Placement.nearest w ~copies)
   in
   (w, p)
+
+(* The flat nearest assignment against the list builder. *)
+let prop_nearest_matches_list_builder seed =
+  let w, _, copies = kernel_copies seed in
+  Placement.nearest w ~copies = Placement_ref.nearest w ~copies
 
 let prop_edge_loads_match_component_fold seed =
   let w, p = kernel_placement seed in
@@ -380,6 +401,8 @@ let suite =
     Helpers.tc "path/steiner overlap double-counted"
       test_path_steiner_overlap_counted_twice;
     Helpers.qt "nearest placements validate" Helpers.seed_arb prop_nearest_valid;
+    Helpers.qt "nearest = list builder" Helpers.seed_arb
+      prop_nearest_matches_list_builder;
     Helpers.qt ~count:150 "edge_loads equals the fold of load components"
       Helpers.seed_arb prop_edge_loads_match_component_fold;
     Helpers.qt ~count:300 "validate matches the all-nodes oracle when corrupted"
@@ -394,7 +417,7 @@ let test_placement_to_dot () =
   let _, w = star_instance () in
   let t = Workload.tree w in
   let p = Placement.nearest w ~copies:[| [ 1; 3 ] |] in
-  let dot = Placement.to_dot t p in
+  let dot = Placement_ref.to_dot t p in
   let contains s sub =
     let n = String.length s and m = String.length sub in
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in

@@ -2,6 +2,7 @@ module Tree = Hbn_tree.Tree
 module Builders = Hbn_tree.Builders
 module Workload = Hbn_workload.Workload
 module Placement = Hbn_placement.Placement
+module Placement_ref = Hbn_ref.Placement_ref
 module Strategy = Hbn_core.Strategy
 module Sim = Hbn_sim.Sim
 module Sim_ref = Hbn_ref.Sim_ref
@@ -39,10 +40,10 @@ let test_write_broadcast_waits () =
   let w = Workload.empty t ~objects:1 in
   Workload.set_write w ~obj:0 1 1;
   let p =
-    [|
+    Placement_ref.of_lists [|
       {
-        Placement.copies = [ 2; 3 ];
-        assigns = [ { Placement.leaf = 1; server = 2; reads = 0; writes = 1 } ];
+        Placement_ref.copies = [ 2; 3 ];
+        assigns = [ { Placement_ref.leaf = 1; server = 2; reads = 0; writes = 1 } ];
       };
     |]
   in
@@ -306,10 +307,10 @@ let test_extreme_latencies () =
   let w = Workload.empty t ~objects:1 in
   Workload.set_write w ~obj:0 1 1;
   let p =
-    [|
+    Placement_ref.of_lists [|
       {
-        Placement.copies = [ 2; 3 ];
-        assigns = [ { Placement.leaf = 1; server = 2; reads = 0; writes = 1 } ];
+        Placement_ref.copies = [ 2; 3 ];
+        assigns = [ { Placement_ref.leaf = 1; server = 2; reads = 0; writes = 1 } ];
       };
     |]
   in

@@ -132,8 +132,8 @@ let prop_final_strict_after_collapse seed =
   (* to_strict of the final placement still covers the workload. *)
   let _, w = Helpers.instance seed in
   let res = Strategy.run w in
-  let strict = Placement.to_strict res.Strategy.placement in
-  Placement.is_strict strict && Placement.validate w strict = Ok ()
+  let strict = Hbn_ref.Placement_ref.to_strict res.Strategy.placement in
+  Hbn_ref.Placement_ref.is_strict strict && Placement.validate w strict = Ok ()
 
 let prop_copies_consistent_with_placement seed =
   let _, w = Helpers.instance seed in
@@ -173,6 +173,15 @@ let prop_on_demand_matches_eager seed =
   && res.Strategy.splits = eager.Strategy_ref.splits
   && List.map (fields (fun c -> c.Copy.origin)) res.Strategy.copies
      = List.map (fields (fun c -> c.Copy.node)) eager.Strategy_ref.copies
+
+(* The flat final placement against the list builder over the run's own
+   Step 2 copies at their final positions. *)
+let prop_final_placement_matches_list_builder seed =
+  let _, w = Helpers.shaped_instance seed in
+  let res = Strategy.run w in
+  res.Strategy.placement
+  = Hbn_ref.Placement_ref.of_stages w ~node:(fun c -> c.Copy.node)
+      (Hbn_ref.Placement_ref.stages_of_copies w res.Strategy.copies)
 
 (* Many objects on a wide tree: 1,024 Zipf objects on the 5,461-node
    balanced tree of arity 4 and height 6, four times the benchmark's
@@ -215,6 +224,8 @@ let suite =
       prop_stable_under_all_topologies;
     Helpers.qt ~count:150 "on-demand placements match eager construction"
       Helpers.seed_arb prop_on_demand_matches_eager;
+    Helpers.qt "final placement = list builder" Helpers.seed_arb
+      prop_final_placement_matches_list_builder;
     Helpers.tc "1,024 objects on a 5,461-node tree" test_many_objects_wide_tree;
   ]
 
